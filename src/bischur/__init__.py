@@ -84,7 +84,6 @@ from .slope import (
     directional_derivative_numeric,
     pick_check,
     slope_eval,
-    slope_evaluator,
     slope_measure,
     slope_real_axis_check,
 )

@@ -21,7 +21,7 @@ from ._limits import LimitReport, refine_to_limit
 from .colligation import Colligation
 from .errors import InvalidInputError, NoSolutionError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, min_norm_solve
-from .points import as_point, require_boundary, require_interior, sup_norm
+from .points import TORUS_SLACK, as_point, require_boundary, require_interior, sup_norm
 
 __all__ = [
     "ApproachPath",
@@ -31,9 +31,6 @@ __all__ = [
     "nontangential_value",
     "is_carapoint",
 ]
-
-TORUS_SLACK = 1e-12
-
 
 def default_steps(n_steps: int = 40) -> np.ndarray:
     """Geometric step sequence t_k = 2^-k, k = 1..n_steps."""

@@ -1,8 +1,8 @@
 """Command-line front end: JSON in, JSON/CSV reports out.
 
 Subcommands: ``analyze`` (carapoint/slope analysis of a colligation),
-``synth`` (build a Schur function from a slope measure, optionally fitting a
-colligation), ``nevrep`` (extract the two-variable resolvent representation)
+``synth`` (build a Schur function from a slope measure, optionally writing its
+exact colligation), ``nevrep`` (extract the two-variable resolvent representation)
 and ``verify`` (seeded random property suites).
 
 Exit codes: 0 success, 2 malformed input, 3 failed precondition (not a
@@ -350,7 +350,7 @@ def cmd_synth(args) -> int:
                 writer.writerows(rows)
             report["output"] = {"kind": "samples_csv", "path": args.out, "rows": len(rows)}
         elif args.out:
-            fitted = synthesis.fit_colligation(syn, seed=args.seed, tol=tol)
+            fitted = synthesis.fit_colligation(syn, tol=tol)
             with open(args.out, "w") as fh:
                 json.dump(colligation_to_json(fitted), fh, sort_keys=True, indent=2)
                 fh.write("\n")
@@ -404,7 +404,7 @@ def cmd_nevrep(args) -> int:
             nu = measure_from_json(payload)
             omega = parse_complex(args.omega) if args.omega else 1.0 + 0j
             syn = synthesis.SynthesizedSchur(nu, chi, omega)
-            c = synthesis.fit_colligation(syn, seed=args.seed, tol=tol)
+            c = synthesis.fit_colligation(syn, tol=tol)
         else:
             raise SchemaError(f"nevrep needs a colligation or a measure, got {kind}")
     except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
@@ -574,6 +574,9 @@ def _suite_reps(rng, n, tol):
 
 def cmd_verify(args) -> int:
     tol, source = _resolve_tolerances(args.tolerances)
+    if args.random < 1:
+        return _fail(args, tol, source, EXIT_INPUT, "input",
+                     f"--random must be at least 1, got {args.random}")
     rng = np.random.default_rng(args.seed)
     n = args.random
     suites = {
@@ -632,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", default=None, help="carapoint to prescribe (default 1,1)")
     p.add_argument("--omega", default=None, help="boundary value to prescribe (default 1)")
     p.add_argument("--out", default=None,
-                   help="output path: .json fits a colligation, .csv writes samples")
+                   help="output path: .json writes the exact colligation, .csv writes samples")
     p.add_argument("--verify", action="store_true",
                    help="verify the slope and carapoint prescriptions")
     _add_common(p)

@@ -22,7 +22,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "null_space",
-    "orthonormal_complement",
     "min_norm_solve",
     "structure_check",
 ]
@@ -103,15 +102,6 @@ def null_space(A, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     _, s, vh = _svd(A)
     rank = _numerical_rank(s, tol.rank_rel)
     return vh[rank:].conj().T.copy()
-
-
-def orthonormal_complement(A, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of ker(A),
-    i.e. of the row space of A."""
-    A = as_matrix(A, "A")
-    _, s, vh = _svd(A)
-    rank = _numerical_rank(s, tol.rank_rel)
-    return vh[:rank].conj().T.copy()
 
 
 def min_norm_solve(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

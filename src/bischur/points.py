@@ -28,12 +28,6 @@ def sup_norm(lam) -> float:
     return max(abs(l1), abs(l2))
 
 
-def dist_to_boundary(lam) -> float:
-    """Distance from an interior point to the boundary of the bidisc."""
-    l1, l2 = as_point(lam)
-    return min(1.0 - abs(l1), 1.0 - abs(l2))
-
-
 def require_interior(lam) -> tuple[complex, complex]:
     lam = as_point(lam)
     if sup_norm(lam) >= 1.0:

@@ -38,7 +38,6 @@ __all__ = [
     "nevanlinna_from_measure",
     "measure_from_nevanlinna",
     "measure_evaluator",
-    "nevanlinna_evaluator",
     "stieltjes_recover",
     "cauchy_rep_eval",
     "growth_check",
@@ -175,10 +174,6 @@ def measure_from_nevanlinna(nd: NevanlinnaData) -> DiscreteMeasure01:
 
 def measure_evaluator(nu: DiscreteMeasure01):
     return lambda z: h_from_measure(nu, z)
-
-
-def nevanlinna_evaluator(nd: NevanlinnaData):
-    return lambda z: h_from_nevanlinna(nd, z)
 
 
 def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float:

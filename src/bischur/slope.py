@@ -31,7 +31,6 @@ from .representations import DiscreteMeasure01
 __all__ = [
     "SlopePair",
     "slope_eval",
-    "slope_evaluator",
     "slope_measure",
     "require_inward",
     "directional_derivative_analytic",
@@ -83,10 +82,6 @@ def slope_eval(pair: SlopePair, z) -> complex:
     M = np.eye(n) + (z - 1.0) * pair.Y
     x = np.linalg.solve(M, pair.u_tau)
     return complex(-np.vdot(pair.u_tau, x))
-
-
-def slope_evaluator(pair: SlopePair):
-    return lambda z: slope_eval(pair, z)
 
 
 def slope_measure(pair: SlopePair, cluster_tol: float = 1e-8) -> DiscreteMeasure01:

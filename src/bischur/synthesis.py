@@ -14,9 +14,14 @@ omega is the change of variable
 
 which preserves the slope function.
 
-The same Herglotz data gives closed-form model vectors, so a unitary
-colligation can be fitted by extending the lurking isometry on sampled
-points; this is the constructive route from measures to realizations.
+The same data gives an exact unitary colligation.  Since
+f_s = (1 - I_s)/(1 + I_s) for the scalar inner function I_s of the
+generalized model with Y = s, phi is realized over the diagonal inner
+function I = diag(I_{s_i}) by the inverse Cayley transform of
+J = [[0, sqrt(w)^T], [sqrt(w), 0]].  Each I_s has the 2-dimensional
+colligation [[0, c^T], [c, d d^T]] with c = (sqrt(s), sqrt(1-s)) and
+d = (sqrt(1-s), -sqrt(s)); feeding these back into the outer operator gives
+a 2N-dimensional linear-pencil realization of phi.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import boundary, slope as slope_mod
-from .colligation import Colligation, eval_phi, unitary_extension
+from .colligation import Colligation, eval_phi
 from .errors import InternalInconsistencyError, InvalidInputError, PoleError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .points import as_point, require_interior, require_torus
@@ -38,7 +43,6 @@ __all__ = [
     "herglotz_component",
     "synth_eval",
     "synth_evaluator",
-    "synth_model_vector",
     "fit_colligation",
     "verify_slope",
     "verify_carapoint",
@@ -106,71 +110,51 @@ def synth_evaluator(syn: SynthesizedSchur):
     return lambda lam: synth_eval(syn, lam)
 
 
-def synth_model_vector(syn: SynthesizedSchur, lam) -> np.ndarray:
-    """Closed-form model vector at lam for the linear-pencil model.
+# Interior points at which fit_colligation checks itself against synth_eval.
+_GATE_POINTS = ((0.3, -0.2j), (0.5j, 0.45), (-0.6 + 0.1j, 0.2 - 0.5j), (0.1, 0.7j))
 
-    With N atoms the model space is C^N (+) C^N and
 
-        u^1_i = 2 sqrt(w_i s_i)     f_{s_i}(mu) / ((1 - mu_1)(1 + f(mu))),
-        u^2_i = 2 sqrt(w_i (1-s_i)) f_{s_i}(mu) / ((1 - mu_2)(1 + f(mu))),
+def fit_colligation(syn: SynthesizedSchur,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> Colligation:
+    """The exact unitary colligation realizing the synthesized function.
 
-    where mu = conj(tau) lam coordinatewise; these satisfy the model identity
-    for phi, with the first block carrying the coordinate-1 projection.
+    L = (J - i)(J + i)^{-1}, with its first row scaled by -omega, realizes
+    phi at tau = (1, 1) over I = diag(I_{s_i}).  Composing it with the atom
+    colligations (B = C^T stacks the c_i) gives
+
+        a = L_00,  beta = B^T beta_L,  gamma = C gamma_L,  D = D_I + C D_L B,
+
+    and relocation to tau is beta <- T beta, D <- D T* with T = pencil(tau).
+    The state space is [coordinate 1 of every atom, coordinate 2 of every
+    atom], so P1 projects onto the first N coordinates.  The result is
+    checked against synth_eval at fixed interior points.
     """
-    lam = require_interior(lam)
-    mu = _base_point(syn, lam)
-    f = _herglotz_sum(syn.nu, mu)
     atoms = syn.nu.atoms
-    u = np.zeros(2 * len(atoms), dtype=complex)
-    for i, (s, w) in enumerate(atoms):
-        fs = herglotz_component(s, mu)
-        common = 2.0 * fs / (1.0 + f)
-        u[i] = np.sqrt(w * s) * common / (1.0 - mu[0])
-        u[len(atoms) + i] = np.sqrt(w * (1.0 - s)) * common / (1.0 - mu[1])
-    return u
-
-
-def fit_colligation(syn: SynthesizedSchur, n_samples: int | None = None,
-                    seed: int = 727, tol: Tolerances = DEFAULT_TOLERANCES) -> Colligation:
-    """Fit a unitary colligation reproducing the synthesized function.
-
-    Samples the closed-form model vectors on random interior points and
-    extends the isometry (1, I(lam) u_lam) -> (phi(lam), u_lam) to a unitary;
-    with enough samples the span is full and the realization is determined on
-    it, so the fitted function agrees with the synthesized one everywhere.
-    """
-    n_atoms = len(syn.nu.atoms)
-    if n_atoms == 0:
-        raise InvalidInputError("cannot fit a colligation to the empty measure")
-    dim = 2 * n_atoms
-    if n_samples is None:
-        n_samples = max(24, 4 * dim + 8)
-    rng = np.random.default_rng(seed)
-    domain = np.zeros((dim + 1, n_samples), dtype=complex)
-    images = np.zeros((dim + 1, n_samples), dtype=complex)
-    for k in range(n_samples):
-        radius = 0.6 * np.sqrt(rng.uniform(size=2))
-        angle = rng.uniform(0, 2 * np.pi, size=2)
-        lam = (radius[0] * np.exp(1j * angle[0]), radius[1] * np.exp(1j * angle[1]))
-        u = synth_model_vector(syn, lam)
-        domain[0, k] = 1.0
-        domain[1:n_atoms + 1, k] = lam[0] * u[:n_atoms]
-        domain[n_atoms + 1:, k] = lam[1] * u[n_atoms:]
-        images[0, k] = synth_eval(syn, lam)
-        images[1:, k] = u
-    L = unitary_extension(domain, images, tol)
-    P1 = np.zeros((dim, dim), dtype=complex)
-    P1[:n_atoms, :n_atoms] = np.eye(n_atoms)
-    fitted = Colligation(a=L[0, 0], beta=L[0, 1:].conj(), gamma=L[1:, 0],
-                         D=L[1:, 1:], P1=P1)
-    for _ in range(5):
-        lam = tuple(0.7 * np.sqrt(rng.uniform(size=2))
-                    * np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
-        if abs(eval_phi(fitted, lam, tol) - synth_eval(syn, lam)) > 1e-8:
+    n = len(atoms)
+    if n == 0:
+        raise InvalidInputError("cannot build a colligation for the empty measure")
+    s = np.array([atom[0] for atom in atoms])
+    w = np.array([atom[1] for atom in atoms])
+    J = np.zeros((n + 1, n + 1))
+    J[0, 1:] = J[1:, 0] = np.sqrt(w)
+    eye = np.eye(n + 1)
+    L = np.linalg.solve(J + 1j * eye, J - 1j * eye)
+    L[0] *= -syn.omega
+    c1, c2 = np.sqrt(s), np.sqrt(1.0 - s)
+    C = np.vstack([np.diag(c1), np.diag(c2)])
+    D_I = np.block([[np.diag(c2 * c2), np.diag(-c1 * c2)],
+                    [np.diag(-c1 * c2), np.diag(c1 * c1)]])
+    t = np.repeat(np.asarray(syn.tau), n)
+    exact = Colligation(a=L[0, 0], beta=t * (C @ L[0, 1:].conj()),
+                        gamma=C @ L[1:, 0],
+                        D=(D_I + C @ L[1:, 1:] @ C.T) * t.conj(),
+                        P1=np.diag(np.repeat([1.0, 0.0], n)))
+    for lam in _GATE_POINTS:
+        if abs(eval_phi(exact, lam, tol) - synth_eval(syn, lam)) > 1e-8:
             raise InternalInconsistencyError(
-                "fitted colligation disagrees with the synthesized function"
+                "exact colligation disagrees with the synthesized function"
             )
-    return fitted
+    return exact
 
 
 class SlopeVerification(NamedTuple):

@@ -38,7 +38,7 @@ def favourite_measure():
 
 @pytest.fixture(scope="session")
 def fitted_favourite(favourite_measure):
-    """Colligation fitted to the favourite by the lurking-isometry route."""
+    """Exact colligation of the favourite, built by synthesis from its measure."""
     return fit_colligation(SynthesizedSchur(favourite_measure))
 
 

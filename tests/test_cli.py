@@ -110,6 +110,24 @@ class TestSynth:
         assert lines[0] == "l1_re,l1_im,l2_re,l2_im,phi_re,phi_im"
         assert len(lines) > 100
 
+    def test_thirty_atom_synth_then_analyze(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        s, w = rng.uniform(size=30), rng.uniform(0.1, 2.0, size=30)
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps(
+            {"atoms": [{"s": a, "w": b} for a, b in zip(s, w)]}))
+        coll = tmp_path / "c.json"
+        code, report = run(capsys, "synth", measure, "--out", coll, "--no-timestamp")
+        assert code == 0
+        assert report["output"]["model_dim"] == 60
+        code, report = run(capsys, "analyze", coll, "--tau", "1,1", "--no-timestamp")
+        assert code == 0
+        back = report["slope_measure"]["atoms"]
+        assert len(back) == 30
+        for (s0, w0), atom in zip(sorted(zip(s, w)), back):
+            assert abs(atom["s"] - s0) < 1e-9
+            assert abs(atom["w"] - w0) < 1e-9
+
     def test_negative_weight_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad_measure.json"
         path.write_text(json.dumps({"atoms": [{"s": 0.5, "w": -1.0}]}))
@@ -144,6 +162,12 @@ class TestVerify:
         assert code1 == code2 == 0
         assert report1 == report2
         assert all(s["pass"] for s in report1["suites"].values())
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_exits_2(self, capsys, count):
+        code, report = run(capsys, "verify", "--random", count, "--no-timestamp")
+        assert code == report["exit_code"] == 2
+        assert report["error"]["kind"] == "input"
 
 
 class TestDeterminism:

@@ -66,3 +66,19 @@ def test_eval_h2_near_real_boundary_is_ill_conditioned():
                        Y=np.diag([1.0, 0.0]))
     with pytest.raises(IllConditionedError):
         eval_h2(rep, (1e-20j, 1e-20j))
+
+
+def test_synthesis_agreement_gate_exits_4(monkeypatch, capsys, tmp_path):
+    import json
+    from bischur import synthesis
+    from bischur.cli import main
+    exact_eval = synthesis.synth_eval
+    monkeypatch.setattr(synthesis, "synth_eval",
+                        lambda syn, lam: exact_eval(syn, lam) + 1e-6)
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"atoms": [{"s": 0.5, "w": 1.0}]}))
+    code = main(["synth", str(measure), "--out", str(tmp_path / "c.json"),
+                 "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == report["exit_code"] == 4
+    assert "disagrees" in report["error"]["message"]

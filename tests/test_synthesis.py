@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,22 @@ from bischur import (
     fit_colligation,
     h_from_measure,
     herglotz_component,
+    model_residual,
     slope_eval,
+    slope_measure,
     synth_eval,
     synth_evaluator,
     verify_carapoint,
     verify_slope,
 )
-from bischur.synthesis import synth_model_vector
 
 from conftest import CHI, favourite_formula, random_interior
+
+
+def seeded_measure(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    return DiscreteMeasure01(tuple(zip(rng.uniform(size=n_atoms),
+                                       rng.uniform(0.1, 2.0, size=n_atoms))))
 
 
 class TestHerglotzComponent:
@@ -79,15 +88,10 @@ class TestModelVectors:
         rng = np.random.default_rng(53)
         for syn in (SynthesizedSchur(favourite_measure),
                     SynthesizedSchur(nu, tau=(1j, -1.0), omega=-1j)):
-            n = len(syn.nu.atoms)
+            c = fit_colligation(syn)
             for _ in range(20):
                 lam, mu = random_interior(rng, 0.9), random_interior(rng, 0.9)
-                u_lam = synth_model_vector(syn, lam)
-                u_mu = synth_model_vector(syn, mu)
-                lhs = 1.0 - np.conj(synth_eval(syn, mu)) * synth_eval(syn, lam)
-                rhs = (1 - np.conj(mu[0]) * lam[0]) * np.vdot(u_mu[:n], u_lam[:n]) \
-                    + (1 - np.conj(mu[1]) * lam[1]) * np.vdot(u_mu[n:], u_lam[n:])
-                assert abs(lhs - rhs) < 1e-12
+                assert model_residual(c, lam, mu) < 1e-12
 
 
 class TestFitColligation:
@@ -102,13 +106,30 @@ class TestFitColligation:
             lam = random_interior(rng, 0.9)
             assert abs(eval_phi(fitted, lam) - synth_eval(syn, lam)) < 1e-10
 
-    def test_slope_round_trip_through_desingularization(self):
-        nu = DiscreteMeasure01(((0.15, 0.6), (0.5, 0.9), (0.95, 0.3)))
-        syn = SynthesizedSchur(nu)
-        g = desingularize(fit_colligation(syn), CHI)
+    @pytest.mark.parametrize("nu", [
+        pytest.param(DiscreteMeasure01(((0.15, 0.6), (0.5, 0.9), (0.95, 0.3))),
+                     id="3-atoms"),
+        pytest.param(seeded_measure(16), id="16-atoms"),
+        pytest.param(seeded_measure(30), id="30-atoms"),
+        pytest.param(seeded_measure(100), id="100-atoms"),
+        pytest.param(DiscreteMeasure01(((0.4, 1.0), (0.403, 0.7), (0.406, 1.3),
+                                        (0.409, 0.5))), id="crowded"),
+    ])
+    def test_slope_round_trip_through_desingularization(self, nu):
+        tau = (np.exp(0.7j), np.exp(-2.1j))
+        syn = SynthesizedSchur(nu, tau=tau, omega=np.exp(1.3j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = desingularize(fit_colligation(syn), tau)
+        assert g.kernel_dim == len(nu.atoms)
         pair = SlopePair.from_realization(g)
         for z in (1.0, 0.3, 2.5, 1j, 1 + 1j, 3 - 0.5j, 0.07, 12.0, 0.4 + 2j, 5j):
             assert abs(slope_eval(pair, z) - h_from_measure(nu, z)) < 1e-6
+        back = slope_measure(pair)
+        assert len(back.atoms) == len(nu.atoms)
+        for (s, w), (s_back, w_back) in zip(nu.atoms, back.atoms):
+            assert abs(s - s_back) < 1e-9
+            assert abs(w - w_back) < 1e-9
 
 
 class TestVerifySlope:
