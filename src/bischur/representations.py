@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._integrate import adaptive_trapezoid
 from ._limits import refine_to_limit
 from .errors import (
@@ -115,15 +117,21 @@ def h_from_measure(nu: DiscreteMeasure01, z) -> complex:
     return -total
 
 
-def h_from_nevanlinna(nd: NevanlinnaData, z) -> complex:
-    """Evaluate c + d z + (1/pi) sum m (1 + t z)/(t - z)."""
-    z = complex(z)
-    total = complex(nd.c) + nd.d * z
+def h_from_nevanlinna(nd: NevanlinnaData, z):
+    """Evaluate c + d z + (1/pi) sum m (1 + t z)/(t - z) at a point or an
+    array of points; the result has the shape of ``z``.  Raises PoleError
+    when any point coincides with an atom."""
+    z = np.asarray(z, dtype=complex)[()]
+    floor = 1e-14 * (1.0 + np.abs(z))
+    total = nd.c + nd.d * z
     for t, m in nd.atoms:
         den = t - z
-        if abs(den) < 1e-14 * (1.0 + abs(z)):
-            raise PoleError(f"evaluation point {z} coincides with the atom at t={t}")
-        total += m * (1.0 + t * z) / (math.pi * den)
+        hit = np.abs(den) < floor
+        if hit.any():
+            raise PoleError(
+                f"evaluation point {np.extract(hit, z)[0]} coincides with the atom at t={t}"
+            )
+        total = total + m * (1.0 + t * z) / (math.pi * den)
     return total
 
 
@@ -180,7 +188,9 @@ def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float
     """Recover Poisson-measure mass on a window by Stieltjes inversion.
 
     Integrates Im h(x + iy) over [a, b] for each y in the decreasing sequence
-    ``ys`` and extrapolates y -> 0.  For Nevanlinna data the limit is the
+    ``ys`` and extrapolates y -> 0.  ``h`` is called on arrays of points, one
+    batch of bisected cells at a time, and must return an array of the same
+    shape (or a constant).  For Nevanlinna data the limit is the
     window mass of (1 + t^2) dmu(t), with half weight for atoms sitting on a
     window endpoint.  Raises NoLimitError when the sequence does not
     stabilize.
@@ -193,7 +203,8 @@ def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float
 
     def window_integral(y):
         return adaptive_trapezoid(
-            lambda x: complex(h(complex(x, y))).imag, a, b, rel_tol=rel_tol
+            lambda x: np.broadcast_to(np.imag(h(x + 1j * y)), np.shape(x)),
+            a, b, rel_tol=rel_tol,
         )
 
     report = refine_to_limit(window_integral, ys, ys, tol=10 * rel_tol)

@@ -5,6 +5,7 @@ import pytest
 
 from bischur import (
     BoundarySingularityError,
+    DiscreteMeasure01,
     DivergenceError,
     IllConditionedError,
     NoLimitError,
@@ -19,6 +20,8 @@ from bischur import (
     herglotz_component,
     stieltjes_recover,
 )
+from bischur import nev2d, representations
+from bischur.nev2d import InfinityCarapoint
 
 from conftest import CHI
 
@@ -82,3 +85,24 @@ def test_synthesis_agreement_gate_exits_4(monkeypatch, capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert code == report["exit_code"] == 4
     assert "disagrees" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("suite, owner, target, stub, figure, reason", [
+    ("reps", nev2d, "carapoint_at_infinity",
+     lambda h, *args, **kwargs: InfinityCarapoint(False, None, None),
+     "infinity_limit_err_max", "no finite limit"),
+    ("measures", representations, "measure_from_nevanlinna",
+     lambda nd: DiscreteMeasure01(()), "round_trip_max", "number of atoms"),
+])
+def test_verify_reports_a_failed_suite_as_null_and_exits_5(
+        monkeypatch, capsys, suite, owner, target, stub, figure, reason):
+    import json
+    from bischur.cli import main
+    monkeypatch.setattr(owner, target, stub)
+    code = main(["verify", "--random", "2", "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    failed = report["suites"][suite]
+    assert code == report["exit_code"] == 5
+    assert failed["pass"] is False and failed[figure] is None
+    assert reason in failed["reason"]
+    assert all(s["pass"] for name, s in report["suites"].items() if name != suite)

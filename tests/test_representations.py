@@ -20,6 +20,8 @@ from bischur import (
     pick_check,
     stieltjes_recover,
 )
+from bischur import _integrate
+from bischur._integrate import adaptive_trapezoid
 from bischur.generate import random_measure
 
 HALF_MEASURE = DiscreteMeasure01(((0.5, 1.0),))
@@ -77,6 +79,21 @@ class TestEvaluation:
     def test_nevanlinna_atom_pole(self):
         with pytest.raises(PoleError):
             h_from_nevanlinna(HALF_NEV, -1.0)
+
+    def test_nevanlinna_on_an_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(44)
+        nd = nevanlinna_from_measure(DiscreteMeasure01(
+            ((0.0, 0.7), (0.2, 1.3), (0.55, 0.4), (0.9, 2.0))))
+        z = rng.uniform(-3, 3, (3, 7)) + 1j * rng.uniform(1e-4, 3, (3, 7))
+        values = h_from_nevanlinna(nd, z)
+        assert values.shape == z.shape
+        scalars = np.array([[h_from_nevanlinna(nd, complex(p)) for p in row] for row in z])
+        assert np.abs(values - scalars).max() <= 1e-15 * np.abs(scalars).max()
+        assert isinstance(h_from_nevanlinna(nd, complex(z[0, 0])), complex)
+
+    def test_nevanlinna_array_with_one_point_on_an_atom(self):
+        with pytest.raises(PoleError):
+            h_from_nevanlinna(HALF_NEV, np.array([1j, 0.5 + 1j, -1.0, 2.0]))
 
 
 class TestConversions:
@@ -165,6 +182,51 @@ class TestStieltjes:
     def test_real_constant_gives_zero(self):
         ys = [0.1 * 2.0 ** -k for k in range(5)]
         assert stieltjes_recover(lambda z: -3.0, -1.0, 1.0, ys) == pytest.approx(0.0)
+
+
+def _batches(f, *args, **kwargs):
+    """Integrate f with adaptive_trapezoid; also return the arrays f was called on."""
+    batches = []
+
+    def recorded(x):
+        batches.append(x.copy())
+        return f(x)
+
+    return adaptive_trapezoid(recorded, *args, **kwargs), batches
+
+
+class TestAdaptiveTrapezoid:
+    def test_poisson_spike_matches_arctan(self):
+        y, x0, a, b = 1e-4, -0.3, -2.0, 1.0
+        value = adaptive_trapezoid(lambda x: y / ((x - x0) ** 2 + y * y), a, b)
+        exact = math.atan((b - x0) / y) - math.atan((a - x0) / y)
+        assert value == pytest.approx(exact, rel=1e-6)
+
+    def test_depth_cap_ends_refinement_at_a_jump(self):
+        value, batches = _batches(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0,
+                                  max_depth=5)
+        # cells of depth 5 are accepted, so no cell is narrower than 2^-6 / 64
+        spacing = np.diff(np.unique(np.concatenate(batches)))
+        assert spacing.min() == pytest.approx(2.0 ** -6 / 64)
+        assert value == pytest.approx(2.0 / 3.0, abs=2.0 ** -5 / 64)
+
+    @pytest.mark.parametrize("y, count", [(0.1, 3105), (0.1 * 2.0 ** -10, 3569)])
+    def test_criterion_05_window_abscissae(self, y, count):
+        # the abscissae of the cell-by-cell recursion that batching replaced
+        _, batches = _batches(lambda x: np.imag(h_from_nevanlinna(HALF_NEV, x + 1j * y)),
+                              -2.0, 0.0)
+        seen = np.concatenate(batches)
+        assert np.unique(seen).size == seen.size == count
+
+    def test_batch_cap_does_not_change_the_abscissae(self, monkeypatch):
+        f = lambda x: np.imag(h_from_nevanlinna(HALF_NEV, x + 1j * 1e-3))
+        value, batches = _batches(f, -2.0, 0.0)
+        monkeypatch.setattr(_integrate, "BATCH", 16)
+        small, small_batches = _batches(f, -2.0, 0.0)
+        assert max(b.size for b in small_batches[1:]) == 16
+        assert np.array_equal(np.sort(np.concatenate(small_batches)),
+                              np.sort(np.concatenate(batches)))
+        assert small == pytest.approx(value, rel=1e-14)
 
 
 class TestCauchyAndGrowth:
