@@ -15,7 +15,6 @@ from .colligation import (
     eval_phi,
     model_residual,
     model_vector,
-    phi_evaluator,
     unitary_extension,
 )
 from .desingularize import (
@@ -23,7 +22,6 @@ from .desingularize import (
     desingularize,
     eval_I,
     eval_phi_gen,
-    phi_gen_evaluator,
     quadrature_log_check,
     u_vector,
 )
@@ -55,9 +53,7 @@ from .linalg import (
 from .nev2d import (
     TwoVarNevRep,
     carapoint_at_infinity,
-    cayley_maps,
     eval_h2,
-    h2_evaluator,
     pick_function_from_schur,
     pick_value_from_schur,
     rep_from_schur,
@@ -73,7 +69,6 @@ from .representations import (
     growth_check,
     h_from_measure,
     h_from_nevanlinna,
-    measure_evaluator,
     measure_from_nevanlinna,
     nevanlinna_from_measure,
     stieltjes_recover,
@@ -92,7 +87,6 @@ from .synthesis import (
     fit_colligation,
     herglotz_component,
     synth_eval,
-    synth_evaluator,
     verify_carapoint,
     verify_slope,
 )

@@ -21,13 +21,14 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from . import boundary, nev2d, representations, slope as slope_mod, synthesis
-from .colligation import eval_phi, model_residual, phi_evaluator
-from .desingularize import desingularize, eval_I, eval_phi_gen, phi_gen_evaluator, u_vector
+from .colligation import eval_phi, model_residual
+from .desingularize import desingularize, eval_I, eval_phi_gen
 from .errors import (
     BischurError,
     DivergenceError,
@@ -150,10 +151,10 @@ def _json_default(obj):
 def _emit(report, out_path=None):
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
                       default=_json_default)
-    print(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _fail(args, tol, source, code, kind, message):
@@ -173,7 +174,7 @@ def _load_json(path):
 
 
 def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
-    phi = phi_evaluator(c, tol)
+    phi = partial(eval_phi, c, tol=tol)
     checks = []
     for _ in range(n_directions):
         delta = random_inward_direction(rng, tau)
@@ -192,31 +193,29 @@ def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
     return checks
 
 
+def _inner_residual(g, rng, n, tol):
+    """Max of ||I* I - 1|| over n torus draws, skipping those within 0.2 of tau."""
+    worst = 0.0
+    eye = np.eye(g.dim)
+    for _ in range(n):
+        lam = random_torus_point(rng)
+        if min(abs(lam[0] - g.tau[0]), abs(lam[1] - g.tau[1])) < 0.2:
+            continue
+        I_lam = eval_I(g, lam, tol)
+        worst = max(worst, float(np.linalg.norm(I_lam.conj().T @ I_lam - eye, 2)))
+    return worst
+
+
 def _generalized_verification(c, g, rng, tol):
     """Residual maxima for the generalized model of a desingularization."""
-    phi_gen = phi_gen_evaluator(g, tol)
     model_max = 0.0
     agree_max = 0.0
     for _ in range(10):
         lam = random_interior_point(rng, 0.85)
         mu = random_interior_point(rng, 0.85)
-        p_lam, p_mu = phi_gen(lam), phi_gen(mu)
-        u_lam = u_vector(g, lam, tol)
-        u_mu = u_vector(g, mu, tol)
-        I_lam = eval_I(g, lam, tol)
-        I_mu = eval_I(g, mu, tol)
-        lhs = 1.0 - np.conj(p_mu) * p_lam
-        rhs = np.vdot(u_mu, u_lam) - np.vdot(I_mu @ u_mu, I_lam @ u_lam)
-        model_max = max(model_max, abs(lhs - rhs))
-        agree_max = max(agree_max, abs(p_lam - eval_phi(c, lam, tol)))
-    inner_max = 0.0
-    eye = np.eye(g.dim)
-    for _ in range(10):
-        lam = random_torus_point(rng)
-        if min(abs(lam[0] - g.tau[0]), abs(lam[1] - g.tau[1])) < 0.2:
-            continue
-        I_lam = eval_I(g, lam, tol)
-        inner_max = max(inner_max, float(np.linalg.norm(I_lam.conj().T @ I_lam - eye, 2)))
+        model_max = max(model_max, model_residual(g, lam, mu, tol))
+        agree_max = max(agree_max, abs(eval_phi_gen(g, lam, tol) - eval_phi(c, lam, tol)))
+    inner_max = _inner_residual(g, rng, 10, tol)
     return {
         "model_residual_max": model_max,
         "phi_agreement_max": agree_max,
@@ -255,7 +254,7 @@ def cmd_analyze(args) -> int:
         pair = slope_mod.SlopePair.from_realization(g)
         nu = slope_mod.slope_measure(pair)
         nd = representations.nevanlinna_from_measure(nu)
-        phi = phi_evaluator(c, tol)
+        phi = partial(eval_phi, c, tol=tol)
         path = boundary.ApproachPath.radial(tau)
         liminf = boundary.radial_liminf(phi, path)
         phi_tau = boundary.nontangential_value(phi, path).estimate
@@ -421,7 +420,7 @@ def cmd_nevrep(args) -> int:
     try:
         g = desingularize(c, chi, tol)
         rep = nev2d.rep_from_schur(g, tol)
-        infinity = nev2d.carapoint_at_infinity(nev2d.h2_evaluator(rep, tol))
+        infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
     except ObstructionError as exc:
         return _fail(args, tol, source, EXIT_OBSTRUCTION, "obstruction", str(exc))
     except (IllConditionedError, InternalInconsistencyError, DivergenceError,
@@ -479,26 +478,13 @@ def _suite_desingularization(rng, n, tol):
         c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
                                            int(rng.integers(1, 3)), tau)
         g = desingularize(c, tau, tol)
-        eye = np.eye(g.dim)
         for _ in range(3):
             lam = random_interior_point(rng, 0.85)
             mu = random_interior_point(rng, 0.85)
-            p_lam = eval_phi_gen(g, lam, tol)
-            p_mu = eval_phi_gen(g, mu, tol)
-            u_lam = u_vector(g, lam, tol)
-            u_mu = u_vector(g, mu, tol)
-            I_lam = eval_I(g, lam, tol)
-            I_mu = eval_I(g, mu, tol)
-            lhs = 1.0 - np.conj(p_mu) * p_lam
-            rhs = np.vdot(u_mu, u_lam) - np.vdot(I_mu @ u_mu, I_lam @ u_lam)
-            worst["model_residual"] = max(worst["model_residual"], abs(lhs - rhs))
-        for _ in range(3):
-            lam = random_torus_point(rng)
-            if min(abs(lam[0] - tau[0]), abs(lam[1] - tau[1])) < 0.2:
-                continue
-            I_lam = eval_I(g, lam, tol)
-            worst["inner"] = max(worst["inner"], float(
-                np.linalg.norm(I_lam.conj().T @ I_lam - eye, 2)))
+            worst["model_residual"] = max(worst["model_residual"],
+                                          model_residual(g, lam, mu, tol))
+        worst["inner"] = max(worst["inner"], _inner_residual(g, rng, 3, tol))
+        eye = np.eye(g.dim)
         for t in (0.5, 0.125, 2.0 ** -6):
             lam = (1 - t) * np.asarray(tau)
             I_lam = eval_I(g, tuple(lam), tol)
@@ -506,7 +492,7 @@ def _suite_desingularization(rng, n, tol):
                 np.abs(I_lam - (1 - t) * eye).max()))
         pair = slope_mod.SlopePair.from_realization(g)
         liminf = boundary.radial_liminf(
-            phi_evaluator(c, tol), boundary.ApproachPath.radial(tau)).estimate.real
+            partial(eval_phi, c, tol=tol), boundary.ApproachPath.radial(tau)).estimate.real
         worst["slope_liminf"] = max(worst["slope_liminf"], abs(
             liminf + slope_mod.slope_eval(pair, 1.0).real))
     return {
@@ -537,7 +523,7 @@ def _suite_measures(rng, n, tol):
         h_nev = representations.h_from_nevanlinna(nd, equiv_grid).tolist()
         for z, h in zip(grid[:8], h_nev):
             worst_equiv = max(worst_equiv, abs(representations.h_from_measure(nu, z) - h))
-        check = slope_mod.pick_check(representations.measure_evaluator(nu), grid)
+        check = slope_mod.pick_check(partial(representations.h_from_measure, nu), grid)
         min_im = min(min_im, check.min_im_h)
         min_im_zh = min(min_im_zh, check.min_im_neg_zh)
     suite = {
@@ -560,7 +546,7 @@ def _suite_reps(rng, n, tol):
     no_limit = 0
     for _ in range(n):
         rep = random_nev_rep(rng, int(rng.integers(1, 5)))
-        h = nev2d.h2_evaluator(rep, tol)
+        h = partial(nev2d.eval_h2, rep, tol=tol)
         for _ in range(10):
             z = (complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)),
                  complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)))
@@ -673,7 +659,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:
         print(json.dumps({"error": {"kind": "input", "message": str(exc)}},
                          indent=2, sort_keys=True))
         return EXIT_INPUT

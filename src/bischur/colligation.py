@@ -12,6 +12,11 @@ realized function is
     phi(lam) = a + < I(lam) (1 - D I(lam))^{-1} gamma, beta >,
 
 a Schur-class function whenever L is unitary.
+
+The desingularized generalized model (see ``desingularize``) keeps this
+formula with D replaced by Q and the pencil by an inner function I, so one
+kernel, ``_realize``, evaluates both kinds of realization: every point
+evaluation, model vector and model identity goes through it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "model_vector",
     "model_residual",
     "unitary_extension",
-    "phi_evaluator",
 ]
 
 
@@ -74,18 +78,16 @@ class Colligation:
     @property
     def L(self) -> np.ndarray:
         """The block operator [[a, beta*], [gamma, D]] on C (+) M."""
-        n = self.dim
-        L = np.zeros((n + 1, n + 1), dtype=complex)
-        L[0, 0] = self.a
-        L[0, 1:] = self.beta.conj()
-        L[1:, 0] = self.gamma
-        L[1:, 1:] = self.D
-        return L
+        return _block_operator(self.a, self.beta, self.gamma, self.D)
 
     def pencil(self, lam) -> np.ndarray:
         """The operator ``lam_1 P1 + lam_2 (1 - P1)`` on M."""
         l1, l2 = as_point(lam)
         return l1 * self.P1 + l2 * (np.eye(self.dim) - self.P1)
+
+    def _feedback(self, lam, tol: Tolerances):
+        """The pair (T, I(lam)) of the realization formula: (D, pencil)."""
+        return self.D, self.pencil(lam)
 
     def structural_residuals(self) -> dict[str, float]:
         return {
@@ -103,11 +105,27 @@ class Colligation:
         return residuals
 
 
-def _resolve_model_vector(c: Colligation, lam, tol: Tolerances):
-    """Solve (1 - D I(lam)) u = gamma, guarding the condition number."""
+def _block_operator(a, beta, gamma, T) -> np.ndarray:
+    """The block operator [[a, beta*], [gamma, T]] on C (+) M."""
+    n = beta.shape[0]
+    L = np.zeros((n + 1, n + 1), dtype=complex)
+    L[0, 0] = a
+    L[0, 1:] = beta.conj()
+    L[1:, 0] = gamma
+    L[1:, 1:] = T
+    return L
+
+
+def _realize(r, lam, tol: Tolerances):
+    """phi(lam), u_lam and I(lam) u_lam of a realization at an interior point.
+
+    ``r`` is a Colligation or a GeneralizedRealization; its ``_feedback``
+    supplies (T, I(lam)).  Solves (1 - T I(lam)) u = gamma, guarding the
+    condition number.
+    """
     lam = require_interior(lam)
-    I_lam = c.pencil(lam)
-    M = np.eye(c.dim) - c.D @ I_lam
+    T, I_lam = r._feedback(lam, tol)
+    M = np.eye(r.dim) - T @ I_lam
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > tol.solve_cond_max:
         raise IllConditionedError(
@@ -115,34 +133,32 @@ def _resolve_model_vector(c: Colligation, lam, tol: Tolerances):
             "the point is too close to a singularity",
             cond,
         )
-    u = np.linalg.solve(M, c.gamma)
-    return I_lam, u
+    u = np.linalg.solve(M, r.gamma)
+    Iu = I_lam @ u
+    return r.a + np.vdot(r.beta, Iu), u, Iu
 
 
 def eval_phi(c: Colligation, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """Evaluate the realized function at an interior point."""
-    I_lam, u = _resolve_model_vector(c, lam, tol)
-    return complex(c.a + np.vdot(c.beta, I_lam @ u))
+    return complex(_realize(c, lam, tol)[0])
 
 
 def model_vector(c: Colligation, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """The vector u_lam = (1 - D I(lam))^{-1} gamma of the realized model."""
-    _, u = _resolve_model_vector(c, lam, tol)
-    return u
+    return _realize(c, lam, tol)[1]
 
 
-def model_residual(c: Colligation, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def model_residual(r, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Deviation in the model identity at a pair of interior points.
 
-    Returns |1 - conj(phi(mu)) phi(lam) - <(1 - I(mu)* I(lam)) u_lam, u_mu>|,
-    which vanishes (to rounding) for a unitary colligation.
+    ``r`` is a Colligation or a GeneralizedRealization.  Returns
+    |1 - conj(phi(mu)) phi(lam) - <u_lam, u_mu> + <I(lam) u_lam, I(mu) u_mu>|,
+    which vanishes (to rounding) when L is unitary.
     """
-    I_lam, u_lam = _resolve_model_vector(c, lam, tol)
-    I_mu, u_mu = _resolve_model_vector(c, mu, tol)
-    phi_lam = c.a + np.vdot(c.beta, I_lam @ u_lam)
-    phi_mu = c.a + np.vdot(c.beta, I_mu @ u_mu)
+    phi_lam, u_lam, Iu_lam = _realize(r, lam, tol)
+    phi_mu, u_mu, Iu_mu = _realize(r, mu, tol)
     lhs = 1.0 - np.conj(phi_mu) * phi_lam
-    rhs = np.vdot(u_mu, u_lam) - np.vdot(I_mu @ u_mu, I_lam @ u_lam)
+    rhs = np.vdot(u_mu, u_lam) - np.vdot(Iu_mu, Iu_lam)
     return float(abs(lhs - rhs))
 
 
@@ -195,12 +211,3 @@ def unitary_extension(domain_vecs, range_vecs,
             f"extension fails to reproduce the range columns ({map_residual:.3e})"
         )
     return U
-
-
-def phi_evaluator(c: Colligation, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Wrap a colligation as a plain ``lam -> phi(lam)`` callable."""
-
-    def phi(lam):
-        return eval_phi(c, lam, tol)
-
-    return phi

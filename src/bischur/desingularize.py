@@ -17,6 +17,10 @@ I(lam) -> 1 nontangentially at tau.  When the kernel is trivial the same
 steps leave everything uncompressed and I(lam) reduces to the linear pencil
 conj(tau) lam.
 
+Only (Q, I(lam)) differ from a colligation's (D, pencil), so the generalized
+model is evaluated by the same kernel as a colligation (``colligation``):
+``u_vector``, ``eval_phi_gen`` and ``model_residual`` all go through it.
+
 The construction depends on the chosen realization; model bases are not
 canonical, so only observable quantities (phi values, slope values, norms)
 are comparable across runs.
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .colligation import Colligation
+from .colligation import Colligation, _realize
 from .errors import (
     BoundarySingularityError,
-    IllConditionedError,
     InternalInconsistencyError,
     InvalidInputError,
     NoSolutionError,
@@ -49,7 +52,6 @@ __all__ = [
     "eval_I",
     "u_vector",
     "eval_phi_gen",
-    "phi_gen_evaluator",
     "quadrature_log_check",
 ]
 
@@ -82,6 +84,10 @@ class GeneralizedRealization:
     @property
     def kernel_dim(self) -> int:
         return self.kernel_basis.shape[1]
+
+    def _feedback(self, lam, tol: Tolerances):
+        """The pair (T, I(lam)) of the realization formula: (Q, eval_I)."""
+        return self.Q, eval_I(self, lam, tol)
 
 
 def _coefficients(lam, tau):
@@ -198,29 +204,12 @@ def eval_I(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES)
 
 def u_vector(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Model vector u_lam = (1 - Q I(lam))^{-1} gamma at an interior point."""
-    lam = require_interior(lam)
-    M = np.eye(g.dim) - g.Q @ eval_I(g, lam, tol)
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > tol.solve_cond_max:
-        raise IllConditionedError(
-            f"generalized resolvent condition number {cond:.3e} at {lam}", cond
-        )
-    return np.linalg.solve(M, g.gamma)
+    return _realize(g, lam, tol)[1]
 
 
 def eval_phi_gen(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """Evaluate the generalized realization; equals the source function."""
-    lam = require_interior(lam)
-    I_lam = eval_I(g, lam, tol)
-    u = u_vector(g, lam, tol)
-    return complex(g.a + np.vdot(g.beta, I_lam @ u))
-
-
-def phi_gen_evaluator(g: GeneralizedRealization, tol: Tolerances = DEFAULT_TOLERANCES):
-    def phi(lam):
-        return eval_phi_gen(g, lam, tol)
-
-    return phi
+    return complex(_realize(g, lam, tol)[0])
 
 
 def quadrature_log_check(nodes: int, lam) -> tuple[complex, complex, float]:

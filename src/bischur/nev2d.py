@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._limits import refine_to_limit
+from .colligation import _block_operator
 from .desingularize import GeneralizedRealization, eval_phi_gen
 from .errors import (
     DivergenceError,
@@ -35,7 +36,6 @@ from .points import as_point, require_upper_half_plane
 __all__ = [
     "TwoVarNevRep",
     "eval_h2",
-    "h2_evaluator",
     "carapoint_at_infinity",
     "InfinityCarapoint",
     "to_halfplane",
@@ -44,8 +44,6 @@ __all__ = [
     "schur_value_from_pick",
     "pick_function_from_schur",
     "schur_function_from_pick",
-    "cayley_maps",
-    "CayleyMaps",
     "rep_from_schur",
     "VERIFICATION_GRID",
 ]
@@ -103,10 +101,6 @@ def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES) -> compl
             f"resolvent condition number {cond:.3e} near the real boundary", cond
         )
     return complex(rep.b - np.vdot(rep.alpha, np.linalg.solve(T, rep.alpha)))
-
-
-def h2_evaluator(rep: TwoVarNevRep, tol: Tolerances = DEFAULT_TOLERANCES):
-    return lambda z: eval_h2(rep, z, tol)
 
 
 class InfinityCarapoint(NamedTuple):
@@ -194,26 +188,6 @@ def schur_function_from_pick(h):
     return phi
 
 
-class CayleyMaps(NamedTuple):
-    point: object
-    value: object
-    function: object
-
-
-def cayley_maps(direction: str) -> CayleyMaps:
-    """Point, value and function transformers for one Cayley direction.
-
-    ``disc_to_halfplane`` sends bidisc points to half-plane points, Schur
-    values to Pick values, and Schur evaluators to Pick evaluators;
-    ``halfplane_to_disc`` is the inverse triple.
-    """
-    if direction == "disc_to_halfplane":
-        return CayleyMaps(to_halfplane, pick_value_from_schur, pick_function_from_schur)
-    if direction == "halfplane_to_disc":
-        return CayleyMaps(to_bidisc, schur_value_from_pick, schur_function_from_pick)
-    raise InvalidInputError(f"unknown Cayley direction {direction!r}")
-
-
 def rep_from_schur(g: GeneralizedRealization,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> TwoVarNevRep:
     """Extract the resolvent representation from a desingularization at (1, 1).
@@ -230,19 +204,14 @@ def rep_from_schur(g: GeneralizedRealization,
         raise InvalidInputError(
             "the representation is extracted at the boundary point (1, 1)"
         )
-    m = g.dim
-    L = np.zeros((m + 1, m + 1), dtype=complex)
-    L[0, 0] = g.a
-    L[0, 1:] = g.beta.conj()
-    L[1:, 0] = g.gamma
-    L[1:, 1:] = g.Q
+    L = _block_operator(g.a, g.beta, g.gamma, g.Q)
     unitary = structure_check(L, "unitary", tol)
     if not unitary.ok:
         raise InvalidInputError(
             f"the generalized realization is not unitary (residual "
             f"{unitary.residual:.3e}); no Hermitian Cayley transform exists"
         )
-    eye = np.eye(m + 1)
+    eye = np.eye(g.dim + 1)
     s = np.linalg.svd(eye - L, compute_uv=False)
     if s[-1] <= tol.rank_rel * s[0] or s[0] / s[-1] > tol.solve_cond_max:
         raise ObstructionError(

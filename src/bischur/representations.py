@@ -39,7 +39,6 @@ __all__ = [
     "h_from_nevanlinna",
     "nevanlinna_from_measure",
     "measure_from_nevanlinna",
-    "measure_evaluator",
     "stieltjes_recover",
     "cauchy_rep_eval",
     "growth_check",
@@ -178,10 +177,6 @@ def measure_from_nevanlinna(nd: NevanlinnaData) -> DiscreteMeasure01:
     if mass_at_zero > slack:
         atoms.append((0.0, mass_at_zero))
     return DiscreteMeasure01(tuple(atoms))
-
-
-def measure_evaluator(nu: DiscreteMeasure01):
-    return lambda z: h_from_measure(nu, z)
 
 
 def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float:

@@ -27,6 +27,7 @@ a 2N-dimensional linear-pencil realization of phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "SynthesizedSchur",
     "herglotz_component",
     "synth_eval",
-    "synth_evaluator",
     "fit_colligation",
     "verify_slope",
     "verify_carapoint",
@@ -104,10 +104,6 @@ def synth_eval(syn: SynthesizedSchur, lam) -> complex:
             "1 + f vanished at an interior point; Re f > 0 should forbid this"
         )
     return complex(syn.omega * (1.0 - f) / (1.0 + f))
-
-
-def synth_evaluator(syn: SynthesizedSchur):
-    return lambda lam: synth_eval(syn, lam)
 
 
 # Interior points at which fit_colligation checks itself against synth_eval.
@@ -172,7 +168,7 @@ def verify_slope(syn: SynthesizedSchur, deltas, tol: float = 1e-5) -> SlopeVerif
     omega * conj(tau_2) delta_2 * h( conj(tau_2) delta_2 / (conj(tau_1) delta_1) )
     with h evaluated from the measure; errors are relative to 1 + |value|.
     """
-    phi = synth_evaluator(syn)
+    phi = partial(synth_eval, syn)
     numeric, analytic = [], []
     worst = 0.0
     for delta in deltas:
@@ -205,7 +201,7 @@ class CarapointVerification(NamedTuple):
 def verify_carapoint(syn: SynthesizedSchur, tol: float = 1e-6) -> CarapointVerification:
     """Check the radial Julia liminf equals the total mass of nu and that the
     nontangential boundary value equals omega."""
-    phi = synth_evaluator(syn)
+    phi = partial(synth_eval, syn)
     path = boundary.ApproachPath.radial(syn.tau)
     liminf = boundary.radial_liminf(phi, path).estimate.real
     value = boundary.nontangential_value(phi, path).estimate

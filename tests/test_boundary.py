@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from bischur import (
     ApproachPath,
     DivergenceError,
     InvalidInputError,
+    eval_phi,
     is_carapoint,
     julia_quotient,
     nontangential_value,
-    phi_evaluator,
     radial_liminf,
 )
 from bischur.generate import random_colligation, random_torus_point
@@ -124,7 +126,7 @@ class TestIsCarapoint:
             if not ok:
                 continue
             found += 1
-            report = radial_liminf(phi_evaluator(c), ApproachPath.radial(tau))
+            report = radial_liminf(partial(eval_phi, c), ApproachPath.radial(tau))
             assert report.estimate.real == pytest.approx(
                 np.linalg.norm(witness) ** 2, abs=1e-6)
         assert found >= 5

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from bischur import (
+    Colligation,
+    IllConditionedError,
     PreconditionError,
     SlopePair,
+    Tolerances,
     UseLimitError,
     desingularize,
     eval_I,
     eval_phi,
     eval_phi_gen,
+    model_residual,
     quadrature_log_check,
     slope_eval,
     structure_check,
@@ -191,6 +195,43 @@ class TestEvalPhiGen:
             lhs = 1.0 - np.conj(p_mu) * p_lam
             rhs = np.vdot(u_mu, u_lam) - np.vdot(I_mu @ u_mu, I_lam @ u_lam)
             assert abs(lhs - rhs) < 1e-9
+
+
+
+class TestSharedKernel:
+    """The colligation kernel evaluates generalized realizations too."""
+
+    def test_model_residual_of_generalized_models(self):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            tau = random_torus_point(rng)
+            c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
+                                               int(rng.integers(1, 3)), tau)
+            g = desingularize(c, tau)
+            for _ in range(5):
+                lam, mu = random_interior(rng, 0.85), random_interior(rng, 0.85)
+                assert model_residual(g, lam, mu) < 1e-9
+
+    def test_condition_guard_of_generalized_model(self):
+        # the favourite plus a decoupled state with D = -1 on the first
+        # coordinate: 1 - Q I(lam) is singular where lam_1 = -1, a point
+        # the desingularization at (1, 1) leaves in place
+        s = 1.0 / np.sqrt(2.0)
+        c = Colligation(a=0.0, beta=[s, s, 0.0], gamma=[s, s, 0.0],
+                        D=[[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, -1.0]],
+                        P1=np.diag([1.0, 0.0, 1.0]))
+        g = desingularize(c, CHI)
+        tight = Tolerances(solve_cond_max=1e3)
+        lam = (-1.0 + 1e-5, 0.0)
+        for evaluate in (eval_phi_gen, u_vector):
+            with pytest.raises(IllConditionedError) as err:
+                evaluate(g, lam, tight)
+            assert err.value.cond > 1e4
+        assert eval_phi_gen(g, lam) == pytest.approx(eval_phi(c, lam), abs=1e-12)
+        # near tau itself the desingularized resolvent stays well conditioned
+        near_tau = (1.0 - 1e-5, 1.0 - 1e-5)
+        assert eval_phi_gen(g, near_tau, tight) == pytest.approx(
+            favourite_formula(near_tau), abs=1e-9)
 
 
 class TestQuadratureLogCheck:

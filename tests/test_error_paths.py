@@ -106,3 +106,28 @@ def test_verify_reports_a_failed_suite_as_null_and_exits_5(
     assert failed["pass"] is False and failed[figure] is None
     assert reason in failed["reason"]
     assert all(s["pass"] for name, s in report["suites"].items() if name != suite)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--out"),
+    ("analyze", "--out"),
+    ("analyze", "--csv"),
+    ("nevrep", "--out"),
+])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, favourite_colligation,
+                                        command, flag):
+    import json
+    from bischur.cli import main
+    from bischur.serialization import colligation_to_json
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"atoms": [{"s": 0.5, "w": 1.0}]}))
+    colligation = tmp_path / "favourite.json"
+    colligation.write_text(json.dumps(colligation_to_json(favourite_colligation)))
+    source = colligation if command == "analyze" else measure
+    extra = {"analyze": ["--tau", "1,1"], "nevrep": ["--omega=-1"]}.get(command, [])
+    target = tmp_path / "missing" / "output.json"
+    code = main([command, str(source), *extra, flag, str(target), "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert not target.exists()

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from bischur import (
     desingularize,
     directional_derivative_analytic,
     directional_derivative_numeric,
-    phi_evaluator,
+    eval_phi,
     pick_check,
     slope_eval,
     slope_measure,
@@ -110,7 +112,7 @@ class TestDirectionalDerivativeNumeric:
         c = random_colligation_with_kernel(rng, 3, 1, tau)
         g = desingularize(c, tau)
         pair = SlopePair.from_realization(g)
-        phi = phi_evaluator(c)
+        phi = partial(eval_phi, c)
         from bischur import ApproachPath, nontangential_value
         phi_tau = nontangential_value(phi, ApproachPath.radial(tau)).estimate
         for _ in range(20):

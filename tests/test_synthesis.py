@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from bischur import (
     slope_eval,
     slope_measure,
     synth_eval,
-    synth_evaluator,
     verify_carapoint,
     verify_slope,
 )
@@ -160,9 +160,9 @@ class TestVerifySlope:
         # (2, 1) for a single atom at s = 0.9 is -2/((1-s) 2 + s) = -2/1.1;
         # the symmetric half-atom cannot distinguish a swapped convention
         nu = DiscreteMeasure01(((0.9, 1.0),))
-        from bischur import directional_derivative_numeric, synth_evaluator
+        from bischur import directional_derivative_numeric
         num, _ = directional_derivative_numeric(
-            synth_evaluator(SynthesizedSchur(nu)), CHI, (2.0, 1.0), phi_tau=1.0)
+            partial(synth_eval, SynthesizedSchur(nu)), CHI, (2.0, 1.0), phi_tau=1.0)
         assert num == pytest.approx(-2.0 / 1.1, abs=1e-6)
         syn = SynthesizedSchur(nu, tau=(1j, -1.0), omega=np.exp(0.7j))
         report = verify_slope(syn, [(1j * (2 + 0.3j), -1.0 - 0.2j), (1j, -3.0)])
@@ -193,7 +193,7 @@ class TestCayleyDerivativeIdentity:
         # D phi = -2 D f / (1 + f)^2 at the carapoint, with radial limit f = 0
         from bischur.synthesis import _herglotz_sum
         syn = SynthesizedSchur(favourite_measure)
-        phi = synth_evaluator(syn)
+        phi = partial(synth_eval, syn)
         f = lambda lam: _herglotz_sum(favourite_measure, lam)
         for delta in ((1.0, 1.0), (2.0, 1.0 + 0.5j)):
             quotient = lambda t, d=delta: (
