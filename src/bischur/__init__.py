@@ -9,7 +9,14 @@ self-adjoint resolvent.
 
 __version__ = "0.1.0"
 
-from .boundary import ApproachPath, is_carapoint, julia_quotient, nontangential_value, radial_liminf
+from .boundary import (
+    ApproachPath,
+    is_carapoint,
+    julia_quotient,
+    model_liminf,
+    nontangential_value,
+    radial_liminf,
+)
 from .colligation import (
     Colligation,
     eval_phi,

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivergenceError
+import numpy as np
 
-__all__ = ["LimitReport", "refine_to_limit"]
+from .errors import BischurError, DivergenceError
+
+__all__ = ["LimitReport", "refine_to_limit", "presample"]
 
 
 @dataclass(frozen=True)
@@ -88,3 +90,20 @@ def refine_to_limit(sample, args, xs, *, tol=1e-9, divergence_threshold=1e6,
     return LimitReport(
         estimate, False, tuple(samples), tuple(extrapolants), tuple(xs), best_gap
     )
+
+
+def presample(f, args):
+    """A sampler for ``refine_to_limit`` that calls ``f`` once on all of
+    ``args`` (distinct floats) as one array.
+
+    ``f`` must return an array of the shape of its argument, or a constant.
+    When that call raises a BischurError, ``f`` itself is returned, so
+    ``refine_to_limit`` samples point by point and a point it never reaches
+    never raises.
+    """
+    args = np.asarray(args, dtype=float)
+    try:
+        values = np.broadcast_to(f(args), args.shape)
+    except BischurError:
+        return f
+    return dict(zip(args.tolist(), values)).__getitem__

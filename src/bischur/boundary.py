@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import LimitReport, refine_to_limit
-from .colligation import Colligation
+from ._limits import LimitReport, presample, refine_to_limit
+from .colligation import Colligation, model_vector
 from .errors import InvalidInputError, NoSolutionError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, min_norm_solve
 from .points import TORUS_SLACK, as_point, require_boundary, require_interior, sup_norm
@@ -28,6 +28,7 @@ __all__ = [
     "default_steps",
     "julia_quotient",
     "radial_liminf",
+    "model_liminf",
     "nontangential_value",
     "is_carapoint",
 ]
@@ -64,10 +65,9 @@ class ApproachPath:
             raise InvalidInputError("steps must be positive")
         if any(b >= a for a, b in zip(steps, steps[1:])):
             raise InvalidInputError("steps must be strictly decreasing")
-        steps = tuple(
-            s for s in steps
-            if sup_norm((tau[0] - s * delta[0], tau[1] - s * delta[1])) < 1.0
-        )
+        t = np.array(steps)
+        inside = sup_norm((tau[0] - t * delta[0], tau[1] - t * delta[1])) < 1.0
+        steps = tuple(s for s, keep in zip(steps, inside) if keep)
         if not steps:
             raise InvalidInputError("no step keeps the path inside the bidisc")
         object.__setattr__(self, "tau", tau)
@@ -83,45 +83,78 @@ class ApproachPath:
     def along(cls, tau, delta, n_steps: int = 40) -> "ApproachPath":
         return cls(require_boundary(tau), as_point(delta), tuple(default_steps(n_steps)))
 
-    def point(self, t: float) -> tuple[complex, complex]:
+    def point(self, t):
+        """tau - t delta; for an array of steps, the stack of those points."""
         return (self.tau[0] - t * self.delta[0], self.tau[1] - t * self.delta[1])
 
 
-def julia_quotient(phi, lam) -> float:
-    """(1 - |phi(lam)|^2) / (1 - ||lam||_inf^2) at an interior point.
+def julia_quotient(phi, lam):
+    """(1 - |phi(lam)|^2) / (1 - ||lam||_inf^2) at an interior point, or as
+    an array at a stack of points (``phi`` is then called once on the stack).
 
     The squared form is the primitive here; it equals the model-vector norm
     ||u_lam||^2 for realized functions, and the unsquared quotient differs
     from it by a factor in [1/2, 2], so the two are finite together.
     """
     lam = require_interior(lam)
-    value = complex(phi(lam))
-    return float((1.0 - abs(value) ** 2) / (1.0 - sup_norm(lam) ** 2))
+    value = np.broadcast_to(phi(lam), np.shape(lam[0]))
+    quotient = (1.0 - np.abs(value) ** 2) / (1.0 - sup_norm(lam) ** 2)
+    return quotient if isinstance(lam[0], np.ndarray) else float(quotient)
 
 
 def radial_liminf(phi, path: ApproachPath, tol: float = 1e-9) -> LimitReport:
     """Extrapolated limit of the Julia quotient along a nontangential path.
 
-    On a carapoint path this converges to the Caratheodory liminf; monotone
-    blow-up past 1e6 raises DivergenceError, meaning the path provides no
-    carapoint evidence.
+    ``phi`` is called once, on the stack of all the path's points, so it
+    must accept a stack (or return a constant); if that call raises a
+    BischurError, the points are sampled one by one as far as the
+    extrapolation needs.  On a carapoint path this converges to the
+    Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
+    meaning the path provides no carapoint evidence.
     """
-    return refine_to_limit(
-        lambda t: julia_quotient(phi, path.point(t)),
-        path.steps,
-        path.steps,
-        tol=tol,
-    )
+    sample = presample(lambda t: julia_quotient(phi, path.point(t)), path.steps)
+    return refine_to_limit(sample, path.steps, path.steps, tol=tol)
+
+
+def _one_minus_abs_sq(tau_j: complex, delta_j: complex, t):
+    """1 - |tau_j - t delta_j|^2 without cancellation: on a unimodular
+    coordinate it is t (2 Re(conj(tau_j) delta_j) - t |delta_j|^2)."""
+    base = 0.0 if abs(abs(tau_j) - 1.0) <= TORUS_SLACK else 1.0 - abs(tau_j) ** 2
+    return base + t * (2.0 * (np.conj(tau_j) * delta_j).real - t * abs(delta_j) ** 2)
+
+
+def model_liminf(c: Colligation, path: ApproachPath,
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> LimitReport:
+    """The limit of ``radial_liminf`` for the function realized by ``c``,
+    with the Julia quotient taken from the model vectors.
+
+    By the model identity 1 - |phi(lam)|^2 = (1 - |lam_1|^2) ||P1 u_lam||^2
+    + (1 - |lam_2|^2) ||(1 - P1) u_lam||^2, and each 1 - |lam_j|^2 is formed
+    from the path data, so the quotient never subtracts two numbers near 1;
+    on the radial path it is ||u_lam||^2.  The model vectors of the whole
+    path come from one stacked solve, with the same point-by-point fallback
+    as ``radial_liminf``.
+    """
+    def quotient(t):
+        u = model_vector(c, path.point(t), tol)
+        p1u = u @ c.P1.T
+        norm1 = (np.abs(p1u) ** 2).sum(-1)
+        norm2 = (np.abs(u - p1u) ** 2).sum(-1)
+        d1, d2 = (_one_minus_abs_sq(tj, dj, t) for tj, dj in zip(path.tau, path.delta))
+        d = np.minimum(d1, d2)
+        return norm1 * (d1 / d) + norm2 * (d2 / d)
+
+    return refine_to_limit(presample(quotient, path.steps), path.steps, path.steps,
+                           tol=1e-9)
 
 
 def nontangential_value(phi, path: ApproachPath, tol: float = 1e-10) -> LimitReport:
-    """Extrapolated limit of phi itself along a nontangential path."""
-    return refine_to_limit(
-        lambda t: phi(path.point(t)),
-        path.steps,
-        path.steps,
-        tol=tol,
-    )
+    """Extrapolated limit of phi itself along a nontangential path.
+
+    ``phi`` is called once on the stack of the path's points, as in
+    ``radial_liminf``."""
+    sample = presample(lambda t: phi(path.point(t)), path.steps)
+    return refine_to_limit(sample, path.steps, path.steps, tol=tol)
 
 
 def is_carapoint(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES):

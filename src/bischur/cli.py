@@ -193,28 +193,35 @@ def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
     return checks
 
 
+def _stack(points):
+    """A list of points as one stack: a pair of coordinate arrays."""
+    return tuple(np.array(points).T)
+
+
+def _pair_stacks(rng, n):
+    """n pairs (lam, mu) of interior points, drawn lam first, as two stacks."""
+    pairs = [(random_interior_point(rng, 0.85), random_interior_point(rng, 0.85))
+             for _ in range(n)]
+    return _stack([lam for lam, _ in pairs]), _stack([mu for _, mu in pairs])
+
+
 def _inner_residual(g, rng, n, tol):
     """Max of ||I* I - 1|| over n torus draws, skipping those within 0.2 of tau."""
-    worst = 0.0
-    eye = np.eye(g.dim)
-    for _ in range(n):
-        lam = random_torus_point(rng)
-        if min(abs(lam[0] - g.tau[0]), abs(lam[1] - g.tau[1])) < 0.2:
-            continue
-        I_lam = eval_I(g, lam, tol)
-        worst = max(worst, float(np.linalg.norm(I_lam.conj().T @ I_lam - eye, 2)))
-    return worst
+    lams = [random_torus_point(rng) for _ in range(n)]
+    kept = [lam for lam in lams
+            if min(abs(lam[0] - g.tau[0]), abs(lam[1] - g.tau[1])) >= 0.2]
+    if not kept:
+        return 0.0
+    I_lam = eval_I(g, _stack(kept), tol)
+    gap = np.swapaxes(I_lam.conj(), -1, -2) @ I_lam - np.eye(g.dim)
+    return float(np.linalg.svd(gap, compute_uv=False)[:, 0].max())
 
 
 def _generalized_verification(c, g, rng, tol):
     """Residual maxima for the generalized model of a desingularization."""
-    model_max = 0.0
-    agree_max = 0.0
-    for _ in range(10):
-        lam = random_interior_point(rng, 0.85)
-        mu = random_interior_point(rng, 0.85)
-        model_max = max(model_max, model_residual(g, lam, mu, tol))
-        agree_max = max(agree_max, abs(eval_phi_gen(g, lam, tol) - eval_phi(c, lam, tol)))
+    lams, mus = _pair_stacks(rng, 10)
+    model_max = float(model_residual(g, lams, mus, tol).max())
+    agree_max = float(np.abs(eval_phi_gen(g, lams, tol) - eval_phi(c, lams, tol)).max())
     inner_max = _inner_residual(g, rng, 10, tol)
     return {
         "model_residual_max": model_max,
@@ -254,10 +261,9 @@ def cmd_analyze(args) -> int:
         pair = slope_mod.SlopePair.from_realization(g)
         nu = slope_mod.slope_measure(pair)
         nd = representations.nevanlinna_from_measure(nu)
-        phi = partial(eval_phi, c, tol=tol)
         path = boundary.ApproachPath.radial(tau)
-        liminf = boundary.radial_liminf(phi, path)
-        phi_tau = boundary.nontangential_value(phi, path).estimate
+        liminf = boundary.model_liminf(c, path, tol)
+        phi_tau = boundary.nontangential_value(partial(eval_phi, c, tol=tol), path).estimate
         rng = np.random.default_rng(args.seed)
         checks = _derivative_checks(c, tau, phi_tau, pair, rng, 4, tol)
         verification = _generalized_verification(c, g, rng, tol)
@@ -333,16 +339,12 @@ def cmd_synth(args) -> int:
 
     try:
         if args.out and args.out.endswith(".csv"):
-            rows = []
-            for r1 in _CSV_RADII:
-                for a1 in _CSV_ANGLES:
-                    for r2 in _CSV_RADII:
-                        for a2 in _CSV_ANGLES:
-                            lam = (r1 * np.exp(1j * a1), r2 * np.exp(1j * a2))
-                            value = synthesis.synth_eval(syn, lam)
-                            rows.append([lam[0].real, lam[0].imag,
-                                         lam[1].real, lam[1].imag,
-                                         value.real, value.imag])
+            lams = _stack([(r1 * np.exp(1j * a1), r2 * np.exp(1j * a2))
+                           for r1 in _CSV_RADII for a1 in _CSV_ANGLES
+                           for r2 in _CSV_RADII for a2 in _CSV_ANGLES])
+            values = synthesis.synth_eval(syn, lams)
+            rows = np.column_stack([lams[0].real, lams[0].imag, lams[1].real,
+                                    lams[1].imag, values.real, values.imag]).tolist()
             with open(args.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["l1_re", "l1_im", "l2_re", "l2_im", "phi_re", "phi_im"])
@@ -456,13 +458,9 @@ def _suite_colligations(rng, n, tol):
     worst_model = 0.0
     for _ in range(n):
         c = random_colligation(rng, int(rng.integers(2, 6)))
-        for _ in range(4):
-            lam = random_interior_point(rng)
-            worst_schur = max(worst_schur, abs(eval_phi(c, lam, tol)) - 1.0)
-        for _ in range(3):
-            worst_model = max(worst_model, model_residual(
-                c, random_interior_point(rng, 0.85), random_interior_point(rng, 0.85), tol
-            ))
+        lams = _stack([random_interior_point(rng) for _ in range(4)])
+        worst_schur = max(worst_schur, float(np.abs(eval_phi(c, lams, tol)).max()) - 1.0)
+        worst_model = max(worst_model, float(model_residual(c, *_pair_stacks(rng, 3), tol).max()))
     return {
         "schur_bound_excess_max": worst_schur,
         "model_residual_max": worst_model,
@@ -478,21 +476,15 @@ def _suite_desingularization(rng, n, tol):
         c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
                                            int(rng.integers(1, 3)), tau)
         g = desingularize(c, tau, tol)
-        for _ in range(3):
-            lam = random_interior_point(rng, 0.85)
-            mu = random_interior_point(rng, 0.85)
-            worst["model_residual"] = max(worst["model_residual"],
-                                          model_residual(g, lam, mu, tol))
+        worst["model_residual"] = max(worst["model_residual"],
+                                      float(model_residual(g, *_pair_stacks(rng, 3), tol).max()))
         worst["inner"] = max(worst["inner"], _inner_residual(g, rng, 3, tol))
-        eye = np.eye(g.dim)
-        for t in (0.5, 0.125, 2.0 ** -6):
-            lam = (1 - t) * np.asarray(tau)
-            I_lam = eval_I(g, tuple(lam), tol)
-            worst["radial_inner"] = max(worst["radial_inner"], float(
-                np.abs(I_lam - (1 - t) * eye).max()))
+        shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
+        I_lam = eval_I(g, (shrink * tau[0], shrink * tau[1]), tol)
+        worst["radial_inner"] = max(worst["radial_inner"], float(
+            np.abs(I_lam - shrink[:, None, None] * np.eye(g.dim)).max()))
         pair = slope_mod.SlopePair.from_realization(g)
-        liminf = boundary.radial_liminf(
-            partial(eval_phi, c, tol=tol), boundary.ApproachPath.radial(tau)).estimate.real
+        liminf = boundary.model_liminf(c, boundary.ApproachPath.radial(tau), tol).estimate.real
         worst["slope_liminf"] = max(worst["slope_liminf"], abs(
             liminf + slope_mod.slope_eval(pair, 1.0).real))
     return {
@@ -547,10 +539,10 @@ def _suite_reps(rng, n, tol):
     for _ in range(n):
         rep = random_nev_rep(rng, int(rng.integers(1, 5)))
         h = partial(nev2d.eval_h2, rep, tol=tol)
-        for _ in range(10):
-            z = (complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)),
-                 complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)))
-            min_im = min(min_im, complex(h(z)).imag)
+        zs = _stack([(complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)),
+                      complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)))
+                     for _ in range(10)])
+        min_im = min(min_im, float(h(zs).imag.min()))
         infinity = nev2d.carapoint_at_infinity(h)
         if not infinity.finite:
             no_limit += 1
@@ -655,8 +647,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv):
+    """Write ``--tau -1,1j`` as ``--tau=-1,1j``: argparse takes a separate
+    value that starts with a minus, other than a plain negative number, for
+    an option and stops with a usage error."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--tau", "--omega") and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (SchemaError, OSError) as exc:

@@ -27,13 +27,12 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    IllConditionedError,
     InternalInconsistencyError,
     InvalidInputError,
     NotAnIsometryError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import as_point, require_interior
+from .points import as_point, as_points, require_interior, to_stack
 
 __all__ = [
     "Colligation",
@@ -83,11 +82,12 @@ class Colligation:
     def pencil(self, lam) -> np.ndarray:
         """The operator ``lam_1 P1 + lam_2 (1 - P1)`` on M."""
         l1, l2 = as_point(lam)
-        return l1 * self.P1 + l2 * (np.eye(self.dim) - self.P1)
+        return _pencil(self.P1, l1, l2)
 
-    def _feedback(self, lam, tol: Tolerances):
-        """The pair (T, I(lam)) of the realization formula: (D, pencil)."""
-        return self.D, self.pencil(lam)
+    def _feedback(self, l1, l2, tol: Tolerances):
+        """The pair (T, I(lam)) of the realization formula at a stack of
+        points: (D, stacked pencil)."""
+        return self.D, _pencil(self.P1, l1[:, None, None], l2[:, None, None])
 
     def structural_residuals(self) -> dict[str, float]:
         return {
@@ -105,6 +105,10 @@ class Colligation:
         return residuals
 
 
+def _pencil(P1, l1, l2):
+    return l1 * P1 + l2 * (np.eye(P1.shape[0]) - P1)
+
+
 def _block_operator(a, beta, gamma, T) -> np.ndarray:
     """The block operator [[a, beta*], [gamma, T]] on C (+) M."""
     n = beta.shape[0]
@@ -117,49 +121,55 @@ def _block_operator(a, beta, gamma, T) -> np.ndarray:
 
 
 def _realize(r, lam, tol: Tolerances):
-    """phi(lam), u_lam and I(lam) u_lam of a realization at an interior point.
+    """phi(lam), u_lam and I(lam) u_lam of a realization at interior points.
 
     ``r`` is a Colligation or a GeneralizedRealization; its ``_feedback``
-    supplies (T, I(lam)).  Solves (1 - T I(lam)) u = gamma, guarding the
-    condition number.
+    supplies (T, I(lam)).  ``lam`` is a point or a stack of points; all of
+    them are solved at once, (1 - T I(lam)) u = gamma, by ``guarded_solve``.
+    A point gives (complex, (n,), (n,)), a stack of k points ((k,), (k, n),
+    (k, n)).
     """
-    lam = require_interior(lam)
-    T, I_lam = r._feedback(lam, tol)
-    M = np.eye(r.dim) - T @ I_lam
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > tol.solve_cond_max:
-        raise IllConditionedError(
-            f"resolvent condition number {cond:.3e} at {lam}; "
-            "the point is too close to a singularity",
-            cond,
-        )
-    u = np.linalg.solve(M, r.gamma)
-    Iu = I_lam @ u
-    return r.a + np.vdot(r.beta, Iu), u, Iu
+    l1, l2, single = to_stack(require_interior(lam))
+    T, I_lam = r._feedback(l1, l2, tol)
+    u = linalg.guarded_solve(np.eye(r.dim) - T @ I_lam, r.gamma, (l1, l2), tol)
+    Iu = (I_lam @ u[..., None])[..., 0]
+    phi = r.a + Iu @ r.beta.conj()
+    if single:
+        return complex(phi[0]), u[0], Iu[0]
+    return phi, u, Iu
 
 
-def eval_phi(c: Colligation, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
-    """Evaluate the realized function at an interior point."""
-    return complex(_realize(c, lam, tol)[0])
+def eval_phi(c: Colligation, lam, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Evaluate the realized function at an interior point (a complex), or
+    at a stack of points (a complex array)."""
+    return _realize(c, lam, tol)[0]
 
 
 def model_vector(c: Colligation, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """The vector u_lam = (1 - D I(lam))^{-1} gamma of the realized model."""
+    """The vector u_lam = (1 - D I(lam))^{-1} gamma of the realized model;
+    shape (n,) at a point, (k, n) at a stack of k points."""
     return _realize(c, lam, tol)[1]
 
 
-def model_residual(r, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def model_residual(r, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES):
     """Deviation in the model identity at a pair of interior points.
 
     ``r`` is a Colligation or a GeneralizedRealization.  Returns
     |1 - conj(phi(mu)) phi(lam) - <u_lam, u_mu> + <I(lam) u_lam, I(mu) u_mu>|,
-    which vanishes (to rounding) when L is unitary.
+    which vanishes (to rounding) when L is unitary.  ``lam`` and ``mu`` may
+    be two stacks of one length; the residuals of the pairs then come back
+    as an array, from one solve of both stacks.
     """
-    phi_lam, u_lam, Iu_lam = _realize(r, lam, tol)
-    phi_mu, u_mu, Iu_mu = _realize(r, mu, tol)
-    lhs = 1.0 - np.conj(phi_mu) * phi_lam
-    rhs = np.vdot(u_mu, u_lam) - np.vdot(Iu_mu, Iu_lam)
-    return float(abs(lhs - rhs))
+    l1, l2 = as_points(lam)
+    m1, m2 = as_points(mu)
+    if np.shape(l1) != np.shape(m1):
+        raise InvalidInputError("lam and mu must be two points or two stacks of one length")
+    k = np.size(l1)
+    phi, u, Iu = _realize(r, (np.append(l1, m1), np.append(l2, m2)), tol)
+    lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
+    rhs = (u[k:].conj() * u[:k]).sum(-1) - (Iu[k:].conj() * Iu[:k]).sum(-1)
+    residual = abs(lhs - rhs)
+    return residual if isinstance(l1, np.ndarray) else float(residual[0])
 
 
 def unitary_extension(domain_vecs, range_vecs,

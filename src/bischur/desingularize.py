@@ -44,7 +44,7 @@ from .errors import (
     UseLimitError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import as_point, require_interior, require_torus
+from .points import as_points, first_point, require_interior, require_torus, to_stack
 
 __all__ = [
     "GeneralizedRealization",
@@ -85,26 +85,25 @@ class GeneralizedRealization:
     def kernel_dim(self) -> int:
         return self.kernel_basis.shape[1]
 
-    def _feedback(self, lam, tol: Tolerances):
-        """The pair (T, I(lam)) of the realization formula: (Q, eval_I)."""
-        return self.Q, eval_I(self, lam, tol)
+    def _feedback(self, l1, l2, tol: Tolerances):
+        """The pair (T, I(lam)) of the realization formula at a stack of
+        points: (Q, stacked inner function)."""
+        return self.Q, _inner_matrix(self.Y, self.tau, l1, l2, tol)
 
 
-def _coefficients(lam, tau):
-    l1, l2 = as_point(lam)
-    t1, t2 = as_point(tau)
-    return np.conj(t1) * l1, np.conj(t2) * l2
-
-
-def _inner_matrix(Y: np.ndarray, tau, lam, tol: Tolerances) -> np.ndarray:
-    x1, x2 = _coefficients(lam, tau)
+def _inner_matrix(Y: np.ndarray, tau, l1, l2, tol: Tolerances) -> np.ndarray:
+    """I at the stack of points (l1, l2), shape (k, n, n); every
+    denominator is checked from one stacked singular-value call."""
+    x1 = (np.conj(tau[0]) * l1)[:, None, None]
+    x2 = (np.conj(tau[1]) * l2)[:, None, None]
     eye = np.eye(Y.shape[0])
     num = x1 * Y + x2 * (eye - Y) - (x1 * x2) * eye
     den = eye - x1 * (eye - Y) - x2 * Y
     s = np.linalg.svd(den, compute_uv=False)
-    if s[-1] <= tol.rank_rel * s[0]:
+    singular = first_point((l1, l2), s[:, -1] <= tol.rank_rel * s[:, 0])
+    if singular is not None:
         raise BoundarySingularityError(
-            f"inner-function denominator is singular at {tuple(map(complex, lam))}"
+            f"inner-function denominator is singular at {singular}"
         )
     return np.linalg.solve(den, num)
 
@@ -194,22 +193,27 @@ def _consistency_checks(c, tau, model, kernel, Q, Y, gamma_m, beta_m, u_m,
 
 
 def eval_I(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """The inner function of the generalized model at ``lam``.
+    """The inner function of the generalized model at ``lam``: an (n, n)
+    matrix at a point, a (k, n, n) stack at a stack of k points.
 
     Defined whenever 1 is outside the spectrum of t1 (1 - Y) + t2 Y; on the
     torus this holds exactly when lam_1 != tau_1 and lam_2 != tau_2.
     """
-    return _inner_matrix(g.Y, g.tau, lam, tol)
+    l1, l2, single = to_stack(as_points(lam))
+    I_lam = _inner_matrix(g.Y, g.tau, l1, l2, tol)
+    return I_lam[0] if single else I_lam
 
 
 def u_vector(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Model vector u_lam = (1 - Q I(lam))^{-1} gamma at an interior point."""
+    """Model vector u_lam = (1 - Q I(lam))^{-1} gamma at an interior point,
+    or the (k, n) stack of them at a stack of k points."""
     return _realize(g, lam, tol)[1]
 
 
-def eval_phi_gen(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
-    """Evaluate the generalized realization; equals the source function."""
-    return complex(_realize(g, lam, tol)[0])
+def eval_phi_gen(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Evaluate the generalized realization; equals the source function.
+    A complex at a point, a complex array at a stack of points."""
+    return _realize(g, lam, tol)[0]
 
 
 def quadrature_log_check(nodes: int, lam) -> tuple[complex, complex, float]:

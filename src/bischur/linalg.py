@@ -23,6 +23,7 @@ __all__ = [
     "as_vector",
     "null_space",
     "min_norm_solve",
+    "guarded_solve",
     "structure_check",
 ]
 
@@ -136,6 +137,31 @@ def min_norm_solve(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
             residual,
         )
     return x
+
+
+def guarded_solve(M, b, points, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Solve M[k] x[k] = b for a stack of square matrices, one per point.
+
+    ``points`` is the stack of points (a pair of arrays) the matrices belong
+    to.  The guard is decided per point from one stacked singular-value call:
+    the condition number sigma_max / sigma_min of ``np.linalg.cond`` must be
+    finite and at most ``tol.solve_cond_max``, else IllConditionedError names
+    the first offending point and carries its condition number.  Returns the
+    stack of solutions, shape (k, n).
+    """
+    s = np.linalg.svd(M, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    bad = ~(cond <= tol.solve_cond_max)
+    if bad.any():
+        k = int(np.argmax(bad))
+        point = (complex(points[0][k]), complex(points[1][k]))
+        raise IllConditionedError(
+            f"resolvent condition number {cond[k]:.3e} at {point}; "
+            "the point is too close to a singularity",
+            cond[k],
+        )
+    return np.linalg.solve(M, b[None, :, None])[..., 0]
 
 
 def _hermitian_deviation(A):

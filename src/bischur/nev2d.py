@@ -19,19 +19,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._limits import refine_to_limit
+from ._limits import presample, refine_to_limit
 from .colligation import _block_operator
 from .desingularize import GeneralizedRealization, eval_phi_gen
 from .errors import (
     DivergenceError,
     DomainError,
-    IllConditionedError,
     InternalInconsistencyError,
     InvalidInputError,
     ObstructionError,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, as_vector, structure_check
-from .points import as_point, require_upper_half_plane
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    as_matrix,
+    as_vector,
+    guarded_solve,
+    structure_check,
+)
+from .points import any_true, as_complex, as_point, as_points, require_upper_half_plane, to_stack
 
 __all__ = [
     "TwoVarNevRep",
@@ -50,6 +56,7 @@ __all__ = [
 
 _GRID_COORDS = (0.5j, 1j, 1 + 1j, -1 + 2j, 3j)
 VERIFICATION_GRID = tuple((z1, z2) for z1 in _GRID_COORDS for z2 in _GRID_COORDS)
+_GRID_STACK = tuple(np.array(VERIFICATION_GRID).T)
 
 
 @dataclass(frozen=True)
@@ -89,18 +96,15 @@ class TwoVarNevRep:
         return residuals
 
 
-def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES):
     """Evaluate b - <(B + z1 Y + z2 (1 - Y))^{-1} alpha, alpha> on the
-    upper half-plane squared."""
-    z1, z2 = require_upper_half_plane(z)
-    eye = np.eye(rep.dim)
-    T = rep.B + z1 * rep.Y + z2 * (eye - rep.Y)
-    cond = np.linalg.cond(T)
-    if not np.isfinite(cond) or cond > tol.solve_cond_max:
-        raise IllConditionedError(
-            f"resolvent condition number {cond:.3e} near the real boundary", cond
-        )
-    return complex(rep.b - np.vdot(rep.alpha, np.linalg.solve(T, rep.alpha)))
+    upper half-plane squared: a complex at a point, a complex array at a
+    stack of points, solved at once by ``guarded_solve``."""
+    z1, z2, single = to_stack(require_upper_half_plane(z))
+    T = (rep.B + z1[:, None, None] * rep.Y
+         + z2[:, None, None] * (np.eye(rep.dim) - rep.Y))
+    h = rep.b - guarded_solve(T, rep.alpha, (z1, z2), tol) @ rep.alpha.conj()
+    return complex(h[0]) if single else h
 
 
 class InfinityCarapoint(NamedTuple):
@@ -114,16 +118,20 @@ def carapoint_at_infinity(h, ys=None, tol: float = 1e-8) -> InfinityCarapoint:
 
     Extrapolates y Im h(iy, iy) as y -> infinity; convergence to a finite
     limit is the carapoint condition, and the value is the extrapolated
-    h(iy, iy).  Divergence is encoded as ``finite=False``.
+    h(iy, iy).  Divergence is encoded as ``finite=False``.  ``h`` is called
+    once, on the stack of all the points (iy, iy), so it must accept a stack
+    (or return a constant); if that call raises a BischurError, the points
+    are sampled one by one as far as the extrapolation needs.
     """
     if ys is None:
         ys = [float(2.0 ** k) for k in range(2, 26)]
     ys = [float(y) for y in ys]
     if any(y <= 0 for y in ys) or any(q <= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be positive and strictly increasing")
+    value = presample(lambda y: h((1j * y, 1j * y)), ys)
     try:
         growth = refine_to_limit(
-            lambda y: y * complex(h((1j * y, 1j * y))).imag,
+            lambda y: y * complex(value(y)).imag,
             ys,
             [1.0 / (y * y) for y in ys],
             tol=tol,
@@ -132,48 +140,48 @@ def carapoint_at_infinity(h, ys=None, tol: float = 1e-8) -> InfinityCarapoint:
         return InfinityCarapoint(False, None, None)
     if not growth.converged:
         return InfinityCarapoint(False, None, None)
-    value = refine_to_limit(
-        lambda y: complex(h((1j * y, 1j * y))),
-        ys,
-        [1.0 / y for y in ys],
-        tol=tol,
-    )
-    return InfinityCarapoint(True, float(growth.estimate.real), complex(value.estimate))
+    limit = refine_to_limit(value, ys, [1.0 / y for y in ys], tol=tol)
+    return InfinityCarapoint(True, float(growth.estimate.real), complex(limit.estimate))
 
 
-def to_halfplane(lam) -> tuple[complex, complex]:
-    """Coordinatewise Cayley map z_j = i (1 + lam_j)/(1 - lam_j)."""
-    lam = as_point(lam)
-    if any(l == 1.0 for l in lam):
+def to_halfplane(lam):
+    """Coordinatewise Cayley map z_j = i (1 + lam_j)/(1 - lam_j), at a point
+    or a stack of points."""
+    lam = as_points(lam)
+    if any(any_true(l == 1.0) for l in lam):
         raise DomainError("the Cayley map is singular where a coordinate equals 1")
     return tuple(1j * (1.0 + l) / (1.0 - l) for l in lam)
 
 
-def to_bidisc(z) -> tuple[complex, complex]:
-    """Inverse coordinatewise Cayley map lam_j = (z_j - i)/(z_j + i)."""
-    z = as_point(z)
-    if any(w == -1j for w in z):
+def to_bidisc(z):
+    """Inverse coordinatewise Cayley map lam_j = (z_j - i)/(z_j + i), at a
+    point or a stack of points."""
+    z = as_points(z)
+    if any(any_true(w == -1j) for w in z):
         raise DomainError("the inverse Cayley map is singular at -i")
     return tuple((w - 1j) / (w + 1j) for w in z)
 
 
-def pick_value_from_schur(w) -> complex:
-    w = complex(w)
-    if w == 1.0:
+def pick_value_from_schur(w):
+    """i (1 + w)/(1 - w), at a value or an array of values."""
+    w = as_complex(w)
+    if any_true(w == 1.0):
         raise DomainError("the value map is singular at 1")
     return 1j * (1.0 + w) / (1.0 - w)
 
 
-def schur_value_from_pick(v) -> complex:
-    v = complex(v)
-    if v == -1j:
+def schur_value_from_pick(v):
+    """(v - i)/(v + i), at a value or an array of values."""
+    v = as_complex(v)
+    if any_true(v == -1j):
         raise DomainError("the value map is singular at -i")
     return (v - 1j) / (v + 1j)
 
 
 def pick_function_from_schur(phi):
     """Turn a Schur-class evaluator on the bidisc into a Pick-class
-    evaluator on the upper half-plane squared."""
+    evaluator on the upper half-plane squared; it takes stacks when ``phi``
+    does."""
 
     def h(z):
         return pick_value_from_schur(phi(to_bidisc(z)))
@@ -231,11 +239,9 @@ def rep_from_schur(g: GeneralizedRealization,
             f"diagonal entry J[0,0] = {J[0, 0]} is not real"
         )
     rep = TwoVarNevRep(b=J[0, 0].real, alpha=J[1:, 0], B=J[1:, 1:], Y=g.Y)
-    worst = 0.0
-    for z in VERIFICATION_GRID:
-        target = pick_value_from_schur(eval_phi_gen(g, to_bidisc(z), tol))
-        worst = max(worst, abs(eval_h2(rep, z, tol) - target))
-    if worst > 1e-8:
+    target = pick_value_from_schur(eval_phi_gen(g, to_bidisc(_GRID_STACK), tol))
+    worst = float(np.max(np.abs(eval_h2(rep, _GRID_STACK, tol) - target)))
+    if not worst <= 1e-8:
         raise InternalInconsistencyError(
             f"representation mismatches the Cayley transform of the function "
             f"by {worst:.3e} on the verification grid"

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._integrate import adaptive_trapezoid
 from ._limits import refine_to_limit
+from .points import any_true, as_complex
 from .errors import (
     DivergenceError,
     InvalidInputError,
@@ -104,15 +105,20 @@ class NevanlinnaData:
         return float(sum(m for _, m in self.atoms))
 
 
-def h_from_measure(nu: DiscreteMeasure01, z) -> complex:
-    """Evaluate - sum w / (1 - s + s z) off the cut (-inf, 0]."""
-    z = complex(z)
+def h_from_measure(nu: DiscreteMeasure01, z):
+    """Evaluate - sum w / (1 - s + s z) off the cut (-inf, 0], at a point (a
+    complex) or an array of points (an array of the same shape)."""
+    z = as_complex(z)
+    floor = 1e-14 * (1.0 + abs(z))
     total = 0.0 + 0.0j
     for s, w in nu.atoms:
         den = 1.0 - s + s * z
-        if abs(den) < 1e-14 * (1.0 + abs(z)):
-            raise PoleError(f"evaluation point {z} hits the pole of the atom at s={s}")
-        total += w / den
+        hit = abs(den) < floor
+        if any_true(hit):
+            raise PoleError(
+                f"evaluation point {np.extract(hit, z)[0]} hits the pole of the atom at s={s}"
+            )
+        total = total + w / den
     return -total
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import boundary
-from ._limits import LimitReport, refine_to_limit
+from ._limits import LimitReport, presample, refine_to_limit
 from .errors import DomainError, InvalidInputError
 from .linalg import as_matrix, as_vector
 from .points import as_point
@@ -123,19 +123,23 @@ def directional_derivative_numeric(phi, tau, delta, steps=None, tol: float = 1e-
                                    phi_tau=None) -> tuple[complex, LimitReport]:
     """Difference-quotient estimate of D_{-delta} phi(tau).
 
-    The boundary value phi(tau) is taken from the nontangential limit along
-    the same direction unless supplied.  Quotients are extrapolated with one
-    elimination step, which removes the O(t) truncation term.
+    ``phi`` is called once, on the stack of all the path's points, so it
+    must accept a stack (or return a constant); if that call raises a
+    BischurError, the points are sampled one by one as far as the
+    extrapolation needs.  The boundary value phi(tau) is taken from the
+    nontangential limit of the same samples unless supplied.  Quotients are
+    extrapolated with one elimination step, which removes the O(t)
+    truncation term.
     """
     tau = as_point(tau)
     path = boundary.ApproachPath(tau, delta) if steps is None else \
         boundary.ApproachPath(tau, delta, tuple(steps))
+    value = presample(lambda t: phi(path.point(t)), path.steps)
     if phi_tau is None:
-        value_report = boundary.nontangential_value(phi, path, tol=1e-11)
-        phi_tau = value_report.estimate
+        phi_tau = refine_to_limit(value, path.steps, path.steps, tol=1e-11).estimate
     phi_tau = complex(phi_tau)
     report = refine_to_limit(
-        lambda t: (complex(phi(path.point(t))) - phi_tau) / t,
+        lambda t: (complex(value(t)) - phi_tau) / t,
         path.steps,
         path.steps,
         tol=tol,

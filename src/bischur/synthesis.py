@@ -36,7 +36,7 @@ from . import boundary, slope as slope_mod
 from .colligation import Colligation, eval_phi
 from .errors import InternalInconsistencyError, InvalidInputError, PoleError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import as_point, require_interior, require_torus
+from .points import any_true, as_points, first_point, require_interior, require_torus
 from .representations import DiscreteMeasure01, h_from_measure
 
 __all__ = [
@@ -71,43 +71,44 @@ class SynthesizedSchur:
         object.__setattr__(self, "omega", omega)
 
 
-def herglotz_component(s: float, lam) -> complex:
-    """f_s(lam), the convex-combination Herglotz kernel; Re f_s > 0 inside."""
+def herglotz_component(s: float, lam):
+    """f_s(lam), the convex-combination Herglotz kernel; Re f_s > 0 inside.
+    A complex at a point, a complex array at a stack of points."""
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise InvalidInputError("the mixing parameter s must lie in [0, 1]")
-    l1, l2 = as_point(lam)
-    if l1 == 1.0 or l2 == 1.0:
+    l1, l2 = as_points(lam)
+    if any_true(l1 == 1.0) or any_true(l2 == 1.0):
         raise PoleError("herglotz component has a pole where a coordinate equals 1")
     den = s * (1.0 + l1) / (1.0 - l1) + (1.0 - s) * (1.0 + l2) / (1.0 - l2)
-    if den == 0:
-        raise PoleError(f"herglotz denominator vanishes at {lam}")
+    zero = first_point((l1, l2), den == 0)
+    if zero is not None:
+        raise PoleError(f"herglotz denominator vanishes at {zero}")
     return 1.0 / den
 
 
-def _herglotz_sum(nu: DiscreteMeasure01, lam) -> complex:
+def _herglotz_sum(nu: DiscreteMeasure01, lam):
     return sum((w * herglotz_component(s, lam) for s, w in nu.atoms), 0.0 + 0.0j)
 
 
-def _base_point(syn: SynthesizedSchur, lam):
-    l1, l2 = as_point(lam)
-    return (np.conj(syn.tau[0]) * l1, np.conj(syn.tau[1]) * l2)
-
-
-def synth_eval(syn: SynthesizedSchur, lam) -> complex:
-    """Evaluate the synthesized Schur function at an interior point."""
-    lam = require_interior(lam)
-    mu = _base_point(syn, lam)
+def synth_eval(syn: SynthesizedSchur, lam):
+    """Evaluate the synthesized Schur function at an interior point (a
+    complex), or at a stack of points (a complex array)."""
+    l1, l2 = require_interior(lam)
+    mu = (syn.tau[0].conjugate() * l1, syn.tau[1].conjugate() * l2)
     f = _herglotz_sum(syn.nu, mu)
-    if abs(1.0 + f) < 1e-100:
+    if any_true(abs(1.0 + f) < 1e-100):
         raise InternalInconsistencyError(
             "1 + f vanished at an interior point; Re f > 0 should forbid this"
         )
-    return complex(syn.omega * (1.0 - f) / (1.0 + f))
+    value = syn.omega * (1.0 - f) / (1.0 + f)
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
-# Interior points at which fit_colligation checks itself against synth_eval.
-_GATE_POINTS = ((0.3, -0.2j), (0.5j, 0.45), (-0.6 + 0.1j, 0.2 - 0.5j), (0.1, 0.7j))
+# Interior points at which fit_colligation checks itself against synth_eval,
+# as one stack.
+_GATE_POINTS = tuple(np.array(
+    [(0.3, -0.2j), (0.5j, 0.45), (-0.6 + 0.1j, 0.2 - 0.5j), (0.1, 0.7j)]).T)
 
 
 def fit_colligation(syn: SynthesizedSchur,
@@ -145,11 +146,11 @@ def fit_colligation(syn: SynthesizedSchur,
                         gamma=C @ L[1:, 0],
                         D=(D_I + C @ L[1:, 1:] @ C.T) * t.conj(),
                         P1=np.diag(np.repeat([1.0, 0.0], n)))
-    for lam in _GATE_POINTS:
-        if abs(eval_phi(exact, lam, tol) - synth_eval(syn, lam)) > 1e-8:
-            raise InternalInconsistencyError(
-                "exact colligation disagrees with the synthesized function"
-            )
+    gap = np.abs(eval_phi(exact, _GATE_POINTS, tol) - synth_eval(syn, _GATE_POINTS))
+    if not (gap <= 1e-8).all():
+        raise InternalInconsistencyError(
+            "exact colligation disagrees with the synthesized function"
+        )
     return exact
 
 

@@ -10,10 +10,16 @@ from bischur import (
     eval_phi,
     is_carapoint,
     julia_quotient,
+    model_liminf,
     nontangential_value,
     radial_liminf,
 )
-from bischur.generate import random_colligation, random_torus_point
+from bischur.generate import (
+    random_colligation,
+    random_colligation_with_kernel,
+    random_inward_direction,
+    random_torus_point,
+)
 
 from conftest import CHI, favourite_formula
 
@@ -82,6 +88,40 @@ class TestRadialLiminf:
         with pytest.raises(DivergenceError):
             radial_liminf(lambda lam: 0.0,
                           ApproachPath.radial(CHI, n_steps=40), tol=1e-12)
+
+
+class TestModelLiminf:
+    def test_favourite_at_chi(self, favourite_colligation):
+        report = model_liminf(favourite_colligation, ApproachPath.radial(CHI))
+        assert report.converged
+        assert report.estimate.real == pytest.approx(1.0, abs=1e-9)
+
+    def test_coordinate_function_at_mixed_boundary_point(self, coordinate_colligation):
+        path = ApproachPath.radial((1j, 0.3))
+        assert model_liminf(coordinate_colligation, path).estimate.real == \
+            pytest.approx(radial_liminf(lambda lam: lam[0], path).estimate.real, abs=1e-9)
+
+    def test_radial_limit_is_the_witness_norm(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            tau = random_torus_point(rng)
+            c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
+                                               int(rng.integers(1, 3)), tau)
+            _, witness = is_carapoint(c, tau)
+            norm_sq = np.linalg.norm(witness) ** 2
+            report = model_liminf(c, ApproachPath.radial(tau))
+            assert report.converged
+            assert abs(report.estimate.real - norm_sq) < 1e-8 * (1.0 + norm_sq)
+
+    def test_agrees_with_radial_liminf_along_a_nontangential_path(self):
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            tau = random_torus_point(rng)
+            c = random_colligation_with_kernel(rng, 3, 1, tau)
+            path = ApproachPath(tau, random_inward_direction(rng, tau))
+            model = model_liminf(c, path).estimate.real
+            direct = radial_liminf(partial(eval_phi, c), path).estimate.real
+            assert model == pytest.approx(direct, rel=1e-6)
 
 
 class TestNontangentialValue:

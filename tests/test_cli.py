@@ -163,11 +163,39 @@ class TestVerify:
         assert report1 == report2
         assert all(s["pass"] for s in report1["suites"].values())
 
+    @pytest.mark.parametrize("seed", ["2073717989", "142777980"])
+    def test_seeds_once_failing_slope_liminf_pass(self, capsys, seed):
+        # 1 - |phi|^2 cancelled here; the Julia quotient from u_lam does not
+        code, report = run(capsys, "verify", "--random", "50", "--seed", seed,
+                           "--no-timestamp")
+        assert code == 0
+        assert report["suites"]["desingularization"]["slope_liminf"] < 1e-7
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_exits_2(self, capsys, count):
         code, report = run(capsys, "verify", "--random", count, "--no-timestamp")
         assert code == report["exit_code"] == 2
         assert report["error"]["kind"] == "input"
+
+
+class TestMinusValues:
+    """A separate value with a leading minus parses like --option=value."""
+
+    def same(self, capsys, *argv):
+        *head, option, value = argv
+        code1, report1 = run(capsys, *head, option, value, "--no-timestamp")
+        code2, report2 = run(capsys, *head, f"{option}={value}", "--no-timestamp")
+        assert code1 == code2 == 0
+        assert report1 == report2
+
+    def test_analyze_tau(self, capsys, favourite_file):
+        self.same(capsys, "analyze", favourite_file, "--tau", "-1,1j")
+
+    def test_synth_omega(self, capsys, measure_file):
+        self.same(capsys, "synth", measure_file, "--verify", "--omega", "-i")
+
+    def test_nevrep_omega(self, capsys, measure_file):
+        self.same(capsys, "nevrep", measure_file, "--omega", "-i")
 
 
 class TestDeterminism:
