@@ -189,26 +189,25 @@ def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float
     """Recover Poisson-measure mass on a window by Stieltjes inversion.
 
     Integrates Im h(x + iy) over [a, b] for each y in the decreasing sequence
-    ``ys`` and extrapolates y -> 0.  ``h`` is called on arrays of points, one
-    batch of bisected cells at a time, and must return an array of the same
-    shape (or a constant).  For Nevanlinna data the limit is the
+    ``ys`` and extrapolates y -> 0.  Each integral is taken along a contour
+    above the window, a+iy -> a+iY -> b+iY -> b+iy, by Gauss-Legendre rules
+    that double until two agree within ``rel_tol``; ``h`` is called once per
+    rule, on an array of points with Im z >= y, and must return an array of
+    the same shape (or a constant).  For Nevanlinna data the limit is the
     window mass of (1 + t^2) dmu(t), with half weight for atoms sitting on a
-    window endpoint.  Raises NoLimitError when the sequence does not
-    stabilize.
+    window endpoint.  Raises InvalidInputError before any call of ``h`` when
+    a, b or some y is not finite, and NoLimitError when an integral or the
+    sequence does not settle.
     """
+    ys = [float(y) for y in ys]
+    if not all(math.isfinite(v) for v in (a, b, *ys)):
+        raise InvalidInputError("the window ends and ys must be finite")
     if not b > a:
         raise InvalidInputError("window must satisfy a < b")
-    ys = [float(y) for y in ys]
     if any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be positive and strictly decreasing")
-
-    def window_integral(y):
-        return adaptive_trapezoid(
-            lambda x: np.broadcast_to(np.imag(h(x + 1j * y)), np.shape(x)),
-            a, b, rel_tol=rel_tol,
-        )
-
-    report = refine_to_limit(window_integral, ys, ys, tol=10 * rel_tol)
+    report = refine_to_limit(lambda y: adaptive_trapezoid(h, a, b, y, rel_tol=rel_tol),
+                             ys, ys, tol=10 * rel_tol)
     if not report.converged:
         raise NoLimitError(
             f"window integrals did not stabilize (best gap {report.achieved:.3e})"

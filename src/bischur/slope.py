@@ -25,7 +25,7 @@ from . import boundary
 from ._limits import LimitReport, presample, refine_to_limit
 from .errors import DomainError, InvalidInputError
 from .linalg import as_matrix, as_vector
-from .points import as_point
+from .points import any_true, as_complex, as_point
 from .representations import DiscreteMeasure01
 
 __all__ = [
@@ -73,15 +73,17 @@ class SlopePair:
         return cls(np.diag(s).astype(complex), np.sqrt(w).astype(complex))
 
 
-def slope_eval(pair: SlopePair, z) -> complex:
-    """Evaluate h(z) = -<(1 - Y + z Y)^{-1} u_tau, u_tau> off the cut."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise DomainError(f"slope functions are undefined on the cut (-inf, 0]; got {z}")
-    n = pair.Y.shape[0]
-    M = np.eye(n) + (z - 1.0) * pair.Y
-    x = np.linalg.solve(M, pair.u_tau)
-    return complex(-np.vdot(pair.u_tau, x))
+def slope_eval(pair: SlopePair, z):
+    """Evaluate h(z) = -<(1 - Y + z Y)^{-1} u_tau, u_tau> off the cut, at a
+    point (a complex) or an array of points (an array of the same shape)."""
+    z = as_complex(z)
+    on_cut = (z.imag == 0.0) & (z.real <= 0.0)
+    if any_true(on_cut):
+        raise DomainError(f"slope functions are undefined on the cut (-inf, 0]; "
+                          f"got {np.extract(on_cut, z)[0]}")
+    M = np.eye(pair.Y.shape[0]) + np.multiply.outer(z - 1.0, pair.Y)
+    h = -(np.linalg.solve(M, pair.u_tau[:, None])[..., 0] @ pair.u_tau.conj())
+    return complex(h) if isinstance(z, complex) else h
 
 
 def slope_measure(pair: SlopePair, cluster_tol: float = 1e-8) -> DiscreteMeasure01:
@@ -156,20 +158,18 @@ class PickReport(NamedTuple):
 def pick_check(h, grid, slack: float = 1e-12) -> PickReport:
     """Minimal imaginary parts of h and -z h(z) on an upper-half-plane grid.
 
-    Slope-type functions keep both nonnegative; the check passes when both
-    minima stay above ``-slack``.
+    ``h`` is called once, on the grid as a 1-D complex array, so it must
+    return an array of that shape (or a constant).  Slope-type functions
+    keep both minima nonnegative; the check passes when both stay above
+    ``-slack``.
     """
-    min_h = np.inf
-    min_zh = np.inf
-    for z in grid:
-        z = complex(z)
-        if z.imag <= 0:
-            raise InvalidInputError("pick_check grid points must have Im z > 0")
-        value = complex(h(z))
-        min_h = min(min_h, value.imag)
-        min_zh = min(min_zh, (-z * value).imag)
-    return PickReport(float(min_h), float(min_zh),
-                      min_h >= -slack and min_zh >= -slack)
+    z = np.asarray(grid, dtype=complex).reshape(-1)
+    if (z.imag <= 0).any():
+        raise InvalidInputError("pick_check grid points must have Im z > 0")
+    values = np.broadcast_to(h(z), z.shape)
+    min_h = float(np.min(values.imag, initial=np.inf))
+    min_zh = float(np.min((-z * values).imag, initial=np.inf))
+    return PickReport(min_h, min_zh, min_h >= -slack and min_zh >= -slack)
 
 
 class RealAxisReport(NamedTuple):

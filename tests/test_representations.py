@@ -9,6 +9,7 @@ from bischur import (
     DivergenceError,
     InvalidInputError,
     NevanlinnaData,
+    NoLimitError,
     NotSlopeTypeError,
     PoleError,
     cauchy_rep_eval,
@@ -20,7 +21,6 @@ from bischur import (
     pick_check,
     stieltjes_recover,
 )
-from bischur import _integrate
 from bischur._integrate import adaptive_trapezoid
 from bischur.generate import random_measure
 
@@ -167,6 +167,23 @@ class TestConversions:
             assert pick_check(partial(h_from_measure, random_measure(rng)), grid).passed
 
 
+def _recorded(h):
+    """h, and the list of arrays it is called on."""
+    calls = []
+
+    def recorded(z):
+        calls.append(np.array(z))
+        return h(z)
+
+    return recorded, calls
+
+
+def _atom_window(a, b, y):
+    """Exact integral of Im h(x + iy) over [a, b] for HALF_NEV's atom at t = -1."""
+    t = -1.0
+    return 2.0 * (math.atan((b - t) / y) + math.atan((t - a) / y))
+
+
 class TestStieltjes:
     def test_single_atom_window(self):
         h = lambda z: h_from_nevanlinna(HALF_NEV, z)
@@ -183,50 +200,65 @@ class TestStieltjes:
         ys = [0.1 * 2.0 ** -k for k in range(5)]
         assert stieltjes_recover(lambda z: -3.0, -1.0, 1.0, ys) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("a, b, ys", [
+        (-2.0, math.inf, [0.1, 0.05, 0.01]),
+        (-math.inf, 0.0, [0.1, 0.05, 0.01]),
+        (-2.0, 0.0, [0.1, math.nan, 0.01]),
+        (-2.0, 0.0, [math.inf, 0.1, 0.05]),
+    ], ids=["b-inf", "a-inf", "y-nan", "y-inf"])
+    def test_non_finite_input_rejected_before_h(self, a, b, ys):
+        h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
+        with pytest.raises(InvalidInputError):
+            stieltjes_recover(h, a, b, ys)
+        assert calls == []
 
-def _batches(f, *args, **kwargs):
-    """Integrate f with adaptive_trapezoid; also return the arrays f was called on."""
-    batches = []
 
-    def recorded(x):
-        batches.append(x.copy())
-        return f(x)
-
-    return adaptive_trapezoid(recorded, *args, **kwargs), batches
-
-
-class TestAdaptiveTrapezoid:
+class TestContourQuadrature:
     def test_poisson_spike_matches_arctan(self):
         y, x0, a, b = 1e-4, -0.3, -2.0, 1.0
-        value = adaptive_trapezoid(lambda x: y / ((x - x0) ** 2 + y * y), a, b)
+        value = adaptive_trapezoid(lambda z: 1.0 / (x0 - z), a, b, y)
         exact = math.atan((b - x0) / y) - math.atan((a - x0) / y)
-        assert value == pytest.approx(exact, rel=1e-6)
+        assert value == pytest.approx(exact, rel=1e-9)
 
-    def test_depth_cap_ends_refinement_at_a_jump(self):
-        value, batches = _batches(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0,
-                                  max_depth=5)
-        # cells of depth 5 are accepted, so no cell is narrower than 2^-6 / 64
-        spacing = np.diff(np.unique(np.concatenate(batches)))
-        assert spacing.min() == pytest.approx(2.0 ** -6 / 64)
-        assert value == pytest.approx(2.0 / 3.0, abs=2.0 ** -5 / 64)
+    @pytest.mark.parametrize("y", [0.1 * 2.0 ** -10, 3e-5])
+    @pytest.mark.parametrize("a, b", [(-4.0, 0.5), (-2.0, 0.0),
+                                      (-1.001, 0.5), (-3.0, -1.0001)])
+    def test_spike_windows_match_arctan(self, a, b, y):
+        # [-4, 0.5] put the spike between the old trapezoid's grid nodes and
+        # [-2, 0] on one; the log-graded sides keep an atom near an endpoint
+        # within rules of at most 64 nodes per side
+        h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
+        value = adaptive_trapezoid(h, a, b, y)
+        assert value == pytest.approx(_atom_window(a, b, y), rel=1e-9)
+        assert sum(z.size for z in calls) <= 3 * (16 + 32 + 64)
 
-    @pytest.mark.parametrize("y, count", [(0.1, 3105), (0.1 * 2.0 ** -10, 3569)])
-    def test_criterion_05_window_abscissae(self, y, count):
-        # the abscissae of the cell-by-cell recursion that batching replaced
-        _, batches = _batches(lambda x: np.imag(h_from_nevanlinna(HALF_NEV, x + 1j * y)),
-                              -2.0, 0.0)
-        seen = np.concatenate(batches)
-        assert np.unique(seen).size == seen.size == count
+    def test_atom_on_an_endpoint_gives_half_its_mass(self):
+        h = lambda z: h_from_nevanlinna(HALF_NEV, z)
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        y = ys[-1]
+        assert adaptive_trapezoid(h, -1.0, 0.0, y) == pytest.approx(
+            _atom_window(-1.0, 0.0, y), rel=1e-9)
+        assert stieltjes_recover(h, -1.0, 0.0, ys) == pytest.approx(math.pi, rel=1e-6)
+        assert stieltjes_recover(h, -3.0, -1.0, ys) == pytest.approx(math.pi, rel=1e-6)
 
-    def test_batch_cap_does_not_change_the_abscissae(self, monkeypatch):
-        f = lambda x: np.imag(h_from_nevanlinna(HALF_NEV, x + 1j * 1e-3))
-        value, batches = _batches(f, -2.0, 0.0)
-        monkeypatch.setattr(_integrate, "BATCH", 16)
-        small, small_batches = _batches(f, -2.0, 0.0)
-        assert max(b.size for b in small_batches[1:]) == 16
-        assert np.array_equal(np.sort(np.concatenate(small_batches)),
-                              np.sort(np.concatenate(batches)))
-        assert small == pytest.approx(value, rel=1e-14)
+    @pytest.mark.parametrize("y", [0.1, 1e-4, 3e-5])
+    def test_h_is_never_called_below_the_line(self, y):
+        for a, b in [(-4.0, 0.5), (-1.0, 0.0), (-1.0 - 1e-6, 2.0)]:
+            h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
+            adaptive_trapezoid(h, a, b, y)
+            assert min(float(np.imag(z).min()) for z in calls) >= y
+
+    @pytest.mark.parametrize("y", [0.1, 0.1 * 2.0 ** -10])
+    def test_criterion_05_window_points(self, y):
+        h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
+        adaptive_trapezoid(h, -2.0, 0.0, y)
+        assert sum(z.size for z in calls) <= 200
+
+    def test_non_analytic_integrand_has_no_limit(self):
+        rng = np.random.default_rng(7)
+        noise = lambda z: rng.normal(size=z.shape) + 1j * rng.normal(size=z.shape)
+        with pytest.raises(NoLimitError, match=r"\[-1\.0, 1\.0\] at y = 0\.01"):
+            adaptive_trapezoid(noise, -1.0, 1.0, 0.01)
 
 
 class TestCauchyAndGrowth:

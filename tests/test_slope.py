@@ -6,6 +6,7 @@ import pytest
 from bischur import (
     DiscreteMeasure01,
     DomainError,
+    InvalidInputError,
     SlopePair,
     desingularize,
     directional_derivative_analytic,
@@ -44,6 +45,20 @@ class TestSlopeEval:
             slope_eval(HALF_PAIR, -1.0)
         with pytest.raises(DomainError):
             slope_eval(HALF_PAIR, 0.0)
+        with pytest.raises(DomainError, match=r"got \(-1\+0j\)"):
+            slope_eval(HALF_PAIR, np.array([1j, 2.0, -1.0]))
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(31)
+        W = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        Y = (W * rng.uniform(size=4)) @ W.conj().T
+        pair = SlopePair(Y=0.5 * (Y + Y.conj().T), u_tau=rng.normal(size=4) + 0.5j)
+        z = np.append(rng.uniform(-3, 3, 20) + 1j * rng.uniform(1e-4, 3, 20), [0.5, 7.0])
+        values = slope_eval(pair, z)
+        assert values.shape == z.shape
+        scalars = np.array([slope_eval(pair, complex(p)) for p in z])
+        assert np.abs(values - scalars).max() <= 1e-15 * np.abs(scalars).max()
+        assert isinstance(slope_eval(pair, complex(z[0])), complex)
 
 
 class TestSlopeMeasure:
@@ -140,6 +155,16 @@ class TestPickCheck:
         report = pick_check(lambda z: -1.0, self.GRID)
         assert report.passed
         assert report.min_im_h == 0.0 and report.min_im_neg_zh >= 0.0
+
+    def test_nan_values_fail(self):
+        report = pick_check(lambda z: np.where(z.real > 0, np.nan, -1.0 / z), self.GRID)
+        assert not report.passed
+
+    def test_grid_is_checked_before_h_is_called(self):
+        calls = []
+        with pytest.raises(InvalidInputError):
+            pick_check(calls.append, self.GRID + [1.0])
+        assert calls == []
 
     def test_every_slope_pair_passes(self):
         rng = np.random.default_rng(34)
