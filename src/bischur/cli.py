@@ -5,6 +5,10 @@ Subcommands: ``analyze`` (carapoint/slope analysis of a colligation),
 exact colligation), ``nevrep`` (extract the two-variable resolvent representation)
 and ``verify`` (seeded random property suites).
 
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built on the first call and reused, and each call looks
+up its ``cmd_*`` handler afresh.
+
 Exit codes: 0 success, 2 malformed input, 3 failed precondition (not a
 carapoint), 4 numeric failure, 5 verification failure, 6 obstruction
 (boundary value 1).  Reports are deterministic for fixed inputs, seed and
@@ -21,7 +25,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -267,11 +271,10 @@ def cmd_analyze(args) -> int:
         rng = np.random.default_rng(args.seed)
         checks = _derivative_checks(c, tau, phi_tau, pair, rng, 4, tol)
         verification = _generalized_verification(c, g, rng, tol)
-        h1 = slope_mod.slope_eval(pair, 1.0)
-        samples = [
-            {"z": complex_to_json(z), "h": complex_to_json(slope_mod.slope_eval(pair, z))}
-            for z in SLOPE_SAMPLE_POINTS
-        ]
+        zs = np.array((1.0, *SLOPE_SAMPLE_POINTS))
+        h1, *h_samples = slope_mod.slope_eval(pair, zs).tolist()
+        samples = [{"z": complex_to_json(z), "h": complex_to_json(h)}
+                   for z, h in zip(SLOPE_SAMPLE_POINTS, h_samples)]
     except (IllConditionedError, InternalInconsistencyError, DivergenceError,
             NoLimitError, PreconditionError) as exc:
         return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
@@ -605,7 +608,9 @@ def _add_common(parser):
                         help="omit the timestamp so reports are byte-identical")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="bischur",
         description="Boundary analysis of two-variable Schur functions",
@@ -619,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.add_argument("--csv", default=None, help="write slope samples as CSV")
     _add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="synthesize a Schur function from a slope measure")
     p.add_argument("measure", help="measure JSON file")
@@ -630,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="verify the slope and carapoint prescriptions")
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("nevrep", help="two-variable resolvent representation")
     p.add_argument("input", help="colligation JSON or measure JSON")
@@ -638,12 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boundary value when synthesizing from a measure")
     p.add_argument("--out", default=None, help="write the representation JSON here")
     _add_common(p)
-    p.set_defaults(func=cmd_nevrep)
 
     p = sub.add_parser("verify", help="seeded random property suites")
     p.add_argument("--random", type=int, default=20, help="instances per suite")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -663,8 +664,11 @@ def _attach_values(argv):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+    # Looked up on each call, so a rebound cmd_* (a test stub, a tracer) runs.
+    handlers = {"analyze": cmd_analyze, "synth": cmd_synth,
+                "nevrep": cmd_nevrep, "verify": cmd_verify}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except (SchemaError, OSError) as exc:
         print(json.dumps({"error": {"kind": "input", "message": str(exc)}},
                          indent=2, sort_keys=True))

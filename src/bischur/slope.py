@@ -178,11 +178,13 @@ class RealAxisReport(NamedTuple):
 
 
 def slope_real_axis_check(pair: SlopePair, xs, slack: float = 1e-12) -> RealAxisReport:
-    """Slope functions are real on (0, inf): largest |Im h(x)| over xs."""
-    worst = 0.0
-    for x in xs:
-        x = float(x)
-        if x <= 0:
-            raise InvalidInputError("real-axis check points must be positive")
-        worst = max(worst, abs(slope_eval(pair, x).imag))
+    """Slope functions are real on (0, inf): largest |Im h(x)| over xs.
+
+    h is evaluated once, on all of xs as one array; a NaN in Im h fails the
+    check.
+    """
+    x = np.asarray(xs, dtype=float).reshape(-1)
+    if not (np.isfinite(x) & (x > 0)).all():
+        raise InvalidInputError("real-axis check points must be finite and positive")
+    worst = float(np.max(np.abs(slope_eval(pair, x).imag), initial=0.0))
     return RealAxisReport(worst, worst < slack)

@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bischur import eval_phi
+from bischur import cli, eval_phi
 from bischur.cli import main, parse_complex, parse_point
 from bischur.serialization import colligation_from_json, colligation_to_json
 
@@ -222,3 +227,58 @@ class TestToleranceEnv:
                            "--no-timestamp")
         assert code == 2
         assert report["error"]["kind"] == "input"
+
+
+class TestRepeatedCalls:
+    """main(argv) builds its parser once per process and dispatches per call."""
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run(capsys, "verify", "--random", "1", "--no-timestamp")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, _ = run(capsys, "verify", "--random", "1", "--no-timestamp")
+        assert code == 0
+        assert built == []
+
+    def test_rebound_handler_runs(self, capsys, monkeypatch):
+        run(capsys, "verify", "--random", "1", "--no-timestamp")
+        seen = []
+
+        def stub(args):
+            seen.append(args.random)
+            return 17
+
+        monkeypatch.setattr(cli, "cmd_verify", stub)
+        assert main(["verify", "--random", "3"]) == 17
+        assert seen == [3]
+
+    def test_usage_error_leaves_later_calls_alone(self, capsys, favourite_file):
+        argv = ["analyze", str(favourite_file), "--tau", "1,1", "--no-timestamp"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(favourite_file), "--no-timestamp"])
+        assert exc.value.code == 2
+        assert "--tau" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == before
+
+    def test_module_entry_point_reads_sys_argv(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bischur.cli", "verify", "--random", "2",
+             "--seed", "1", "--no-timestamp"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["seed"] == 1
+        assert report["random"] == 2

@@ -188,6 +188,18 @@ class TestRealAxisCheck:
         report = slope_real_axis_check(SlopePair(Y=[[0.4]], u_tau=[0.0]), (1.0, 2.0))
         assert report.max_abs_im == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            slope_real_axis_check(HALF_PAIR, (1.0, bad))
+
+    def test_nan_in_im_h_fails(self, monkeypatch):
+        monkeypatch.setattr("bischur.slope.slope_eval",
+                            lambda pair, x: np.where(x > 1.5, complex(0.0, np.nan), 1.0 + 0j))
+        report = slope_real_axis_check(HALF_PAIR, (1.0, 2.0))
+        assert np.isnan(report.max_abs_im)
+        assert not report.passed
+
     def test_random_pairs_on_log_grid(self):
         rng = np.random.default_rng(35)
         xs = np.logspace(-2, 2, 20)
