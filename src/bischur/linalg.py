@@ -1,9 +1,11 @@
 """Dense complex-matrix utilities: null spaces, minimal-norm solves,
-structural checks.
+condition-guarded stacked solves, structural checks.
 
 All rank decisions are made from singular values with a relative cutoff, and
 minimal-norm solves reuse the same SVD, so the two operations agree about
-what counts as the kernel.
+what counts as the kernel.  A stacked solve screens its condition guard with
+the LU factorization it solves with, and takes singular values only of the
+points the screen cannot clear, near the ceiling.
 """
 
 from __future__ import annotations
@@ -116,7 +118,13 @@ def min_norm_solve(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     b = as_vector(b, "b")
     if b.shape[0] != A.shape[0]:
         raise InvalidInputError("b must have as many rows as A")
-    u, s, vh = _svd(A)
+    return _min_norm_from_svd(A, b, _svd(A), tol)
+
+
+def _min_norm_from_svd(A, b, usv, tol: Tolerances) -> np.ndarray:
+    """``min_norm_solve`` for validated A and b, given ``usv = _svd(A)``,
+    so that a caller who needs the same SVD takes it only once."""
+    u, s, vh = usv
     rank = _numerical_rank(s, tol.rank_rel)
     if rank > 0:
         cond = s[0] / s[rank - 1]
@@ -139,29 +147,86 @@ def min_norm_solve(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     return x
 
 
+# Beyond this ceiling, a point the LU screen clears could have kappa * eps
+# above about 1 %, enough to tip an SVD-computed condition number over the
+# ceiling, so every point goes to the SVD.
+_SCREEN_CEILING_MAX = 1e14
+_NO_POINTS = np.empty(0, dtype=np.intp)
+
+
+def _screened_solve(M, B, ceiling):
+    """Solve M[k] X[k] = B for a stack of square matrices and screen their
+    2-norm condition numbers against ``ceiling``.
+
+    One stacked solve of [B | 1] gives, from one LU factorization per point,
+    X and the inverse, hence kappa_F = ||M||_F ||M^-1||_F >= kappa_2.  A
+    point with kappa_F <= ceiling / 2 is cleared: the 2 is a rounding margin
+    that makes the SVD's condition number pass it too.  Only the points not
+    cleared get singular values.  Returns (X, rest, s): X of shape
+    (k, n, m), C-contiguous; ``rest``, the ascending indices of the points
+    not cleared; ``s``, their singular values, shape (len(rest), n), or None
+    when ``rest`` is empty.  When a matrix is exactly singular the LU fails:
+    then X is None and every point is in ``rest``, so the caller decides on
+    the SVD alone and solves as before once its guard passes.
+    """
+    k, n = M.shape[:2]
+    m = B.shape[-1]
+    R = np.zeros((k, n, m + n), dtype=complex)
+    R[..., :m] = B
+    R.reshape(k, -1)[:, m::m + n + 1] = 1.0   # the diagonal of R[..., m:]
+    try:
+        X = np.linalg.solve(M, R)
+    except np.linalg.LinAlgError:
+        return None, np.arange(k), np.linalg.svd(M, compute_uv=False)
+    if ceiling > _SCREEN_CEILING_MAX:
+        rest = np.arange(k)
+    else:
+        Mv = np.ascontiguousarray(M, dtype=complex).view(float)
+        Xv = X.view(float)[..., 2 * m:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa2 = (np.add.reduce(np.square(Mv), axis=(1, 2))
+                      * np.add.reduce(np.square(Xv), axis=(1, 2)))
+        limit = (0.5 * ceiling) ** 2
+        # the common case, every point cleared, in one comparison (a NaN
+        # propagates through the maximum and fails it)
+        if np.maximum.reduce(kappa2, initial=0.0) <= limit:
+            rest = _NO_POINTS
+        else:
+            rest = np.flatnonzero(~(kappa2 <= limit))
+    s = np.linalg.svd(M[rest], compute_uv=False) if rest.size else None
+    return np.ascontiguousarray(X[..., :m]), rest, s
+
+
 def guarded_solve(M, b, points, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Solve M[k] x[k] = b for a stack of square matrices, one per point.
 
     ``points`` is the stack of points (a pair of arrays) the matrices belong
-    to.  The guard is decided per point from one stacked singular-value call:
-    the condition number sigma_max / sigma_min of ``np.linalg.cond`` must be
-    finite and at most ``tol.solve_cond_max``, else IllConditionedError names
-    the first offending point and carries its condition number.  Returns the
-    stack of solutions, shape (k, n).
+    to.  The guard is decided per point: the condition number
+    sigma_max / sigma_min of ``np.linalg.cond`` must be finite and at most
+    ``tol.solve_cond_max``, else IllConditionedError names the first
+    offending point and carries its condition number.  The LU factorization
+    of the solve screens every point with kappa_F >= kappa_2, and singular
+    values are taken only of the points near or above the ceiling, so each
+    point is decided as from its singular values.  Returns the stack of
+    solutions, shape (k, n), C-contiguous.
     """
-    s = np.linalg.svd(M, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[:, 0] / s[:, -1]
-    bad = ~(cond <= tol.solve_cond_max)
-    if bad.any():
-        k = int(np.argmax(bad))
-        point = (complex(points[0][k]), complex(points[1][k]))
-        raise IllConditionedError(
-            f"resolvent condition number {cond[k]:.3e} at {point}; "
-            "the point is too close to a singularity",
-            cond[k],
-        )
-    return np.linalg.solve(M, b[None, :, None])[..., 0]
+    x, rest, s = _screened_solve(M, b[:, None], tol.solve_cond_max)
+    if rest.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = s[:, 0] / s[:, -1]
+        bad = ~(cond <= tol.solve_cond_max)
+        if bad.any():
+            j = int(np.argmax(bad))
+            k = int(rest[j])
+            point = (complex(points[0][k]), complex(points[1][k]))
+            raise IllConditionedError(
+                f"resolvent condition number {cond[j]:.3e} at {point}; "
+                "the point is too close to a singularity",
+                cond[j],
+            )
+        if x is None:
+            x = np.linalg.solve(M, b[None, :, None])
+    return x[..., 0]
 
 
 def _hermitian_deviation(A):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import adaptive_trapezoid
-from ._limits import refine_to_limit
+from ._limits import presample, refine_to_limit
 from .points import any_true, as_complex
 from .errors import (
     DivergenceError,
@@ -215,26 +215,33 @@ def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float
     return float(report.estimate.real)
 
 
-def cauchy_rep_eval(atoms, z) -> complex:
-    """Cauchy transform sum m / (t - z) of an atomic measure, Im z > 0."""
-    z = complex(z)
-    if z.imag <= 0:
+def cauchy_rep_eval(atoms, z):
+    """Cauchy transform sum m / (t - z) of an atomic measure, Im z > 0; a
+    complex at a point, a complex array at an array of points."""
+    z = as_complex(z)
+    if any_true(z.imag <= 0):
         raise InvalidInputError("the Cauchy representation is evaluated on Im z > 0")
     atoms = _normalize_atoms(atoms, what="Cauchy")
-    return complex(sum(m / (t - z) for t, m in atoms))
+    if isinstance(z, complex):
+        return complex(sum(m / (t - z) for t, m in atoms))
+    return sum((m / (t - z) for t, m in atoms), np.zeros_like(z))
 
 
 def growth_check(h, ys) -> float:
     """Extrapolated limit of y Im h(iy) along an increasing sequence.
 
     For a Cauchy transform this is the total mass; a linear term makes it
-    blow up, reported as DivergenceError.
+    blow up, reported as DivergenceError.  ``h`` is called once, on the
+    array of all the points iy, so it must accept an array (or return a
+    constant); if that call raises a BischurError, the points are sampled
+    one by one as far as the extrapolation needs.
     """
     ys = [float(y) for y in ys]
     if any(y <= 0 for y in ys) or any(q <= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be positive and strictly increasing")
+    value = presample(lambda y: h(1j * y), ys)
     report = refine_to_limit(
-        lambda y: y * complex(h(1j * y)).imag,
+        lambda y: y * complex(value(y)).imag,
         ys,
         [1.0 / (y * y) for y in ys],
         tol=1e-9,

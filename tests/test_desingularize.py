@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bischur import (
+    BoundarySingularityError,
     Colligation,
+    GeneralizedRealization,
+    InternalInconsistencyError,
     IllConditionedError,
     PreconditionError,
     SlopePair,
@@ -18,7 +23,8 @@ from bischur import (
     structure_check,
     u_vector,
 )
-from bischur.generate import random_colligation_with_kernel, random_torus_point
+from bischur.desingularize import _consistency_checks
+from bischur.generate import random_colligation_with_kernel, random_torus_point, random_unitary
 
 from conftest import CHI, favourite_formula, random_interior
 
@@ -232,6 +238,121 @@ class TestSharedKernel:
         near_tau = (1.0 - 1e-5, 1.0 - 1e-5)
         assert eval_phi_gen(g, near_tau, tight) == pytest.approx(
             favourite_formula(near_tau), abs=1e-9)
+
+
+def inner_model(Y):
+    """A generalized realization at tau = (1, 1) that only carries Y, the
+    datum the inner function is built from."""
+    n = Y.shape[0]
+    zero = np.zeros(n, dtype=complex)
+    return GeneralizedRealization(
+        a=0.0, beta=zero, gamma=zero, Q=np.zeros((n, n)), Y=Y, tau=CHI, u_tau=zero,
+        model_basis=np.eye(n), kernel_basis=np.zeros((n, 0)))
+
+
+def reference_inner(Y, l1, l2, tol=Tolerances()):
+    """The inner-function denominator guard decided from a direct stacked
+    SVD: I(lam), or the exception type and the point it names."""
+    x1, x2 = l1[:, None, None], l2[:, None, None]
+    eye = np.eye(Y.shape[0])
+    num = x1 * Y + x2 * (eye - Y) - (x1 * x2) * eye
+    den = eye - x1 * (eye - Y) - x2 * Y
+    try:
+        s = np.linalg.svd(den, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError, None
+    singular = s[:, -1] <= tol.rank_rel * s[:, 0]
+    if singular.any():
+        k = int(np.argmax(singular))
+        return BoundarySingularityError, (complex(l1[k]), complex(l2[k]))
+    return None, np.linalg.solve(den, num)
+
+
+class TestInnerFunctionGuard:
+    # 1 - lam_1 (1 - Y) at lam_2 = 0 has singular values 1, 1 - lam_1 and
+    # 1 - lam_1 / 2, so lam_1 = 1 - 1/kappa plants the condition number kappa
+    FACTORS = (0.3, 0.49, 0.51, 0.99, 1.0, 1.01, 10.0)
+
+    def test_decisions_equal_those_of_the_svd(self):
+        rng = np.random.default_rng(8)
+        U = random_unitary(rng, 3)
+        dense = U @ np.diag([1.0, 0.0, 0.5]) @ U.conj().T
+        ceiling = 1.0 / Tolerances().rank_rel
+        l1 = np.array([1.0 - 1.0 / (f * ceiling) for f in self.FACTORS])
+        nan = dense.copy()
+        nan[0, 1] = np.nan
+        cases = [(dense, np.array([x]), np.zeros(1)) for x in l1]
+        cases += [
+            (dense, l1[:3], np.zeros(3)),            # every point cleared
+            (dense, l1, np.zeros(len(l1))),          # the first ones cleared
+            (np.diag([1.0, 0.0, 0.5]), np.array([0.5, 1.0]), np.zeros(2)),  # exactly singular
+            (nan, l1[:1], np.zeros(1)),
+        ]
+        decided = set()
+        for Y, a, b in cases:
+            kind, value = reference_inner(Y, a, b)
+            decided.add(kind)
+            if kind is None:
+                got = eval_I(inner_model(Y), (a, b))
+                assert got.tobytes() == value.tobytes()
+                assert got.flags.c_contiguous
+            elif kind is np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    eval_I(inner_model(Y), (a, b))
+            else:
+                with pytest.raises(kind) as err:
+                    eval_I(inner_model(Y), (a, b))
+                assert str(err.value) == f"inner-function denominator is singular at {value}"
+        assert decided == {None, BoundarySingularityError, np.linalg.LinAlgError}
+
+    def test_extreme_condition_emits_no_warning(self):
+        g = inner_model(np.diag([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundarySingularityError):
+                eval_I(g, (np.array([0.0, 0.0]), np.array([0.5, -1e300])))
+
+
+class TestConsistencyChecks:
+    def test_block_relations_are_decided_by_the_two_norm(self):
+        rng = np.random.default_rng(21)
+        tau = random_torus_point(rng)
+        c = random_colligation_with_kernel(rng, 3, 2, tau)
+        g = desingularize(c, tau)
+        model, kernel = g.model_basis, g.kernel_basis
+        E = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        E = E + E.conj().T
+        tol = Tolerances()
+        bound = 1e3 * tol.structural
+        X = kernel.conj().T @ c.P1 @ kernel
+        B = kernel.conj().T @ c.P1 @ model
+        ek, em = np.eye(2), np.eye(3)
+        seen = set()
+        for t in np.geomspace(1e-9, 1e-5, 33):
+            Y = g.Y + t * E
+            relations = (
+                (B @ B.conj().T - X @ (ek - X), "off-diagonal block: B B* = X(1 - X)"),
+                (B.conj().T @ B - Y @ (em - Y), "off-diagonal block: B* B = Y(1 - Y)"),
+                (B @ Y - (ek - X) @ B, "intertwining: B Y = (1 - X) B"),
+                (B @ (em - Y) - X @ B, "intertwining: B (1 - Y) = X B"),
+            )
+            failed = [(float(np.linalg.norm(d, 2)), what) for d, what in relations
+                      if np.linalg.norm(d, 2) > bound]
+            # a deviation the Frobenius screen cannot pass but the 2-norm does
+            if any(np.linalg.norm(d) > bound / 2 for d, _ in relations) and not failed:
+                seen.add("screened")
+            args = (c, tau, model, kernel, g.Q, Y, g.gamma, g.beta, g.u_tau,
+                    model @ g.u_tau, tol)
+            if failed:
+                seen.add("raised")
+                value, what = failed[0]
+                with pytest.raises(InternalInconsistencyError) as err:
+                    _consistency_checks(*args)
+                assert str(err.value) == f"{what} deviates by {value:.3e}"
+            else:
+                seen.add("passed")
+                _consistency_checks(*args)
+        assert seen == {"raised", "passed", "screened"}
 
 
 class TestQuadratureLogCheck:

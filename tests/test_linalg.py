@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from bischur import (
     null_space,
     structure_check,
 )
+from bischur.linalg import guarded_solve
 
 
 class TestNullSpace:
@@ -78,6 +81,115 @@ class TestMinNormSolve:
         A = np.diag([1.0, 1e-8])
         with pytest.raises(IllConditionedError):
             min_norm_solve(A, [1.0, 1.0], Tolerances(solve_cond_max=1e6))
+
+
+# condition numbers planted around the ceiling, as multiples of it
+CEILING_FACTORS = (0.3, 0.49, 0.51, 0.99, 1.0, 1.01, 10.0)
+
+
+def planted(rng, n, kappa, scale=3.7):
+    """A dense complex n x n matrix with 2-norm condition number kappa and
+    largest singular value ``scale``."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+    sigma = scale * np.geomspace(1.0, 1.0 / kappa, n)
+    return unitary() @ np.diag(sigma) @ unitary()
+
+
+def guard_cases(ceiling, seed=0, n=4):
+    """Matrices at the planted condition numbers, an exactly singular one
+    and one with a NaN entry."""
+    rng = np.random.default_rng(seed)
+    cases = [planted(rng, n, f * ceiling) for f in CEILING_FACTORS]
+    cases.append(np.diag([1.0, 0.0, 2.0, 1.0]).astype(complex))
+    nan = planted(rng, n, 10.0)
+    nan[1, 2] = np.nan
+    cases.append(nan)
+    return cases
+
+
+def reference_solve(M, b, tol):
+    """guarded_solve's guard decided from a direct stacked SVD: the
+    solutions, or the exception type and condition number."""
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = s[:, 0] / s[:, -1]
+        bad = ~(cond <= tol.solve_cond_max)
+        if bad.any():
+            return IllConditionedError, cond[np.argmax(bad)]
+        return None, np.linalg.solve(M, b[None, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError, None
+
+
+def outcome(M, b, tol):
+    points = (np.arange(len(M)) * 0.01j, np.zeros(len(M), dtype=complex))
+    try:
+        x = guarded_solve(M, b, points, tol)
+    except IllConditionedError as exc:
+        return IllConditionedError, exc.cond
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError, None
+    return None, x
+
+
+class TestGuardedSolve:
+    @pytest.mark.parametrize("ceiling", [1e14, 1e10, 1e6])
+    def test_decisions_equal_those_of_the_svd(self, ceiling):
+        tol = Tolerances(solve_cond_max=ceiling)
+        b = np.array([1.0, 2.0 - 1j, 0.5j, -1.0])
+        cases = guard_cases(ceiling)
+        stacks = [c[None] for c in cases]
+        # a stack that is cleared up to its last points, and every case at once
+        stacks += [np.array(cases[:3]), np.array(cases[2:7]), np.array(cases)]
+        decided = set()
+        for M in stacks:
+            kind, value = reference_solve(M, b, tol)
+            got_kind, got = outcome(M, b, tol)
+            assert got_kind is kind
+            decided.add(kind)
+            if kind is IllConditionedError:
+                assert got == float(value)
+            elif kind is None:
+                assert got.tobytes() == value.tobytes()
+                assert got.flags.c_contiguous
+        assert decided == {None, IllConditionedError, np.linalg.LinAlgError}
+
+    def test_first_ill_conditioned_point_is_named(self):
+        rng = np.random.default_rng(1)
+        M = np.array([planted(rng, 3, k) for k in (2.0, 5e14, 3.0, 7e15)])
+        points = (np.array([0.1, 0.2, 0.3, 0.4]), np.zeros(4))
+        with pytest.raises(IllConditionedError, match=r"at \(\(0\.2\+0j\)") as err:
+            guarded_solve(M, np.ones(3), points)
+        s = np.linalg.svd(M[1], compute_uv=False)
+        assert err.value.cond == s[0] / s[-1]
+
+    def test_extreme_condition_emits_no_warning(self):
+        M = np.array([np.diag([1.0, 1e-300]), np.diag([1e300, 1.0])], dtype=complex)
+        points = (np.array([0.1, 0.2]), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError) as err:
+                guarded_solve(M, np.ones(2), points)
+        s = np.linalg.svd(M[0], compute_uv=False)
+        assert err.value.cond == s[0] / s[-1] == pytest.approx(1e300)
+
+    def test_ceilings_beyond_the_screen_are_decided_by_the_svd(self):
+        # past 1/eps an LU inverse can understate the condition number, so
+        # that a kappa_F screen would clear matrices the SVD rejects
+        tol = Tolerances(solve_cond_max=1e17)
+        rng = np.random.default_rng(0)
+        b = np.ones(4)
+        decided = set()
+        for f in np.geomspace(1.0, 30.0, 12):
+            for _ in range(10):
+                M = planted(rng, 4, f * tol.solve_cond_max)[None]
+                kind, value = reference_solve(M, b, tol)
+                assert outcome(M, b, tol)[0] is kind
+                decided.add(kind)
+        assert {None, IllConditionedError} <= decided
 
 
 class TestStructureCheck:

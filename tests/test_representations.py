@@ -277,6 +277,24 @@ class TestCauchyAndGrowth:
         assert growth_check(h, [4.0 * 2.0 ** k for k in range(16)]) \
             == pytest.approx(total, abs=1e-6)
 
+    def test_growth_calls_h_once_on_an_array(self):
+        calls = []
+
+        def h(z):
+            calls.append(np.shape(z))
+            return cauchy_rep_eval(((0.0, 2.0), (-1.0, 0.5)), z)
+
+        ys = [2.0 ** k for k in range(16)]
+        assert growth_check(h, ys) == pytest.approx(2.5, abs=1e-6)
+        assert calls == [(16,)]
+
+    def test_cauchy_on_an_array_matches_points(self):
+        atoms = ((0.0, 2.0), (-1.0, 0.5))
+        z = np.array([1j, 2.0 + 0.5j, -3.0 + 4j])
+        values = cauchy_rep_eval(atoms, z)
+        assert values.shape == (3,)
+        assert all(values[k] == cauchy_rep_eval(atoms, z[k]) for k in range(3))
+
     def test_linear_function_diverges(self):
         with pytest.raises(DivergenceError):
             growth_check(lambda z: z, [2.0 ** k for k in range(16)])
