@@ -17,6 +17,9 @@ from .errors import BischurError, DivergenceError
 
 __all__ = ["LimitReport", "refine_to_limit", "presample"]
 
+# Samples growing monotonically past this size are taken as divergent.
+_DIVERGENCE_THRESHOLD = 1e6
+
 
 @dataclass(frozen=True)
 class LimitReport:
@@ -38,20 +41,17 @@ class LimitReport:
     achieved: float
 
 
-def refine_to_limit(sample, args, xs, *, tol=1e-9, divergence_threshold=1e6,
-                    max_samples=None):
+def refine_to_limit(sample, args, xs, *, tol=1e-9):
     """Extrapolate ``sample(args[k])`` along ``xs[k] -> 0``.
 
     Evaluation is lazy: it stops as soon as three successive extrapolants
     agree within ``tol * (1 + |estimate|)``.  Raises DivergenceError when the
-    samples grow monotonically past ``divergence_threshold``.
+    samples grow monotonically past ``_DIVERGENCE_THRESHOLD``.
     """
     args = list(args)
     xs = [float(x) for x in xs]
     if len(args) != len(xs) or not args:
         raise ValueError("args and xs must be nonempty sequences of equal length")
-    if max_samples is not None:
-        args, xs = args[:max_samples], xs[:max_samples]
 
     samples: list[complex] = []
     extrapolants: list[complex] = []
@@ -68,7 +68,7 @@ def refine_to_limit(sample, args, xs, *, tol=1e-9, divergence_threshold=1e6,
         if (
             k >= 2
             and abs(samples[k]) > abs(samples[k - 1]) > abs(samples[k - 2])
-            and abs(samples[k]) > divergence_threshold
+            and abs(samples[k]) > _DIVERGENCE_THRESHOLD
         ):
             raise DivergenceError(
                 f"samples grow without bound (|f| reached {abs(value):.3e})"

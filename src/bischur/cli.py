@@ -35,11 +35,7 @@ from .colligation import eval_phi, model_residual
 from .desingularize import desingularize, eval_I, eval_phi_gen
 from .errors import (
     BischurError,
-    DivergenceError,
-    IllConditionedError,
-    InternalInconsistencyError,
     InvalidInputError,
-    NoLimitError,
     ObstructionError,
     PreconditionError,
     SchemaError,
@@ -249,8 +245,23 @@ def cmd_analyze(args) -> int:
     report["input"] = {"colligation": payload, "tau": [complex_to_json(t) for t in tau]}
     report["seed"] = args.seed
 
-    ok, witness = boundary.is_carapoint(c, tau, tol)
-    if not ok:
+    try:
+        g = desingularize(c, tau, tol)
+        pair = slope_mod.SlopePair.from_realization(g)
+        nu = slope_mod.slope_measure(pair)
+        nd = representations.nevanlinna_from_measure(nu)
+        path = boundary.ApproachPath.radial(tau)
+        liminf = boundary.model_liminf(c, path, tol)
+        # (1 - Q) u_tau = gamma and I(tau) = 1 in the generalized model
+        phi_tau = g.a + g.u_tau @ g.beta.conj()
+        rng = np.random.default_rng(args.seed)
+        checks = _derivative_checks(c, tau, phi_tau, pair, rng, 4, tol)
+        verification = _generalized_verification(c, g, rng, tol)
+        zs = np.array((1.0, *SLOPE_SAMPLE_POINTS))
+        h1, *h_samples = slope_mod.slope_eval(pair, zs).tolist()
+        samples = [{"z": complex_to_json(z), "h": complex_to_json(h)}
+                   for z, h in zip(SLOPE_SAMPLE_POINTS, h_samples)]
+    except PreconditionError:
         report["carapoint"] = {"is_carapoint": False}
         report["error"] = {
             "kind": "precondition",
@@ -259,27 +270,10 @@ def cmd_analyze(args) -> int:
         report["exit_code"] = EXIT_PRECONDITION
         _emit(report, args.out)
         return EXIT_PRECONDITION
-
-    try:
-        g = desingularize(c, tau, tol)
-        pair = slope_mod.SlopePair.from_realization(g)
-        nu = slope_mod.slope_measure(pair)
-        nd = representations.nevanlinna_from_measure(nu)
-        path = boundary.ApproachPath.radial(tau)
-        liminf = boundary.model_liminf(c, path, tol)
-        phi_tau = boundary.nontangential_value(partial(eval_phi, c, tol=tol), path).estimate
-        rng = np.random.default_rng(args.seed)
-        checks = _derivative_checks(c, tau, phi_tau, pair, rng, 4, tol)
-        verification = _generalized_verification(c, g, rng, tol)
-        zs = np.array((1.0, *SLOPE_SAMPLE_POINTS))
-        h1, *h_samples = slope_mod.slope_eval(pair, zs).tolist()
-        samples = [{"z": complex_to_json(z), "h": complex_to_json(h)}
-                   for z, h in zip(SLOPE_SAMPLE_POINTS, h_samples)]
-    except (IllConditionedError, InternalInconsistencyError, DivergenceError,
-            NoLimitError, PreconditionError) as exc:
+    except BischurError as exc:
         return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
 
-    witness_norm_sq = float(np.linalg.norm(witness) ** 2)
+    witness_norm_sq = float(np.linalg.norm(g.u_tau) ** 2)
     report["carapoint"] = {
         "is_carapoint": True,
         "witness_norm_sq": witness_norm_sq,
@@ -383,8 +377,7 @@ def cmd_synth(args) -> int:
                 report["exit_code"] = EXIT_VERIFY
                 _emit(report)
                 return EXIT_VERIFY
-    except (IllConditionedError, InternalInconsistencyError, DivergenceError,
-            NoLimitError) as exc:
+    except BischurError as exc:
         return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
 
     report["exit_code"] = EXIT_OK
@@ -413,23 +406,23 @@ def cmd_nevrep(args) -> int:
             raise SchemaError(f"nevrep needs a colligation or a measure, got {kind}")
     except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
         return _fail(args, tol, source, EXIT_INPUT, "input", str(exc))
+    except BischurError as exc:
+        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
 
     report = _base_report(args, tol, source)
     report["input"] = {"kind": kind}
     report["seed"] = args.seed
 
-    ok, _ = boundary.is_carapoint(c, chi, tol)
-    if not ok:
-        return _fail(args, tol, source, EXIT_PRECONDITION, "precondition",
-                     "(1, 1) is not a carapoint of the realized function")
     try:
         g = desingularize(c, chi, tol)
         rep = nev2d.rep_from_schur(g, tol)
         infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
+    except PreconditionError:
+        return _fail(args, tol, source, EXIT_PRECONDITION, "precondition",
+                     "(1, 1) is not a carapoint of the realized function")
     except ObstructionError as exc:
         return _fail(args, tol, source, EXIT_OBSTRUCTION, "obstruction", str(exc))
-    except (IllConditionedError, InternalInconsistencyError, DivergenceError,
-            PreconditionError) as exc:
+    except BischurError as exc:
         return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
 
     alpha_norm_sq = float(np.linalg.norm(rep.alpha) ** 2)
@@ -570,12 +563,15 @@ def cmd_verify(args) -> int:
                      f"--random must be at least 1, got {args.random}")
     rng = np.random.default_rng(args.seed)
     n = args.random
-    suites = {
-        "colligations": _suite_colligations(rng, n, tol),
-        "desingularization": _suite_desingularization(rng, max(1, n // 2), tol),
-        "measures": _suite_measures(rng, n, tol),
-        "reps": _suite_reps(rng, max(1, n // 2), tol),
-    }
+    try:
+        suites = {
+            "colligations": _suite_colligations(rng, n, tol),
+            "desingularization": _suite_desingularization(rng, max(1, n // 2), tol),
+            "measures": _suite_measures(rng, n, tol),
+            "reps": _suite_reps(rng, max(1, n // 2), tol),
+        }
+    except BischurError as exc:
+        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
     report = _base_report(args, tol, source)
     report["seed"] = args.seed
     report["random"] = n
@@ -673,10 +669,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"kind": "input", "message": str(exc)}},
                          indent=2, sort_keys=True))
         return EXIT_INPUT
-    except BischurError as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}},
-                         indent=2, sort_keys=True))
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ __all__ = [
     "SlopePair",
     "slope_eval",
     "slope_measure",
-    "require_inward",
     "directional_derivative_analytic",
     "directional_derivative_numeric",
     "pick_check",
@@ -101,23 +100,12 @@ def slope_measure(pair: SlopePair, cluster_tol: float = 1e-8) -> DiscreteMeasure
     return DiscreteMeasure01(tuple((s, w) for s, w in atoms if w > 1e-14))
 
 
-def require_inward(delta, tau) -> tuple[complex, complex]:
-    """Check that delta points into the bidisc at the torus point tau."""
-    delta = as_point(delta)
-    tau = as_point(tau)
-    if any((np.conj(t) * d).real <= 0 for t, d in zip(tau, delta)):
-        raise InvalidInputError(
-            f"direction {delta} must satisfy Re(conj(tau_j) delta_j) > 0 at {tau}"
-        )
-    return delta
-
-
 def directional_derivative_analytic(phi_tau, tau, delta, pair: SlopePair) -> complex:
-    """Directional derivative from the slope formula."""
-    tau = as_point(tau)
-    delta = require_inward(delta, tau)
-    w1 = np.conj(tau[0]) * delta[0]
-    w2 = np.conj(tau[1]) * delta[1]
+    """Directional derivative from the slope formula.  delta must point into
+    the bidisc at tau, as for an ``ApproachPath``."""
+    path = boundary.ApproachPath(tau, delta)
+    w1 = np.conj(path.tau[0]) * path.delta[0]
+    w2 = np.conj(path.tau[1]) * path.delta[1]
     return complex(phi_tau) * w2 * slope_eval(pair, w2 / w1)
 
 

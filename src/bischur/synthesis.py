@@ -173,8 +173,9 @@ def verify_slope(syn: SynthesizedSchur, deltas, tol: float = 1e-5) -> SlopeVerif
     numeric, analytic = [], []
     worst = 0.0
     for delta in deltas:
-        delta = slope_mod.require_inward(delta, syn.tau)
-        num, _ = _numeric_derivative(phi, syn, delta)
+        num, _ = slope_mod.directional_derivative_numeric(
+            phi, syn.tau, delta, phi_tau=syn.omega
+        )
         w1 = np.conj(syn.tau[0]) * delta[0]
         w2 = np.conj(syn.tau[1]) * delta[1]
         ana = complex(syn.omega * w2 * h_from_measure(syn.nu, w2 / w1))
@@ -183,12 +184,6 @@ def verify_slope(syn: SynthesizedSchur, deltas, tol: float = 1e-5) -> SlopeVerif
         worst = max(worst, float(abs(num - ana) / (1.0 + abs(ana))))
     return SlopeVerification(tuple(deltas), tuple(numeric), tuple(analytic),
                              worst, bool(worst < tol))
-
-
-def _numeric_derivative(phi, syn: SynthesizedSchur, delta):
-    return slope_mod.directional_derivative_numeric(
-        phi, syn.tau, delta, phi_tau=syn.omega
-    )
 
 
 class CarapointVerification(NamedTuple):

@@ -10,6 +10,7 @@ import pytest
 
 from bischur import cli, eval_phi
 from bischur.cli import main, parse_complex, parse_point
+from bischur.generate import random_colligation
 from bischur.serialization import colligation_from_json, colligation_to_json
 
 from conftest import favourite_formula, random_interior
@@ -26,6 +27,14 @@ def measure_file(tmp_path):
 def favourite_file(tmp_path, favourite_colligation):
     path = tmp_path / "favourite.json"
     path.write_text(json.dumps(colligation_to_json(favourite_colligation)))
+    return path
+
+
+@pytest.fixture()
+def random_file(tmp_path):
+    path = tmp_path / "random.json"
+    c = random_colligation(np.random.default_rng(0), 4)
+    path.write_text(json.dumps(colligation_to_json(c)))
     return path
 
 
@@ -76,6 +85,27 @@ class TestAnalyze:
         code, report = run(capsys, "analyze", bad, "--tau", "1,1", "--no-timestamp")
         assert code == 2
         assert report["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("seed, n_atoms", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 8)])
+    def test_relocated_derivative_checks_converge(self, capsys, tmp_path, seed, n_atoms):
+        # phi(tau) from the model converges every difference quotient; a
+        # radially extrapolated phi(tau) left them unconverged
+        rng = np.random.default_rng(seed)
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"atoms": [
+            {"s": s, "w": w} for s, w in zip(rng.uniform(size=n_atoms),
+                                             rng.uniform(0.1, 2.0, size=n_atoms))]}))
+        coll = tmp_path / "c.json"
+        code, _ = run(capsys, "synth", measure, "--tau=-1,1j", "--omega=-1",
+                      "--out", coll, "--no-timestamp")
+        assert code == 0
+        code, report = run(capsys, "analyze", coll, "--tau=-1,1j", "--no-timestamp")
+        assert code == 0
+        assert abs(complex(*report["boundary_value"]) + 1.0) < 1e-13
+        checks = report["derivative_checks"]
+        assert len(checks) == 4
+        assert all(check["converged"] for check in checks)
+        assert max(check["rel_err"] for check in checks) <= 1e-9
 
     def test_non_unitary_colligation_exits_2(self, capsys, tmp_path,
                                              favourite_colligation):
@@ -201,6 +231,30 @@ class TestMinusValues:
 
     def test_nevrep_omega(self, capsys, measure_file):
         self.same(capsys, "nevrep", measure_file, "--omega", "-i")
+
+
+class TestFailureReports:
+    @pytest.mark.parametrize("command", ["analyze", "nevrep"])
+    def test_not_a_carapoint_exits_3(self, capsys, random_file, command):
+        extra = ["--tau", "1,1"] if command == "analyze" else []
+        code, report = run(capsys, command, random_file, *extra,
+                           "--tolerances", '{"rank_rel": 0.9}', "--no-timestamp")
+        assert code == report["exit_code"] == 3
+        assert report["error"]["kind"] == "precondition"
+        if command == "analyze":
+            assert report["carapoint"] == {"is_carapoint": False}
+
+    @pytest.mark.parametrize("command", ["analyze", "nevrep", "verify"])
+    def test_numeric_failure_prints_the_full_report(self, capsys, random_file, command):
+        argv = {"analyze": [random_file, "--tau", "1,1"], "nevrep": [random_file],
+                "verify": ["--random", "3"]}[command]
+        code, report = run(capsys, command, *argv, "--tolerances",
+                           '{"solve_cond_max": 1.5}', "--no-timestamp")
+        assert code == report["exit_code"] == 4
+        assert report["error"]["kind"] == "numeric"
+        assert report["tool"]["name"] == "bischur"
+        assert report["tolerances"]["solve_cond_max"] == 1.5
+        assert report["tolerances_source"] == ["default", "flag"]
 
 
 class TestDeterminism:

@@ -1,23 +1,29 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from bischur import (
+    ApproachPath,
     BoundarySingularityError,
     Colligation,
+    DiscreteMeasure01,
     GeneralizedRealization,
     InternalInconsistencyError,
     IllConditionedError,
     PreconditionError,
     SlopePair,
+    SynthesizedSchur,
     Tolerances,
     UseLimitError,
     desingularize,
     eval_I,
     eval_phi,
     eval_phi_gen,
+    fit_colligation,
     model_residual,
+    nontangential_value,
     quadrature_log_check,
     slope_eval,
     structure_check,
@@ -94,6 +100,36 @@ class TestDesingularize:
                              D=[[1.0, 0.0], [0.0, 0.0]], P1=np.eye(2))
         with pytest.raises(PreconditionError):
             desingularize(broken, CHI)
+
+
+class TestBoundaryValue:
+    """phi(tau) = a + <u_tau, beta>, since (1 - Q) u_tau = gamma and I(tau) = 1."""
+
+    @staticmethod
+    def closed_form(c, tau):
+        g = desingularize(c, tau)
+        closed = g.a + g.u_tau @ g.beta.conj()
+        radial = nontangential_value(partial(eval_phi, c), ApproachPath.radial(tau))
+        assert abs(closed - radial.estimate) < 1e-10
+        return closed
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_colligations_with_kernel(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        tau = random_torus_point(rng)
+        c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
+                                           int(rng.integers(1, 3)), tau)
+        self.closed_form(c, tau)
+
+    @pytest.mark.parametrize("n_atoms", [1, 3, 8])
+    @pytest.mark.parametrize("tau, omega", [(CHI, 1.0), ((-1.0, 1j), -1.0),
+                                            ((1j, -1j), np.exp(0.7j))])
+    def test_exact_synthesized_colligations(self, n_atoms, tau, omega):
+        rng = np.random.default_rng(n_atoms)
+        nu = DiscreteMeasure01(tuple(zip(rng.uniform(size=n_atoms),
+                                         rng.uniform(0.1, 2.0, size=n_atoms))))
+        c = fit_colligation(SynthesizedSchur(nu, tau, omega))
+        assert abs(self.closed_form(c, tau) - omega) < 1e-13
 
 
 class TestEvalI:

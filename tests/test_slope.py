@@ -107,6 +107,18 @@ class TestDirectionalDerivativeAnalytic:
             assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
+class TestOutwardDirection:
+    @pytest.mark.parametrize("tau, delta", [
+        (CHI, (-1.0, 1.0)), (CHI, (1.0, -0.5)), (CHI, (1j, 1.0)),
+        ((-1.0, 1j), (1.0, 1j)), ((-1.0, 1j), (-1.0, 1.0)),
+    ])
+    def test_both_derivatives_reject_it(self, tau, delta):
+        with pytest.raises(InvalidInputError):
+            directional_derivative_analytic(1.0, tau, delta, HALF_PAIR)
+        with pytest.raises(InvalidInputError):
+            directional_derivative_numeric(favourite_formula, tau, delta)
+
+
 class TestDirectionalDerivativeNumeric:
     def test_favourite_direction_one_one(self):
         value, report = directional_derivative_numeric(favourite_formula, CHI, (1.0, 1.0))
