@@ -15,10 +15,13 @@ import numpy as np
 
 from .errors import BischurError, DivergenceError
 
-__all__ = ["LimitReport", "refine_to_limit", "presample"]
+__all__ = ["LimitReport", "refine_to_limit", "presample", "stacked_samplers"]
 
 # Samples growing monotonically past this size are taken as divergent.
 _DIVERGENCE_THRESHOLD = 1e6
+# The first call of a sampler covers this many args of each sequence.  No
+# extrapolation of the CLI's pipelines has been seen to read more than 21.
+_HEAD = 24
 
 
 @dataclass(frozen=True)
@@ -92,18 +95,56 @@ def refine_to_limit(sample, args, xs, *, tol=1e-9):
     )
 
 
-def presample(f, args):
-    """A sampler for ``refine_to_limit`` that calls ``f`` once on all of
-    ``args`` (distinct floats) as one array.
+def stacked_samplers(f, arg_lists):
+    """Samplers for ``refine_to_limit``, one per sequence of ``arg_lists``
+    (each of distinct floats), that share a few stacked calls of ``f``.
 
-    ``f`` must return an array of the shape of its argument, or a constant.
-    When that call raises a BischurError, ``f`` itself is returned, so
-    ``refine_to_limit`` samples point by point and a point it never reaches
-    never raises.
+    ``f(k, args)`` takes an integer array ``k`` that names the sequence of
+    each entry of the float array ``args``, of the same 1-D shape, and
+    returns an array with one row per arg (or a constant).  The first call
+    covers the first ``_HEAD`` args of every sequence together.  A sampler
+    asked for an arg past its head makes one more call, on the rest of its
+    own sequence.  When a call raises a BischurError, its args are sampled
+    one by one instead, as ``f(k, arg)`` with an int and the arg itself, so a
+    point the extrapolation never reaches never raises.
     """
-    args = np.asarray(args, dtype=float)
-    try:
-        values = np.broadcast_to(f(args), args.shape)
-    except BischurError:
-        return f
-    return dict(zip(args.tolist(), values)).__getitem__
+    seqs = [np.asarray(args, dtype=float) for args in arg_lists]
+    known = [{} for _ in seqs]
+
+    def call(ks, chunks):
+        """One call of f on the chunks of the sequences ks; False if it
+        raised."""
+        sizes = [len(chunk) for chunk in chunks]
+        args = np.concatenate(chunks)
+        try:
+            values = np.asarray(f(np.repeat(ks, sizes), args))
+            values = np.broadcast_to(values, args.shape + values.shape[1:])
+        except BischurError:
+            return False
+        ends = np.cumsum(sizes).tolist()
+        for k, chunk, start, end in zip(ks, chunks, [0, *ends], ends):
+            known[k].update(zip(chunk.tolist(), values[start:end]))
+        return True
+
+    tails = [args[_HEAD:] for args in seqs]
+    if seqs and not call(list(range(len(seqs))), [args[:_HEAD] for args in seqs]):
+        tails = [tail[:0] for tail in tails]
+
+    def sampler(k):
+        def sample(arg):
+            if arg not in known[k] and tails[k].size:
+                call([k], [tails[k]])
+                tails[k] = tails[k][:0]
+            return known[k][arg] if arg in known[k] else f(k, arg)
+        return sample
+
+    return [sampler(k) for k in range(len(seqs))]
+
+
+def presample(f, args):
+    """A sampler for ``refine_to_limit`` that calls ``f`` on arrays of
+    ``args`` (distinct floats): ``stacked_samplers`` for one sequence, with
+    ``f`` taking the args alone.  ``f`` must return an array with one row
+    per arg, or a constant; point by point it is called as ``f(arg)``.
+    """
+    return stacked_samplers(lambda k, t: f(t), [args])[0]

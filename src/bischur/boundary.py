@@ -38,12 +38,28 @@ def default_steps(n_steps: int = 40) -> np.ndarray:
     return 2.0 ** -np.arange(1, n_steps + 1)
 
 
+def _inward(tau, delta):
+    """(tau, delta) as points, with tau on the boundary and delta pointing
+    into the bidisc there: Re(conj(tau_j) delta_j) > 0 in each unimodular
+    coordinate."""
+    tau = require_boundary(tau)
+    delta = as_point(delta)
+    for t, d in zip(tau, delta):
+        if abs(abs(t) - 1.0) <= TORUS_SLACK and (np.conj(t) * d).real <= 0:
+            raise InvalidInputError(
+                "direction must satisfy Re(conj(tau_j) delta_j) > 0 "
+                "in every unimodular coordinate"
+            )
+    return tau, delta
+
+
 @dataclass(frozen=True)
 class ApproachPath:
     """A nontangential approach ``tau - t_k delta`` to a boundary point.
 
     Each unimodular coordinate of tau needs Re(conj(tau_j) delta_j) > 0 so
-    the ray points into the bidisc; steps must be positive and decreasing.
+    the ray points into the bidisc; steps must be finite, positive and
+    strictly decreasing.
     Steps whose point would leave the open bidisc are dropped up front.
     """
 
@@ -52,36 +68,28 @@ class ApproachPath:
     steps: tuple[float, ...] = field(default_factory=lambda: tuple(default_steps()))
 
     def __post_init__(self):
-        tau = require_boundary(self.tau)
-        delta = as_point(self.delta)
-        for t, d in zip(tau, delta):
-            if abs(abs(t) - 1.0) <= TORUS_SLACK and (np.conj(t) * d).real <= 0:
-                raise InvalidInputError(
-                    "direction must satisfy Re(conj(tau_j) delta_j) > 0 "
-                    "in every unimodular coordinate"
-                )
-        steps = tuple(float(s) for s in self.steps)
-        if not steps or any(s <= 0 for s in steps):
-            raise InvalidInputError("steps must be positive")
-        if any(b >= a for a, b in zip(steps, steps[1:])):
+        tau, delta = _inward(self.tau, self.delta)
+        t = np.asarray(self.steps, dtype=float)
+        if t.ndim != 1 or not t.size or not (np.isfinite(t) & (t > 0)).all():
+            raise InvalidInputError("steps must be finite and positive")
+        if (t[1:] >= t[:-1]).any():
             raise InvalidInputError("steps must be strictly decreasing")
-        t = np.array(steps)
-        inside = sup_norm((tau[0] - t * delta[0], tau[1] - t * delta[1])) < 1.0
-        steps = tuple(s for s, keep in zip(steps, inside) if keep)
-        if not steps:
+        l1, l2 = tau[0] - t * delta[0], tau[1] - t * delta[1]
+        t = t[np.maximum(np.abs(l1), np.abs(l2)) < 1.0]
+        if not t.size:
             raise InvalidInputError("no step keeps the path inside the bidisc")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", tuple(t.tolist()))
 
     @classmethod
     def radial(cls, tau, n_steps: int = 40) -> "ApproachPath":
         tau = require_boundary(tau)
-        return cls(tau, tau, tuple(default_steps(n_steps)))
+        return cls(tau, tau, default_steps(n_steps))
 
     @classmethod
     def along(cls, tau, delta, n_steps: int = 40) -> "ApproachPath":
-        return cls(require_boundary(tau), as_point(delta), tuple(default_steps(n_steps)))
+        return cls(tau, delta, default_steps(n_steps))
 
     def point(self, t):
         """tau - t delta; for an array of steps, the stack of those points."""
@@ -97,23 +105,43 @@ def julia_quotient(phi, lam):
     from it by a factor in [1/2, 2], so the two are finite together.
     """
     lam = require_interior(lam)
-    value = np.broadcast_to(phi(lam), np.shape(lam[0]))
-    quotient = (1.0 - np.abs(value) ** 2) / (1.0 - sup_norm(lam) ** 2)
+    quotient = _quotient(np.broadcast_to(phi(lam), np.shape(lam[0])), lam)
     return quotient if isinstance(lam[0], np.ndarray) else float(quotient)
+
+
+def _quotient(value, lam):
+    """The Julia quotient from the values of phi at lam."""
+    return (1.0 - np.abs(value) ** 2) / (1.0 - sup_norm(lam) ** 2)
 
 
 def radial_liminf(phi, path: ApproachPath, tol: float = 1e-9) -> LimitReport:
     """Extrapolated limit of the Julia quotient along a nontangential path.
 
-    ``phi`` is called once, on the stack of all the path's points, so it
-    must accept a stack (or return a constant); if that call raises a
-    BischurError, the points are sampled one by one as far as the
+    ``phi`` is called on stacks of the path's points, so it must accept a
+    stack (or return a constant): once on the first steps, and once more on
+    the rest only if the extrapolation reads past them; if a call raises a
+    BischurError, its points are sampled one by one as far as the
     extrapolation needs.  On a carapoint path this converges to the
     Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
     meaning the path provides no carapoint evidence.
     """
     sample = presample(lambda t: julia_quotient(phi, path.point(t)), path.steps)
     return refine_to_limit(sample, path.steps, path.steps, tol=tol)
+
+
+def _value_and_liminf(phi, path: ApproachPath) -> tuple[LimitReport, LimitReport]:
+    """``nontangential_value`` and ``radial_liminf`` (at their default
+    tolerances) from one sampling of ``phi``: the Julia quotient is formed
+    from the same values of phi.  The liminf is extrapolated first."""
+    def sample(t):
+        lam = path.point(t)
+        value = np.broadcast_to(phi(lam), np.shape(t))
+        return np.stack([value, _quotient(value, lam)], axis=-1)
+
+    rows = presample(sample, path.steps)
+    liminf = refine_to_limit(lambda t: rows(t)[1], path.steps, path.steps, tol=1e-9)
+    value = refine_to_limit(lambda t: rows(t)[0], path.steps, path.steps, tol=1e-10)
+    return value, liminf
 
 
 def _one_minus_abs_sq(tau_j: complex, delta_j: complex, t):
@@ -131,9 +159,9 @@ def model_liminf(c: Colligation, path: ApproachPath,
     By the model identity 1 - |phi(lam)|^2 = (1 - |lam_1|^2) ||P1 u_lam||^2
     + (1 - |lam_2|^2) ||(1 - P1) u_lam||^2, and each 1 - |lam_j|^2 is formed
     from the path data, so the quotient never subtracts two numbers near 1;
-    on the radial path it is ||u_lam||^2.  The model vectors of the whole
-    path come from one stacked solve, with the same point-by-point fallback
-    as ``radial_liminf``.
+    on the radial path it is ||u_lam||^2.  The model vectors come from
+    stacked solves, with the same head-then-tail calls and point-by-point
+    fallback as ``radial_liminf``.
     """
     def quotient(t):
         u = model_vector(c, path.point(t), tol)
@@ -151,7 +179,7 @@ def model_liminf(c: Colligation, path: ApproachPath,
 def nontangential_value(phi, path: ApproachPath, tol: float = 1e-10) -> LimitReport:
     """Extrapolated limit of phi itself along a nontangential path.
 
-    ``phi`` is called once on the stack of the path's points, as in
+    ``phi`` is called on stacks of the path's points, as in
     ``radial_liminf``."""
     sample = presample(lambda t: phi(path.point(t)), path.steps)
     return refine_to_limit(sample, path.steps, path.steps, tol=tol)

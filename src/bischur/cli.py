@@ -174,13 +174,12 @@ def _load_json(path):
 
 
 def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
-    phi = partial(eval_phi, c, tol=tol)
+    deltas = [random_inward_direction(rng, tau) for _ in range(n_directions)]
+    results = slope_mod.directional_derivative_numeric(
+        partial(eval_phi, c, tol=tol), tau, deltas, phi_tau=phi_tau
+    )
     checks = []
-    for _ in range(n_directions):
-        delta = random_inward_direction(rng, tau)
-        numeric, report = slope_mod.directional_derivative_numeric(
-            phi, tau, delta, phi_tau=phi_tau
-        )
+    for delta, (numeric, report) in zip(deltas, results):
         analytic = slope_mod.directional_derivative_analytic(phi_tau, tau, delta, pair)
         checks.append({
             "delta": [complex_to_json(delta[0]), complex_to_json(delta[1])],
@@ -191,6 +190,19 @@ def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
             "converged": report.converged,
         })
     return checks
+
+
+def _gate(verification, liminf, checks):
+    """Fail the verification unless every extrapolated limit converged, and
+    name the cause of a failure under ``reason``."""
+    unconverged = (["julia_liminf"] if not liminf.converged else []) + [
+        f"derivative_checks[{k}]" for k, check in enumerate(checks) if not check["converged"]]
+    if unconverged:
+        verification["pass"] = False
+        verification["reason"] = f"{', '.join(unconverged)} did not converge"
+    elif not verification["pass"]:
+        verification["reason"] = "a residual maximum is not below 1e-9"
+    return verification
 
 
 def _stack(points):
@@ -293,7 +305,7 @@ def cmd_analyze(args) -> int:
     report["nevanlinna"] = nevanlinna_to_json(nd)
     report["slope_samples"] = samples
     report["derivative_checks"] = checks
-    report["verification"] = verification
+    report["verification"] = _gate(verification, liminf, checks)
     report["exit_code"] = EXIT_OK if verification["pass"] else EXIT_NUMERIC
 
     if args.csv:
@@ -373,6 +385,9 @@ def cmd_synth(args) -> int:
                     "pass": cara_report.passed,
                 },
             }
+            for name, check in (("slope", slope_report), ("carapoint", cara_report)):
+                if check.reason is not None:
+                    report["verification"][name]["reason"] = check.reason
             if not (slope_report.passed and cara_report.passed):
                 report["exit_code"] = EXIT_VERIFY
                 _emit(report)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import boundary
-from ._limits import LimitReport, presample, refine_to_limit
+from ._limits import refine_to_limit, stacked_samplers
 from .errors import DomainError, InvalidInputError
 from .linalg import as_matrix, as_vector
 from .points import any_true, as_complex, as_point
@@ -103,38 +103,52 @@ def slope_measure(pair: SlopePair, cluster_tol: float = 1e-8) -> DiscreteMeasure
 def directional_derivative_analytic(phi_tau, tau, delta, pair: SlopePair) -> complex:
     """Directional derivative from the slope formula.  delta must point into
     the bidisc at tau, as for an ``ApproachPath``."""
-    path = boundary.ApproachPath(tau, delta)
-    w1 = np.conj(path.tau[0]) * path.delta[0]
-    w2 = np.conj(path.tau[1]) * path.delta[1]
+    tau, delta = boundary._inward(tau, delta)
+    w1 = np.conj(tau[0]) * delta[0]
+    w2 = np.conj(tau[1]) * delta[1]
     return complex(phi_tau) * w2 * slope_eval(pair, w2 / w1)
 
 
 def directional_derivative_numeric(phi, tau, delta, steps=None, tol: float = 1e-8,
-                                   phi_tau=None) -> tuple[complex, LimitReport]:
-    """Difference-quotient estimate of D_{-delta} phi(tau).
+                                   phi_tau=None):
+    """Difference-quotient estimate of D_{-delta} phi(tau): an
+    ``(estimate, LimitReport)`` pair, or a list of them, one per direction,
+    when ``delta`` is a sequence of directions.
 
-    ``phi`` is called once, on the stack of all the path's points, so it
-    must accept a stack (or return a constant); if that call raises a
-    BischurError, the points are sampled one by one as far as the
-    extrapolation needs.  The boundary value phi(tau) is taken from the
-    nontangential limit of the same samples unless supplied.  Quotients are
-    extrapolated with one elimination step, which removes the O(t)
-    truncation term.
+    ``phi`` is called on stacks of points, so it must accept a stack (or
+    return a constant): once on the first steps of every path together, and
+    once more on the rest of a path only if its extrapolation reads past
+    them; if a call raises a BischurError, its points are sampled one by one
+    as far as the extrapolations need.  The boundary value phi(tau) is taken
+    from the nontangential limit of each path's samples unless supplied.
+    Quotients are extrapolated with one elimination step, which removes the
+    O(t) truncation term.
     """
+    try:   # an empty sequence holds no direction
+        single = np.ndim(delta) != 2 and np.size(delta) != 0
+    except ValueError:
+        single = True
     tau = as_point(tau)
-    path = boundary.ApproachPath(tau, delta) if steps is None else \
-        boundary.ApproachPath(tau, delta, tuple(steps))
-    value = presample(lambda t: phi(path.point(t)), path.steps)
-    if phi_tau is None:
-        phi_tau = refine_to_limit(value, path.steps, path.steps, tol=1e-11).estimate
-    phi_tau = complex(phi_tau)
-    report = refine_to_limit(
-        lambda t: (complex(value(t)) - phi_tau) / t,
-        path.steps,
-        path.steps,
-        tol=tol,
-    )
-    return report.estimate, report
+    step_args = () if steps is None else (tuple(steps),)
+    paths = [boundary.ApproachPath(tau, d, *step_args)
+             for d in ([delta] if single else delta)]
+    d = np.array([path.delta for path in paths]).reshape(-1, 2)
+    values = stacked_samplers(lambda k, t: phi((tau[0] - t * d[k, 0], tau[1] - t * d[k, 1])),
+                              [path.steps for path in paths])
+    results = []
+    for path, value in zip(paths, values):
+        value_tau = phi_tau
+        if value_tau is None:
+            value_tau = refine_to_limit(value, path.steps, path.steps, tol=1e-11).estimate
+        value_tau = complex(value_tau)
+        report = refine_to_limit(
+            lambda t: (complex(value(t)) - value_tau) / t,
+            path.steps,
+            path.steps,
+            tol=tol,
+        )
+        results.append((report.estimate, report))
+    return results[0] if single else results
 
 
 class PickReport(NamedTuple):

@@ -160,6 +160,7 @@ class SlopeVerification(NamedTuple):
     analytic: tuple
     max_rel_err: float
     passed: bool
+    reason: str | None = None
 
 
 def verify_slope(syn: SynthesizedSchur, deltas, tol: float = 1e-5) -> SlopeVerification:
@@ -168,22 +169,31 @@ def verify_slope(syn: SynthesizedSchur, deltas, tol: float = 1e-5) -> SlopeVerif
     For each direction the analytic side is
     omega * conj(tau_2) delta_2 * h( conj(tau_2) delta_2 / (conj(tau_1) delta_1) )
     with h evaluated from the measure; errors are relative to 1 + |value|.
+    The check passes when every difference quotient converged and the
+    largest error is below ``tol``; otherwise ``reason`` says why.
     """
-    phi = partial(synth_eval, syn)
-    numeric, analytic = [], []
+    deltas = tuple(deltas)
+    results = slope_mod.directional_derivative_numeric(
+        partial(synth_eval, syn), syn.tau, deltas, phi_tau=syn.omega
+    )
+    numeric, analytic, unconverged = [], [], []
     worst = 0.0
-    for delta in deltas:
-        num, _ = slope_mod.directional_derivative_numeric(
-            phi, syn.tau, delta, phi_tau=syn.omega
-        )
+    for k, (delta, (num, report)) in enumerate(zip(deltas, results)):
         w1 = np.conj(syn.tau[0]) * delta[0]
         w2 = np.conj(syn.tau[1]) * delta[1]
         ana = complex(syn.omega * w2 * h_from_measure(syn.nu, w2 / w1))
         numeric.append(complex(num))
         analytic.append(ana)
         worst = max(worst, float(abs(num - ana) / (1.0 + abs(ana))))
-    return SlopeVerification(tuple(deltas), tuple(numeric), tuple(analytic),
-                             worst, bool(worst < tol))
+        if not report.converged:
+            unconverged.append(k)
+    reason = None
+    if unconverged:
+        reason = f"the difference quotients along deltas {unconverged} did not converge"
+    elif not worst < tol:
+        reason = f"max_rel_err {worst:.3e} is not below {tol:g}"
+    return SlopeVerification(deltas, tuple(numeric), tuple(analytic),
+                             worst, reason is None, reason)
 
 
 class CarapointVerification(NamedTuple):
@@ -192,16 +202,26 @@ class CarapointVerification(NamedTuple):
     boundary_value: complex
     omega: complex
     passed: bool
+    reason: str | None = None
 
 
 def verify_carapoint(syn: SynthesizedSchur, tol: float = 1e-6) -> CarapointVerification:
     """Check the radial Julia liminf equals the total mass of nu and that the
-    nontangential boundary value equals omega."""
-    phi = partial(synth_eval, syn)
+    nontangential boundary value equals omega.  Both come from one sampling
+    of phi along the radius; the check passes when both extrapolations
+    converged and both agree within ``tol``, and otherwise ``reason`` says
+    why."""
     path = boundary.ApproachPath.radial(syn.tau)
-    liminf = boundary.radial_liminf(phi, path).estimate.real
-    value = boundary.nontangential_value(phi, path).estimate
+    value, liminf = boundary._value_and_liminf(partial(synth_eval, syn), path)
     mass = syn.nu.total_mass
-    passed = abs(liminf - mass) < tol * (1.0 + mass) and abs(value - syn.omega) < tol
-    return CarapointVerification(float(liminf), mass, complex(value),
-                                 syn.omega, bool(passed))
+    failures = [f"the radial {name} did not converge"
+                for name, report in (("Julia liminf", liminf), ("boundary value", value))
+                if not report.converged]
+    if not abs(liminf.estimate.real - mass) < tol * (1.0 + mass):
+        failures.append("the Julia liminf differs from the mass of nu")
+    if not abs(value.estimate - syn.omega) < tol:
+        failures.append("the boundary value differs from omega")
+    reason = "; ".join(failures) or None
+    return CarapointVerification(float(liminf.estimate.real), mass,
+                                 complex(value.estimate), syn.omega,
+                                 reason is None, reason)

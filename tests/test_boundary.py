@@ -68,6 +68,27 @@ class TestApproachPath:
         path = ApproachPath.radial((1j, 0.3))
         assert path.steps
 
+    @pytest.mark.parametrize("steps", [(0.5, np.nan, 0.25), (np.inf, 0.5, 0.25),
+                                       (0.5, 0.25, -np.inf)])
+    def test_non_finite_steps_rejected_by_name(self, steps):
+        with pytest.raises(InvalidInputError, match="^steps must be finite and positive$"):
+            ApproachPath(CHI, CHI, steps)
+
+    @pytest.mark.parametrize("steps", [(), (0.5, 0.0), (0.5, -0.25)])
+    def test_empty_or_nonpositive_steps_rejected(self, steps):
+        with pytest.raises(InvalidInputError, match="^steps must be finite and positive$"):
+            ApproachPath(CHI, CHI, steps)
+
+    @pytest.mark.parametrize("steps", [(0.5, 0.5), (0.25, 0.5)])
+    def test_steps_must_decrease(self, steps):
+        with pytest.raises(InvalidInputError, match="strictly decreasing"):
+            ApproachPath(CHI, CHI, steps)
+
+    def test_steps_are_python_floats(self):
+        path = ApproachPath(CHI, (1.0, 3.0), np.array([0.75, 0.5, 0.25]))
+        assert path.steps == (0.5, 0.25)
+        assert all(type(t) is float for t in path.steps)
+
 
 class TestRadialLiminf:
     def test_favourite_at_chi(self):

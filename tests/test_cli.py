@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bischur import cli, eval_phi
+from bischur import boundary, cli, eval_phi, slope
 from bischur.cli import main, parse_complex, parse_point
 from bischur.generate import random_colligation
 from bischur.serialization import colligation_from_json, colligation_to_json
@@ -255,6 +256,66 @@ class TestFailureReports:
         assert report["tool"]["name"] == "bischur"
         assert report["tolerances"]["solve_cond_max"] == 1.5
         assert report["tolerances_source"] == ["default", "flag"]
+
+
+def unconverged(monkeypatch, module):
+    """Make every limit that ``module`` extrapolates report no convergence."""
+    real = module.refine_to_limit
+    monkeypatch.setattr(module, "refine_to_limit", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), converged=False))
+
+
+class TestConvergenceGate:
+    def test_analyze_passes_when_every_limit_converges(self, capsys, favourite_file):
+        code, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--no-timestamp")
+        assert code == 0 and report["verification"]["pass"] is True
+        assert "reason" not in report["verification"]
+
+    def test_unconverged_derivative_checks_exit_4(self, capsys, favourite_file, monkeypatch):
+        unconverged(monkeypatch, slope)
+        code, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--no-timestamp")
+        assert code == report["exit_code"] == 4
+        assert report["julia_liminf"]["converged"] is True
+        assert report["verification"]["pass"] is False
+        assert report["verification"]["reason"] == (
+            "derivative_checks[0], derivative_checks[1], derivative_checks[2], "
+            "derivative_checks[3] did not converge")
+
+    def test_unconverged_julia_liminf_exits_4(self, capsys, favourite_file, monkeypatch):
+        unconverged(monkeypatch, boundary)
+        code, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--no-timestamp")
+        assert code == report["exit_code"] == 4
+        assert all(check["converged"] for check in report["derivative_checks"])
+        assert report["verification"]["pass"] is False
+        assert report["verification"]["reason"] == "julia_liminf did not converge"
+
+    def test_synth_passes_when_every_limit_converges(self, capsys, measure_file):
+        code, report = run(capsys, "synth", measure_file, "--tau=-1,1j", "--omega=-1",
+                           "--verify", "--no-timestamp")
+        assert code == 0
+        for check in report["verification"].values():
+            assert check["pass"] is True and "reason" not in check
+
+    def test_unconverged_slope_check_exits_5(self, capsys, measure_file, monkeypatch):
+        unconverged(monkeypatch, slope)
+        code, report = run(capsys, "synth", measure_file, "--verify", "--no-timestamp")
+        assert code == report["exit_code"] == 5
+        checks = report["verification"]
+        assert checks["slope"]["pass"] is False
+        assert checks["slope"]["reason"] == (
+            "the difference quotients along deltas [0, 1, 2, 3, 4, 5] did not converge")
+        assert checks["carapoint"]["pass"] is True and "reason" not in checks["carapoint"]
+
+    def test_unconverged_carapoint_check_exits_5(self, capsys, measure_file, monkeypatch):
+        unconverged(monkeypatch, boundary)
+        code, report = run(capsys, "synth", measure_file, "--verify", "--no-timestamp")
+        assert code == report["exit_code"] == 5
+        checks = report["verification"]
+        assert checks["slope"]["pass"] is True
+        assert checks["carapoint"]["pass"] is False
+        assert checks["carapoint"]["reason"] == (
+            "the radial Julia liminf did not converge; "
+            "the radial boundary value did not converge")
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bischur import (
+    ApproachPath,
     DiscreteMeasure01,
     DomainError,
     InvalidInputError,
@@ -12,6 +13,7 @@ from bischur import (
     directional_derivative_analytic,
     directional_derivative_numeric,
     eval_phi,
+    nontangential_value,
     pick_check,
     slope_eval,
     slope_measure,
@@ -133,6 +135,33 @@ class TestDirectionalDerivativeNumeric:
         value, _ = directional_derivative_numeric(lambda lam: lam[0], CHI, (1.0, 1.0))
         assert value == pytest.approx(-1.0, abs=1e-9)
 
+    def test_sequence_of_directions_gives_each_single_result(self):
+        rng = np.random.default_rng(34)
+        tau = random_torus_point(rng)
+        phi = partial(eval_phi, random_colligation_with_kernel(rng, 3, 1, tau))
+        deltas = [random_inward_direction(rng, tau) for _ in range(5)]
+        boundary_value = nontangential_value(phi, ApproachPath.radial(tau)).estimate
+        for phi_tau in (None, boundary_value):
+            results = directional_derivative_numeric(phi, tau, deltas, phi_tau=phi_tau)
+            assert isinstance(results, list) and len(results) == len(deltas)
+            for delta, result in zip(deltas, results):
+                assert result == directional_derivative_numeric(phi, tau, delta,
+                                                                phi_tau=phi_tau)
+
+    def test_one_direction_in_a_sequence_gives_a_list(self):
+        (value, report), = directional_derivative_numeric(favourite_formula, CHI,
+                                                          [(1.0, 1.0)])
+        assert (value, report) == directional_derivative_numeric(favourite_formula, CHI,
+                                                                  (1.0, 1.0))
+
+    def test_empty_sequence_of_directions(self):
+        assert directional_derivative_numeric(favourite_formula, CHI, []) == []
+
+    def test_one_outward_direction_in_a_sequence_is_rejected(self):
+        with pytest.raises(InvalidInputError):
+            directional_derivative_numeric(favourite_formula, CHI,
+                                           [(1.0, 1.0), (-1.0, 1.0)])
+
     def test_agrees_with_analytic_for_realized_functions(self):
         rng = np.random.default_rng(33)
         tau = random_torus_point(rng)
@@ -140,7 +169,6 @@ class TestDirectionalDerivativeNumeric:
         g = desingularize(c, tau)
         pair = SlopePair.from_realization(g)
         phi = partial(eval_phi, c)
-        from bischur import ApproachPath, nontangential_value
         phi_tau = nontangential_value(phi, ApproachPath.radial(tau)).estimate
         for _ in range(20):
             delta = random_inward_direction(rng, tau)

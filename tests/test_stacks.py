@@ -9,6 +9,7 @@ from bischur import (
     ApproachPath,
     DiscreteMeasure01,
     IllConditionedError,
+    SlopePair,
     SynthesizedSchur,
     Tolerances,
     desingularize,
@@ -22,6 +23,7 @@ from bischur import (
     radial_liminf,
     synth_eval,
 )
+from bischur import cli, synthesis
 from bischur._limits import refine_to_limit
 from bischur.generate import (
     random_colligation,
@@ -30,7 +32,7 @@ from bischur.generate import (
     random_torus_point,
 )
 
-from conftest import CHI
+from conftest import CHI, favourite_formula
 
 N_POINTS = 64
 
@@ -131,14 +133,92 @@ def test_model_liminf_falls_back_on_an_unreached_tail(favourite_colligation):
     assert tight.estimate == pytest.approx(loose.estimate, abs=1e-12)
 
 
-def test_path_function_is_called_once(favourite_colligation):
+def counted(phi, calls):
+    """phi, recording the length of each stack it is called on."""
+    def wrapped(lam):
+        if np.ndim(lam[0]):
+            calls.append(len(lam[0]))
+        return phi(lam)
+    return wrapped
+
+
+def pointwise(phi, path, tol):
+    """radial_liminf of phi along path, sampled point by point."""
+    return refine_to_limit(lambda t: julia_quotient(phi, path.point(t)),
+                           path.steps, path.steps, tol=tol)
+
+
+def test_path_converging_in_its_head_makes_one_call(favourite_colligation):
+    calls = []
+    path = ApproachPath.radial(CHI)
+    report = radial_liminf(counted(partial(eval_phi, favourite_colligation), calls), path)
+    assert calls == [24]
+    assert report.converged and len(report.samples) <= 24
+    assert report.estimate == pytest.approx(1.0, abs=1e-8)
+
+
+# the running example's formula gives the same digits at a point as in a
+# stack along this path, and its extrapolation reads 31 of the 40 steps
+PAST_THE_HEAD = ApproachPath(CHI, (1.0, 3.0))
+
+
+def test_path_read_past_its_head_makes_a_second_call(favourite_colligation):
+    path = PAST_THE_HEAD
+    calls = []
+    report = radial_liminf(counted(favourite_formula, calls), path, tol=1e-300)
+    assert calls == [24, len(path.steps) - 24]
+    assert len(report.samples) > 24
+    assert report == pointwise(favourite_formula, path, 1e-300)
+    # a realization's values, head then tail, are those of one whole-path call
+    phi = partial(eval_phi, favourite_colligation)
+    whole = julia_quotient(phi, path.point(np.array(path.steps)))
+    report = radial_liminf(phi, path, tol=1e-300)
+    assert len(report.samples) > 24
+    assert report == refine_to_limit(dict(zip(path.steps, whole)).__getitem__,
+                                     path.steps, path.steps, tol=1e-300)
+
+
+@pytest.mark.parametrize("broken", ["head", "tail"])
+def test_stack_that_raises_falls_back_to_points(broken):
+    path = PAST_THE_HEAD
+    tail = len(path.steps) - 24
     calls = []
 
-    def counted(lam):
+    def breaks(lam):
         calls.append(np.shape(lam[0]))
-        return eval_phi(favourite_colligation, lam)
+        if np.ndim(lam[0]) and (broken == "head" or len(lam[0]) == tail):
+            raise IllConditionedError(f"the {broken} stack is refused", cond=1e300)
+        return favourite_formula(lam)
 
-    path = ApproachPath.radial(CHI)
-    report = radial_liminf(counted, path)
-    assert calls == [(len(path.steps),)]
-    assert report.estimate == pytest.approx(1.0, abs=1e-8)
+    report = radial_liminf(breaks, path, tol=1e-300)
+    assert len(report.samples) > 24
+    if broken == "head":   # no second stacked call: every point alone
+        assert calls == [(24,)] + [()] * len(report.samples)
+    else:
+        assert calls == [(24,), (tail,)] + [()] * (len(report.samples) - 24)
+    assert report == pointwise(favourite_formula, path, 1e-300)
+
+
+def test_derivative_checks_make_one_call(favourite_colligation, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "eval_phi", lambda c, lam, tol: counted(
+        partial(eval_phi, c, tol=tol), calls)(lam))
+    g = desingularize(favourite_colligation, CHI)
+    phi_tau = g.a + g.u_tau @ g.beta.conj()
+    checks = cli._derivative_checks(favourite_colligation, CHI, phi_tau,
+                                    SlopePair.from_realization(g),
+                                    np.random.default_rng(3), 4, Tolerances())
+    assert len(calls) == 1 and calls[0] <= 4 * 24
+    assert len(checks) == 4 and all(check["converged"] for check in checks)
+
+
+def test_synth_verification_makes_one_call_per_check(monkeypatch):
+    syn = SynthesizedSchur(DiscreteMeasure01(((0.3, 1.0), (0.8, 0.5))),
+                           tau=(1j, -1.0), omega=-1.0)
+    calls = []
+    monkeypatch.setattr(synthesis, "synth_eval", lambda s, lam: counted(
+        partial(synth_eval, s), calls)(lam))
+    report = synthesis.verify_slope(syn, cli._verify_directions(syn.tau))
+    assert report.passed and calls == [6 * 24]
+    calls.clear()
+    assert synthesis.verify_carapoint(syn).passed and calls == [24]

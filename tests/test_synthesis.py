@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bischur import (
+    ApproachPath,
     DiscreteMeasure01,
     SlopePair,
     SynthesizedSchur,
@@ -13,6 +14,8 @@ from bischur import (
     h_from_measure,
     herglotz_component,
     model_residual,
+    nontangential_value,
+    radial_liminf,
     slope_eval,
     slope_measure,
     synth_eval,
@@ -169,6 +172,20 @@ class TestVerifySlope:
         assert report.passed
 
 
+    def test_error_above_tol_fails_with_a_reason(self, favourite_measure):
+        report = verify_slope(SynthesizedSchur(favourite_measure), [(1.0, 2.0)], tol=0.0)
+        assert not report.passed
+        assert report.reason.startswith("max_rel_err ") and report.reason.endswith(
+            "is not below 0")
+
+    def test_no_direction_passes_vacuously(self, favourite_measure):
+        report = verify_slope(SynthesizedSchur(favourite_measure), [])
+        assert report == ((), (), (), 0.0, True, None)
+
+    def test_passing_check_has_no_reason(self, favourite_measure):
+        assert verify_slope(SynthesizedSchur(favourite_measure), [(1.0, 2.0)]).reason is None
+
+
 class TestVerifyCarapoint:
     def test_favourite(self, favourite_measure):
         report = verify_carapoint(SynthesizedSchur(favourite_measure))
@@ -184,8 +201,22 @@ class TestVerifyCarapoint:
     def test_relocated_boundary_value(self, favourite_measure):
         syn = SynthesizedSchur(favourite_measure, tau=(-1.0, -1.0), omega=-1.0)
         report = verify_carapoint(syn)
-        assert report.passed
+        assert report.passed and report.reason is None
         assert report.boundary_value == pytest.approx(-1.0, abs=1e-6)
+
+    def test_mismatch_fails_with_a_reason(self, favourite_measure):
+        report = verify_carapoint(SynthesizedSchur(favourite_measure), tol=0.0)
+        assert not report.passed
+        assert report.reason == ("the Julia liminf differs from the mass of nu; "
+                                 "the boundary value differs from omega")
+
+    def test_liminf_and_value_match_the_library_limits(self, favourite_measure):
+        syn = SynthesizedSchur(favourite_measure, tau=(1j, -1.0), omega=np.exp(0.7j))
+        path = ApproachPath.radial(syn.tau)
+        phi = partial(synth_eval, syn)
+        report = verify_carapoint(syn)
+        assert report.liminf == radial_liminf(phi, path).estimate.real
+        assert report.boundary_value == nontangential_value(phi, path).estimate
 
 
 class TestCayleyDerivativeIdentity:
