@@ -61,10 +61,8 @@ from .nev2d import (
     TwoVarNevRep,
     carapoint_at_infinity,
     eval_h2,
-    pick_function_from_schur,
     pick_value_from_schur,
     rep_from_schur,
-    schur_function_from_pick,
     schur_value_from_pick,
     to_bidisc,
     to_halfplane,
@@ -72,8 +70,6 @@ from .nev2d import (
 from .representations import (
     DiscreteMeasure01,
     NevanlinnaData,
-    cauchy_rep_eval,
-    growth_check,
     h_from_measure,
     h_from_nevanlinna,
     measure_from_nevanlinna,
@@ -87,7 +83,6 @@ from .slope import (
     pick_check,
     slope_eval,
     slope_measure,
-    slope_real_axis_check,
 )
 from .synthesis import (
     SynthesizedSchur,

@@ -87,10 +87,6 @@ class ApproachPath:
         tau = require_boundary(tau)
         return cls(tau, tau, default_steps(n_steps))
 
-    @classmethod
-    def along(cls, tau, delta, n_steps: int = 40) -> "ApproachPath":
-        return cls(tau, delta, default_steps(n_steps))
-
     def point(self, t):
         """tau - t delta; for an array of steps, the stack of those points."""
         return (self.tau[0] - t * self.delta[0], self.tau[1] - t * self.delta[1])

@@ -198,7 +198,7 @@ def unitary_extension(domain_vecs, range_vecs,
         )
     n = D.shape[0]
     u, s, vh = np.linalg.svd(D)
-    rank = int(np.sum(s > tol.rank_rel * s[0])) if s.size and s[0] > 0 else 0
+    rank = linalg._numerical_rank(s, tol.rank_rel)
     if rank == 0:
         return np.eye(n, dtype=complex)
     Qd = u[:, :rank]

@@ -125,7 +125,7 @@ def desingularize(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     n = c.dim
     # one SVD of 1 - D tau gives both u_tau and the kernel split
     A = np.eye(n) - D_tau
-    usv = linalg._svd(A)
+    usv = np.linalg.svd(A)
     try:
         u_ambient = linalg._min_norm_from_svd(A, c.gamma, usv, tol)
     except NoSolutionError as exc:
@@ -135,8 +135,8 @@ def desingularize(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 
     notes: list[str] = []
     _, s, vh = usv
+    rank = linalg._numerical_rank(s, tol.rank_rel)
     cutoff = tol.rank_rel * s[0] if s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
     near = s[(s > cutoff) & (s < 1e3 * max(cutoff, np.finfo(float).tiny))]
     if near.size:
         msg = (

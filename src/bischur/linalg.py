@@ -84,11 +84,6 @@ def as_vector(v, name="vector") -> np.ndarray:
     return v
 
 
-def _svd(A):
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    return u, s, vh
-
-
 def _numerical_rank(s, rank_rel):
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -102,7 +97,7 @@ def null_space(A, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     fall below ``tol.rank_rel`` times the largest one.
     """
     A = as_matrix(A, "A")
-    _, s, vh = _svd(A)
+    _, s, vh = np.linalg.svd(A)
     rank = _numerical_rank(s, tol.rank_rel)
     return vh[rank:].conj().T.copy()
 
@@ -118,12 +113,13 @@ def min_norm_solve(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     b = as_vector(b, "b")
     if b.shape[0] != A.shape[0]:
         raise InvalidInputError("b must have as many rows as A")
-    return _min_norm_from_svd(A, b, _svd(A), tol)
+    return _min_norm_from_svd(A, b, np.linalg.svd(A), tol)
 
 
 def _min_norm_from_svd(A, b, usv, tol: Tolerances) -> np.ndarray:
-    """``min_norm_solve`` for validated A and b, given ``usv = _svd(A)``,
-    so that a caller who needs the same SVD takes it only once."""
+    """``min_norm_solve`` for validated A and b, given
+    ``usv = np.linalg.svd(A)``, so that a caller who needs the same SVD takes
+    it only once."""
     u, s, vh = usv
     rank = _numerical_rank(s, tol.rank_rel)
     if rank > 0:

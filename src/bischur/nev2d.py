@@ -48,8 +48,6 @@ __all__ = [
     "to_bidisc",
     "pick_value_from_schur",
     "schur_value_from_pick",
-    "pick_function_from_schur",
-    "schur_function_from_pick",
     "rep_from_schur",
     "VERIFICATION_GRID",
 ]
@@ -84,16 +82,6 @@ class TwoVarNevRep:
     @property
     def dim(self) -> int:
         return self.alpha.shape[0]
-
-    def validate(self, tol: Tolerances = DEFAULT_TOLERANCES) -> dict[str, float]:
-        residuals = {
-            "hermitian_B": structure_check(self.B, "hermitian", tol).residual,
-            "positive_contraction_Y": structure_check(self.Y, "positive_contraction", tol).residual,
-        }
-        bad = {k: v for k, v in residuals.items() if v > tol.structural}
-        if bad:
-            raise InvalidInputError(f"representation fails structural checks: {bad}")
-        return residuals
 
 
 def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -176,24 +164,6 @@ def schur_value_from_pick(v):
     if any_true(v == -1j):
         raise DomainError("the value map is singular at -i")
     return (v - 1j) / (v + 1j)
-
-
-def pick_function_from_schur(phi):
-    """Turn a Schur-class evaluator on the bidisc into a Pick-class
-    evaluator on the upper half-plane squared; it takes stacks when ``phi``
-    does."""
-
-    def h(z):
-        return pick_value_from_schur(phi(to_bidisc(z)))
-
-    return h
-
-
-def schur_function_from_pick(h):
-    def phi(lam):
-        return schur_value_from_pick(h(to_halfplane(lam)))
-
-    return phi
 
 
 def rep_from_schur(g: GeneralizedRealization,

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import adaptive_trapezoid
-from ._limits import presample, refine_to_limit
+from ._limits import refine_to_limit
 from .points import any_true, as_complex
 from .errors import (
-    DivergenceError,
     InvalidInputError,
     NoLimitError,
     NotSlopeTypeError,
@@ -41,11 +40,7 @@ __all__ = [
     "nevanlinna_from_measure",
     "measure_from_nevanlinna",
     "stieltjes_recover",
-    "cauchy_rep_eval",
-    "growth_check",
 ]
-
-_ZERO_WEIGHT = 1e-12
 
 
 def _normalize_atoms(pairs, *, low=None, high=None, what="atom"):
@@ -77,9 +72,6 @@ class DiscreteMeasure01:
     @property
     def total_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
-
-    def mass_at(self, s: float) -> float:
-        return next((w for loc, w in self.atoms if loc == s), 0.0)
 
 
 @dataclass(frozen=True)
@@ -211,43 +203,5 @@ def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float
     if not report.converged:
         raise NoLimitError(
             f"window integrals did not stabilize (best gap {report.achieved:.3e})"
-        )
-    return float(report.estimate.real)
-
-
-def cauchy_rep_eval(atoms, z):
-    """Cauchy transform sum m / (t - z) of an atomic measure, Im z > 0; a
-    complex at a point, a complex array at an array of points."""
-    z = as_complex(z)
-    if any_true(z.imag <= 0):
-        raise InvalidInputError("the Cauchy representation is evaluated on Im z > 0")
-    atoms = _normalize_atoms(atoms, what="Cauchy")
-    if isinstance(z, complex):
-        return complex(sum(m / (t - z) for t, m in atoms))
-    return sum((m / (t - z) for t, m in atoms), np.zeros_like(z))
-
-
-def growth_check(h, ys) -> float:
-    """Extrapolated limit of y Im h(iy) along an increasing sequence.
-
-    For a Cauchy transform this is the total mass; a linear term makes it
-    blow up, reported as DivergenceError.  ``h`` is called once, on the
-    array of all the points iy, so it must accept an array (or return a
-    constant); if that call raises a BischurError, the points are sampled
-    one by one as far as the extrapolation needs.
-    """
-    ys = [float(y) for y in ys]
-    if any(y <= 0 for y in ys) or any(q <= p for p, q in zip(ys, ys[1:])):
-        raise InvalidInputError("ys must be positive and strictly increasing")
-    value = presample(lambda y: h(1j * y), ys)
-    report = refine_to_limit(
-        lambda y: y * complex(value(y)).imag,
-        ys,
-        [1.0 / (y * y) for y in ys],
-        tol=1e-9,
-    )
-    if not report.converged:
-        raise DivergenceError(
-            f"y Im h(iy) did not stabilize (best gap {report.achieved:.3e})"
         )
     return float(report.estimate.real)

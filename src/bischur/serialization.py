@@ -25,8 +25,8 @@ __all__ = [
     "colligation_to_json", "colligation_from_json",
     "generalized_to_json",
     "measure_to_json", "measure_from_json",
-    "nevanlinna_to_json", "nevanlinna_from_json",
-    "rep_to_json", "rep_from_json",
+    "nevanlinna_to_json",
+    "rep_to_json",
     "tolerances_from_json",
     "detect_payload_kind",
 ]
@@ -151,26 +151,6 @@ def nevanlinna_to_json(nd: NevanlinnaData) -> dict:
     return {"c": nd.c, "d": nd.d, "atoms": [{"t": t, "m": m} for t, m in nd.atoms]}
 
 
-def nevanlinna_from_json(obj) -> NevanlinnaData:
-    if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
-        raise SchemaError("nevanlinna: expected {'c': .., 'd': .., 'atoms': [...]}")
-    pairs = []
-    for k, atom in enumerate(obj["atoms"]):
-        if not isinstance(atom, dict) or "t" not in atom or "m" not in atom:
-            raise SchemaError(f"nevanlinna.atoms[{k}]: expected {{'t': .., 'm': ..}}")
-        pairs.append((_real(atom["t"], f"atoms[{k}].t"), _real(atom["m"], f"atoms[{k}].m")))
-    try:
-        return NevanlinnaData(
-            c=_real(obj.get("c", 0.0), "c"),
-            d=_real(obj.get("d", 0.0), "d"),
-            atoms=tuple(pairs),
-        )
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"nevanlinna: {exc}") from exc
-
-
 def rep_to_json(rep: TwoVarNevRep) -> dict:
     return {
         "b": rep.b,
@@ -178,25 +158,6 @@ def rep_to_json(rep: TwoVarNevRep) -> dict:
         "B": matrix_to_json(rep.B),
         "Y": matrix_to_json(rep.Y),
     }
-
-
-def rep_from_json(obj) -> TwoVarNevRep:
-    if not isinstance(obj, dict):
-        raise SchemaError("rep: expected a JSON object")
-    for key in ("b", "alpha", "B", "Y"):
-        if key not in obj:
-            raise SchemaError(f"rep: missing field {key!r}")
-    try:
-        return TwoVarNevRep(
-            b=_real(obj["b"], "b"),
-            alpha=vector_from_json(obj["alpha"], "alpha"),
-            B=matrix_from_json(obj["B"], "B"),
-            Y=matrix_from_json(obj["Y"], "Y"),
-        )
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"rep: {exc}") from exc
 
 
 def tolerances_from_json(obj, base: Tolerances | None = None) -> Tolerances:

@@ -35,9 +35,7 @@ __all__ = [
     "directional_derivative_analytic",
     "directional_derivative_numeric",
     "pick_check",
-    "slope_real_axis_check",
     "PickReport",
-    "RealAxisReport",
 ]
 
 
@@ -172,21 +170,3 @@ def pick_check(h, grid, slack: float = 1e-12) -> PickReport:
     min_h = float(np.min(values.imag, initial=np.inf))
     min_zh = float(np.min((-z * values).imag, initial=np.inf))
     return PickReport(min_h, min_zh, min_h >= -slack and min_zh >= -slack)
-
-
-class RealAxisReport(NamedTuple):
-    max_abs_im: float
-    passed: bool
-
-
-def slope_real_axis_check(pair: SlopePair, xs, slack: float = 1e-12) -> RealAxisReport:
-    """Slope functions are real on (0, inf): largest |Im h(x)| over xs.
-
-    h is evaluated once, on all of xs as one array; a NaN in Im h fails the
-    check.
-    """
-    x = np.asarray(xs, dtype=float).reshape(-1)
-    if not (np.isfinite(x) & (x > 0)).all():
-        raise InvalidInputError("real-axis check points must be finite and positive")
-    worst = float(np.max(np.abs(slope_eval(pair, x).imag), initial=0.0))
-    return RealAxisReport(worst, worst < slack)

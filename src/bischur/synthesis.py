@@ -65,7 +65,7 @@ class SynthesizedSchur:
             raise InvalidInputError("nu must be a DiscreteMeasure01")
         tau = require_torus(self.tau)
         omega = complex(self.omega)
-        if abs(abs(omega) - 1.0) > 1e-12:
+        if not abs(abs(omega) - 1.0) <= 1e-12:   # a NaN fails too
             raise InvalidInputError("omega must be unimodular")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "omega", omega)

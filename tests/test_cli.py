@@ -189,6 +189,30 @@ class TestNevrep:
         assert report["error"]["kind"] == "obstruction"
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["synth"], ["synth", "--verify"], ["synth", "--out", "c.json"], ["nevrep"],
+    ], ids=["synth", "synth-verify", "synth-out", "nevrep"])
+    def test_nan_omega_exits_2(self, capsys, measure_file, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        command, *extra = argv
+        code, report = run(capsys, command, measure_file, "--omega=nan", *extra,
+                           "--no-timestamp")
+        assert code == report["exit_code"] == 2
+        assert report["error"] == {"kind": "input", "message": "omega must be unimodular"}
+        assert not Path("c.json").exists()
+
+    def test_nevrep_rejects_a_representation(self, capsys, measure_file, tmp_path):
+        rep_file = tmp_path / "rep.json"
+        code, _ = run(capsys, "nevrep", measure_file, "--omega=-1", "--out", rep_file,
+                      "--no-timestamp")
+        assert code == 0
+        code, report = run(capsys, "nevrep", rep_file, "--no-timestamp")
+        assert code == report["exit_code"] == 2
+        assert report["error"]["kind"] == "input"
+        assert report["error"]["message"].endswith("got rep")
+
+
 class TestVerify:
     def test_seeded_run_passes_and_is_deterministic(self, capsys):
         code1, report1 = run(capsys, "verify", "--random", "6", "--seed", "7",

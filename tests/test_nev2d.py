@@ -15,11 +15,9 @@ from bischur import (
     eval_h2,
     fit_colligation,
     nontangential_value,
-    pick_function_from_schur,
     pick_value_from_schur,
     radial_liminf,
     rep_from_schur,
-    schur_function_from_pick,
     schur_value_from_pick,
     to_bidisc,
     to_halfplane,
@@ -113,7 +111,7 @@ class TestCayleyMaps:
             assert abs(schur_value_from_pick(pick_value_from_schur(w)) - w) < 1e-14
 
     def test_favourite_transforms_to_mean_of_coordinates(self):
-        h = pick_function_from_schur(favourite_formula)
+        h = lambda z: pick_value_from_schur(favourite_formula(to_bidisc(z)))
         rng = np.random.default_rng(64)
         for _ in range(1000):
             z = (complex(rng.uniform(-4, 4), rng.uniform(0.1, 4)),
@@ -121,7 +119,7 @@ class TestCayleyMaps:
             assert abs(h(z) - (z[0] + z[1]) / 2.0) < 1e-10
 
     def test_half_rep_transforms_to_negated_favourite(self):
-        phi = schur_function_from_pick(half_rep_h)
+        phi = lambda lam: schur_value_from_pick(half_rep_h(to_halfplane(lam)))
         rng = np.random.default_rng(65)
         for _ in range(200):
             lam = random_interior(rng, 0.9)
@@ -178,7 +176,7 @@ class TestRepFromSchur:
         rng = np.random.default_rng(67)
         for _ in range(5):
             rep = random_nev_rep(rng, 2)
-            phi = schur_function_from_pick(partial(eval_h2, rep))
+            phi = lambda lam: schur_value_from_pick(eval_h2(rep, to_halfplane(lam)))
             liminf = radial_liminf(phi, ApproachPath.radial(CHI))
             assert liminf.converged and np.isfinite(liminf.estimate.real)
             value = nontangential_value(phi, ApproachPath.radial(CHI)).estimate
@@ -237,7 +235,7 @@ class TestRepFromSchur:
         for scale in (0.5, 2.0):
             rep0 = TwoVarNevRep(b=0.0, alpha=[np.sqrt(scale)], B=[[0.0]], Y=[[0.5]])
             syn = SynthesizedSchur(DiscreteMeasure01(((0.5, scale),)), omega=-1.0)
-            phi_direct = schur_function_from_pick(partial(eval_h2, rep0))
+            phi_direct = lambda lam: schur_value_from_pick(eval_h2(rep0, to_halfplane(lam)))
             rng = np.random.default_rng(68)
             for _ in range(20):
                 lam = random_interior(rng, 0.9)

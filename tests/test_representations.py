@@ -6,14 +6,11 @@ import pytest
 
 from bischur import (
     DiscreteMeasure01,
-    DivergenceError,
     InvalidInputError,
     NevanlinnaData,
     NoLimitError,
     NotSlopeTypeError,
     PoleError,
-    cauchy_rep_eval,
-    growth_check,
     h_from_measure,
     h_from_nevanlinna,
     measure_from_nevanlinna,
@@ -259,42 +256,3 @@ class TestContourQuadrature:
         noise = lambda z: rng.normal(size=z.shape) + 1j * rng.normal(size=z.shape)
         with pytest.raises(NoLimitError, match=r"\[-1\.0, 1\.0\] at y = 0\.01"):
             adaptive_trapezoid(noise, -1.0, 1.0, 0.01)
-
-
-class TestCauchyAndGrowth:
-    def test_cauchy_atom_at_origin(self):
-        assert cauchy_rep_eval(((0.0, 1.0),), 1j) == pytest.approx(1j)
-
-    def test_growth_of_reciprocal(self):
-        assert growth_check(lambda z: -1.0 / z, [2.0 ** k for k in range(14)]) \
-            == pytest.approx(1.0, abs=1e-9)
-
-    def test_growth_matches_total_mass(self):
-        rng = np.random.default_rng(44)
-        atoms = tuple((float(rng.normal()), float(rng.uniform(0.1, 2))) for _ in range(4))
-        h = lambda z: cauchy_rep_eval(atoms, z)
-        total = sum(m for _, m in atoms)
-        assert growth_check(h, [4.0 * 2.0 ** k for k in range(16)]) \
-            == pytest.approx(total, abs=1e-6)
-
-    def test_growth_calls_h_once_on_an_array(self):
-        calls = []
-
-        def h(z):
-            calls.append(np.shape(z))
-            return cauchy_rep_eval(((0.0, 2.0), (-1.0, 0.5)), z)
-
-        ys = [2.0 ** k for k in range(16)]
-        assert growth_check(h, ys) == pytest.approx(2.5, abs=1e-6)
-        assert calls == [(16,)]
-
-    def test_cauchy_on_an_array_matches_points(self):
-        atoms = ((0.0, 2.0), (-1.0, 0.5))
-        z = np.array([1j, 2.0 + 0.5j, -3.0 + 4j])
-        values = cauchy_rep_eval(atoms, z)
-        assert values.shape == (3,)
-        assert all(values[k] == cauchy_rep_eval(atoms, z[k]) for k in range(3))
-
-    def test_linear_function_diverges(self):
-        with pytest.raises(DivergenceError):
-            growth_check(lambda z: z, [2.0 ** k for k in range(16)])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,11 +15,10 @@ from bischur.serialization import (
     matrix_to_json,
     measure_from_json,
     measure_to_json,
-    nevanlinna_from_json,
     nevanlinna_to_json,
-    rep_from_json,
     rep_to_json,
     tolerances_from_json,
+    vector_from_json,
 )
 
 
@@ -51,7 +51,10 @@ def test_measure_and_nevanlinna_round_trip():
     nu = DiscreteMeasure01(((0.25, 1.0), (0.5, 2.0)))
     assert measure_from_json(measure_to_json(nu)) == nu
     nd = NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.0, math.pi),))
-    assert nevanlinna_from_json(nevanlinna_to_json(nd)) == nd
+    # the Nevanlinna encoder against README's schema {"c", "d", "atoms": [{"t", "m"}]}
+    obj = nevanlinna_to_json(nd)
+    assert obj == {"c": -1.0, "d": 0.0, "atoms": [{"t": -1.0, "m": math.pi}]}
+    assert json.loads(json.dumps(obj)) == obj
 
 
 def test_measure_schema_rejects_negative_weight():
@@ -62,9 +65,14 @@ def test_measure_schema_rejects_negative_weight():
 def test_rep_round_trip():
     rng = np.random.default_rng(72)
     rep = random_nev_rep(rng, 2)
-    back = rep_from_json(rep_to_json(rep))
-    assert back.b == rep.b
-    assert np.array_equal(back.B, rep.B)
+    # the representation encoder against README's schema {"b", "alpha", "B", "Y"}
+    obj = json.loads(json.dumps(rep_to_json(rep)))
+    assert set(obj) == {"b", "alpha", "B", "Y"}
+    assert obj["b"] == rep.b
+    assert (obj["alpha"]["rows"], obj["alpha"]["cols"]) == (2, 1)
+    assert np.array_equal(vector_from_json(obj["alpha"]), rep.alpha)
+    assert np.array_equal(matrix_from_json(obj["B"]), rep.B)
+    assert np.array_equal(matrix_from_json(obj["Y"]), rep.Y)
 
 
 def test_tolerances_partial_override():

@@ -7,6 +7,7 @@ import pytest
 from bischur import (
     ApproachPath,
     DiscreteMeasure01,
+    InvalidInputError,
     SlopePair,
     SynthesizedSchur,
     desingularize,
@@ -49,6 +50,14 @@ class TestHerglotzComponent:
         for _ in range(200):
             s = rng.uniform()
             assert herglotz_component(s, random_interior(rng, 0.95)).real > 0
+
+
+class TestSynthesizedSchur:
+    @pytest.mark.parametrize("omega", [np.nan, complex(np.nan, 1.0), np.inf, 0.5],
+                             ids=["nan", "nan_imag", "inf", "inside"])
+    def test_non_unimodular_omega_rejected(self, favourite_measure, omega):
+        with pytest.raises(InvalidInputError, match="omega must be unimodular"):
+            SynthesizedSchur(favourite_measure, omega=omega)
 
 
 class TestSynthEval:
