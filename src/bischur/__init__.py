@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .boundary import (
     ApproachPath,
     is_carapoint,
-    julia_quotient,
     model_liminf,
     nontangential_value,
     radial_liminf,

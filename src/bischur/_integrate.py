@@ -6,7 +6,7 @@ Y = max(b - a, 2y), away from the spikes atoms put on Im z = y.  Each side
 carries an n-point Gauss-Legendre rule, log-graded on the vertical sides,
 s = y (Y/y)^v for v in [0, 1], so an atom near or on a window endpoint is
 resolved (on one it gets half weight); n doubles from 16 until two rules
-agree within rel_tol times sum |w_i h(z_i)|.  See Trefethen and Weideman,
+agree within REL_TOL times sum |w_i h(z_i)|.  See Trefethen and Weideman,
 SIAM Review 56 (2014); Davis and Rabinowitz, Methods of Numerical Integration.
 """
 
@@ -22,6 +22,7 @@ from .errors import NoLimitError
 __all__ = ["adaptive_trapezoid"]
 
 MAX_NODES = 1024  # Gauss-Legendre nodes per side of the last rule tried
+REL_TOL = 1e-6  # agreement of two successive rules, relative to sum |w_i h(z_i)|
 
 
 @cache
@@ -32,7 +33,7 @@ def _gauss_legendre(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def adaptive_trapezoid(h, a, b, y, rel_tol=1e-6):
+def adaptive_trapezoid(h, a, b, y):
     """Integral of Im h(x + iy) over [a, b], by Gauss-Legendre on the contour.
 
     ``h`` is called once per rule, on an array of points with Im z >= y, and
@@ -50,7 +51,7 @@ def adaptive_trapezoid(h, a, b, y, rel_tol=1e-6):
         terms = np.concatenate((rise, (b - a) * w, -rise)) * np.broadcast_to(h(z), z.shape)
         value = float(np.sum(terms).imag)
         if previous is not None and \
-                abs(value - previous) <= rel_tol * float(np.abs(terms).sum()):
+                abs(value - previous) <= REL_TOL * float(np.abs(terms).sum()):
             return value
         previous, n = value, 2 * n
     raise NoLimitError(f"the window integral over [{a}, {b}] at y = {y} did not settle "

@@ -21,21 +21,22 @@ from ._limits import LimitReport, presample, refine_to_limit
 from .colligation import Colligation, model_vector
 from .errors import InvalidInputError, NoSolutionError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, min_norm_solve
-from .points import TORUS_SLACK, as_point, require_boundary, require_interior, sup_norm
+from .points import TORUS_SLACK, as_point, require_boundary, require_torus, sup_norm
 
 __all__ = [
     "ApproachPath",
-    "default_steps",
-    "julia_quotient",
     "radial_liminf",
     "model_liminf",
     "nontangential_value",
     "is_carapoint",
 ]
 
-def default_steps(n_steps: int = 40) -> np.ndarray:
-    """Geometric step sequence t_k = 2^-k, k = 1..n_steps."""
-    return 2.0 ** -np.arange(1, n_steps + 1)
+# The geometric steps t_k = 2^-k, k = 1..40, of every approach path.
+STEPS = 2.0 ** -np.arange(1, 41)
+# Extrapolation tolerances, relative to 1 + |estimate|: of the Julia
+# quotient's liminf (path samples or model vectors) and of phi's value.
+LIMINF_TOL = 1e-9
+VALUE_TOL = 1e-10
 
 
 def _inward(tau, delta):
@@ -58,24 +59,18 @@ class ApproachPath:
     """A nontangential approach ``tau - t_k delta`` to a boundary point.
 
     Each unimodular coordinate of tau needs Re(conj(tau_j) delta_j) > 0 so
-    the ray points into the bidisc; steps must be finite, positive and
-    strictly decreasing.
-    Steps whose point would leave the open bidisc are dropped up front.
+    the ray points into the bidisc.  The steps t_k are those of ``STEPS``
+    whose point lies in the open bidisc.
     """
 
     tau: tuple[complex, complex]
     delta: tuple[complex, complex]
-    steps: tuple[float, ...] = field(default_factory=lambda: tuple(default_steps()))
+    steps: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         tau, delta = _inward(self.tau, self.delta)
-        t = np.asarray(self.steps, dtype=float)
-        if t.ndim != 1 or not t.size or not (np.isfinite(t) & (t > 0)).all():
-            raise InvalidInputError("steps must be finite and positive")
-        if (t[1:] >= t[:-1]).any():
-            raise InvalidInputError("steps must be strictly decreasing")
-        l1, l2 = tau[0] - t * delta[0], tau[1] - t * delta[1]
-        t = t[np.maximum(np.abs(l1), np.abs(l2)) < 1.0]
+        l1, l2 = tau[0] - STEPS * delta[0], tau[1] - STEPS * delta[1]
+        t = STEPS[np.maximum(np.abs(l1), np.abs(l2)) < 1.0]
         if not t.size:
             raise InvalidInputError("no step keeps the path inside the bidisc")
         object.__setattr__(self, "tau", tau)
@@ -83,35 +78,43 @@ class ApproachPath:
         object.__setattr__(self, "steps", tuple(t.tolist()))
 
     @classmethod
-    def radial(cls, tau, n_steps: int = 40) -> "ApproachPath":
-        tau = require_boundary(tau)
-        return cls(tau, tau, default_steps(n_steps))
+    def radial(cls, tau) -> "ApproachPath":
+        return cls(tau, tau)
 
     def point(self, t):
         """tau - t delta; for an array of steps, the stack of those points."""
         return (self.tau[0] - t * self.delta[0], self.tau[1] - t * self.delta[1])
 
 
-def julia_quotient(phi, lam):
-    """(1 - |phi(lam)|^2) / (1 - ||lam||_inf^2) at an interior point, or as
-    an array at a stack of points (``phi`` is then called once on the stack).
+def _quotient(value, lam):
+    """The Julia quotient (1 - |phi|^2)/(1 - ||lam||_inf^2) from the values
+    of phi at lam.
 
     The squared form is the primitive here; it equals the model-vector norm
     ||u_lam||^2 for realized functions, and the unsquared quotient differs
     from it by a factor in [1/2, 2], so the two are finite together.
     """
-    lam = require_interior(lam)
-    quotient = _quotient(np.broadcast_to(phi(lam), np.shape(lam[0])), lam)
-    return quotient if isinstance(lam[0], np.ndarray) else float(quotient)
-
-
-def _quotient(value, lam):
-    """The Julia quotient from the values of phi at lam."""
     return (1.0 - np.abs(value) ** 2) / (1.0 - sup_norm(lam) ** 2)
 
 
-def radial_liminf(phi, path: ApproachPath, tol: float = 1e-9) -> LimitReport:
-    """Extrapolated limit of the Julia quotient along a nontangential path.
+def _radial_samples(phi, path: ApproachPath):
+    """A sampler of the rows (phi, Julia quotient) along the path, for
+    ``refine_to_limit``.  ``phi`` is called as ``radial_liminf`` says."""
+    def sample(t):
+        lam = path.point(t)
+        value = np.broadcast_to(phi(lam), np.shape(t))
+        return np.stack([value, _quotient(value, lam)], axis=-1)
+
+    return presample(sample, path.steps)
+
+
+def _limit(rows, path: ApproachPath, column: int, tol: float) -> LimitReport:
+    return refine_to_limit(lambda t: rows(t)[column], path.steps, path.steps, tol=tol)
+
+
+def radial_liminf(phi, path: ApproachPath) -> LimitReport:
+    """Extrapolated limit of the Julia quotient along a nontangential path,
+    to ``LIMINF_TOL``.
 
     ``phi`` is called on stacks of the path's points, so it must accept a
     stack (or return a constant): once on the first steps, and once more on
@@ -121,23 +124,21 @@ def radial_liminf(phi, path: ApproachPath, tol: float = 1e-9) -> LimitReport:
     Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
     meaning the path provides no carapoint evidence.
     """
-    sample = presample(lambda t: julia_quotient(phi, path.point(t)), path.steps)
-    return refine_to_limit(sample, path.steps, path.steps, tol=tol)
+    return _limit(_radial_samples(phi, path), path, 1, LIMINF_TOL)
+
+
+def nontangential_value(phi, path: ApproachPath) -> LimitReport:
+    """Extrapolated limit of phi itself along a nontangential path, to
+    ``VALUE_TOL``; ``phi`` is sampled as in ``radial_liminf``."""
+    return _limit(_radial_samples(phi, path), path, 0, VALUE_TOL)
 
 
 def _value_and_liminf(phi, path: ApproachPath) -> tuple[LimitReport, LimitReport]:
-    """``nontangential_value`` and ``radial_liminf`` (at their default
-    tolerances) from one sampling of ``phi``: the Julia quotient is formed
-    from the same values of phi.  The liminf is extrapolated first."""
-    def sample(t):
-        lam = path.point(t)
-        value = np.broadcast_to(phi(lam), np.shape(t))
-        return np.stack([value, _quotient(value, lam)], axis=-1)
-
-    rows = presample(sample, path.steps)
-    liminf = refine_to_limit(lambda t: rows(t)[1], path.steps, path.steps, tol=1e-9)
-    value = refine_to_limit(lambda t: rows(t)[0], path.steps, path.steps, tol=1e-10)
-    return value, liminf
+    """``nontangential_value`` and ``radial_liminf`` from one sampling of
+    ``phi``.  The liminf is extrapolated first."""
+    rows = _radial_samples(phi, path)
+    liminf = _limit(rows, path, 1, LIMINF_TOL)
+    return _limit(rows, path, 0, VALUE_TOL), liminf
 
 
 def _one_minus_abs_sq(tau_j: complex, delta_j: complex, t):
@@ -169,16 +170,7 @@ def model_liminf(c: Colligation, path: ApproachPath,
         return norm1 * (d1 / d) + norm2 * (d2 / d)
 
     return refine_to_limit(presample(quotient, path.steps), path.steps, path.steps,
-                           tol=1e-9)
-
-
-def nontangential_value(phi, path: ApproachPath, tol: float = 1e-10) -> LimitReport:
-    """Extrapolated limit of phi itself along a nontangential path.
-
-    ``phi`` is called on stacks of the path's points, as in
-    ``radial_liminf``."""
-    sample = presample(lambda t: phi(path.point(t)), path.steps)
-    return refine_to_limit(sample, path.steps, path.steps, tol=tol)
+                           tol=LIMINF_TOL)
 
 
 def is_carapoint(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -191,9 +183,7 @@ def is_carapoint(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES):
     reduces the contraction D tau), so the negative branch signals non-unitary
     or numerically borderline data.
     """
-    tau = as_point(tau)
-    if any(abs(abs(t) - 1.0) > TORUS_SLACK for t in tau):
-        raise InvalidInputError("carapoint detection requires a torus point")
+    tau = require_torus(tau)
     M = np.eye(c.dim) - c.D @ c.pencil(tau)
     try:
         witness = min_norm_solve(M, c.gamma, tol)

@@ -75,18 +75,23 @@ TOLERANCES_ENV = "BISCHUR_TOLERANCES"
 
 SLOPE_SAMPLE_POINTS = (0.1, 0.5, 1.0, 2.0, 10.0, 1j, 1 + 1j, 2j, -1 + 1j)
 
+# analyze's generalized model passes when each residual maximum is below this.
+RESIDUAL_MAX = 1e-9
+
 _CSV_RADII = (0.25, 0.55, 0.85)
 _CSV_ANGLES = tuple(2.0 * np.pi * k / 4 for k in range(4))
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a complex scalar, accepting i or j for the imaginary unit."""
-    raw = text.strip().lower().replace(" ", "").replace("i", "j")
-    if raw in ("j", "+j"):
+    """Parse a complex scalar, accepting i or j for the imaginary unit; inf
+    and nan are read as Python spells them."""
+    raw = text.strip().lower().replace(" ", "")
+    j = raw.replace("i", "j")
+    if j in ("j", "+j"):
         return 1j
-    if raw == "-j":
+    if j == "-j":
         return -1j
-    for candidate in (raw, raw.replace("+j", "+1j").replace("-j", "-1j")):
+    for candidate in (raw, j.replace("+j", "+1j").replace("-j", "-1j")):
         try:
             return complex(candidate)
         except ValueError:
@@ -201,7 +206,8 @@ def _gate(verification, liminf, checks):
         verification["pass"] = False
         verification["reason"] = f"{', '.join(unconverged)} did not converge"
     elif not verification["pass"]:
-        verification["reason"] = "a residual maximum is not below 1e-9"
+        bound = np.format_float_scientific(RESIDUAL_MAX, trim="-", exp_digits=1)
+        verification["reason"] = f"a residual maximum is not below {bound}"
     return verification
 
 
@@ -239,7 +245,8 @@ def _generalized_verification(c, g, rng, tol):
         "model_residual_max": model_max,
         "phi_agreement_max": agree_max,
         "inner_residual_max": inner_max,
-        "pass": bool(model_max < 1e-9 and agree_max < 1e-9 and inner_max < 1e-9),
+        "pass": bool(model_max < RESIDUAL_MAX and agree_max < RESIDUAL_MAX
+                     and inner_max < RESIDUAL_MAX),
     }
 
 

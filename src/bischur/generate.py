@@ -22,6 +22,8 @@ __all__ = [
     "random_inward_direction",
 ]
 
+MAX_ATOMS = 4  # most atoms of a random_measure
+
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Gaussian matrix."""
@@ -30,21 +32,19 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def random_projection(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
-    if rank is None:
-        rank = int(rng.integers(1, n)) if n > 1 else 1
+def random_projection(rng: np.random.Generator, n: int) -> np.ndarray:
+    rank = int(rng.integers(1, n)) if n > 1 else 1
     W = random_unitary(rng, n)
     diag = np.zeros(n)
     diag[:rank] = 1.0
     return (W * diag) @ W.conj().T
 
 
-def random_colligation(rng: np.random.Generator, n: int,
-                       p1_rank: int | None = None) -> Colligation:
+def random_colligation(rng: np.random.Generator, n: int) -> Colligation:
     """Random unitary colligation on a model space of dimension n."""
     L = random_unitary(rng, n + 1)
     return Colligation(a=L[0, 0], beta=L[0, 1:].conj(), gamma=L[1:, 0],
-                       D=L[1:, 1:], P1=random_projection(rng, n, p1_rank))
+                       D=L[1:, 1:], P1=random_projection(rng, n))
 
 
 def random_colligation_with_kernel(rng: np.random.Generator, n_model: int,
@@ -95,8 +95,8 @@ def random_colligation_with_kernel(rng: np.random.Generator, n_model: int,
     )
 
 
-def random_measure(rng: np.random.Generator, max_atoms: int = 4) -> DiscreteMeasure01:
-    n = int(rng.integers(1, max_atoms + 1))
+def random_measure(rng: np.random.Generator) -> DiscreteMeasure01:
+    n = int(rng.integers(1, MAX_ATOMS + 1))
     locations = rng.uniform(size=n)
     weights = rng.uniform(0.1, 2.0, size=n)
     return DiscreteMeasure01(tuple(zip(locations, weights)))

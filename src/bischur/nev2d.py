@@ -55,6 +55,10 @@ __all__ = [
 _GRID_COORDS = (0.5j, 1j, 1 + 1j, -1 + 2j, 3j)
 VERIFICATION_GRID = tuple((z1, z2) for z1 in _GRID_COORDS for z2 in _GRID_COORDS)
 _GRID_STACK = tuple(np.array(VERIFICATION_GRID).T)
+# The diagonal ray (iy, iy) of carapoint_at_infinity, y = 2^2 .. 2^25, and
+# the tolerance of its extrapolations, relative to 1 + |estimate|.
+INFINITY_YS = tuple(float(2.0 ** k) for k in range(2, 26))
+INFINITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,34 +105,31 @@ class InfinityCarapoint(NamedTuple):
     value: complex | None
 
 
-def carapoint_at_infinity(h, ys=None, tol: float = 1e-8) -> InfinityCarapoint:
+def carapoint_at_infinity(h) -> InfinityCarapoint:
     """Detect a finite-value carapoint at infinity along the diagonal ray.
 
-    Extrapolates y Im h(iy, iy) as y -> infinity; convergence to a finite
-    limit is the carapoint condition, and the value is the extrapolated
-    h(iy, iy).  Divergence is encoded as ``finite=False``.  ``h`` is called
-    once, on the stack of all the points (iy, iy), so it must accept a stack
-    (or return a constant); if that call raises a BischurError, the points
-    are sampled one by one as far as the extrapolation needs.
+    Extrapolates y Im h(iy, iy) as y -> infinity over ``INFINITY_YS``, to
+    ``INFINITY_TOL``; convergence to a finite limit is the carapoint
+    condition, and the value is the extrapolated h(iy, iy).  Divergence is
+    encoded as ``finite=False``.  ``h`` is called once, on the stack of all
+    the points (iy, iy), so it must accept a stack (or return a constant);
+    if that call raises a BischurError, the points are sampled one by one as
+    far as the extrapolation needs.
     """
-    if ys is None:
-        ys = [float(2.0 ** k) for k in range(2, 26)]
-    ys = [float(y) for y in ys]
-    if any(y <= 0 for y in ys) or any(q <= p for p, q in zip(ys, ys[1:])):
-        raise InvalidInputError("ys must be positive and strictly increasing")
+    ys = INFINITY_YS
     value = presample(lambda y: h((1j * y, 1j * y)), ys)
     try:
         growth = refine_to_limit(
             lambda y: y * complex(value(y)).imag,
             ys,
             [1.0 / (y * y) for y in ys],
-            tol=tol,
+            tol=INFINITY_TOL,
         )
     except DivergenceError:
         return InfinityCarapoint(False, None, None)
     if not growth.converged:
         return InfinityCarapoint(False, None, None)
-    limit = refine_to_limit(value, ys, [1.0 / y for y in ys], tol=tol)
+    limit = refine_to_limit(value, ys, [1.0 / y for y in ys], tol=INFINITY_TOL)
     return InfinityCarapoint(True, float(growth.estimate.real), complex(limit.estimate))
 
 

@@ -24,7 +24,7 @@ def as_point(lam) -> tuple[complex, complex]:
         raise InvalidInputError("a point must be a pair of complex numbers") from None
     l1, l2 = complex(l1), complex(l2)
     if not (cmath.isfinite(l1) and cmath.isfinite(l2)):
-        raise InvalidInputError("point coordinates must be finite")
+        raise InvalidInputError(f"point {(l1, l2)} has a coordinate that is not finite")
     return l1, l2
 
 
@@ -40,8 +40,9 @@ def as_points(lam):
     l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
     if l1.ndim != 1 or l1.shape != l2.shape:
         raise InvalidInputError("a stack of points must be two 1-D arrays of one length")
-    if not (np.isfinite(l1).all() and np.isfinite(l2).all()):
-        raise InvalidInputError("point coordinates must be finite")
+    bad = first_point((l1, l2), ~(np.isfinite(l1) & np.isfinite(l2)))
+    if bad is not None:
+        raise InvalidInputError(f"point {bad} has a coordinate that is not finite")
     return l1, l2
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import adaptive_trapezoid
+from ._integrate import REL_TOL, adaptive_trapezoid
 from ._limits import refine_to_limit
 from .points import any_true, as_complex
 from .errors import (
@@ -177,19 +177,19 @@ def measure_from_nevanlinna(nd: NevanlinnaData) -> DiscreteMeasure01:
     return DiscreteMeasure01(tuple(atoms))
 
 
-def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float:
+def stieltjes_recover(h, a: float, b: float, ys) -> float:
     """Recover Poisson-measure mass on a window by Stieltjes inversion.
 
     Integrates Im h(x + iy) over [a, b] for each y in the decreasing sequence
-    ``ys`` and extrapolates y -> 0.  Each integral is taken along a contour
-    above the window, a+iy -> a+iY -> b+iY -> b+iy, by Gauss-Legendre rules
-    that double until two agree within ``rel_tol``; ``h`` is called once per
-    rule, on an array of points with Im z >= y, and must return an array of
-    the same shape (or a constant).  For Nevanlinna data the limit is the
-    window mass of (1 + t^2) dmu(t), with half weight for atoms sitting on a
-    window endpoint.  Raises InvalidInputError before any call of ``h`` when
-    a, b or some y is not finite, and NoLimitError when an integral or the
-    sequence does not settle.
+    ``ys`` and extrapolates y -> 0, to ``10 * REL_TOL``.  Each integral is
+    taken along a contour above the window, a+iy -> a+iY -> b+iY -> b+iy, by
+    Gauss-Legendre rules that double until two agree within ``REL_TOL``;
+    ``h`` is called once per rule, on an array of points with Im z >= y, and
+    must return an array of the same shape (or a constant).  For Nevanlinna
+    data the limit is the window mass of (1 + t^2) dmu(t), with half weight
+    for atoms sitting on a window endpoint.  Raises InvalidInputError before
+    any call of ``h`` when a, b or some y is not finite, and NoLimitError
+    when an integral or the sequence does not settle.
     """
     ys = [float(y) for y in ys]
     if not all(math.isfinite(v) for v in (a, b, *ys)):
@@ -198,8 +198,8 @@ def stieltjes_recover(h, a: float, b: float, ys, rel_tol: float = 1e-6) -> float
         raise InvalidInputError("window must satisfy a < b")
     if any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be positive and strictly decreasing")
-    report = refine_to_limit(lambda y: adaptive_trapezoid(h, a, b, y, rel_tol=rel_tol),
-                             ys, ys, tol=10 * rel_tol)
+    report = refine_to_limit(lambda y: adaptive_trapezoid(h, a, b, y),
+                             ys, ys, tol=10 * REL_TOL)
     if not report.converged:
         raise NoLimitError(
             f"window integrals did not stabilize (best gap {report.achieved:.3e})"

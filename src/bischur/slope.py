@@ -38,6 +38,13 @@ __all__ = [
     "PickReport",
 ]
 
+# Eigenvalues of Y this close are one atom of the slope measure.
+CLUSTER_TOL = 1e-8
+# Extrapolation tolerance of a difference quotient, relative to 1 + |estimate|.
+DERIVATIVE_TOL = 1e-8
+# How far below zero pick_check lets either minimal imaginary part fall.
+PICK_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SlopePair:
@@ -83,15 +90,15 @@ def slope_eval(pair: SlopePair, z):
     return complex(h) if isinstance(z, complex) else h
 
 
-def slope_measure(pair: SlopePair, cluster_tol: float = 1e-8) -> DiscreteMeasure01:
+def slope_measure(pair: SlopePair) -> DiscreteMeasure01:
     """Spectral measure of the slope pair: eigenvalues of Y with weights
-    |<u_tau, e_i>|^2, eigenvalues clustered within ``cluster_tol``."""
+    |<u_tau, e_i>|^2, eigenvalues clustered within ``CLUSTER_TOL``."""
     eigs, vecs = np.linalg.eigh(0.5 * (pair.Y + pair.Y.conj().T))
     weights = np.abs(vecs.conj().T @ pair.u_tau) ** 2
     atoms: list[tuple[float, float]] = []
     for s, w in zip(eigs, weights):
         s = min(max(float(s), 0.0), 1.0)
-        if atoms and abs(s - atoms[-1][0]) <= cluster_tol:
+        if atoms and abs(s - atoms[-1][0]) <= CLUSTER_TOL:
             atoms[-1] = (atoms[-1][0], atoms[-1][1] + float(w))
         else:
             atoms.append((s, float(w)))
@@ -107,46 +114,34 @@ def directional_derivative_analytic(phi_tau, tau, delta, pair: SlopePair) -> com
     return complex(phi_tau) * w2 * slope_eval(pair, w2 / w1)
 
 
-def directional_derivative_numeric(phi, tau, delta, steps=None, tol: float = 1e-8,
-                                   phi_tau=None):
-    """Difference-quotient estimate of D_{-delta} phi(tau): an
-    ``(estimate, LimitReport)`` pair, or a list of them, one per direction,
-    when ``delta`` is a sequence of directions.
+def directional_derivative_numeric(phi, tau, deltas, phi_tau):
+    """Difference-quotient estimates of D_{-delta} phi(tau) from the boundary
+    value ``phi_tau``: one ``(estimate, LimitReport)`` pair per direction of
+    the sequence ``deltas``, extrapolated to ``DERIVATIVE_TOL``.
 
     ``phi`` is called on stacks of points, so it must accept a stack (or
     return a constant): once on the first steps of every path together, and
     once more on the rest of a path only if its extrapolation reads past
     them; if a call raises a BischurError, its points are sampled one by one
-    as far as the extrapolations need.  The boundary value phi(tau) is taken
-    from the nontangential limit of each path's samples unless supplied.
-    Quotients are extrapolated with one elimination step, which removes the
-    O(t) truncation term.
+    as far as the extrapolations need.  Quotients are extrapolated with one
+    elimination step, which removes the O(t) truncation term.
     """
-    try:   # an empty sequence holds no direction
-        single = np.ndim(delta) != 2 and np.size(delta) != 0
-    except ValueError:
-        single = True
     tau = as_point(tau)
-    step_args = () if steps is None else (tuple(steps),)
-    paths = [boundary.ApproachPath(tau, d, *step_args)
-             for d in ([delta] if single else delta)]
+    paths = [boundary.ApproachPath(tau, delta) for delta in deltas]
     d = np.array([path.delta for path in paths]).reshape(-1, 2)
     values = stacked_samplers(lambda k, t: phi((tau[0] - t * d[k, 0], tau[1] - t * d[k, 1])),
                               [path.steps for path in paths])
+    phi_tau = complex(phi_tau)
     results = []
     for path, value in zip(paths, values):
-        value_tau = phi_tau
-        if value_tau is None:
-            value_tau = refine_to_limit(value, path.steps, path.steps, tol=1e-11).estimate
-        value_tau = complex(value_tau)
         report = refine_to_limit(
-            lambda t: (complex(value(t)) - value_tau) / t,
+            lambda t: (complex(value(t)) - phi_tau) / t,
             path.steps,
             path.steps,
-            tol=tol,
+            tol=DERIVATIVE_TOL,
         )
         results.append((report.estimate, report))
-    return results[0] if single else results
+    return results
 
 
 class PickReport(NamedTuple):
@@ -155,13 +150,13 @@ class PickReport(NamedTuple):
     passed: bool
 
 
-def pick_check(h, grid, slack: float = 1e-12) -> PickReport:
+def pick_check(h, grid) -> PickReport:
     """Minimal imaginary parts of h and -z h(z) on an upper-half-plane grid.
 
     ``h`` is called once, on the grid as a 1-D complex array, so it must
     return an array of that shape (or a constant).  Slope-type functions
     keep both minima nonnegative; the check passes when both stay above
-    ``-slack``.
+    ``-PICK_SLACK``.
     """
     z = np.asarray(grid, dtype=complex).reshape(-1)
     if (z.imag <= 0).any():
@@ -169,4 +164,4 @@ def pick_check(h, grid, slack: float = 1e-12) -> PickReport:
     values = np.broadcast_to(h(z), z.shape)
     min_h = float(np.min(values.imag, initial=np.inf))
     min_zh = float(np.min((-z * values).imag, initial=np.inf))
-    return PickReport(min_h, min_zh, min_h >= -slack and min_zh >= -slack)
+    return PickReport(min_h, min_zh, min_h >= -PICK_SLACK and min_zh >= -PICK_SLACK)

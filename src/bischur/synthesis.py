@@ -109,6 +109,10 @@ def synth_eval(syn: SynthesizedSchur, lam):
 # as one stack.
 _GATE_POINTS = tuple(np.array(
     [(0.3, -0.2j), (0.5j, 0.45), (-0.6 + 0.1j, 0.2 - 0.5j), (0.1, 0.7j)]).T)
+# Bounds of verify_slope (the largest relative derivative error) and of
+# verify_carapoint (the liminf, relative to 1 + mass, and the boundary value).
+SLOPE_TOL = 1e-5
+CARAPOINT_TOL = 1e-6
 
 
 def fit_colligation(syn: SynthesizedSchur,
@@ -163,14 +167,14 @@ class SlopeVerification(NamedTuple):
     reason: str | None = None
 
 
-def verify_slope(syn: SynthesizedSchur, deltas, tol: float = 1e-5) -> SlopeVerification:
+def verify_slope(syn: SynthesizedSchur, deltas) -> SlopeVerification:
     """Compare numeric directional derivatives at tau with the slope formula.
 
     For each direction the analytic side is
     omega * conj(tau_2) delta_2 * h( conj(tau_2) delta_2 / (conj(tau_1) delta_1) )
     with h evaluated from the measure; errors are relative to 1 + |value|.
     The check passes when every difference quotient converged and the
-    largest error is below ``tol``; otherwise ``reason`` says why.
+    largest error is below ``SLOPE_TOL``; otherwise ``reason`` says why.
     """
     deltas = tuple(deltas)
     results = slope_mod.directional_derivative_numeric(
@@ -190,8 +194,8 @@ def verify_slope(syn: SynthesizedSchur, deltas, tol: float = 1e-5) -> SlopeVerif
     reason = None
     if unconverged:
         reason = f"the difference quotients along deltas {unconverged} did not converge"
-    elif not worst < tol:
-        reason = f"max_rel_err {worst:.3e} is not below {tol:g}"
+    elif not worst < SLOPE_TOL:
+        reason = f"max_rel_err {worst:.3e} is not below {SLOPE_TOL:g}"
     return SlopeVerification(deltas, tuple(numeric), tuple(analytic),
                              worst, reason is None, reason)
 
@@ -205,21 +209,21 @@ class CarapointVerification(NamedTuple):
     reason: str | None = None
 
 
-def verify_carapoint(syn: SynthesizedSchur, tol: float = 1e-6) -> CarapointVerification:
+def verify_carapoint(syn: SynthesizedSchur) -> CarapointVerification:
     """Check the radial Julia liminf equals the total mass of nu and that the
     nontangential boundary value equals omega.  Both come from one sampling
     of phi along the radius; the check passes when both extrapolations
-    converged and both agree within ``tol``, and otherwise ``reason`` says
-    why."""
+    converged and both agree within ``CARAPOINT_TOL``, and otherwise
+    ``reason`` says why."""
     path = boundary.ApproachPath.radial(syn.tau)
     value, liminf = boundary._value_and_liminf(partial(synth_eval, syn), path)
     mass = syn.nu.total_mass
     failures = [f"the radial {name} did not converge"
                 for name, report in (("Julia liminf", liminf), ("boundary value", value))
                 if not report.converged]
-    if not abs(liminf.estimate.real - mass) < tol * (1.0 + mass):
+    if not abs(liminf.estimate.real - mass) < CARAPOINT_TOL * (1.0 + mass):
         failures.append("the Julia liminf differs from the mass of nu")
-    if not abs(value.estimate - syn.omega) < tol:
+    if not abs(value.estimate - syn.omega) < CARAPOINT_TOL:
         failures.append("the boundary value differs from omega")
     reason = "; ".join(failures) or None
     return CarapointVerification(float(liminf.estimate.real), mass,

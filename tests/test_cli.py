@@ -57,6 +57,14 @@ class TestParsing:
     def test_point(self):
         assert parse_point("1,-i") == (1.0, -1j)
 
+    def test_infinity_and_nan_keep_their_i(self):
+        inf = float("inf")
+        assert parse_complex("inf") == inf
+        assert parse_complex("-inf") == -inf
+        assert parse_complex(" Infinity") == inf
+        assert np.isnan(parse_complex("nan").real)
+        assert parse_point("inf,-i") == (inf, -1j)
+
 
 class TestAnalyze:
     def test_favourite_at_chi(self, capsys, favourite_file, tmp_path):
@@ -202,6 +210,28 @@ class TestInputErrors:
         assert report["error"] == {"kind": "input", "message": "omega must be unimodular"}
         assert not Path("c.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth"], ["synth", "--verify"], ["synth", "--out", "c.json"], ["nevrep"],
+    ], ids=["synth", "synth-verify", "synth-out", "nevrep"])
+    def test_infinite_omega_exits_2(self, capsys, measure_file, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        command, *extra = argv
+        code, report = run(capsys, command, measure_file, "--omega=inf", *extra,
+                           "--no-timestamp")
+        assert code == report["exit_code"] == 2
+        assert report["error"] == {"kind": "input", "message": "omega must be unimodular"}
+        assert not Path("c.json").exists()
+
+    @pytest.mark.parametrize("tau, point", [
+        ("inf,1", "((inf+0j), (1+0j))"), ("1,-infinity", "((1+0j), (-inf+0j))"),
+    ], ids=["inf-first", "minus-infinity-second"])
+    def test_infinite_tau_exits_2_naming_the_point(self, capsys, favourite_file, tau, point):
+        code, report = run(capsys, "analyze", favourite_file, f"--tau={tau}",
+                           "--no-timestamp")
+        assert code == report["exit_code"] == 2
+        assert report["error"] == {
+            "kind": "input", "message": f"point {point} has a coordinate that is not finite"}
+
     def test_nevrep_rejects_a_representation(self, capsys, measure_file, tmp_path):
         rep_file = tmp_path / "rep.json"
         code, _ = run(capsys, "nevrep", measure_file, "--omega=-1", "--out", rep_file,
@@ -312,6 +342,13 @@ class TestConvergenceGate:
         assert all(check["converged"] for check in report["derivative_checks"])
         assert report["verification"]["pass"] is False
         assert report["verification"]["reason"] == "julia_liminf did not converge"
+
+    def test_residual_above_the_bound_exits_4(self, capsys, favourite_file, monkeypatch):
+        monkeypatch.setattr(cli, "RESIDUAL_MAX", 1e-30)
+        code, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--no-timestamp")
+        assert code == report["exit_code"] == 4
+        assert report["verification"]["pass"] is False
+        assert report["verification"]["reason"] == "a residual maximum is not below 1e-30"
 
     def test_synth_passes_when_every_limit_converges(self, capsys, measure_file):
         code, report = run(capsys, "synth", measure_file, "--tau=-1,1j", "--omega=-1",

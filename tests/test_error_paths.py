@@ -43,7 +43,7 @@ def test_difference_quotient_divergence_signal():
     # a cusp of exponent 0.1 has an unbounded difference quotient
     phi = lambda lam: (1.0 - lam[0]) ** 0.1
     with pytest.raises(DivergenceError):
-        directional_derivative_numeric(phi, CHI, (1.0, 1.0), phi_tau=0.0)
+        directional_derivative_numeric(phi, CHI, [(1.0, 1.0)], phi_tau=0.0)
 
 
 def test_stieltjes_no_limit_with_starved_sequence():

@@ -117,21 +117,22 @@ class TestOutwardDirection:
         with pytest.raises(InvalidInputError):
             directional_derivative_analytic(1.0, tau, delta, HALF_PAIR)
         with pytest.raises(InvalidInputError):
-            directional_derivative_numeric(favourite_formula, tau, delta)
+            directional_derivative_numeric(favourite_formula, tau, [delta], 1.0)
 
 
 class TestDirectionalDerivativeNumeric:
     def test_favourite_direction_one_one(self):
-        value, report = directional_derivative_numeric(favourite_formula, CHI, (1.0, 1.0))
+        (value, report), = directional_derivative_numeric(favourite_formula, CHI,
+                                                          [(1.0, 1.0)], 1.0)
         assert report.converged
         assert value == pytest.approx(-1.0, abs=1e-6)
 
     def test_favourite_direction_two_one(self):
-        value, _ = directional_derivative_numeric(favourite_formula, CHI, (2.0, 1.0))
+        (value, _), = directional_derivative_numeric(favourite_formula, CHI, [(2.0, 1.0)], 1.0)
         assert value == pytest.approx(-4.0 / 3.0, abs=1e-6)
 
     def test_linear_function(self):
-        value, _ = directional_derivative_numeric(lambda lam: lam[0], CHI, (1.0, 1.0))
+        (value, _), = directional_derivative_numeric(lambda lam: lam[0], CHI, [(1.0, 1.0)], 1.0)
         assert value == pytest.approx(-1.0, abs=1e-9)
 
     def test_sequence_of_directions_gives_each_single_result(self):
@@ -139,27 +140,25 @@ class TestDirectionalDerivativeNumeric:
         tau = random_torus_point(rng)
         phi = partial(eval_phi, random_colligation_with_kernel(rng, 3, 1, tau))
         deltas = [random_inward_direction(rng, tau) for _ in range(5)]
-        boundary_value = nontangential_value(phi, ApproachPath.radial(tau)).estimate
-        for phi_tau in (None, boundary_value):
-            results = directional_derivative_numeric(phi, tau, deltas, phi_tau=phi_tau)
-            assert isinstance(results, list) and len(results) == len(deltas)
-            for delta, result in zip(deltas, results):
-                assert result == directional_derivative_numeric(phi, tau, delta,
-                                                                phi_tau=phi_tau)
+        phi_tau = nontangential_value(phi, ApproachPath.radial(tau)).estimate
+        results = directional_derivative_numeric(phi, tau, deltas, phi_tau)
+        assert isinstance(results, list) and len(results) == len(deltas)
+        for delta, result in zip(deltas, results):
+            assert [result] == directional_derivative_numeric(phi, tau, [delta], phi_tau)
 
     def test_one_direction_in_a_sequence_gives_a_list(self):
-        (value, report), = directional_derivative_numeric(favourite_formula, CHI,
-                                                          [(1.0, 1.0)])
-        assert (value, report) == directional_derivative_numeric(favourite_formula, CHI,
-                                                                  (1.0, 1.0))
+        results = directional_derivative_numeric(favourite_formula, CHI, [(1.0, 1.0)], 1.0)
+        assert isinstance(results, list) and len(results) == 1
+        (value, report), = results
+        assert report.converged and value == report.estimate
 
     def test_empty_sequence_of_directions(self):
-        assert directional_derivative_numeric(favourite_formula, CHI, []) == []
+        assert directional_derivative_numeric(favourite_formula, CHI, [], 1.0) == []
 
     def test_one_outward_direction_in_a_sequence_is_rejected(self):
         with pytest.raises(InvalidInputError):
             directional_derivative_numeric(favourite_formula, CHI,
-                                           [(1.0, 1.0), (-1.0, 1.0)])
+                                           [(1.0, 1.0), (-1.0, 1.0)], 1.0)
 
     def test_agrees_with_analytic_for_realized_functions(self):
         rng = np.random.default_rng(33)
@@ -169,9 +168,9 @@ class TestDirectionalDerivativeNumeric:
         pair = SlopePair.from_realization(g)
         phi = partial(eval_phi, c)
         phi_tau = nontangential_value(phi, ApproachPath.radial(tau)).estimate
-        for _ in range(20):
-            delta = random_inward_direction(rng, tau)
-            numeric, _ = directional_derivative_numeric(phi, tau, delta, phi_tau=phi_tau)
+        deltas = [random_inward_direction(rng, tau) for _ in range(20)]
+        results = directional_derivative_numeric(phi, tau, deltas, phi_tau)
+        for delta, (numeric, _) in zip(deltas, results):
             analytic = directional_derivative_analytic(phi_tau, tau, delta, pair)
             assert abs(numeric - analytic) < 1e-5 * (1.0 + abs(analytic))
 

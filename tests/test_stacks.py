@@ -17,14 +17,14 @@ from bischur import (
     eval_I,
     eval_phi,
     eval_phi_gen,
-    julia_quotient,
     model_liminf,
     model_residual,
     radial_liminf,
     synth_eval,
 )
-from bischur import cli, synthesis
+from bischur import boundary, cli, synthesis
 from bischur._limits import refine_to_limit
+from bischur.boundary import _quotient
 from bischur.generate import (
     random_colligation,
     random_colligation_with_kernel,
@@ -111,6 +111,12 @@ def test_stack_names_its_first_ill_conditioned_point(favourite_colligation, k):
     assert str(stacked.value) == str(scalar.value)
 
 
+def julia_quotient(phi, lam):
+    """The Julia quotient of phi at a point or a stack, as radial_liminf
+    forms it."""
+    return _quotient(phi(lam), lam)
+
+
 def test_unreached_ill_conditioned_tail_falls_back_to_points(favourite_colligation):
     # the resolvent of the favourite at (1 - t)(1, 1) has condition about 1/t,
     # so a ceiling of 1e3 breaks the path's tail, which the limit never reaches
@@ -162,24 +168,26 @@ def test_path_converging_in_its_head_makes_one_call(favourite_colligation):
 PAST_THE_HEAD = ApproachPath(CHI, (1.0, 3.0))
 
 
-def test_path_read_past_its_head_makes_a_second_call(favourite_colligation):
+def test_path_read_past_its_head_makes_a_second_call(favourite_colligation, monkeypatch):
+    monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
     path = PAST_THE_HEAD
     calls = []
-    report = radial_liminf(counted(favourite_formula, calls), path, tol=1e-300)
+    report = radial_liminf(counted(favourite_formula, calls), path)
     assert calls == [24, len(path.steps) - 24]
     assert len(report.samples) > 24
     assert report == pointwise(favourite_formula, path, 1e-300)
     # a realization's values, head then tail, are those of one whole-path call
     phi = partial(eval_phi, favourite_colligation)
     whole = julia_quotient(phi, path.point(np.array(path.steps)))
-    report = radial_liminf(phi, path, tol=1e-300)
+    report = radial_liminf(phi, path)
     assert len(report.samples) > 24
     assert report == refine_to_limit(dict(zip(path.steps, whole)).__getitem__,
                                      path.steps, path.steps, tol=1e-300)
 
 
 @pytest.mark.parametrize("broken", ["head", "tail"])
-def test_stack_that_raises_falls_back_to_points(broken):
+def test_stack_that_raises_falls_back_to_points(broken, monkeypatch):
+    monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
     path = PAST_THE_HEAD
     tail = len(path.steps) - 24
     calls = []
@@ -190,7 +198,7 @@ def test_stack_that_raises_falls_back_to_points(broken):
             raise IllConditionedError(f"the {broken} stack is refused", cond=1e300)
         return favourite_formula(lam)
 
-    report = radial_liminf(breaks, path, tol=1e-300)
+    report = radial_liminf(breaks, path)
     assert len(report.samples) > 24
     if broken == "head":   # no second stacked call: every point alone
         assert calls == [(24,)] + [()] * len(report.samples)

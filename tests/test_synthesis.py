@@ -23,6 +23,7 @@ from bischur import (
     verify_carapoint,
     verify_slope,
 )
+from bischur import synthesis
 
 from conftest import CHI, favourite_formula, random_interior
 
@@ -173,16 +174,17 @@ class TestVerifySlope:
         # the symmetric half-atom cannot distinguish a swapped convention
         nu = DiscreteMeasure01(((0.9, 1.0),))
         from bischur import directional_derivative_numeric
-        num, _ = directional_derivative_numeric(
-            partial(synth_eval, SynthesizedSchur(nu)), CHI, (2.0, 1.0), phi_tau=1.0)
+        (num, _), = directional_derivative_numeric(
+            partial(synth_eval, SynthesizedSchur(nu)), CHI, [(2.0, 1.0)], phi_tau=1.0)
         assert num == pytest.approx(-2.0 / 1.1, abs=1e-6)
         syn = SynthesizedSchur(nu, tau=(1j, -1.0), omega=np.exp(0.7j))
         report = verify_slope(syn, [(1j * (2 + 0.3j), -1.0 - 0.2j), (1j, -3.0)])
         assert report.passed
 
 
-    def test_error_above_tol_fails_with_a_reason(self, favourite_measure):
-        report = verify_slope(SynthesizedSchur(favourite_measure), [(1.0, 2.0)], tol=0.0)
+    def test_error_above_tol_fails_with_a_reason(self, favourite_measure, monkeypatch):
+        monkeypatch.setattr(synthesis, "SLOPE_TOL", 0.0)
+        report = verify_slope(SynthesizedSchur(favourite_measure), [(1.0, 2.0)])
         assert not report.passed
         assert report.reason.startswith("max_rel_err ") and report.reason.endswith(
             "is not below 0")
@@ -213,8 +215,9 @@ class TestVerifyCarapoint:
         assert report.passed and report.reason is None
         assert report.boundary_value == pytest.approx(-1.0, abs=1e-6)
 
-    def test_mismatch_fails_with_a_reason(self, favourite_measure):
-        report = verify_carapoint(SynthesizedSchur(favourite_measure), tol=0.0)
+    def test_mismatch_fails_with_a_reason(self, favourite_measure, monkeypatch):
+        monkeypatch.setattr(synthesis, "CARAPOINT_TOL", 0.0)
+        report = verify_carapoint(SynthesizedSchur(favourite_measure))
         assert not report.passed
         assert report.reason == ("the Julia liminf differs from the mass of nu; "
                                  "the boundary value differs from omega")
@@ -241,5 +244,5 @@ class TestCayleyDerivativeIdentity:
             ts = 2.0 ** -np.arange(6, 16)
             df = 2 * quotient(ts[-1]) - quotient(ts[-2])
             from bischur import directional_derivative_numeric
-            dphi, _ = directional_derivative_numeric(phi, CHI, delta, phi_tau=1.0)
+            (dphi, _), = directional_derivative_numeric(phi, CHI, [delta], phi_tau=1.0)
             assert abs(dphi - (-2.0 * df)) < 1e-4 * (1 + abs(dphi))
