@@ -44,7 +44,7 @@ class LimitReport:
     achieved: float
 
 
-def refine_to_limit(sample, args, xs, *, tol=1e-9):
+def refine_to_limit(sample, args, xs, *, tol):
     """Extrapolate ``sample(args[k])`` along ``xs[k] -> 0``.
 
     Evaluation is lazy: it stops as soon as three successive extrapolants

@@ -75,8 +75,18 @@ TOLERANCES_ENV = "BISCHUR_TOLERANCES"
 
 SLOPE_SAMPLE_POINTS = (0.1, 0.5, 1.0, 2.0, 10.0, 1j, 1 + 1j, 2j, -1 + 1j)
 
-# analyze's generalized model passes when each residual maximum is below this.
+# analyze's generalized model passes when each residual maximum is below this;
+# verify's model and inner residuals are held to it too.
 RESIDUAL_MAX = 1e-9
+
+# The other bounds of the verify suites; a Pick-class value passes when its
+# imaginary part is at least -slope.PICK_SLACK.
+SCHUR_EXCESS_MAX = 1e-9       # |phi| - 1 inside the bidisc
+RADIAL_INNER_MAX = 1e-11      # |I(r tau) - r| along the radius
+SLOPE_LIMINF_MAX = 1e-6       # |Julia liminf + h(1)|
+ROUND_TRIP_MAX = 1e-12        # measure -> Nevanlinna data -> measure
+EQUIVALENCE_MAX = 1e-10       # h from a measure against h from its Nevanlinna data
+INFINITY_LIMIT_MAX = 1e-6     # |lim y Im h(iy, iy) - ||alpha||^2|
 
 _CSV_RADII = (0.25, 0.55, 0.85)
 _CSV_ANGLES = tuple(2.0 * np.pi * k / 4 for k in range(4))
@@ -153,9 +163,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _json_text(obj) -> str:
+    """obj as one line of JSON with sorted keys.  Without an indent, json
+    encodes in C; with one it falls back to pure Python."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_json_default)
+
+
 def _emit(report, out_path=None):
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
-                      default=_json_default)
+    text = _json_text(report)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -369,8 +384,7 @@ def cmd_synth(args) -> int:
         elif args.out:
             fitted = synthesis.fit_colligation(syn, tol=tol)
             with open(args.out, "w") as fh:
-                json.dump(colligation_to_json(fitted), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(_json_text(colligation_to_json(fitted)) + "\n")
             report["output"] = {
                 "kind": "colligation_json",
                 "path": args.out,
@@ -462,8 +476,7 @@ def cmd_nevrep(args) -> int:
     report["exit_code"] = EXIT_OK
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(rep_to_json(rep), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(report["rep"]) + "\n")
     _emit(report)
     return EXIT_OK
 
@@ -482,7 +495,7 @@ def _suite_colligations(rng, n, tol):
     return {
         "schur_bound_excess_max": worst_schur,
         "model_residual_max": worst_model,
-        "pass": bool(worst_schur <= 1e-9 and worst_model < 1e-9),
+        "pass": bool(worst_schur <= SCHUR_EXCESS_MAX and worst_model < RESIDUAL_MAX),
     }
 
 
@@ -507,9 +520,9 @@ def _suite_desingularization(rng, n, tol):
             liminf + slope_mod.slope_eval(pair, 1.0).real))
     return {
         **worst,
-        "pass": bool(worst["model_residual"] < 1e-9 and worst["inner"] < 1e-9
-                     and worst["radial_inner"] < 1e-11
-                     and worst["slope_liminf"] < 1e-6),
+        "pass": bool(worst["model_residual"] < RESIDUAL_MAX and worst["inner"] < RESIDUAL_MAX
+                     and worst["radial_inner"] < RADIAL_INNER_MAX
+                     and worst["slope_liminf"] < SLOPE_LIMINF_MAX),
     }
 
 
@@ -541,8 +554,9 @@ def _suite_measures(rng, n, tol):
         "evaluation_equivalence_max": worst_equiv,
         "min_im_h": float(min_im),
         "min_im_neg_zh": float(min_im_zh),
-        "pass": bool(not lost_atoms and worst_round < 1e-12 and worst_equiv < 1e-10
-                     and min_im >= -1e-12 and min_im_zh >= -1e-12),
+        "pass": bool(not lost_atoms and worst_round < ROUND_TRIP_MAX
+                     and worst_equiv < EQUIVALENCE_MAX and min_im >= -slope_mod.PICK_SLACK
+                     and min_im_zh >= -slope_mod.PICK_SLACK),
     }
     if lost_atoms:
         suite["reason"] = (f"the round trip changed the number of atoms of "
@@ -570,7 +584,8 @@ def _suite_reps(rng, n, tol):
     suite = {
         "min_im_h2": float(min_im),
         "infinity_limit_err_max": None if no_limit else worst_limit,
-        "pass": bool(not no_limit and min_im >= -1e-12 and worst_limit < 1e-6),
+        "pass": bool(not no_limit and min_im >= -slope_mod.PICK_SLACK
+                     and worst_limit < INFINITY_LIMIT_MAX),
     }
     if no_limit:
         suite["reason"] = (f"y Im h(iy, iy) found no finite limit for "
@@ -688,8 +703,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (SchemaError, OSError) as exc:
-        print(json.dumps({"error": {"kind": "input", "message": str(exc)}},
-                         indent=2, sort_keys=True))
+        print(_json_text({"error": {"kind": "input", "message": str(exc)}}))
         return EXIT_INPUT
 
 

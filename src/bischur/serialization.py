@@ -9,6 +9,8 @@ Tolerance payloads may set any of rank_rel/structural/solve_cond_max.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .colligation import Colligation
@@ -56,8 +58,23 @@ def matrix_to_json(A) -> dict:
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
-        "data": [complex_to_json(z) for z in A.ravel(order="C")],
+        "data": np.ascontiguousarray(A).view(float).reshape(-1, 2).tolist(),
     }
+
+
+def _pairs_as_complex(data, n):
+    """n [re, im] pairs of plain numbers as one complex array, or None when
+    any entry is something else: the caller then walks the entries one by
+    one to name the first bad one."""
+    try:
+        if not set(map(type, chain.from_iterable(data))) <= {float, int}:
+            return None
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.shape != (n, 2):
+        return None
+    return pairs.view(complex)
 
 
 def matrix_from_json(obj, where="matrix") -> np.ndarray:
@@ -69,8 +86,11 @@ def matrix_from_json(obj, where="matrix") -> np.ndarray:
         raise SchemaError(f"{where}: missing or malformed rows/cols/data") from None
     if rows < 1 or cols < 1 or not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(f"{where}: data length must equal rows*cols")
-    flat = [complex_from_json(entry, f"{where}.data[{k}]") for k, entry in enumerate(data)]
-    A = np.array(flat, dtype=complex).reshape(rows, cols)
+    A = _pairs_as_complex(data, rows * cols)
+    if A is None:
+        flat = [complex_from_json(entry, f"{where}.data[{k}]") for k, entry in enumerate(data)]
+        A = np.array(flat, dtype=complex)
+    A = A.reshape(rows, cols)
     if not np.all(np.isfinite(A)):
         raise SchemaError(f"{where}: entries must be finite")
     return A
@@ -160,8 +180,7 @@ def rep_to_json(rep: TwoVarNevRep) -> dict:
     }
 
 
-def tolerances_from_json(obj, base: Tolerances | None = None) -> Tolerances:
-    base = base or Tolerances()
+def tolerances_from_json(obj, base: Tolerances) -> Tolerances:
     if obj is None:
         return base
     if not isinstance(obj, dict):

@@ -57,8 +57,8 @@ class SynthesizedSchur:
     takes the unimodular boundary value omega."""
 
     nu: DiscreteMeasure01
-    tau: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
-    omega: complex = 1.0 + 0j
+    tau: tuple[complex, complex]
+    omega: complex
 
     def __post_init__(self):
         if not isinstance(self.nu, DiscreteMeasure01):

@@ -39,7 +39,7 @@ def favourite_measure():
 @pytest.fixture(scope="session")
 def fitted_favourite(favourite_measure):
     """Exact colligation of the favourite, built by synthesis from its measure."""
-    return fit_colligation(SynthesizedSchur(favourite_measure))
+    return fit_colligation(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0))
 
 
 @pytest.fixture(scope="session")

@@ -188,7 +188,7 @@ def test_criterion_07_two_variable_nevanlinna():
     infinity = carapoint_at_infinity(partial(eval_h2, rep0))
     assert infinity.finite
     limit_gap = abs(infinity.limit - 1.0)
-    syn = SynthesizedSchur(DiscreteMeasure01(((0.5, 1.0),)), omega=-1.0)
+    syn = SynthesizedSchur(DiscreteMeasure01(((0.5, 1.0),)), tau=CHI, omega=-1.0)
     g = desingularize(fit_colligation(syn), CHI)
     rep1 = rep_from_schur(g)
     worst_round = max(abs(eval_h2(rep1, z) - eval_h2(rep0, z)) for z in VERIFICATION_GRID)

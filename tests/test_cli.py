@@ -388,6 +388,43 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestOutputFormat:
+    """Every JSON output is one line with sorted keys, as json.dumps writes it."""
+
+    @staticmethod
+    def assert_one_sorted_line(text):
+        assert text.endswith("\n") and text.count("\n") == 1, text[:200]
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+    def test_every_report_and_file(self, capsys, measure_file, random_file, tmp_path,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runs = [
+            (["synth", measure_file, "--tau=-1,1j", "--omega=-1", "--out", "c.json"], 0),
+            (["synth", measure_file, "--tau=-1,1j", "--omega=-1", "--verify"], 0),
+            (["analyze", "c.json", "--tau=-1,1j", "--out", "a.json"], 0),
+            (["analyze", random_file, "--tau=1,1", "--tolerances", '{"rank_rel": 0.9}',
+              "--out", "p.json"], 3),
+            (["nevrep", measure_file, "--omega=-1", "--out", "rep.json"], 0),
+            (["nevrep", measure_file, "--omega=1"], 6),
+            (["verify", "--random", "2"], 0),
+            (["synth", measure_file, "--omega=nan"], 2),
+            (["analyze", "missing.json", "--tau=1,1"], 2),
+            (["verify", "--tolerances", "{bad"], 2),
+        ]
+        for argv, expected in runs:
+            assert main([str(a) for a in argv]) == expected, argv
+            self.assert_one_sorted_line(capsys.readouterr().out)
+        for name in ("c.json", "a.json", "p.json", "rep.json"):
+            self.assert_one_sorted_line(Path(name).read_text())
+
+    def test_bare_input_error_print(self, capsys):
+        assert main(["verify", "--tolerances", "[1"]) == 2
+        out = capsys.readouterr().out
+        self.assert_one_sorted_line(out)
+        assert set(json.loads(out)) == {"error"}
+
+
 class TestToleranceEnv:
     def test_env_override_is_echoed(self, capsys, favourite_file, monkeypatch):
         monkeypatch.setenv("BISCHUR_TOLERANCES", '{"structural": 1e-8}')

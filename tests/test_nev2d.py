@@ -131,7 +131,7 @@ class TestCayleyMaps:
 class TestRepFromSchur:
     def test_round_trip_through_fit_and_desingularization(self, favourite_measure):
         # h = -2/(z1+z2) corresponds to minus the favourite on the bidisc
-        syn = SynthesizedSchur(favourite_measure, omega=-1.0)
+        syn = SynthesizedSchur(favourite_measure, tau=CHI, omega=-1.0)
         g = desingularize(fit_colligation(syn), CHI)
         rep = rep_from_schur(g)
         assert rep.b == pytest.approx(0.0, abs=1e-10)
@@ -199,7 +199,7 @@ class TestRepFromSchur:
         from bischur import DiscreteMeasure01, eval_I
         rng = np.random.default_rng(69)
         nu = DiscreteMeasure01(((0.3, 0.8), (0.7, 0.5)))
-        g = desingularize(fit_colligation(SynthesizedSchur(nu, omega=-1.0)), CHI)
+        g = desingularize(fit_colligation(SynthesizedSchur(nu, tau=CHI, omega=-1.0)), CHI)
         eye = np.eye(g.dim)
         for _ in range(25):
             lam = random_interior(rng, 0.9)
@@ -234,7 +234,8 @@ class TestRepFromSchur:
         from bischur import DiscreteMeasure01, synth_eval
         for scale in (0.5, 2.0):
             rep0 = TwoVarNevRep(b=0.0, alpha=[np.sqrt(scale)], B=[[0.0]], Y=[[0.5]])
-            syn = SynthesizedSchur(DiscreteMeasure01(((0.5, scale),)), omega=-1.0)
+            syn = SynthesizedSchur(DiscreteMeasure01(((0.5, scale),)), tau=CHI,
+                                   omega=-1.0)
             phi_direct = lambda lam: schur_value_from_pick(eval_h2(rep0, to_halfplane(lam)))
             rng = np.random.default_rng(68)
             for _ in range(20):

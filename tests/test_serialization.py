@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bischur import DiscreteMeasure01, NevanlinnaData, SchemaError, Tolerances
+from bischur.cli import main
 from bischur.generate import random_colligation, random_nev_rep
 from bischur.serialization import (
     colligation_from_json,
@@ -80,7 +81,7 @@ def test_tolerances_partial_override():
     assert tol.structural == 1e-7
     assert tol.rank_rel == Tolerances().rank_rel
     with pytest.raises(SchemaError):
-        tolerances_from_json({"unknown_field": 1.0})
+        tolerances_from_json({"unknown_field": 1.0}, Tolerances())
 
 
 def test_detect_payload_kind():
@@ -91,3 +92,67 @@ def test_detect_payload_kind():
     assert detect_payload_kind(rep_to_json(random_nev_rep(rng, 2))) == "rep"
     with pytest.raises(SchemaError):
         detect_payload_kind({"something": 1})
+
+
+def _bits(A):
+    return np.ascontiguousarray(A, dtype=complex).view(np.uint64).tolist()
+
+
+def test_matrix_codec_is_bit_exact_through_json_text():
+    A = np.array([[complex(-0.0, 5e-324), complex(1e308, -1e308)],
+                  [complex(-5e-324, -0.0), complex(0.1, 1 / 3)]])
+    obj = matrix_to_json(A)
+    assert all(type(x) is float for pair in obj["data"] for x in pair)
+    assert math.copysign(1.0, obj["data"][0][0]) == -1.0
+    back = matrix_from_json(json.loads(json.dumps(obj)))
+    assert _bits(back) == _bits(A)
+    # a transposed view is written row-major all the same
+    assert _bits(matrix_from_json(matrix_to_json(A.T))) == _bits(A.T)
+
+
+def test_matrix_decoder_matches_the_entry_loop():
+    rng = np.random.default_rng(74)
+    specials = [-0.0, 5e-324, -1e308, 2**53 + 1, -7, 0]
+    data = [[float(x) for x in rng.normal(size=2) * 10.0 ** rng.integers(-300, 300)]
+            for _ in range(12)]
+    data += [[a, b] for a, b in zip(specials, reversed(specials))]
+    reference = [complex_from_json(entry) for entry in data]
+    back = matrix_from_json({"rows": 6, "cols": 3, "data": data})
+    assert _bits(back) == _bits(np.reshape(reference, (6, 3)))
+
+
+@pytest.mark.parametrize("entry, message", [
+    ([True, 0.0], "D.data[3]: expected a real number, got True"),
+    ([0.0, "x"], "D.data[3]: expected a real number, got 'x'"),
+    ([None, 0.0], "D.data[3]: expected a real number, got None"),
+    ([1.0], "D.data[3]: expected [re, im]"),
+    ([1.0, 0.0, 0.0], "D.data[3]: expected [re, im]"),
+    ([[1.0, 0.0], 0.0], "D.data[3]: expected a real number, got [1.0, 0.0]"),
+    (True, "D.data[3]: expected [re, im]"),
+    (0.5, "D.data[3]: expected [re, im]"),
+    ([float("nan"), 0.0], "D: entries must be finite"),
+    ([0.0, float("-inf")], "D: entries must be finite"),
+], ids=["bool", "str", "none", "short-pair", "long-pair", "deeper", "bare-bool",
+        "bare-number", "nan", "inf"])
+def test_malformed_matrix_entry_exits_2_naming_it(capsys, tmp_path, favourite_colligation,
+                                                  entry, message):
+    payload = colligation_to_json(favourite_colligation)
+    payload["D"]["data"][3] = entry
+    assert analyze_error(capsys, tmp_path, payload) == {"kind": "input", "message": message}
+
+
+def test_wrong_data_length_exits_2(capsys, tmp_path, favourite_colligation):
+    payload = colligation_to_json(favourite_colligation)
+    payload["D"]["data"].pop()
+    assert analyze_error(capsys, tmp_path, payload) == {
+        "kind": "input", "message": "D: data length must equal rows*cols"}
+
+
+def analyze_error(capsys, tmp_path, payload):
+    """The error of `analyze` on a colligation payload, which must exit 2."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = main(["analyze", str(path), "--tau=1,1", "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == report["exit_code"] == 2
+    return report["error"]

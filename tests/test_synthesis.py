@@ -58,12 +58,12 @@ class TestSynthesizedSchur:
                              ids=["nan", "nan_imag", "inf", "inside"])
     def test_non_unimodular_omega_rejected(self, favourite_measure, omega):
         with pytest.raises(InvalidInputError, match="omega must be unimodular"):
-            SynthesizedSchur(favourite_measure, omega=omega)
+            SynthesizedSchur(favourite_measure, tau=CHI, omega=omega)
 
 
 class TestSynthEval:
     def test_half_atom_reproduces_favourite(self, favourite_measure):
-        syn = SynthesizedSchur(favourite_measure)
+        syn = SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0)
         rng = np.random.default_rng(51)
         for _ in range(300):
             lam = random_interior(rng, 0.95)
@@ -71,7 +71,7 @@ class TestSynthEval:
 
     def test_radial_value_from_total_mass(self):
         nu = DiscreteMeasure01(((0.2, 0.7), (0.9, 1.8)))
-        syn = SynthesizedSchur(nu)
+        syn = SynthesizedSchur(nu, tau=CHI, omega=1.0)
         mass = nu.total_mass
         for r in (0.3, 0.8, 0.99):
             f = (1 - r) / (1 + r) * mass
@@ -88,7 +88,7 @@ class TestSynthEval:
         from bischur.synthesis import _herglotz_sum
         for _ in range(10):
             nu = random_measure(rng)
-            syn = SynthesizedSchur(nu)
+            syn = SynthesizedSchur(nu, tau=CHI, omega=1.0)
             for _ in range(1000):
                 lam = random_interior(rng, 0.98)
                 assert abs(synth_eval(syn, lam)) <= 1.0
@@ -99,7 +99,7 @@ class TestModelVectors:
     def test_model_identity_holds(self, favourite_measure):
         nu = DiscreteMeasure01(((0.25, 0.5), (0.75, 1.25)))
         rng = np.random.default_rng(53)
-        for syn in (SynthesizedSchur(favourite_measure),
+        for syn in (SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0),
                     SynthesizedSchur(nu, tau=(1j, -1.0), omega=-1j)):
             c = fit_colligation(syn)
             for _ in range(20):
@@ -147,18 +147,18 @@ class TestFitColligation:
 
 class TestVerifySlope:
     def test_favourite_direction_one_one(self, favourite_measure):
-        report = verify_slope(SynthesizedSchur(favourite_measure), [(1.0, 1.0)])
+        report = verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0), [(1.0, 1.0)])
         assert report.passed
         assert report.numeric[0] == pytest.approx(-1.0, abs=1e-6)
         assert report.analytic[0] == pytest.approx(-1.0)
 
     def test_favourite_complex_direction(self, favourite_measure):
-        report = verify_slope(SynthesizedSchur(favourite_measure), [(1 + 1j, 2.0)])
+        report = verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0), [(1 + 1j, 2.0)])
         assert report.max_rel_err < 1e-5
 
     def test_endpoint_atoms_give_sum_of_masses(self):
         nu = DiscreteMeasure01(((0.0, 1.0), (1.0, 1.0)))
-        report = verify_slope(SynthesizedSchur(nu), [(1.0, 1.0)])
+        report = verify_slope(SynthesizedSchur(nu, tau=CHI, omega=1.0), [(1.0, 1.0)])
         assert report.analytic[0] == pytest.approx(-2.0)
         assert report.passed
 
@@ -175,7 +175,7 @@ class TestVerifySlope:
         nu = DiscreteMeasure01(((0.9, 1.0),))
         from bischur import directional_derivative_numeric
         (num, _), = directional_derivative_numeric(
-            partial(synth_eval, SynthesizedSchur(nu)), CHI, [(2.0, 1.0)], phi_tau=1.0)
+            partial(synth_eval, SynthesizedSchur(nu, tau=CHI, omega=1.0)), CHI, [(2.0, 1.0)], phi_tau=1.0)
         assert num == pytest.approx(-2.0 / 1.1, abs=1e-6)
         syn = SynthesizedSchur(nu, tau=(1j, -1.0), omega=np.exp(0.7j))
         report = verify_slope(syn, [(1j * (2 + 0.3j), -1.0 - 0.2j), (1j, -3.0)])
@@ -184,29 +184,29 @@ class TestVerifySlope:
 
     def test_error_above_tol_fails_with_a_reason(self, favourite_measure, monkeypatch):
         monkeypatch.setattr(synthesis, "SLOPE_TOL", 0.0)
-        report = verify_slope(SynthesizedSchur(favourite_measure), [(1.0, 2.0)])
+        report = verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0), [(1.0, 2.0)])
         assert not report.passed
         assert report.reason.startswith("max_rel_err ") and report.reason.endswith(
             "is not below 0")
 
     def test_no_direction_passes_vacuously(self, favourite_measure):
-        report = verify_slope(SynthesizedSchur(favourite_measure), [])
+        report = verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0), [])
         assert report == ((), (), (), 0.0, True, None)
 
     def test_passing_check_has_no_reason(self, favourite_measure):
-        assert verify_slope(SynthesizedSchur(favourite_measure), [(1.0, 2.0)]).reason is None
+        assert verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0), [(1.0, 2.0)]).reason is None
 
 
 class TestVerifyCarapoint:
     def test_favourite(self, favourite_measure):
-        report = verify_carapoint(SynthesizedSchur(favourite_measure))
+        report = verify_carapoint(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0))
         assert report.passed
         assert report.liminf == pytest.approx(1.0, abs=1e-6)
         assert report.boundary_value == pytest.approx(1.0, abs=1e-6)
 
     def test_mass_scaling(self, favourite_measure):
         tripled = DiscreteMeasure01(tuple((s, 3 * w) for s, w in favourite_measure.atoms))
-        report = verify_carapoint(SynthesizedSchur(tripled))
+        report = verify_carapoint(SynthesizedSchur(tripled, tau=CHI, omega=1.0))
         assert report.liminf == pytest.approx(3.0, abs=1e-6)
 
     def test_relocated_boundary_value(self, favourite_measure):
@@ -217,7 +217,7 @@ class TestVerifyCarapoint:
 
     def test_mismatch_fails_with_a_reason(self, favourite_measure, monkeypatch):
         monkeypatch.setattr(synthesis, "CARAPOINT_TOL", 0.0)
-        report = verify_carapoint(SynthesizedSchur(favourite_measure))
+        report = verify_carapoint(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0))
         assert not report.passed
         assert report.reason == ("the Julia liminf differs from the mass of nu; "
                                  "the boundary value differs from omega")
@@ -235,7 +235,7 @@ class TestCayleyDerivativeIdentity:
     def test_quotient_rule_between_f_and_phi(self, favourite_measure):
         # D phi = -2 D f / (1 + f)^2 at the carapoint, with radial limit f = 0
         from bischur.synthesis import _herglotz_sum
-        syn = SynthesizedSchur(favourite_measure)
+        syn = SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0)
         phi = partial(synth_eval, syn)
         f = lambda lam: _herglotz_sum(favourite_measure, lam)
         for delta in ((1.0, 1.0), (2.0, 1.0 + 0.5j)):
