@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BischurError, DivergenceError
 
-__all__ = ["LimitReport", "refine_to_limit", "presample", "stacked_samplers"]
+__all__ = ["LimitReport", "refine_to_limit", "stacked_samplers"]
 
 # Samples growing monotonically past this size are taken as divergent.
 _DIVERGENCE_THRESHOLD = 1e6
@@ -31,37 +31,32 @@ class LimitReport:
     estimate: the extrapolated value (best available if not converged).
     converged: whether three successive extrapolants agreed within tol.
     samples: the raw sampled values, in evaluation order.
-    extrapolants: the eliminated-first-order sequence.
-    xs: the extrapolation variable values actually used.
     achieved: smallest successive extrapolant gap observed.
     """
 
     estimate: complex
     converged: bool
     samples: tuple
-    extrapolants: tuple
-    xs: tuple
     achieved: float
 
 
-def refine_to_limit(sample, args, xs, *, tol):
-    """Extrapolate ``sample(args[k])`` along ``xs[k] -> 0``.
+def refine_to_limit(sample, xs, *, tol):
+    """Extrapolate ``sample(k)`` along ``xs[k] -> 0``, reading k = 0, 1, ...
 
     Evaluation is lazy: it stops as soon as three successive extrapolants
     agree within ``tol * (1 + |estimate|)``.  Raises DivergenceError when the
     samples grow monotonically past ``_DIVERGENCE_THRESHOLD``.
     """
-    args = list(args)
     xs = [float(x) for x in xs]
-    if len(args) != len(xs) or not args:
-        raise ValueError("args and xs must be nonempty sequences of equal length")
+    if not xs:
+        raise ValueError("xs must be a nonempty sequence")
 
     samples: list[complex] = []
     extrapolants: list[complex] = []
     best_gap = float("inf")
     best_estimate = None
-    for k, (arg, x) in enumerate(zip(args, xs)):
-        value = complex(sample(arg))
+    for k, x in enumerate(xs):
+        value = complex(sample(k))
         samples.append(value)
         if k == 0:
             extrapolants.append(value)
@@ -85,66 +80,58 @@ def refine_to_limit(sample, args, xs, *, tol):
                 prev_gap = abs(extrapolants[k - 1] - extrapolants[k - 2])
                 scale = 1.0 + abs(extrapolants[k])
                 if gap <= tol * scale and prev_gap <= tol * scale:
-                    return LimitReport(
-                        extrapolants[k], True, tuple(samples),
-                        tuple(extrapolants), tuple(xs[: k + 1]), gap,
-                    )
+                    return LimitReport(extrapolants[k], True, tuple(samples), gap)
     estimate = best_estimate if best_estimate is not None else extrapolants[-1]
-    return LimitReport(
-        estimate, False, tuple(samples), tuple(extrapolants), tuple(xs), best_gap
-    )
+    return LimitReport(estimate, False, tuple(samples), best_gap)
 
 
 def stacked_samplers(f, arg_lists):
-    """Samplers for ``refine_to_limit``, one per sequence of ``arg_lists``
-    (each of distinct floats), that share a few stacked calls of ``f``.
+    """Samplers for ``refine_to_limit``, one per sequence of ``arg_lists``,
+    that share a few stacked calls of ``f``: sampler ``j`` gives at ``k`` the
+    value of ``f`` at ``arg_lists[j][k]``.
 
-    ``f(k, args)`` takes an integer array ``k`` that names the sequence of
-    each entry of the float array ``args``, of the same 1-D shape, and
+    ``f(seq, args)`` takes an integer array ``seq`` that names the sequence
+    of each entry of the float array ``args``, of the same 1-D shape, and
     returns an array with one row per arg (or a constant).  The first call
     covers the first ``_HEAD`` args of every sequence together.  A sampler
-    asked for an arg past its head makes one more call, on the rest of its
+    asked for an index past its head makes one more call, on the rest of its
     own sequence.  When a call raises a BischurError, its args are sampled
-    one by one instead, as ``f(k, arg)`` with an int and the arg itself, so a
-    point the extrapolation never reaches never raises.
+    on stacks of one instead, as far as the extrapolation reads, so a point
+    the extrapolation never reaches never raises.
     """
     seqs = [np.asarray(args, dtype=float) for args in arg_lists]
-    known = [{} for _ in seqs]
+    values = [[] for _ in seqs]
 
-    def call(ks, chunks):
-        """One call of f on the chunks of the sequences ks; False if it
-        raised."""
+    def extend(js, chunks):
+        """Append the values of f on the chunks of the sequences js."""
         sizes = [len(chunk) for chunk in chunks]
         args = np.concatenate(chunks)
+        rows = np.asarray(f(np.repeat(js, sizes), args))
+        rows = np.broadcast_to(rows, args.shape + rows.shape[1:])
+        ends = np.cumsum(sizes).tolist()
+        for j, start, end in zip(js, [0, *ends], ends):
+            values[j].extend(rows[start:end])
+
+    def stacked(js, chunks):
+        """``extend``; False, with nothing appended, if f raised."""
         try:
-            values = np.asarray(f(np.repeat(ks, sizes), args))
-            values = np.broadcast_to(values, args.shape + values.shape[1:])
+            extend(js, chunks)
         except BischurError:
             return False
-        ends = np.cumsum(sizes).tolist()
-        for k, chunk, start, end in zip(ks, chunks, [0, *ends], ends):
-            known[k].update(zip(chunk.tolist(), values[start:end]))
         return True
 
-    tails = [args[_HEAD:] for args in seqs]
-    if seqs and not call(list(range(len(seqs))), [args[:_HEAD] for args in seqs]):
-        tails = [tail[:0] for tail in tails]
+    head = bool(seqs) and stacked(list(range(len(seqs))), [args[:_HEAD] for args in seqs])
+    tail_due = [head and args.size > _HEAD for args in seqs]
 
-    def sampler(k):
-        def sample(arg):
-            if arg not in known[k] and tails[k].size:
-                call([k], [tails[k]])
-                tails[k] = tails[k][:0]
-            return known[k][arg] if arg in known[k] else f(k, arg)
+    def sampler(j):
+        def sample(k):
+            if k >= len(values[j]) and tail_due[j]:
+                tail_due[j] = False
+                stacked([j], [seqs[j][_HEAD:]])
+            while k >= len(values[j]):
+                n = len(values[j])
+                extend([j], [seqs[j][n:n + 1]])
+            return values[j][k]
         return sample
 
-    return [sampler(k) for k in range(len(seqs))]
-
-
-def presample(f, args):
-    """A sampler for ``refine_to_limit`` that calls ``f`` on arrays of
-    ``args`` (distinct floats): ``stacked_samplers`` for one sequence, with
-    ``f`` taking the args alone.  ``f`` must return an array with one row
-    per arg, or a constant; point by point it is called as ``f(arg)``.
-    """
-    return stacked_samplers(lambda k, t: f(t), [args])[0]
+    return [sampler(j) for j in range(len(seqs))]

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import LimitReport, presample, refine_to_limit
+from ._limits import LimitReport, refine_to_limit, stacked_samplers
 from .colligation import Colligation, model_vector
 from .errors import InvalidInputError, NoSolutionError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, min_norm_solve
-from .points import TORUS_SLACK, as_point, require_boundary, require_torus, sup_norm
+from .points import as_point, require_torus, sup_norm
 
 __all__ = [
     "ApproachPath",
@@ -40,26 +40,23 @@ VALUE_TOL = 1e-10
 
 
 def _inward(tau, delta):
-    """(tau, delta) as points, with tau on the boundary and delta pointing
-    into the bidisc there: Re(conj(tau_j) delta_j) > 0 in each unimodular
-    coordinate."""
-    tau = require_boundary(tau)
+    """(tau, delta) as points, with tau on the torus and delta pointing
+    into the bidisc there: Re(conj(tau_j) delta_j) > 0 in each coordinate."""
+    tau = require_torus(tau)
     delta = as_point(delta)
-    for t, d in zip(tau, delta):
-        if abs(abs(t) - 1.0) <= TORUS_SLACK and (np.conj(t) * d).real <= 0:
-            raise InvalidInputError(
-                "direction must satisfy Re(conj(tau_j) delta_j) > 0 "
-                "in every unimodular coordinate"
-            )
+    if any((np.conj(t) * d).real <= 0 for t, d in zip(tau, delta)):
+        raise InvalidInputError(
+            "direction must satisfy Re(conj(tau_j) delta_j) > 0 in every coordinate"
+        )
     return tau, delta
 
 
 @dataclass(frozen=True)
 class ApproachPath:
-    """A nontangential approach ``tau - t_k delta`` to a boundary point.
+    """A nontangential approach ``tau - t_k delta`` to a point of the torus.
 
-    Each unimodular coordinate of tau needs Re(conj(tau_j) delta_j) > 0 so
-    the ray points into the bidisc.  The steps t_k are those of ``STEPS``
+    Each coordinate needs Re(conj(tau_j) delta_j) > 0 so the ray points into
+    the bidisc.  The steps t_k are those of ``STEPS``
     whose point lies in the open bidisc.
     """
 
@@ -98,18 +95,18 @@ def _quotient(value, lam):
 
 
 def _radial_samples(phi, path: ApproachPath):
-    """A sampler of the rows (phi, Julia quotient) along the path, for
+    """A sampler of the rows (phi, Julia quotient) at the path's steps, for
     ``refine_to_limit``.  ``phi`` is called as ``radial_liminf`` says."""
-    def sample(t):
+    def sample(seq, t):
         lam = path.point(t)
-        value = np.broadcast_to(phi(lam), np.shape(t))
+        value = np.broadcast_to(phi(lam), t.shape)
         return np.stack([value, _quotient(value, lam)], axis=-1)
 
-    return presample(sample, path.steps)
+    return stacked_samplers(sample, [path.steps])[0]
 
 
 def _limit(rows, path: ApproachPath, column: int, tol: float) -> LimitReport:
-    return refine_to_limit(lambda t: rows(t)[column], path.steps, path.steps, tol=tol)
+    return refine_to_limit(lambda k: rows(k)[column], path.steps, tol=tol)
 
 
 def radial_liminf(phi, path: ApproachPath) -> LimitReport:
@@ -119,7 +116,7 @@ def radial_liminf(phi, path: ApproachPath) -> LimitReport:
     ``phi`` is called on stacks of the path's points, so it must accept a
     stack (or return a constant): once on the first steps, and once more on
     the rest only if the extrapolation reads past them; if a call raises a
-    BischurError, its points are sampled one by one as far as the
+    BischurError, its points are sampled on stacks of one as far as the
     extrapolation needs.  On a carapoint path this converges to the
     Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
     meaning the path provides no carapoint evidence.
@@ -142,10 +139,9 @@ def _value_and_liminf(phi, path: ApproachPath) -> tuple[LimitReport, LimitReport
 
 
 def _one_minus_abs_sq(tau_j: complex, delta_j: complex, t):
-    """1 - |tau_j - t delta_j|^2 without cancellation: on a unimodular
-    coordinate it is t (2 Re(conj(tau_j) delta_j) - t |delta_j|^2)."""
-    base = 0.0 if abs(abs(tau_j) - 1.0) <= TORUS_SLACK else 1.0 - abs(tau_j) ** 2
-    return base + t * (2.0 * (np.conj(tau_j) * delta_j).real - t * abs(delta_j) ** 2)
+    """1 - |tau_j - t delta_j|^2 without cancellation, for |tau_j| = 1:
+    t (2 Re(conj(tau_j) delta_j) - t |delta_j|^2)."""
+    return t * (2.0 * (np.conj(tau_j) * delta_j).real - t * abs(delta_j) ** 2)
 
 
 def model_liminf(c: Colligation, path: ApproachPath,
@@ -157,7 +153,7 @@ def model_liminf(c: Colligation, path: ApproachPath,
     + (1 - |lam_2|^2) ||(1 - P1) u_lam||^2, and each 1 - |lam_j|^2 is formed
     from the path data, so the quotient never subtracts two numbers near 1;
     on the radial path it is ||u_lam||^2.  The model vectors come from
-    stacked solves, with the same head-then-tail calls and point-by-point
+    stacked solves, with the same head-then-tail calls and stack-of-one
     fallback as ``radial_liminf``.
     """
     def quotient(t):
@@ -169,8 +165,8 @@ def model_liminf(c: Colligation, path: ApproachPath,
         d = np.minimum(d1, d2)
         return norm1 * (d1 / d) + norm2 * (d2 / d)
 
-    return refine_to_limit(presample(quotient, path.steps), path.steps, path.steps,
-                           tol=LIMINF_TOL)
+    samples = stacked_samplers(lambda seq, t: quotient(t), [path.steps])[0]
+    return refine_to_limit(samples, path.steps, tol=LIMINF_TOL)
 
 
 def is_carapoint(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES):

@@ -200,7 +200,8 @@ def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
     )
     checks = []
     for delta, (numeric, report) in zip(deltas, results):
-        analytic = slope_mod.directional_derivative_analytic(phi_tau, tau, delta, pair)
+        analytic = slope_mod.directional_derivative_analytic(
+            phi_tau, tau, delta, partial(slope_mod.slope_eval, pair))
         checks.append({
             "delta": [complex_to_json(delta[0]), complex_to_json(delta[1])],
             "numeric": complex_to_json(numeric),

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._limits import presample, refine_to_limit
+from ._limits import refine_to_limit, stacked_samplers
 from .colligation import _block_operator
 from .desingularize import GeneralizedRealization, eval_phi_gen
 from .errors import (
@@ -113,15 +113,14 @@ def carapoint_at_infinity(h) -> InfinityCarapoint:
     condition, and the value is the extrapolated h(iy, iy).  Divergence is
     encoded as ``finite=False``.  ``h`` is called once, on the stack of all
     the points (iy, iy), so it must accept a stack (or return a constant);
-    if that call raises a BischurError, the points are sampled one by one as
-    far as the extrapolation needs.
+    if that call raises a BischurError, the points are sampled on stacks of
+    one as far as the extrapolation needs.
     """
     ys = INFINITY_YS
-    value = presample(lambda y: h((1j * y, 1j * y)), ys)
+    value = stacked_samplers(lambda seq, y: h((1j * y, 1j * y)), [ys])[0]
     try:
         growth = refine_to_limit(
-            lambda y: y * complex(value(y)).imag,
-            ys,
+            lambda k: ys[k] * complex(value(k)).imag,
             [1.0 / (y * y) for y in ys],
             tol=INFINITY_TOL,
         )
@@ -129,7 +128,7 @@ def carapoint_at_infinity(h) -> InfinityCarapoint:
         return InfinityCarapoint(False, None, None)
     if not growth.converged:
         return InfinityCarapoint(False, None, None)
-    limit = refine_to_limit(value, ys, [1.0 / y for y in ys], tol=INFINITY_TOL)
+    limit = refine_to_limit(value, [1.0 / y for y in ys], tol=INFINITY_TOL)
     return InfinityCarapoint(True, float(growth.estimate.real), complex(limit.estimate))
 
 

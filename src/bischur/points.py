@@ -105,17 +105,6 @@ def require_torus(tau) -> tuple[complex, complex]:
     return tau
 
 
-def require_boundary(tau) -> tuple[complex, complex]:
-    """Accept points with every coordinate in the closed disc and at least
-    one on the circle (covers torus points and mixed boundary points)."""
-    tau = as_point(tau)
-    if any(abs(t) > 1.0 + TORUS_SLACK for t in tau):
-        raise InvalidInputError(f"point {tau} lies outside the closed bidisc")
-    if max(abs(t) for t in tau) < 1.0 - TORUS_SLACK:
-        raise InvalidInputError(f"point {tau} is interior, not a boundary point")
-    return tau
-
-
 def require_upper_half_plane(z):
     """A point or a stack of points of the upper half-plane squared."""
     z = as_points(z)

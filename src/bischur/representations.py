@@ -198,8 +198,8 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
         raise InvalidInputError("window must satisfy a < b")
     if any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be positive and strictly decreasing")
-    report = refine_to_limit(lambda y: adaptive_trapezoid(h, a, b, y),
-                             ys, ys, tol=10 * REL_TOL)
+    report = refine_to_limit(lambda k: adaptive_trapezoid(h, a, b, ys[k]),
+                             ys, tol=10 * REL_TOL)
     if not report.converged:
         raise NoLimitError(
             f"window integrals did not stabilize (best gap {report.achieved:.3e})"

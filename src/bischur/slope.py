@@ -105,13 +105,15 @@ def slope_measure(pair: SlopePair) -> DiscreteMeasure01:
     return DiscreteMeasure01(tuple((s, w) for s, w in atoms if w > 1e-14))
 
 
-def directional_derivative_analytic(phi_tau, tau, delta, pair: SlopePair) -> complex:
-    """Directional derivative from the slope formula.  delta must point into
-    the bidisc at tau, as for an ``ApproachPath``."""
+def directional_derivative_analytic(phi_tau, tau, delta, h) -> complex:
+    """Directional derivative from the slope formula, with ``h`` the slope
+    function at tau (a callable on complex numbers, such as
+    ``partial(slope_eval, pair)``).  delta must point into the bidisc at
+    tau, as for an ``ApproachPath``."""
     tau, delta = boundary._inward(tau, delta)
     w1 = np.conj(tau[0]) * delta[0]
     w2 = np.conj(tau[1]) * delta[1]
-    return complex(phi_tau) * w2 * slope_eval(pair, w2 / w1)
+    return complex(phi_tau) * w2 * h(w2 / w1)
 
 
 def directional_derivative_numeric(phi, tau, deltas, phi_tau):
@@ -122,21 +124,20 @@ def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     ``phi`` is called on stacks of points, so it must accept a stack (or
     return a constant): once on the first steps of every path together, and
     once more on the rest of a path only if its extrapolation reads past
-    them; if a call raises a BischurError, its points are sampled one by one
-    as far as the extrapolations need.  Quotients are extrapolated with one
+    them; if a call raises a BischurError, its points are sampled on stacks
+    of one as far as the extrapolations need.  Quotients are extrapolated with one
     elimination step, which removes the O(t) truncation term.
     """
     tau = as_point(tau)
     paths = [boundary.ApproachPath(tau, delta) for delta in deltas]
     d = np.array([path.delta for path in paths]).reshape(-1, 2)
-    values = stacked_samplers(lambda k, t: phi((tau[0] - t * d[k, 0], tau[1] - t * d[k, 1])),
+    values = stacked_samplers(lambda j, t: phi((tau[0] - t * d[j, 0], tau[1] - t * d[j, 1])),
                               [path.steps for path in paths])
     phi_tau = complex(phi_tau)
     results = []
     for path, value in zip(paths, values):
         report = refine_to_limit(
-            lambda t: (complex(value(t)) - phi_tau) / t,
-            path.steps,
+            lambda k: (complex(value(k)) - phi_tau) / path.steps[k],
             path.steps,
             tol=DERIVATIVE_TOL,
         )

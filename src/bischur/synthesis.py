@@ -183,9 +183,8 @@ def verify_slope(syn: SynthesizedSchur, deltas) -> SlopeVerification:
     numeric, analytic, unconverged = [], [], []
     worst = 0.0
     for k, (delta, (num, report)) in enumerate(zip(deltas, results)):
-        w1 = np.conj(syn.tau[0]) * delta[0]
-        w2 = np.conj(syn.tau[1]) * delta[1]
-        ana = complex(syn.omega * w2 * h_from_measure(syn.nu, w2 / w1))
+        ana = complex(slope_mod.directional_derivative_analytic(
+            syn.omega, syn.tau, delta, partial(h_from_measure, syn.nu)))
         numeric.append(complex(num))
         analytic.append(ana)
         worst = max(worst, float(abs(num - ana) / (1.0 + abs(ana))))

@@ -69,9 +69,9 @@ class TestApproachPath:
         assert max(path.steps) <= 0.5
         assert all(max(abs(w) for w in path.point(t)) < 1.0 for t in path.steps)
 
-    def test_mixed_boundary_point_allowed(self):
-        path = ApproachPath.radial((1j, 0.3))
-        assert path.steps
+    def test_point_off_the_torus_rejected(self):
+        with pytest.raises(InvalidInputError, match="is not on the torus"):
+            ApproachPath((1j, 0.3), (1j, 1))
 
     def test_steps_are_python_floats(self):
         path = ApproachPath(CHI, (1.0, 4.0))
@@ -105,11 +105,6 @@ class TestModelLiminf:
         assert report.converged
         assert report.estimate.real == pytest.approx(1.0, abs=1e-9)
 
-    def test_coordinate_function_at_mixed_boundary_point(self, coordinate_colligation):
-        path = ApproachPath.radial((1j, 0.3))
-        assert model_liminf(coordinate_colligation, path).estimate.real == \
-            pytest.approx(radial_liminf(lambda lam: lam[0], path).estimate.real, abs=1e-9)
-
     def test_radial_limit_is_the_witness_norm(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
@@ -137,10 +132,6 @@ class TestNontangentialValue:
     def test_favourite_at_chi(self):
         report = nontangential_value(favourite_formula, ApproachPath.radial(CHI))
         assert report.estimate == pytest.approx(1.0, abs=1e-9)
-
-    def test_coordinate_function_at_mixed_boundary_point(self):
-        report = nontangential_value(lambda lam: lam[0], ApproachPath.radial((1j, 0.3)))
-        assert report.estimate == pytest.approx(1j, abs=1e-10)
 
     def test_path_independence_at_carapoint(self):
         r1 = nontangential_value(favourite_formula, ApproachPath(CHI, (1.0, 2.0)))

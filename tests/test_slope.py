@@ -27,6 +27,7 @@ from bischur.generate import (
 from conftest import CHI, favourite_formula
 
 HALF_PAIR = SlopePair(Y=[[0.5]], u_tau=[1.0])
+HALF_H = partial(slope_eval, HALF_PAIR)
 
 
 class TestSlopeEval:
@@ -85,26 +86,26 @@ class TestSlopeMeasure:
 
 class TestDirectionalDerivativeAnalytic:
     def test_favourite_direction_one_one(self):
-        value = directional_derivative_analytic(1.0, CHI, (1.0, 1.0), HALF_PAIR)
+        value = directional_derivative_analytic(1.0, CHI, (1.0, 1.0), HALF_H)
         assert value == pytest.approx(-1.0)
 
     def test_favourite_direction_one_two(self):
-        value = directional_derivative_analytic(1.0, CHI, (1.0, 2.0), HALF_PAIR)
+        value = directional_derivative_analytic(1.0, CHI, (1.0, 2.0), HALF_H)
         assert value == pytest.approx(-4.0 / 3.0)
 
     def test_zero_boundary_vector(self):
         pair = SlopePair(Y=[[0.5]], u_tau=[0.0])
-        assert directional_derivative_analytic(1.0, CHI, (1.0, 1.0), pair) == 0.0
+        h = partial(slope_eval, pair)
+        assert directional_derivative_analytic(1.0, CHI, (1.0, 1.0), h) == 0.0
 
     def test_homogeneity_in_the_direction(self):
         rng = np.random.default_rng(32)
         tau = random_torus_point(rng)
-        pair = SlopePair(Y=[[0.7]], u_tau=[1.3])
+        h = partial(slope_eval, SlopePair(Y=[[0.7]], u_tau=[1.3]))
         delta = random_inward_direction(rng, tau)
-        base = directional_derivative_analytic(1.0, tau, delta, pair)
+        base = directional_derivative_analytic(1.0, tau, delta, h)
         for c in (0.5, 2.0, 7.5):
-            scaled = directional_derivative_analytic(
-                1.0, tau, (c * delta[0], c * delta[1]), pair)
+            scaled = directional_derivative_analytic(1.0, tau, (c * delta[0], c * delta[1]), h)
             assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
@@ -115,7 +116,7 @@ class TestOutwardDirection:
     ])
     def test_both_derivatives_reject_it(self, tau, delta):
         with pytest.raises(InvalidInputError):
-            directional_derivative_analytic(1.0, tau, delta, HALF_PAIR)
+            directional_derivative_analytic(1.0, tau, delta, HALF_H)
         with pytest.raises(InvalidInputError):
             directional_derivative_numeric(favourite_formula, tau, [delta], 1.0)
 
@@ -171,7 +172,8 @@ class TestDirectionalDerivativeNumeric:
         deltas = [random_inward_direction(rng, tau) for _ in range(20)]
         results = directional_derivative_numeric(phi, tau, deltas, phi_tau)
         for delta, (numeric, _) in zip(deltas, results):
-            analytic = directional_derivative_analytic(phi_tau, tau, delta, pair)
+            analytic = directional_derivative_analytic(phi_tau, tau, delta,
+                                                       partial(slope_eval, pair))
             assert abs(numeric - analytic) < 1e-5 * (1.0 + abs(analytic))
 
 

@@ -117,6 +117,13 @@ def julia_quotient(phi, lam):
     return _quotient(phi(lam), lam)
 
 
+def pointwise(phi, path, tol):
+    """radial_liminf of phi along path, sampled on stacks of one."""
+    steps = np.array(path.steps)
+    return refine_to_limit(lambda k: julia_quotient(phi, path.point(steps[k:k + 1]))[0],
+                           steps, tol=tol)
+
+
 def test_unreached_ill_conditioned_tail_falls_back_to_points(favourite_colligation):
     # the resolvent of the favourite at (1 - t)(1, 1) has condition about 1/t,
     # so a ceiling of 1e3 breaks the path's tail, which the limit never reaches
@@ -124,8 +131,7 @@ def test_unreached_ill_conditioned_tail_falls_back_to_points(favourite_colligati
     path = ApproachPath.radial(CHI)
     with pytest.raises(IllConditionedError):
         phi(path.point(np.array(path.steps)))
-    lazy = refine_to_limit(lambda t: julia_quotient(phi, path.point(t)),
-                           path.steps, path.steps, tol=1e-9)
+    lazy = pointwise(phi, path, 1e-9)
     assert lazy.converged
     assert radial_liminf(phi, path) == lazy
 
@@ -142,16 +148,9 @@ def test_model_liminf_falls_back_on_an_unreached_tail(favourite_colligation):
 def counted(phi, calls):
     """phi, recording the length of each stack it is called on."""
     def wrapped(lam):
-        if np.ndim(lam[0]):
-            calls.append(len(lam[0]))
+        calls.append(len(lam[0]))
         return phi(lam)
     return wrapped
-
-
-def pointwise(phi, path, tol):
-    """radial_liminf of phi along path, sampled point by point."""
-    return refine_to_limit(lambda t: julia_quotient(phi, path.point(t)),
-                           path.steps, path.steps, tol=tol)
 
 
 def test_path_converging_in_its_head_makes_one_call(favourite_colligation):
@@ -181,8 +180,7 @@ def test_path_read_past_its_head_makes_a_second_call(favourite_colligation, monk
     whole = julia_quotient(phi, path.point(np.array(path.steps)))
     report = radial_liminf(phi, path)
     assert len(report.samples) > 24
-    assert report == refine_to_limit(dict(zip(path.steps, whole)).__getitem__,
-                                     path.steps, path.steps, tol=1e-300)
+    assert report == refine_to_limit(whole.__getitem__, path.steps, tol=1e-300)
 
 
 @pytest.mark.parametrize("broken", ["head", "tail"])
@@ -194,16 +192,16 @@ def test_stack_that_raises_falls_back_to_points(broken, monkeypatch):
 
     def breaks(lam):
         calls.append(np.shape(lam[0]))
-        if np.ndim(lam[0]) and (broken == "head" or len(lam[0]) == tail):
+        if len(lam[0]) > 1 and (broken == "head" or len(lam[0]) == tail):
             raise IllConditionedError(f"the {broken} stack is refused", cond=1e300)
         return favourite_formula(lam)
 
     report = radial_liminf(breaks, path)
     assert len(report.samples) > 24
     if broken == "head":   # no second stacked call: every point alone
-        assert calls == [(24,)] + [()] * len(report.samples)
+        assert calls == [(24,)] + [(1,)] * len(report.samples)
     else:
-        assert calls == [(24,), (tail,)] + [()] * (len(report.samples) - 24)
+        assert calls == [(24,), (tail,)] + [(1,)] * (len(report.samples) - 24)
     assert report == pointwise(favourite_formula, path, 1e-300)
 
 
