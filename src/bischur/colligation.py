@@ -132,8 +132,9 @@ def _realize(r, lam, tol: Tolerances):
     l1, l2, single = to_stack(require_interior(lam))
     T, I_lam = r._feedback(l1, l2, tol)
     u = linalg.guarded_solve(np.eye(r.dim) - T @ I_lam, r.gamma, (l1, l2), tol)
-    Iu = (I_lam @ u[..., None])[..., 0]
-    phi = r.a + Iu @ r.beta.conj()
+    # einsum, not matmul: a point's digits must not depend on the stack size
+    Iu = np.einsum("kij,kj->ki", I_lam, u)
+    phi = r.a + np.einsum("kn,n->k", Iu, r.beta.conj())
     if single:
         return complex(phi[0]), u[0], Iu[0]
     return phi, u, Iu

@@ -32,7 +32,7 @@ from bischur.generate import (
     random_torus_point,
 )
 
-from conftest import CHI, favourite_formula
+from conftest import CHI
 
 N_POINTS = 64
 
@@ -162,47 +162,56 @@ def test_path_converging_in_its_head_makes_one_call(favourite_colligation):
     assert report.estimate == pytest.approx(1.0, abs=1e-8)
 
 
-# the running example's formula gives the same digits at a point as in a
-# stack along this path, and its extrapolation reads 31 of the 40 steps
+# with LIMINF_TOL at 1e-300 the extrapolation along this path reads all of
+# its steps, past the head
 PAST_THE_HEAD = ApproachPath(CHI, (1.0, 3.0))
+
+
+def test_colligation_digits_do_not_depend_on_the_stack():
+    rng = np.random.default_rng(740)
+    for dim in range(1, 9):
+        c = random_colligation(rng, dim)
+        lam = bidisc_stack(rng)
+        ones = [eval_phi(c, (lam[0][k:k + 1], lam[1][k:k + 1]))[0] for k in range(N_POINTS)]
+        assert np.array_equal(eval_phi(c, lam), ones)
 
 
 def test_path_read_past_its_head_makes_a_second_call(favourite_colligation, monkeypatch):
     monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
     path = PAST_THE_HEAD
-    calls = []
-    report = radial_liminf(counted(favourite_formula, calls), path)
-    assert calls == [24, len(path.steps) - 24]
-    assert len(report.samples) > 24
-    assert report == pointwise(favourite_formula, path, 1e-300)
-    # a realization's values, head then tail, are those of one whole-path call
     phi = partial(eval_phi, favourite_colligation)
+    calls = []
+    report = radial_liminf(counted(phi, calls), path)
+    assert calls == [24, len(path.steps) - 24]
+    assert len(report.samples) == len(path.steps)
+    # head then tail give the digits of stacks of one and of one whole-path call
+    assert report == pointwise(phi, path, 1e-300)
     whole = julia_quotient(phi, path.point(np.array(path.steps)))
-    report = radial_liminf(phi, path)
-    assert len(report.samples) > 24
     assert report == refine_to_limit(whole.__getitem__, path.steps, tol=1e-300)
 
 
 @pytest.mark.parametrize("broken", ["head", "tail"])
-def test_stack_that_raises_falls_back_to_points(broken, monkeypatch):
+def test_stack_that_raises_falls_back_to_points(broken, favourite_colligation, monkeypatch):
     monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
     path = PAST_THE_HEAD
     tail = len(path.steps) - 24
+    phi = partial(eval_phi, favourite_colligation)
     calls = []
 
     def breaks(lam):
         calls.append(np.shape(lam[0]))
         if len(lam[0]) > 1 and (broken == "head" or len(lam[0]) == tail):
             raise IllConditionedError(f"the {broken} stack is refused", cond=1e300)
-        return favourite_formula(lam)
+        return phi(lam)
 
     report = radial_liminf(breaks, path)
-    assert len(report.samples) > 24
+    assert len(report.samples) == len(path.steps)
     if broken == "head":   # no second stacked call: every point alone
         assert calls == [(24,)] + [(1,)] * len(report.samples)
     else:
         assert calls == [(24,), (tail,)] + [(1,)] * (len(report.samples) - 24)
-    assert report == pointwise(favourite_formula, path, 1e-300)
+    assert report == radial_liminf(phi, path)
+    assert report == pointwise(phi, path, 1e-300)
 
 
 def test_derivative_checks_make_one_call(favourite_colligation, monkeypatch):
