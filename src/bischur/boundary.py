@@ -56,8 +56,8 @@ class ApproachPath:
     """A nontangential approach ``tau - t_k delta`` to a point of the torus.
 
     Each coordinate needs Re(conj(tau_j) delta_j) > 0 so the ray points into
-    the bidisc.  The steps t_k are those of ``STEPS``
-    whose point lies in the open bidisc.
+    the bidisc.  The steps t_k are those of ``STEPS`` whose point lies in the
+    open bidisc.
     """
 
     tau: tuple[complex, complex]

@@ -125,8 +125,8 @@ def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     return a constant): once on the first steps of every path together, and
     once more on the rest of a path only if its extrapolation reads past
     them; if a call raises a BischurError, its points are sampled on stacks
-    of one as far as the extrapolations need.  Quotients are extrapolated with one
-    elimination step, which removes the O(t) truncation term.
+    of one as far as the extrapolations need.  Quotients are extrapolated
+    with one elimination step, which removes the O(t) truncation term.
     """
     tau = as_point(tau)
     paths = [boundary.ApproachPath(tau, delta) for delta in deltas]

@@ -12,7 +12,7 @@ from bischur import (
 )
 from bischur.generate import random_colligation, random_interior_point
 
-from conftest import favourite_formula, random_interior
+from conftest import favourite_formula, random_interior, random_interior_stack
 
 
 class TestEvalPhi:
@@ -127,12 +127,8 @@ class TestUnitaryExtension:
 
 class TestFittedFavourite:
     def test_agrees_with_closed_form_on_thousand_points(self, fitted_favourite):
-        rng = np.random.default_rng(8)
-        worst = 0.0
-        for _ in range(1000):
-            lam = random_interior(rng, 0.95)
-            worst = max(worst, abs(eval_phi(fitted_favourite, lam) - favourite_formula(lam)))
-        assert worst < 1e-8
+        lam = random_interior_stack(np.random.default_rng(8), 1000, 0.95)
+        assert np.abs(eval_phi(fitted_favourite, lam) - favourite_formula(lam)).max() < 1e-8
 
     def test_structural_invariants(self, fitted_favourite):
         residuals = fitted_favourite.validate()

@@ -62,7 +62,8 @@ def test_colligation_stack_matches_points(dim):
     rng = np.random.default_rng(700 + dim)
     c = random_colligation(rng, dim)
     lam, mu = bidisc_stack(rng), bidisc_stack(rng)
-    assert close(eval_phi(c, lam), [eval_phi(c, p) for p in points_of(lam)])
+    # phi's digits at a point do not depend on the size of its stack
+    assert np.array_equal(eval_phi(c, lam), [eval_phi(c, p) for p in points_of(lam)])
     assert close(model_residual(c, lam, mu),
                  [model_residual(c, p, q) for p, q in zip(points_of(lam), points_of(mu))])
 
@@ -165,15 +166,6 @@ def test_path_converging_in_its_head_makes_one_call(favourite_colligation):
 # with LIMINF_TOL at 1e-300 the extrapolation along this path reads all of
 # its steps, past the head
 PAST_THE_HEAD = ApproachPath(CHI, (1.0, 3.0))
-
-
-def test_colligation_digits_do_not_depend_on_the_stack():
-    rng = np.random.default_rng(740)
-    for dim in range(1, 9):
-        c = random_colligation(rng, dim)
-        lam = bidisc_stack(rng)
-        ones = [eval_phi(c, (lam[0][k:k + 1], lam[1][k:k + 1]))[0] for k in range(N_POINTS)]
-        assert np.array_equal(eval_phi(c, lam), ones)
 
 
 def test_path_read_past_its_head_makes_a_second_call(favourite_colligation, monkeypatch):
