@@ -156,7 +156,7 @@ def model_liminf(c: Colligation, path: ApproachPath,
     stacked solves, with the same head-then-tail calls and stack-of-one
     fallback as ``radial_liminf``.
     """
-    def quotient(t):
+    def quotient(seq, t):
         u = model_vector(c, path.point(t), tol)
         p1u = u @ c.P1.T
         norm1 = (np.abs(p1u) ** 2).sum(-1)
@@ -165,8 +165,8 @@ def model_liminf(c: Colligation, path: ApproachPath,
         d = np.minimum(d1, d2)
         return norm1 * (d1 / d) + norm2 * (d2 / d)
 
-    samples = stacked_samplers(lambda seq, t: quotient(t), [path.steps])[0]
-    return refine_to_limit(samples, path.steps, tol=LIMINF_TOL)
+    return refine_to_limit(stacked_samplers(quotient, [path.steps])[0], path.steps,
+                           tol=LIMINF_TOL)
 
 
 def is_carapoint(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES):
