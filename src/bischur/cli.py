@@ -43,11 +43,13 @@ from .errors import (
 from .generate import (
     random_colligation,
     random_colligation_with_kernel,
-    random_interior_point,
-    random_inward_direction,
+    random_interior_points,
+    random_inward_directions,
     random_measure,
     random_nev_rep,
     random_torus_point,
+    random_torus_points,
+    random_upper_points,
 )
 from .linalg import Tolerances
 from .points import require_torus
@@ -194,7 +196,7 @@ def _load_json(path):
 
 
 def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
-    deltas = [random_inward_direction(rng, tau) for _ in range(n_directions)]
+    deltas = list(zip(*random_inward_directions(rng, tau, n_directions)))
     results = slope_mod.directional_derivative_numeric(
         partial(eval_phi, c, tol=tol), tau, deltas, phi_tau=phi_tau
     )
@@ -227,26 +229,19 @@ def _gate(verification, liminf, checks):
     return verification
 
 
-def _stack(points):
-    """A list of points as one stack: a pair of coordinate arrays."""
-    return tuple(np.array(points).T)
-
-
 def _pair_stacks(rng, n):
     """n pairs (lam, mu) of interior points, drawn lam first, as two stacks."""
-    pairs = [(random_interior_point(rng, 0.85), random_interior_point(rng, 0.85))
-             for _ in range(n)]
-    return _stack([lam for lam, _ in pairs]), _stack([mu for _, mu in pairs])
+    l1, l2 = random_interior_points(rng, 2 * n, 0.85)
+    return (l1[0::2], l2[0::2]), (l1[1::2], l2[1::2])
 
 
 def _inner_residual(g, rng, n, tol):
     """Max of ||I* I - 1|| over n torus draws, skipping those within 0.2 of tau."""
-    lams = [random_torus_point(rng) for _ in range(n)]
-    kept = [lam for lam in lams
-            if min(abs(lam[0] - g.tau[0]), abs(lam[1] - g.tau[1])) >= 0.2]
-    if not kept:
+    l1, l2 = random_torus_points(rng, n)
+    kept = (abs(l1 - g.tau[0]) >= 0.2) & (abs(l2 - g.tau[1]) >= 0.2)
+    if not kept.any():
         return 0.0
-    I_lam = eval_I(g, _stack(kept), tol)
+    I_lam = eval_I(g, (l1[kept], l2[kept]), tol)
     gap = np.swapaxes(I_lam.conj(), -1, -2) @ I_lam - np.eye(g.dim)
     return float(np.linalg.svd(gap, compute_uv=False)[:, 0].max())
 
@@ -371,9 +366,9 @@ def cmd_synth(args) -> int:
 
     try:
         if args.out and args.out.endswith(".csv"):
-            lams = _stack([(r1 * np.exp(1j * a1), r2 * np.exp(1j * a2))
-                           for r1 in _CSV_RADII for a1 in _CSV_ANGLES
-                           for r2 in _CSV_RADII for a2 in _CSV_ANGLES])
+            lams = tuple(np.array([(r1 * np.exp(1j * a1), r2 * np.exp(1j * a2))
+                                   for r1 in _CSV_RADII for a1 in _CSV_ANGLES
+                                   for r2 in _CSV_RADII for a2 in _CSV_ANGLES]).T)
             values = synthesis.synth_eval(syn, lams)
             rows = np.column_stack([lams[0].real, lams[0].imag, lams[1].real,
                                     lams[1].imag, values.real, values.imag]).tolist()
@@ -490,7 +485,7 @@ def _suite_colligations(rng, n, tol):
     worst_model = 0.0
     for _ in range(n):
         c = random_colligation(rng, int(rng.integers(2, 6)))
-        lams = _stack([random_interior_point(rng) for _ in range(4)])
+        lams = random_interior_points(rng, 4)
         worst_schur = max(worst_schur, float(np.abs(eval_phi(c, lams, tol)).max()) - 1.0)
         worst_model = max(worst_model, float(model_residual(c, *_pair_stacks(rng, 3), tol).max()))
     return {
@@ -533,8 +528,8 @@ def _suite_measures(rng, n, tol):
     min_im = np.inf
     min_im_zh = np.inf
     lost_atoms = 0
-    grid = [complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)) for _ in range(25)]
-    equiv_grid = np.array(grid[:8])
+    grid = random_upper_points(rng, (25,))
+    equiv_grid = grid[:8]
     for _ in range(n):
         nu = random_measure(rng)
         nd = representations.nevanlinna_from_measure(nu)
@@ -572,9 +567,7 @@ def _suite_reps(rng, n, tol):
     for _ in range(n):
         rep = random_nev_rep(rng, int(rng.integers(1, 5)))
         h = partial(nev2d.eval_h2, rep, tol=tol)
-        zs = _stack([(complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)),
-                      complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0)))
-                     for _ in range(10)])
+        zs = tuple(random_upper_points(rng, (10, 2)).T)
         min_im = min(min_im, float(h(zs).imag.min()))
         infinity = nev2d.carapoint_at_infinity(h)
         if not infinity.finite:

@@ -18,8 +18,12 @@ __all__ = [
     "random_measure",
     "random_nev_rep",
     "random_interior_point",
+    "random_interior_points",
     "random_torus_point",
+    "random_torus_points",
     "random_inward_direction",
+    "random_inward_directions",
+    "random_upper_points",
 ]
 
 MAX_ATOMS = 4  # most atoms of a random_measure
@@ -27,9 +31,10 @@ MAX_ATOMS = 4  # most atoms of a random_measure
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Gaussian matrix."""
-    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(M)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
+    re, im = rng.normal(size=(2, n, n))
+    Q, R = np.linalg.qr(re + 1j * im)
+    d = R.diagonal()
+    return Q * (d / np.abs(d))
 
 
 def random_projection(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -103,13 +108,57 @@ def random_measure(rng: np.random.Generator) -> DiscreteMeasure01:
 
 
 def random_nev_rep(rng: np.random.Generator, dim: int) -> TwoVarNevRep:
-    M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    re, im = rng.normal(size=(2, dim, dim))
+    M = re + 1j * im
     B = 0.5 * (M + M.conj().T)
     W = random_unitary(rng, dim)
     Y = (W * rng.uniform(size=dim)) @ W.conj().T
     Y = 0.5 * (Y + Y.conj().T)
-    alpha = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    re, im = rng.normal(size=(2, dim))
+    alpha = re + 1j * im
     return TwoVarNevRep(b=float(rng.normal()), alpha=alpha, B=B, Y=Y)
+
+
+# Stacked draws: a draw of n points consumes the random stream as n draws of
+# one point do, in the same order, and gives the same points bit for bit.  A
+# stack is a pair of coordinate arrays, as in ``points``.
+
+
+def random_interior_points(rng: np.random.Generator, n: int, rmax: float = 0.9):
+    """n points of the bidisc of radius rmax, uniform by area in each
+    coordinate, as a stack."""
+    u = rng.uniform(size=(n, 4))
+    lam = rmax * np.sqrt(u[:, :2]) * np.exp(1j * (2.0 * np.pi * u[:, 2:]))
+    return lam[:, 0], lam[:, 1]
+
+
+def random_torus_points(rng: np.random.Generator, n: int):
+    """n uniform points of the torus, as a stack."""
+    lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n, 2)))
+    return lam[:, 0], lam[:, 1]
+
+
+def random_inward_directions(rng: np.random.Generator, tau, n: int):
+    """n directions with Re(conj(tau_j) delta_j) > 0 and moderate aperture,
+    as a stack."""
+    tau = require_torus(tau)
+    u = rng.uniform([0.3, 0.3, -1.0, -1.0], [1.5, 1.5, 1.0, 1.0], size=(n, 4))
+    # tau_j (radial + i side) from real products: numpy's vectorized complex
+    # product can round differently from the scalar one
+    t = np.array(tau)[:, None]
+    radial, side = u[:, :2].T, u[:, 2:].T
+    delta = (t.real * radial - t.imag * side) + 1j * (t.real * side + t.imag * radial)
+    return delta[0], delta[1]
+
+
+def random_upper_points(rng: np.random.Generator, shape):
+    """Points x + iy of the box [-3, 3) x [0.05, 3) of the upper half-plane,
+    an array of the given shape, each drawn x first."""
+    xy = rng.uniform([-3.0, 0.05], [3.0, 3.0], size=(*shape, 2))
+    return xy[..., 0] + 1j * xy[..., 1]
+
+
+# The per-point draws, which the stacked ones reproduce.
 
 
 def random_interior_point(rng: np.random.Generator, rmax: float = 0.9):

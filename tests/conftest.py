@@ -12,19 +12,6 @@ def favourite_formula(lam):
     return (0.5 * l1 + 0.5 * l2 - l1 * l2) / (1.0 - 0.5 * l1 - 0.5 * l2)
 
 
-def random_interior(rng, rmax=0.9):
-    r = rmax * np.sqrt(rng.uniform(size=2))
-    a = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return (r[0] * np.exp(1j * a[0]), r[1] * np.exp(1j * a[1]))
-
-
-def random_interior_stack(rng, n, rmax=0.9):
-    """The points of n calls of random_interior(rng, rmax), drawn in the same
-    order, as a stack."""
-    draws = rng.uniform(size=(n, 4))
-    return tuple((rmax * np.sqrt(draws[:, :2]) * np.exp(2j * np.pi * draws[:, 2:])).T)
-
-
 @pytest.fixture(scope="session")
 def favourite_colligation():
     """Exact 2-dimensional realization of the favourite function."""

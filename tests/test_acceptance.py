@@ -40,11 +40,17 @@ from bischur import (
     u_vector,
 )
 from bischur.cli import main
-from bischur.generate import random_colligation_with_kernel, random_measure, random_nev_rep, random_torus_point
+from bischur.generate import (
+    random_colligation_with_kernel,
+    random_interior_point,
+    random_measure,
+    random_nev_rep,
+    random_torus_point,
+)
 from bischur.nev2d import VERIFICATION_GRID
 from bischur.serialization import colligation_from_json
 
-from conftest import CHI, favourite_formula, random_interior
+from conftest import CHI, favourite_formula
 
 
 def report(name, detail):
@@ -62,7 +68,7 @@ def test_criterion_01_favourite_chain_through_cli(tmp_path, capsys):
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(1000):
-        lam = random_interior(rng, 0.95)
+        lam = random_interior_point(rng, 0.95)
         worst = max(worst, abs(eval_phi(fitted, lam) - favourite_formula(lam)))
     report("01 favourite-chain", f"max |phi_fit - phi| = {worst:.3e} over 1000 points")
     assert worst < 1e-10
@@ -141,7 +147,7 @@ def test_criterion_06_desingularization_properties():
         assert g.kernel_dim >= 1
         eye = np.eye(g.dim)
         # 20 pairs (lam, mu), drawn lam first, as one stack: lams, then mus
-        pairs = [random_interior(rng, 0.85) for _ in range(40)]
+        pairs = [random_interior_point(rng, 0.85) for _ in range(40)]
         points = tuple(np.array(pairs[0::2] + pairs[1::2]).T)
         p, u, I = eval_phi_gen(g, points), u_vector(g, points), eval_I(g, points)
         Iu = (I @ u[..., None])[..., 0]

@@ -11,10 +11,10 @@ import pytest
 
 from bischur import boundary, cli, eval_phi, slope
 from bischur.cli import main, parse_complex, parse_point
-from bischur.generate import random_colligation
+from bischur.generate import random_colligation, random_interior_point
 from bischur.serialization import colligation_from_json, colligation_to_json
 
-from conftest import favourite_formula, random_interior
+from conftest import favourite_formula
 
 
 @pytest.fixture()
@@ -137,7 +137,7 @@ class TestSynth:
         fitted = colligation_from_json(json.loads(out.read_text()))
         rng = np.random.default_rng(80)
         for _ in range(100):
-            lam = random_interior(rng, 0.9)
+            lam = random_interior_point(rng, 0.9)
             assert abs(eval_phi(fitted, lam) - favourite_formula(lam)) < 1e-8
 
     def test_relocated_verification(self, capsys, measure_file):

@@ -10,9 +10,9 @@ from bischur import (
     structure_check,
     unitary_extension,
 )
-from bischur.generate import random_colligation, random_interior_point
+from bischur.generate import random_colligation, random_interior_point, random_interior_points
 
-from conftest import favourite_formula, random_interior, random_interior_stack
+from conftest import favourite_formula
 
 
 class TestEvalPhi:
@@ -49,7 +49,7 @@ class TestModelVector:
     def test_defining_residual(self):
         rng = np.random.default_rng(3)
         c = random_colligation(rng, 4)
-        lam = random_interior(rng)
+        lam = random_interior_point(rng)
         u = model_vector(c, lam)
         residual = np.linalg.norm(c.gamma + c.D @ c.pencil(lam) @ u - u)
         assert residual < 1e-10
@@ -69,7 +69,7 @@ class TestModelResidual:
         rng = np.random.default_rng(5)
         c = random_colligation(rng, 4)
         for _ in range(100):
-            lam, mu = random_interior(rng, 0.9), random_interior(rng, 0.9)
+            lam, mu = random_interior_point(rng, 0.9), random_interior_point(rng, 0.9)
             assert model_residual(c, lam, mu) < 1e-10
 
     def test_scaled_realization_is_detected(self):
@@ -78,7 +78,7 @@ class TestModelResidual:
         broken = Colligation(a=1.01 * c.a, beta=1.01 * c.beta, gamma=1.01 * c.gamma,
                              D=1.01 * c.D, P1=c.P1)
         worst = max(
-            model_residual(broken, random_interior(rng, 0.8), random_interior(rng, 0.8))
+            model_residual(broken, random_interior_point(rng, 0.8), random_interior_point(rng, 0.8))
             for _ in range(20)
         )
         assert worst > 1e-3
@@ -108,7 +108,7 @@ class TestUnitaryExtension:
         domain = np.zeros((n + 1, 20), dtype=complex)
         target = np.zeros((n + 1, 20), dtype=complex)
         for k in range(20):
-            lam = random_interior(rng, 0.8)
+            lam = random_interior_point(rng, 0.8)
             u = model_vector(c, lam)
             domain[0, k] = 1.0
             domain[1:, k] = c.pencil(lam) @ u
@@ -120,14 +120,14 @@ class TestUnitaryExtension:
                                 D=U[1:, 1:], P1=c.P1)
         worst = 0.0
         for _ in range(100):
-            lam = random_interior(rng, 0.9)
+            lam = random_interior_point(rng, 0.9)
             worst = max(worst, abs(eval_phi(recovered, lam) - eval_phi(c, lam)))
         assert worst < 1e-8
 
 
 class TestFittedFavourite:
     def test_agrees_with_closed_form_on_thousand_points(self, fitted_favourite):
-        lam = random_interior_stack(np.random.default_rng(8), 1000, 0.95)
+        lam = random_interior_points(np.random.default_rng(8), 1000, 0.95)
         assert np.abs(eval_phi(fitted_favourite, lam) - favourite_formula(lam)).max() < 1e-8
 
     def test_structural_invariants(self, fitted_favourite):

@@ -30,9 +30,14 @@ from bischur import (
     u_vector,
 )
 from bischur.desingularize import _consistency_checks
-from bischur.generate import random_colligation_with_kernel, random_torus_point, random_unitary
+from bischur.generate import (
+    random_colligation_with_kernel,
+    random_interior_point,
+    random_torus_point,
+    random_unitary,
+)
 
-from conftest import CHI, favourite_formula, random_interior
+from conftest import CHI, favourite_formula
 
 
 def torus_sample_away_from(rng, tau, margin=0.2):
@@ -149,7 +154,7 @@ class TestEvalI:
         assert eval_I(g, (0.5, 0.5))[0, 0] == pytest.approx(0.5, abs=1e-13)
         rng = np.random.default_rng(24)
         for _ in range(50):
-            lam = random_interior(rng, 0.9)
+            lam = random_interior_point(rng, 0.9)
             assert eval_I(g, lam)[0, 0] == pytest.approx(
                 favourite_formula(lam), abs=1e-12)
 
@@ -160,7 +165,7 @@ class TestEvalI:
         g = desingularize(c, tau)
         eye = np.eye(g.dim)
         for _ in range(20):
-            lam = random_interior(rng, 0.95)
+            lam = random_interior_point(rng, 0.95)
             assert np.linalg.norm(eval_I(g, lam), 2) <= 1.0 + 1e-12
         for _ in range(20):
             lam = torus_sample_away_from(rng, tau)
@@ -216,7 +221,7 @@ class TestEvalPhiGen:
         c = random_colligation_with_kernel(rng, 3, 2, tau)
         g = desingularize(c, tau)
         for _ in range(100):
-            lam = random_interior(rng, 0.9)
+            lam = random_interior_point(rng, 0.9)
             assert abs(eval_phi_gen(g, lam) - eval_phi(c, lam)) < 1e-9
 
     def test_favourite_near_chi(self, favourite_colligation):
@@ -230,7 +235,7 @@ class TestEvalPhiGen:
         g = desingularize(c, tau)
         from bischur import eval_I as I_of, u_vector as u_of
         for _ in range(30):
-            lam, mu = random_interior(rng, 0.85), random_interior(rng, 0.85)
+            lam, mu = random_interior_point(rng, 0.85), random_interior_point(rng, 0.85)
             p_lam, p_mu = eval_phi_gen(g, lam), eval_phi_gen(g, mu)
             u_lam, u_mu = u_of(g, lam), u_of(g, mu)
             I_lam, I_mu = I_of(g, lam), I_of(g, mu)
@@ -251,7 +256,7 @@ class TestSharedKernel:
                                                int(rng.integers(1, 3)), tau)
             g = desingularize(c, tau)
             for _ in range(5):
-                lam, mu = random_interior(rng, 0.85), random_interior(rng, 0.85)
+                lam, mu = random_interior_point(rng, 0.85), random_interior_point(rng, 0.85)
                 assert model_residual(g, lam, mu) < 1e-9
 
     def test_condition_guard_of_generalized_model(self):

@@ -23,10 +23,10 @@ from bischur import (
     to_halfplane,
 )
 from bischur.desingularize import GeneralizedRealization
-from bischur.generate import random_nev_rep
+from bischur.generate import random_interior_point, random_nev_rep
 from bischur.nev2d import VERIFICATION_GRID
 
-from conftest import CHI, favourite_formula, random_interior
+from conftest import CHI, favourite_formula
 
 HALF_REP = TwoVarNevRep(b=0.0, alpha=[1.0], B=[[0.0]], Y=[[0.5]])
 
@@ -104,7 +104,7 @@ class TestCayleyMaps:
     def test_involution_on_random_points(self):
         rng = np.random.default_rng(63)
         for _ in range(100):
-            lam = random_interior(rng, 0.95)
+            lam = random_interior_point(rng, 0.95)
             back = to_bidisc(to_halfplane(lam))
             assert abs(back[0] - lam[0]) < 1e-14 and abs(back[1] - lam[1]) < 1e-14
             w = rng.uniform(0, 0.95) * np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -122,7 +122,7 @@ class TestCayleyMaps:
         phi = lambda lam: schur_value_from_pick(half_rep_h(to_halfplane(lam)))
         rng = np.random.default_rng(65)
         for _ in range(200):
-            lam = random_interior(rng, 0.9)
+            lam = random_interior_point(rng, 0.9)
             assert abs(phi(lam) + favourite_formula(lam)) < 1e-12
         value = nontangential_value(phi, ApproachPath.radial(CHI)).estimate
         assert value == pytest.approx(-1.0, abs=1e-8)
@@ -202,7 +202,7 @@ class TestRepFromSchur:
         g = desingularize(fit_colligation(SynthesizedSchur(nu, tau=CHI, omega=-1.0)), CHI)
         eye = np.eye(g.dim)
         for _ in range(25):
-            lam = random_interior(rng, 0.9)
+            lam = random_interior_point(rng, 0.9)
             I = eval_I(g, lam)
             lhs = 1j * np.linalg.solve(eye - I, eye + I)
             z = to_halfplane(lam)
@@ -239,7 +239,7 @@ class TestRepFromSchur:
             phi_direct = lambda lam: schur_value_from_pick(eval_h2(rep0, to_halfplane(lam)))
             rng = np.random.default_rng(68)
             for _ in range(20):
-                lam = random_interior(rng, 0.9)
+                lam = random_interior_point(rng, 0.9)
                 assert abs(phi_direct(lam) - synth_eval(syn, lam)) < 1e-10
             g = desingularize(fit_colligation(syn), CHI)
             rep1 = rep_from_schur(g)

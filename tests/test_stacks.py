@@ -28,8 +28,14 @@ from bischur.boundary import _quotient
 from bischur.generate import (
     random_colligation,
     random_colligation_with_kernel,
+    random_interior_point,
+    random_interior_points,
+    random_inward_direction,
+    random_inward_directions,
     random_nev_rep,
     random_torus_point,
+    random_torus_points,
+    random_upper_points,
 )
 
 from conftest import CHI
@@ -229,3 +235,59 @@ def test_synth_verification_makes_one_call_per_check(monkeypatch):
     assert report.passed and calls == [6 * 24]
     calls.clear()
     assert synthesis.verify_carapoint(syn).passed and calls == [24]
+
+
+# ------------------------------------------------------------ stacked draws
+
+
+def same_draws(stacked, one_by_one):
+    """Run two draws from one seed; the stack must hold the points drawn one
+    by one, bit for bit, and leave the generator where they leave it."""
+    rng_stacked, rng_points = np.random.default_rng(740), np.random.default_rng(740)
+    stack = np.asarray(stacked(rng_stacked), dtype=complex)
+    points = np.asarray(one_by_one(rng_points), dtype=complex)
+    assert stack.shape == points.shape
+    assert stack.tobytes() == points.tobytes()
+    assert rng_stacked.uniform() == rng_points.uniform()
+
+
+@pytest.mark.parametrize("rmax", [0.9, 0.85])
+def test_interior_points_are_the_point_draws(rmax):
+    same_draws(lambda rng: random_interior_points(rng, 50, rmax),
+               lambda rng: np.transpose([random_interior_point(rng, rmax) for _ in range(50)]))
+
+
+def test_torus_points_are_the_point_draws():
+    same_draws(lambda rng: random_torus_points(rng, 50),
+               lambda rng: np.transpose([random_torus_point(rng) for _ in range(50)]))
+
+
+@pytest.mark.parametrize("tau", [CHI, (1j, -1.0), (np.exp(2.5j), np.exp(-0.7j))])
+def test_inward_directions_are_the_point_draws(tau):
+    same_draws(lambda rng: random_inward_directions(rng, tau, 50),
+               lambda rng: np.transpose([random_inward_direction(rng, tau) for _ in range(50)]))
+
+
+def upper_point(rng):
+    """One point of random_upper_points's box, drawn as the verify suites
+    drew their grids point by point."""
+    return complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0))
+
+
+def test_measures_grid_is_the_point_draws():
+    same_draws(lambda rng: random_upper_points(rng, (25,)),
+               lambda rng: [upper_point(rng) for _ in range(25)])
+
+
+def test_reps_grid_is_the_point_draws():
+    same_draws(lambda rng: random_upper_points(rng, (10, 2)),
+               lambda rng: [(upper_point(rng), upper_point(rng)) for _ in range(10)])
+
+
+def test_pair_stacks_alternate_lam_and_mu():
+    def one_by_one(rng):
+        pairs = [(random_interior_point(rng, 0.85), random_interior_point(rng, 0.85))
+                 for _ in range(7)]
+        return np.transpose(pairs, (1, 2, 0))   # (lam or mu, coordinate, point)
+
+    same_draws(lambda rng: cli._pair_stacks(rng, 7), one_by_one)

@@ -24,8 +24,9 @@ from bischur import (
     verify_slope,
 )
 from bischur import synthesis
+from bischur.generate import random_interior_point, random_interior_points
 
-from conftest import CHI, favourite_formula, random_interior, random_interior_stack
+from conftest import CHI, favourite_formula
 
 
 def seeded_measure(n_atoms):
@@ -50,7 +51,7 @@ class TestHerglotzComponent:
         rng = np.random.default_rng(50)
         for _ in range(200):
             s = rng.uniform()
-            assert herglotz_component(s, random_interior(rng, 0.95)).real > 0
+            assert herglotz_component(s, random_interior_point(rng, 0.95)).real > 0
 
 
 class TestSynthesizedSchur:
@@ -66,7 +67,7 @@ class TestSynthEval:
         syn = SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0)
         rng = np.random.default_rng(51)
         for _ in range(300):
-            lam = random_interior(rng, 0.95)
+            lam = random_interior_point(rng, 0.95)
             assert abs(synth_eval(syn, lam) - favourite_formula(lam)) < 1e-12
 
     def test_radial_value_from_total_mass(self):
@@ -89,7 +90,7 @@ class TestSynthEval:
         for _ in range(10):
             nu = random_measure(rng)
             syn = SynthesizedSchur(nu, tau=CHI, omega=1.0)
-            lam = random_interior_stack(rng, 1000, 0.98)
+            lam = random_interior_points(rng, 1000, 0.98)
             assert (np.abs(synth_eval(syn, lam)) <= 1.0).all()
             assert (_herglotz_sum(nu, lam).real > 0.0).all()
 
@@ -102,7 +103,7 @@ class TestModelVectors:
                     SynthesizedSchur(nu, tau=(1j, -1.0), omega=-1j)):
             c = fit_colligation(syn)
             for _ in range(20):
-                lam, mu = random_interior(rng, 0.9), random_interior(rng, 0.9)
+                lam, mu = random_interior_point(rng, 0.9), random_interior_point(rng, 0.9)
                 assert model_residual(c, lam, mu) < 1e-12
 
 
@@ -115,7 +116,7 @@ class TestFitColligation:
         rng = np.random.default_rng(54)
         from bischur import eval_phi
         for _ in range(200):
-            lam = random_interior(rng, 0.9)
+            lam = random_interior_point(rng, 0.9)
             assert abs(eval_phi(fitted, lam) - synth_eval(syn, lam)) < 1e-10
 
     @pytest.mark.parametrize("nu", [
