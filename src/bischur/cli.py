@@ -498,6 +498,7 @@ def _suite_colligations(rng, n, tol):
 def _suite_desingularization(rng, n, tol):
     worst = {"model_residual": 0.0, "inner": 0.0, "radial_inner": 0.0,
              "slope_liminf": 0.0}
+    unconverged = 0
     for _ in range(n):
         tau = random_torus_point(rng)
         c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
@@ -511,15 +512,22 @@ def _suite_desingularization(rng, n, tol):
         worst["radial_inner"] = max(worst["radial_inner"], float(
             np.abs(I_lam - shrink[:, None, None] * np.eye(g.dim)).max()))
         pair = slope_mod.SlopePair.from_realization(g)
-        liminf = boundary.model_liminf(c, boundary.ApproachPath.radial(tau), tol).estimate.real
+        liminf = boundary.model_liminf(c, boundary.ApproachPath.radial(tau), tol)
+        unconverged += not liminf.converged
         worst["slope_liminf"] = max(worst["slope_liminf"], abs(
-            liminf + slope_mod.slope_eval(pair, 1.0).real))
-    return {
+            liminf.estimate.real + slope_mod.slope_eval(pair, 1.0).real))
+    suite = {
         **worst,
-        "pass": bool(worst["model_residual"] < RESIDUAL_MAX and worst["inner"] < RESIDUAL_MAX
+        "pass": bool(not unconverged
+                     and worst["model_residual"] < RESIDUAL_MAX and worst["inner"] < RESIDUAL_MAX
                      and worst["radial_inner"] < RADIAL_INNER_MAX
                      and worst["slope_liminf"] < SLOPE_LIMINF_MAX),
     }
+    if unconverged:
+        suite["slope_liminf"] = None
+        suite["reason"] = (f"the Julia liminf did not converge for "
+                           f"{unconverged} of {n} colligations")
+    return suite
 
 
 def _suite_measures(rng, n, tol):

@@ -1,5 +1,7 @@
 """Error contracts named by the operation signatures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from bischur import (
     herglotz_component,
     stieltjes_recover,
 )
-from bischur import nev2d, representations
+from bischur import boundary, nev2d, representations
 from bischur.nev2d import InfinityCarapoint
 
 from conftest import CHI
@@ -93,6 +95,9 @@ def test_synthesis_agreement_gate_exits_4(monkeypatch, capsys, tmp_path):
      "infinity_limit_err_max", "no finite limit"),
     ("measures", representations, "measure_from_nevanlinna",
      lambda nd: DiscreteMeasure01(()), "round_trip_max", "number of atoms"),
+    ("desingularization", boundary, "model_liminf",
+     lambda *args, real=boundary.model_liminf: dataclasses.replace(real(*args), converged=False),
+     "slope_liminf", "Julia liminf did not converge for 1 of 1"),
 ])
 def test_verify_reports_a_failed_suite_as_null_and_exits_5(
         monkeypatch, capsys, suite, owner, target, stub, figure, reason):
