@@ -158,7 +158,8 @@ def model_liminf(c: Colligation, path: ApproachPath,
     """
     def quotient(seq, t):
         u = model_vector(c, path.point(t), tol)
-        p1u = u @ c.P1.T
+        # einsum, not matmul: a point's digits must not depend on the stack size
+        p1u = np.einsum("kj,ij->ki", u, c.P1)
         norm1 = (np.abs(p1u) ** 2).sum(-1)
         norm2 = (np.abs(u - p1u) ** 2).sum(-1)
         d1, d2 = (_one_minus_abs_sq(tj, dj, t) for tj, dj in zip(path.tau, path.delta))

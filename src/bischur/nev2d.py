@@ -95,7 +95,9 @@ def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES):
     z1, z2, single = to_stack(require_upper_half_plane(z))
     T = (rep.B + z1[:, None, None] * rep.Y
          + z2[:, None, None] * (np.eye(rep.dim) - rep.Y))
-    h = rep.b - guarded_solve(T, rep.alpha, (z1, z2), tol) @ rep.alpha.conj()
+    # einsum, not matmul: a point's digits must not depend on the stack size
+    h = rep.b - np.einsum("kn,n->k", guarded_solve(T, rep.alpha, (z1, z2), tol),
+                          rep.alpha.conj())
     return complex(h[0]) if single else h
 
 

@@ -86,7 +86,9 @@ def slope_eval(pair: SlopePair, z):
         raise DomainError(f"slope functions are undefined on the cut (-inf, 0]; "
                           f"got {np.extract(on_cut, z)[0]}")
     M = np.eye(pair.Y.shape[0]) + np.multiply.outer(z - 1.0, pair.Y)
-    h = -(np.linalg.solve(M, pair.u_tau[:, None])[..., 0] @ pair.u_tau.conj())
+    # einsum, not matmul: a point's digits must not depend on the stack size
+    h = -np.einsum("...n,n->...", np.linalg.solve(M, pair.u_tau[:, None])[..., 0],
+                   pair.u_tau.conj())
     return complex(h) if isinstance(z, complex) else h
 
 

@@ -17,12 +17,14 @@ from bischur import (
     eval_I,
     eval_phi,
     eval_phi_gen,
+    carapoint_at_infinity,
     model_liminf,
     model_residual,
     radial_liminf,
+    slope_eval,
     synth_eval,
 )
-from bischur import boundary, cli, synthesis
+from bischur import _limits, boundary, cli, nev2d, synthesis
 from bischur._limits import refine_to_limit
 from bischur.boundary import _quotient
 from bischur.generate import (
@@ -93,7 +95,18 @@ def test_h2_stack_matches_points():
         rep = random_nev_rep(rng, dim)
         z = rng.uniform(-3, 3, size=(2, N_POINTS)) + 1j * rng.uniform(0.05, 3, size=(2, N_POINTS))
         z[:, ::4] = z[:, ::4].real + 1e-8j
-        assert close(eval_h2(rep, (z[0], z[1])), [eval_h2(rep, p) for p in zip(*z)])
+        # h2's digits at a point do not depend on the size of its stack
+        assert np.array_equal(eval_h2(rep, (z[0], z[1])), [eval_h2(rep, p) for p in zip(*z)])
+
+
+def test_slope_stack_matches_points():
+    rng = np.random.default_rng(725)
+    for dim in range(1, 9):
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        Y = A @ A.conj().T
+        pair = SlopePair(Y / (1.01 * np.linalg.norm(Y, 2)), rng.normal(size=dim) + 0.5j)
+        z = rng.uniform(-3, 3, N_POINTS) + 1j * rng.uniform(0.05, 3, N_POINTS)
+        assert np.array_equal(slope_eval(pair, z), [slope_eval(pair, w) for w in z])
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 5, 12, 30])
@@ -210,6 +223,56 @@ def test_stack_that_raises_falls_back_to_points(broken, favourite_colligation, m
         assert calls == [(24,), (tail,)] + [(1,)] * (len(report.samples) - 24)
     assert report == radial_liminf(phi, path)
     assert report == pointwise(phi, path, 1e-300)
+
+
+def refusing_stacks(f, at):
+    """f, raising when its argument ``at`` is a stack of more than one point."""
+    def refuses(*args):
+        if len(args[at][0]) > 1:
+            raise IllConditionedError("stacks are refused", cond=1e300)
+        return f(*args)
+    return refuses
+
+
+SAMPLINGS = ("whole", "head and tail", "stacks of one")
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_model_liminf_samplings_agree_bit_for_bit(dim, monkeypatch):
+    rng = np.random.default_rng(750 + dim)
+    c = random_colligation(rng, dim)
+    path = ApproachPath.radial(random_torus_point(rng))
+    monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)   # read every step
+    reports = []
+    for sampling in SAMPLINGS:
+        with monkeypatch.context() as m:
+            if sampling == "whole":
+                m.setattr(_limits, "_HEAD", len(path.steps))
+            elif sampling == "stacks of one":
+                m.setattr(boundary, "model_vector", refusing_stacks(boundary.model_vector, 1))
+            reports.append(model_liminf(c, path))
+    assert len(reports[0].samples) == len(path.steps) > _limits._HEAD
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_carapoint_at_infinity_samplings_agree_bit_for_bit(dim, monkeypatch):
+    rep = random_nev_rep(np.random.default_rng(760 + dim), dim)
+    limits = []
+    monkeypatch.setattr(nev2d, "refine_to_limit", lambda *args, **kwargs: limits.append(
+        refine_to_limit(*args, **kwargs)) or limits[-1])
+    results = []
+    for sampling in SAMPLINGS:
+        h = partial(eval_h2, rep)
+        with monkeypatch.context() as m:
+            if sampling == "head and tail":
+                m.setattr(_limits, "_HEAD", 10)
+            elif sampling == "stacks of one":
+                h = refusing_stacks(h, 0)
+            results.append((carapoint_at_infinity(h), limits[:]))
+        limits.clear()
+    assert results[0][0].finite
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_derivative_checks_make_one_call(favourite_colligation, monkeypatch):
