@@ -12,12 +12,12 @@ from bischur import (
     SlopePair,
     SynthesizedSchur,
     Tolerances,
+    carapoint_at_infinity,
     desingularize,
     eval_h2,
     eval_I,
     eval_phi,
     eval_phi_gen,
-    carapoint_at_infinity,
     model_liminf,
     model_residual,
     radial_liminf,
