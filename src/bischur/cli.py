@@ -179,11 +179,11 @@ def _emit(report, out_path=None):
     print(text)
 
 
-def _fail(args, tol, source, code, kind, message):
+def _fail(args, tol, source, code, kind, message, out_path=None):
     report = _base_report(args, tol, source)
     report["error"] = {"kind": kind, "message": message}
     report["exit_code"] = code
-    _emit(report)
+    _emit(report, out_path)
     return code
 
 
@@ -269,7 +269,7 @@ def cmd_analyze(args) -> int:
         c.validate(tol)
         tau = require_torus(parse_point(args.tau))
     except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
-        return _fail(args, tol, source, EXIT_INPUT, "input", str(exc))
+        return _fail(args, tol, source, EXIT_INPUT, "input", str(exc), args.out)
 
     report = _base_report(args, tol, source)
     report["input"] = {"colligation": payload, "tau": [complex_to_json(t) for t in tau]}
@@ -301,7 +301,7 @@ def cmd_analyze(args) -> int:
         _emit(report, args.out)
         return EXIT_PRECONDITION
     except BischurError as exc:
-        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
+        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc), args.out)
 
     witness_norm_sq = float(np.linalg.norm(g.u_tau) ** 2)
     report["carapoint"] = {

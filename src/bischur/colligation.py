@@ -125,13 +125,15 @@ def _realize(r, lam, tol: Tolerances):
 
     ``r`` is a Colligation or a GeneralizedRealization; its ``_feedback``
     supplies (T, I(lam)).  ``lam`` is a point or a stack of points; all of
-    them are solved at once, (1 - T I(lam)) u = gamma, by ``guarded_solve``.
+    them are solved at once, (1 - T I(lam)) u = gamma, by ``guarded_solve``
+    at ``tol.solve_cond_max``.
     A point gives (complex, (n,), (n,)), a stack of k points ((k,), (k, n),
     (k, n)).
     """
     l1, l2, single = to_stack(require_interior(lam))
     T, I_lam = r._feedback(l1, l2, tol)
-    u = linalg.guarded_solve(np.eye(r.dim) - T @ I_lam, r.gamma, (l1, l2), tol)
+    u = linalg.guarded_solve(np.eye(r.dim) - T @ I_lam, r.gamma[:, None], (l1, l2),
+                             tol.solve_cond_max)[..., 0]
     # einsum, not matmul: a point's digits must not depend on the stack size
     Iu = np.einsum("kij,kj->ki", I_lam, u)
     phi = r.a + np.einsum("kn,n->k", Iu, r.beta.conj())

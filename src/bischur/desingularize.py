@@ -37,6 +37,7 @@ from . import linalg
 from .colligation import Colligation, _realize
 from .errors import (
     BoundarySingularityError,
+    IllConditionedError,
     InternalInconsistencyError,
     InvalidInputError,
     NoSolutionError,
@@ -44,7 +45,7 @@ from .errors import (
     UseLimitError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import as_points, first_point, require_interior, require_torus, to_stack
+from .points import as_points, require_interior, require_torus, to_stack
 
 __all__ = [
     "GeneralizedRealization",
@@ -93,24 +94,19 @@ class GeneralizedRealization:
 
 def _inner_matrix(Y: np.ndarray, tau, l1, l2, tol: Tolerances) -> np.ndarray:
     """I at the stack of points (l1, l2), shape (k, n, n).  A denominator
-    is singular when sigma_min <= rank_rel * sigma_max; the LU of the solve
-    clears the denominators well inside that bound, and singular values are
-    taken only of the others."""
+    is singular when ``guarded_solve`` refuses it at the ceiling
+    1 / rank_rel."""
     x1 = (np.conj(tau[0]) * l1)[:, None, None]
     x2 = (np.conj(tau[1]) * l2)[:, None, None]
     eye = np.eye(Y.shape[0])
     num = x1 * Y + x2 * (eye - Y) - (x1 * x2) * eye
     den = eye - x1 * (eye - Y) - x2 * Y
-    I_lam, rest, s = linalg._screened_solve(den, num, 1.0 / tol.rank_rel)
-    if rest.size:
-        singular = first_point((l1[rest], l2[rest]), s[:, -1] <= tol.rank_rel * s[:, 0])
-        if singular is not None:
-            raise BoundarySingularityError(
-                f"inner-function denominator is singular at {singular}"
-            )
-        if I_lam is None:
-            I_lam = np.linalg.solve(den, num)
-    return I_lam
+    try:
+        return linalg.guarded_solve(den, num, (l1, l2), 1.0 / tol.rank_rel)
+    except IllConditionedError as exc:
+        raise BoundarySingularityError(
+            f"inner-function denominator is singular at {exc.point}"
+        ) from exc
 
 
 def desingularize(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES) -> GeneralizedRealization:
@@ -124,27 +120,20 @@ def desingularize(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     D_tau = c.D @ T
     n = c.dim
     # one SVD of 1 - D tau gives both u_tau and the kernel split
-    A = np.eye(n) - D_tau
-    usv = np.linalg.svd(A)
     try:
-        u_ambient = linalg._min_norm_from_svd(A, c.gamma, usv, tol)
+        u_ambient, rank, vh, near = linalg._kernel_split(np.eye(n) - D_tau, c.gamma, tol)
     except NoSolutionError as exc:
         raise PreconditionError(
             f"{tuple(map(complex, tau))} is not a carapoint: {exc}"
         ) from exc
 
-    notes: list[str] = []
-    _, s, vh = usv
-    rank = linalg._numerical_rank(s, tol.rank_rel)
-    cutoff = tol.rank_rel * s[0] if s[0] > 0 else 0.0
-    near = s[(s > cutoff) & (s < 1e3 * max(cutoff, np.finfo(float).tiny))]
+    notes = ()
     if near.size:
-        msg = (
+        notes = (
             f"singular values {near} sit just above the rank cutoff; "
-            "the kernel split may be ill-determined"
+            "the kernel split may be ill-determined",
         )
-        notes.append(msg)
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(notes[0], stacklevel=2)
     if rank == n:
         model = np.eye(n, dtype=complex)
         kernel = np.zeros((n, 0), dtype=complex)
@@ -162,7 +151,7 @@ def desingularize(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES) -> 
                         u_ambient, tol)
     return GeneralizedRealization(
         a=c.a, beta=beta_m, gamma=gamma_m, Q=Q, Y=Y, tau=tau, u_tau=u_m,
-        model_basis=model, kernel_basis=kernel, notes=tuple(notes),
+        model_basis=model, kernel_basis=kernel, notes=notes,
     )
 
 

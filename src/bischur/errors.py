@@ -22,11 +22,13 @@ class NoSolutionError(BischurError):
 
 
 class IllConditionedError(BischurError):
-    """Condition number above the configured ceiling."""
+    """Condition number above the configured ceiling; ``point`` is the point
+    of a stacked solve it was refused at, else None."""
 
-    def __init__(self, message, cond):
+    def __init__(self, message, cond, point=None):
         super().__init__(message)
         self.cond = float(cond)
+        self.point = point
 
 
 class NotAnIsometryError(BischurError):

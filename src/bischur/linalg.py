@@ -1,11 +1,13 @@
 """Dense complex-matrix utilities: null spaces, minimal-norm solves,
 condition-guarded stacked solves, structural checks.
 
-All rank decisions are made from singular values with a relative cutoff, and
-minimal-norm solves reuse the same SVD, so the two operations agree about
-what counts as the kernel.  A stacked solve screens its condition guard with
-the LU factorization it solves with, and takes singular values only of the
-points the screen cannot clear, near the ceiling.
+This module makes every rank and conditioning decision of the package.
+Rank decisions are made from singular values with a relative cutoff, and a
+kernel split takes its minimal-norm solve from the same SVD, so the two
+agree about what counts as the kernel.  Every guarded square solve goes
+through ``guarded_solve``, which screens its condition guard with the LU
+factorization it solves with and takes singular values only of the points
+the screen cannot clear, near the ceiling.
 """
 
 from __future__ import annotations
@@ -85,8 +87,6 @@ def as_vector(v, name="vector") -> np.ndarray:
 
 
 def _numerical_rank(s, rank_rel):
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.sum(s > rank_rel * s[0]))
 
 
@@ -113,15 +113,18 @@ def min_norm_solve(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     b = as_vector(b, "b")
     if b.shape[0] != A.shape[0]:
         raise InvalidInputError("b must have as many rows as A")
-    return _min_norm_from_svd(A, b, np.linalg.svd(A), tol)
+    return _kernel_split(A, b, tol)[0]
 
 
-def _min_norm_from_svd(A, b, usv, tol: Tolerances) -> np.ndarray:
-    """``min_norm_solve`` for validated A and b, given
-    ``usv = np.linalg.svd(A)``, so that a caller who needs the same SVD takes
-    it only once."""
-    u, s, vh = usv
-    rank = _numerical_rank(s, tol.rank_rel)
+def _kernel_split(A, b, tol: Tolerances):
+    """One SVD of a validated A: (x, rank, vh, near).  x is
+    ``min_norm_solve(A, b, tol)`` and raises as it does, rank the numerical
+    rank, vh the right singular vectors as rows (the first rank of them span
+    ker(A)-perp) and near the kept singular values within a factor 1e3 of the
+    rank cutoff, whose kernel split is ill-determined."""
+    u, s, vh = np.linalg.svd(A)
+    cutoff = tol.rank_rel * s[0]
+    rank = int(np.sum(s > cutoff))
     if rank > 0:
         cond = s[0] / s[rank - 1]
         if cond > tol.solve_cond_max:
@@ -133,38 +136,41 @@ def _min_norm_from_svd(A, b, usv, tol: Tolerances) -> np.ndarray:
     else:
         x = np.zeros(A.shape[1], dtype=complex)
     residual = float(np.linalg.norm(A @ x - b))
-    sigma_max = s[0] if s.size else 0.0
-    bound = tol.structural * (sigma_max * np.linalg.norm(x) + np.linalg.norm(b))
+    bound = tol.structural * (s[0] * np.linalg.norm(x) + np.linalg.norm(b))
     if residual > bound:
         raise NoSolutionError(
             f"system inconsistent: residual {residual:.3e} above bound {bound:.3e}",
             residual,
         )
-    return x
+    near = s[:rank][s[:rank] < 1e3 * max(cutoff, np.finfo(float).tiny)]
+    return x, rank, vh, near
 
 
 # Beyond this ceiling, a point the LU screen clears could have kappa * eps
 # above about 1 %, enough to tip an SVD-computed condition number over the
 # ceiling, so every point goes to the SVD.
 _SCREEN_CEILING_MAX = 1e14
-_NO_POINTS = np.empty(0, dtype=np.intp)
 
 
-def _screened_solve(M, B, ceiling):
-    """Solve M[k] X[k] = B for a stack of square matrices and screen their
-    2-norm condition numbers against ``ceiling``.
+def guarded_solve(M, B, points, ceiling) -> np.ndarray:
+    """Solve M[k] X[k] = B for a stack of square matrices, one per point,
+    refusing every point unless sigma_max / sigma_min <= ``ceiling``.
 
-    One stacked solve of [B | 1] gives, from one LU factorization per point,
-    X and the inverse, hence kappa_F = ||M||_F ||M^-1||_F >= kappa_2.  A
-    point with kappa_F <= ceiling / 2 is cleared: the 2 is a rounding margin
-    that makes the SVD's condition number pass it too.  Only the points not
-    cleared get singular values.  Returns (X, rest, s): X of shape
-    (k, n, m), C-contiguous; ``rest``, the ascending indices of the points
-    not cleared; ``s``, their singular values, shape (len(rest), n), or None
-    when ``rest`` is empty.  When a matrix is exactly singular the LU fails:
-    then X is None and every point is in ``rest``, so the caller decides on
-    the SVD alone and solves as before once its guard passes.
+    ``B`` is (n, m), shared by every point, or a (k, n, m) stack; ``points``
+    is the stack of points (a pair of arrays) the matrices belong to.  A
+    refusal raises IllConditionedError naming the first refused point, with
+    its condition number and the point.  One stacked solve of [B | 1] gives,
+    from one LU factorization per point, X and the inverse, hence
+    kappa_F = ||M||_F ||M^-1||_F >= kappa_2.  A point with
+    kappa_F <= ceiling / 2 is cleared: the 2 is a rounding margin that makes
+    the SVD's condition number pass it too.  Only the points not cleared get
+    singular values, so each point is decided as its singular values decide
+    it.  When a matrix is exactly singular the LU fails: then every point is
+    decided by the SVD, and solved again once the guard passes.  Returns X,
+    shape (k, n, m), C-contiguous.
     """
+    if B.ndim == 2:
+        B = B[None]
     k, n = M.shape[:2]
     m = B.shape[-1]
     R = np.zeros((k, n, m + n), dtype=complex)
@@ -173,8 +179,8 @@ def _screened_solve(M, B, ceiling):
     try:
         X = np.linalg.solve(M, R)
     except np.linalg.LinAlgError:
-        return None, np.arange(k), np.linalg.svd(M, compute_uv=False)
-    if ceiling > _SCREEN_CEILING_MAX:
+        X = None
+    if X is None or ceiling > _SCREEN_CEILING_MAX:
         rest = np.arange(k)
     else:
         Mv = np.ascontiguousarray(M, dtype=complex).view(float)
@@ -186,43 +192,23 @@ def _screened_solve(M, B, ceiling):
         # the common case, every point cleared, in one comparison (a NaN
         # propagates through the maximum and fails it)
         if np.maximum.reduce(kappa2, initial=0.0) <= limit:
-            rest = _NO_POINTS
-        else:
-            rest = np.flatnonzero(~(kappa2 <= limit))
-    s = np.linalg.svd(M[rest], compute_uv=False) if rest.size else None
-    return np.ascontiguousarray(X[..., :m]), rest, s
-
-
-def guarded_solve(M, b, points, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Solve M[k] x[k] = b for a stack of square matrices, one per point.
-
-    ``points`` is the stack of points (a pair of arrays) the matrices belong
-    to.  The guard is decided per point: the condition number
-    sigma_max / sigma_min of ``np.linalg.cond`` must be finite and at most
-    ``tol.solve_cond_max``, else IllConditionedError names the first
-    offending point and carries its condition number.  The LU factorization
-    of the solve screens every point with kappa_F >= kappa_2, and singular
-    values are taken only of the points near or above the ceiling, so each
-    point is decided as from its singular values.  Returns the stack of
-    solutions, shape (k, n), C-contiguous.
-    """
-    x, rest, s = _screened_solve(M, b[:, None], tol.solve_cond_max)
-    if rest.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = s[:, 0] / s[:, -1]
-        bad = ~(cond <= tol.solve_cond_max)
-        if bad.any():
-            j = int(np.argmax(bad))
-            k = int(rest[j])
-            point = (complex(points[0][k]), complex(points[1][k]))
-            raise IllConditionedError(
-                f"resolvent condition number {cond[j]:.3e} at {point}; "
-                "the point is too close to a singularity",
-                cond[j],
-            )
-        if x is None:
-            x = np.linalg.solve(M, b[None, :, None])
-    return x[..., 0]
+            return np.ascontiguousarray(X[..., :m])
+        rest = np.flatnonzero(~(kappa2 <= limit))
+    s = np.linalg.svd(M[rest], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    bad = ~(cond <= ceiling)
+    if bad.any():
+        j = int(np.argmax(bad))
+        point = (complex(points[0][rest[j]]), complex(points[1][rest[j]]))
+        raise IllConditionedError(
+            f"resolvent condition number {cond[j]:.3e} at {point}; "
+            "the point is too close to a singularity",
+            cond[j], point,
+        )
+    if X is None:
+        return np.ascontiguousarray(np.linalg.solve(M, B))
+    return np.ascontiguousarray(X[..., :m])
 
 
 def _hermitian_deviation(A):

@@ -25,6 +25,7 @@ from .desingularize import GeneralizedRealization, eval_phi_gen
 from .errors import (
     DivergenceError,
     DomainError,
+    IllConditionedError,
     InternalInconsistencyError,
     InvalidInputError,
     ObstructionError,
@@ -91,13 +92,14 @@ class TwoVarNevRep:
 def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES):
     """Evaluate b - <(B + z1 Y + z2 (1 - Y))^{-1} alpha, alpha> on the
     upper half-plane squared: a complex at a point, a complex array at a
-    stack of points, solved at once by ``guarded_solve``."""
+    stack of points, solved at once by ``guarded_solve`` at
+    ``tol.solve_cond_max``."""
     z1, z2, single = to_stack(require_upper_half_plane(z))
     T = (rep.B + z1[:, None, None] * rep.Y
          + z2[:, None, None] * (np.eye(rep.dim) - rep.Y))
     # einsum, not matmul: a point's digits must not depend on the stack size
-    h = rep.b - np.einsum("kn,n->k", guarded_solve(T, rep.alpha, (z1, z2), tol),
-                          rep.alpha.conj())
+    x = guarded_solve(T, rep.alpha[:, None], (z1, z2), tol.solve_cond_max)[..., 0]
+    h = rep.b - np.einsum("kn,n->k", x, rep.alpha.conj())
     return complex(h[0]) if single else h
 
 
@@ -174,10 +176,11 @@ def rep_from_schur(g: GeneralizedRealization,
 
     Assembles L = [[a, beta*], [gamma, Q]], requires it unitary with 1 outside
     its spectrum (otherwise the boundary value is 1 and the representation is
-    obstructed), forms the Hermitian Cayley transform J = i (1 + L)(1 - L)^{-1}
-    and reads off b, alpha, B from its blocks; Y is inherited from the model.
-    The result is verified against the Cayley transform of the realized
-    function on a fixed grid.
+    obstructed: ``guarded_solve`` refuses 1 - L above the ceiling
+    min(1 / rank_rel, solve_cond_max)), forms the Hermitian Cayley transform
+    J = i (1 + L)(1 - L)^{-1} and reads off b, alpha, B from its blocks; Y is
+    inherited from the model.  The result is verified against the Cayley
+    transform of the realized function on a fixed grid.
     """
     tau = as_point(g.tau)
     if abs(tau[0] - 1.0) > 1e-12 or abs(tau[1] - 1.0) > 1e-12:
@@ -192,14 +195,15 @@ def rep_from_schur(g: GeneralizedRealization,
             f"{unitary.residual:.3e}); no Hermitian Cayley transform exists"
         )
     eye = np.eye(g.dim + 1)
-    s = np.linalg.svd(eye - L, compute_uv=False)
-    if s[-1] <= tol.rank_rel * s[0] or s[0] / s[-1] > tol.solve_cond_max:
+    try:
+        J = guarded_solve((eye - L)[None], 1j * (eye + L), ((tau[0],), (tau[1],)),
+                          min(1.0 / tol.rank_rel, tol.solve_cond_max))[0]
+    except IllConditionedError as exc:
         raise ObstructionError(
             "1 lies in the spectrum of the realization: the function has "
             "boundary value 1 at (1, 1) and no finite-value carapoint at "
             "infinity, so the resolvent representation does not exist"
-        )
-    J = np.linalg.solve(eye - L, 1j * (eye + L))
+        ) from exc
     herm = float(np.linalg.norm(J - J.conj().T, 2))
     if herm > tol.structural * (1.0 + float(np.linalg.norm(J, 2))):
         raise InternalInconsistencyError(

@@ -1,8 +1,7 @@
 import argparse
 import dataclasses
 import json
-import os
-import subprocess
+import runpy
 import sys
 from pathlib import Path
 
@@ -311,6 +310,21 @@ class TestFailureReports:
         assert report["tolerances"]["solve_cond_max"] == 1.5
         assert report["tolerances_source"] == ["default", "flag"]
 
+    @pytest.mark.parametrize("extra, code", [
+        (["--tau", "1,1", "--tolerances", '{"solve_cond_max": 10}'], 4),
+        (["--tau", "2,1"], 2),
+    ], ids=["numeric", "input"])
+    def test_failed_analyze_overwrites_its_out_report(self, capsys, favourite_file,
+                                                      tmp_path, extra, code):
+        out = tmp_path / "r.json"
+        assert run(capsys, "analyze", favourite_file, "--tau", "1,1", "--out", out,
+                   "--no-timestamp")[0] == 0
+        assert json.loads(out.read_text())["verification"]["pass"] is True
+        got, report = run(capsys, "analyze", favourite_file, *extra, "--out", out,
+                          "--no-timestamp")
+        assert got == report["exit_code"] == code
+        assert json.loads(out.read_text()) == report
+
 
 def unconverged(monkeypatch, module):
     """Make every limit that ``module`` extrapolates report no convergence."""
@@ -482,16 +496,15 @@ class TestRepeatedCalls:
         assert main(argv) == 0
         assert capsys.readouterr().out == before
 
-    def test_module_entry_point_reads_sys_argv(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "bischur.cli", "verify", "--random", "2",
-             "--seed", "1", "--no-timestamp"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
+    def test_module_entry_point_reads_sys_argv(self, capsys, monkeypatch):
+        # run afresh as __main__: a module already imported would make runpy
+        # warn that it is executed a second time
+        monkeypatch.delitem(sys.modules, "bischur.cli")
+        monkeypatch.setattr(sys, "argv", ["bischur.cli", "verify", "--random", "2",
+                                          "--seed", "1", "--no-timestamp"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("bischur.cli", run_name="__main__")
+        assert exc.value.code == 0
+        report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 1
         assert report["random"] == 2

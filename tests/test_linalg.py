@@ -127,7 +127,7 @@ def reference_solve(M, b, tol):
 def outcome(M, b, tol):
     points = (np.arange(len(M)) * 0.01j, np.zeros(len(M), dtype=complex))
     try:
-        x = guarded_solve(M, b, points, tol)
+        x = guarded_solve(M, b[:, None], points, tol.solve_cond_max)[..., 0]
     except IllConditionedError as exc:
         return IllConditionedError, exc.cond
     except np.linalg.LinAlgError:
@@ -162,9 +162,10 @@ class TestGuardedSolve:
         M = np.array([planted(rng, 3, k) for k in (2.0, 5e14, 3.0, 7e15)])
         points = (np.array([0.1, 0.2, 0.3, 0.4]), np.zeros(4))
         with pytest.raises(IllConditionedError, match=r"at \(\(0\.2\+0j\)") as err:
-            guarded_solve(M, np.ones(3), points)
+            guarded_solve(M, np.ones((3, 1)), points, Tolerances().solve_cond_max)
         s = np.linalg.svd(M[1], compute_uv=False)
         assert err.value.cond == s[0] / s[-1]
+        assert err.value.point == (0.2 + 0j, 0j)
 
     def test_extreme_condition_emits_no_warning(self):
         M = np.array([np.diag([1.0, 1e-300]), np.diag([1e300, 1.0])], dtype=complex)
@@ -172,7 +173,7 @@ class TestGuardedSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError) as err:
-                guarded_solve(M, np.ones(2), points)
+                guarded_solve(M, np.ones((2, 1)), points, Tolerances().solve_cond_max)
         s = np.linalg.svd(M[0], compute_uv=False)
         assert err.value.cond == s[0] / s[-1] == pytest.approx(1e300)
 

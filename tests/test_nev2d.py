@@ -5,10 +5,12 @@ import pytest
 
 from bischur import (
     ApproachPath,
+    IllConditionedError,
     InternalInconsistencyError,
     InvalidInputError,
     ObstructionError,
     SynthesizedSchur,
+    Tolerances,
     TwoVarNevRep,
     carapoint_at_infinity,
     desingularize,
@@ -23,7 +25,7 @@ from bischur import (
     to_halfplane,
 )
 from bischur.desingularize import GeneralizedRealization
-from bischur.generate import random_interior_point, random_nev_rep
+from bischur.generate import random_interior_point, random_nev_rep, random_unitary
 from bischur.nev2d import VERIFICATION_GRID
 
 from conftest import CHI, favourite_formula
@@ -148,6 +150,40 @@ class TestRepFromSchur:
         g = desingularize(favourite_colligation, CHI)
         with pytest.raises(ObstructionError):
             rep_from_schur(g)
+
+    @pytest.mark.parametrize("tol", [Tolerances(), Tolerances(solve_cond_max=1e6)],
+                             ids=["rank-rel", "solve-cond-max"])
+    def test_obstruction_decided_at_the_ceiling(self, tol):
+        # L = W diag(e^{i eps}, e^{2i}, e^{-2i}) W* is unitary, and 1 - L has
+        # singular values 2 sin(1) (twice) and 2 sin(eps / 2), so eps plants
+        # kappa(1 - L) = f * ceiling
+        ceiling = min(1.0 / tol.rank_rel, tol.solve_cond_max)
+        rng = np.random.default_rng(12)
+        W = random_unitary(rng, 3)
+        decided = set()
+        for f in (0.3, 0.49, 0.51, 0.99, 1.0, 1.01, 2.0, 10.0):
+            eps = 2.0 * np.arcsin(np.sin(1.0) / (f * ceiling))
+            L = W @ np.diag(np.exp(1j * np.array([eps, 2.0, -2.0]))) @ W.conj().T
+            g = GeneralizedRealization(
+                a=L[0, 0], beta=L[0, 1:].conj(), gamma=L[1:, 0], Q=L[1:, 1:],
+                Y=np.diag([0.3, 0.8]).astype(complex), tau=CHI, u_tau=np.zeros(2),
+                model_basis=np.eye(2, dtype=complex),
+                kernel_basis=np.zeros((2, 0), dtype=complex))
+            s = np.linalg.svd(np.eye(3) - L, compute_uv=False)
+            obstructed = bool(s[-1] <= tol.rank_rel * s[0]
+                              or s[0] / s[-1] > tol.solve_cond_max)
+            decided.add(obstructed)
+            if obstructed:
+                with pytest.raises(ObstructionError):
+                    rep_from_schur(g, tol)
+            else:
+                # so close to the ceiling, J is large and the grid check may
+                # refuse it or an evaluation there
+                try:
+                    rep_from_schur(g, tol)
+                except (InternalInconsistencyError, IllConditionedError):
+                    pass
+        assert decided == {False, True}
 
     def test_unimodular_constant_function(self):
         # gamma = 0 with |a| = 1, a != 1: phi = a constant, h = i(1+a)/(1-a) real
