@@ -77,6 +77,7 @@ from .representations import (
 )
 from .slope import (
     SlopePair,
+    derivative_checks,
     directional_derivative_analytic,
     directional_derivative_numeric,
     pick_check,

@@ -47,7 +47,6 @@ from .generate import (
     random_inward_directions,
     random_measure,
     random_nev_rep,
-    random_torus_point,
     random_torus_points,
     random_upper_points,
 )
@@ -75,7 +74,7 @@ EXIT_OBSTRUCTION = 6
 
 TOLERANCES_ENV = "BISCHUR_TOLERANCES"
 
-SLOPE_SAMPLE_POINTS = (0.1, 0.5, 1.0, 2.0, 10.0, 1j, 1 + 1j, 2j, -1 + 1j)
+SLOPE_SAMPLE_POINTS = tuple(map(complex, (0.1, 0.5, 1.0, 2.0, 10.0, 1j, 1 + 1j, 2j, -1 + 1j)))
 
 # analyze's generalized model passes when each residual maximum is below this;
 # verify's model and inner residuals are held to it too.
@@ -141,11 +140,7 @@ def _resolve_tolerances(flag_value: str | None):
 def _base_report(args, tol, source):
     report = {
         "tool": {"name": "bischur", "version": __version__},
-        "tolerances": {
-            "rank_rel": tol.rank_rel,
-            "structural": tol.structural,
-            "solve_cond_max": tol.solve_cond_max,
-        },
+        "tolerances": dict(vars(tol)),
         "tolerances_source": source,
     }
     if not args.no_timestamp:
@@ -154,14 +149,15 @@ def _base_report(args, tol, source):
 
 
 def _json_default(obj):
+    # complex first: numpy's complex128 is a complex, and most values land here
+    if isinstance(obj, (complex, np.complexfloating)):
+        return complex_to_json(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return complex_to_json(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -179,11 +175,15 @@ def _emit(report, out_path=None):
     print(text)
 
 
-def _fail(args, tol, source, code, kind, message, out_path=None):
+def _failure(args, tol, source, code, kind, message):
     report = _base_report(args, tol, source)
     report["error"] = {"kind": kind, "message": message}
     report["exit_code"] = code
-    _emit(report, out_path)
+    return report
+
+
+def _fail(args, tol, source, code, kind, message):
+    _emit(_failure(args, tol, source, code, kind, message))
     return code
 
 
@@ -196,23 +196,10 @@ def _load_json(path):
 
 
 def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
-    deltas = list(zip(*random_inward_directions(rng, tau, n_directions)))
-    results = slope_mod.directional_derivative_numeric(
-        partial(eval_phi, c, tol=tol), tau, deltas, phi_tau=phi_tau
-    )
-    checks = []
-    for delta, (numeric, report) in zip(deltas, results):
-        analytic = slope_mod.directional_derivative_analytic(
-            phi_tau, tau, delta, partial(slope_mod.slope_eval, pair))
-        checks.append({
-            "delta": [complex_to_json(delta[0]), complex_to_json(delta[1])],
-            "numeric": complex_to_json(numeric),
-            "analytic": complex_to_json(analytic),
-            "abs_err": abs(numeric - analytic),
-            "rel_err": abs(numeric - analytic) / (1.0 + abs(analytic)),
-            "converged": report.converged,
-        })
-    return checks
+    return slope_mod.derivative_checks(
+        partial(eval_phi, c, tol=tol), tau, phi_tau,
+        zip(*random_inward_directions(rng, tau, n_directions)),
+        partial(slope_mod.slope_eval, pair))
 
 
 def _gate(verification, liminf, checks):
@@ -262,6 +249,19 @@ def _generalized_verification(c, g, rng, tol):
 
 
 def cmd_analyze(args) -> int:
+    report = _analysis(args)
+    # like --out, --csv is rewritten by every report, so no stale samples stay
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["z_re", "z_im", "h_re", "h_im"])
+            writer.writerows([s["z"].real, s["z"].imag, s["h"].real, s["h"].imag]
+                             for s in report.get("slope_samples", ()))
+    _emit(report, args.out)
+    return report["exit_code"]
+
+
+def _analysis(args):
     tol, source = _resolve_tolerances(args.tolerances)
     try:
         payload = _load_json(args.colligation)
@@ -269,10 +269,10 @@ def cmd_analyze(args) -> int:
         c.validate(tol)
         tau = require_torus(parse_point(args.tau))
     except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
-        return _fail(args, tol, source, EXIT_INPUT, "input", str(exc), args.out)
+        return _failure(args, tol, source, EXIT_INPUT, "input", str(exc))
 
     report = _base_report(args, tol, source)
-    report["input"] = {"colligation": payload, "tau": [complex_to_json(t) for t in tau]}
+    report["input"] = {"colligation": payload, "tau": tau}
     report["seed"] = args.seed
 
     try:
@@ -289,8 +289,6 @@ def cmd_analyze(args) -> int:
         verification = _generalized_verification(c, g, rng, tol)
         zs = np.array((1.0, *SLOPE_SAMPLE_POINTS))
         h1, *h_samples = slope_mod.slope_eval(pair, zs).tolist()
-        samples = [{"z": complex_to_json(z), "h": complex_to_json(h)}
-                   for z, h in zip(SLOPE_SAMPLE_POINTS, h_samples)]
     except PreconditionError:
         report["carapoint"] = {"is_carapoint": False}
         report["error"] = {
@@ -298,10 +296,9 @@ def cmd_analyze(args) -> int:
             "message": "no carapoint evidence: gamma is outside ran(1 - D tau)",
         }
         report["exit_code"] = EXIT_PRECONDITION
-        _emit(report, args.out)
-        return EXIT_PRECONDITION
+        return report
     except BischurError as exc:
-        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc), args.out)
+        return _failure(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
 
     witness_norm_sq = float(np.linalg.norm(g.u_tau) ** 2)
     report["carapoint"] = {
@@ -312,7 +309,7 @@ def cmd_analyze(args) -> int:
         "regular_point": g.kernel_dim == 0,
         "notes": list(g.notes),
     }
-    report["boundary_value"] = complex_to_json(phi_tau)
+    report["boundary_value"] = phi_tau
     report["julia_liminf"] = {
         "estimate": float(liminf.estimate.real),
         "converged": liminf.converged,
@@ -321,19 +318,11 @@ def cmd_analyze(args) -> int:
     }
     report["slope_measure"] = measure_to_json(nu)
     report["nevanlinna"] = nevanlinna_to_json(nd)
-    report["slope_samples"] = samples
+    report["slope_samples"] = [{"z": z, "h": h} for z, h in zip(SLOPE_SAMPLE_POINTS, h_samples)]
     report["derivative_checks"] = checks
     report["verification"] = _gate(verification, liminf, checks)
     report["exit_code"] = EXIT_OK if verification["pass"] else EXIT_NUMERIC
-
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z_re", "z_im", "h_re", "h_im"])
-            for entry in samples:
-                writer.writerow([*entry["z"], *entry["h"]])
-    _emit(report, args.out)
-    return report["exit_code"]
+    return report
 
 
 # ------------------------------------------------------------------ synth
@@ -359,8 +348,8 @@ def cmd_synth(args) -> int:
     report = _base_report(args, tol, source)
     report["input"] = {
         "measure": measure_to_json(nu),
-        "tau": [complex_to_json(t) for t in syn.tau],
-        "omega": complex_to_json(syn.omega),
+        "tau": syn.tau,
+        "omega": syn.omega,
     }
     report["seed"] = args.seed
 
@@ -387,25 +376,11 @@ def cmd_synth(args) -> int:
                 "model_dim": fitted.dim,
             }
         if args.verify:
-            slope_report = synthesis.verify_slope(syn, _verify_directions(syn.tau))
-            cara_report = synthesis.verify_carapoint(syn)
-            report["verification"] = {
-                "slope": {
-                    "max_rel_err": slope_report.max_rel_err,
-                    "pass": slope_report.passed,
-                },
-                "carapoint": {
-                    "liminf": cara_report.liminf,
-                    "expected_mass": cara_report.expected_mass,
-                    "boundary_value": complex_to_json(cara_report.boundary_value),
-                    "omega": complex_to_json(cara_report.omega),
-                    "pass": cara_report.passed,
-                },
+            report["verification"] = checks = {
+                "slope": synthesis.verify_slope(syn, _verify_directions(syn.tau)),
+                "carapoint": synthesis.verify_carapoint(syn),
             }
-            for name, check in (("slope", slope_report), ("carapoint", cara_report)):
-                if check.reason is not None:
-                    report["verification"][name]["reason"] = check.reason
-            if not (slope_report.passed and cara_report.passed):
+            if not all(check["pass"] for check in checks.values()):
                 report["exit_code"] = EXIT_VERIFY
                 _emit(report)
                 return EXIT_VERIFY
@@ -463,7 +438,7 @@ def cmd_nevrep(args) -> int:
     report["carapoint_at_infinity"] = {
         "finite": infinity.finite,
         "limit": infinity.limit,
-        "value": complex_to_json(infinity.value) if infinity.value is not None else None,
+        "value": infinity.value,
         "alpha_norm_sq": alpha_norm_sq,
         "limit_matches_alpha": (
             abs(infinity.limit - alpha_norm_sq) if infinity.limit is not None else None
@@ -500,7 +475,7 @@ def _suite_desingularization(rng, n, tol):
              "slope_liminf": 0.0}
     unconverged = 0
     for _ in range(n):
-        tau = random_torus_point(rng)
+        tau = tuple(np.ravel(random_torus_points(rng, 1)))
         c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
                                            int(rng.integers(1, 3)), tau)
         g = desingularize(c, tau, tol)
@@ -551,8 +526,8 @@ def _suite_measures(rng, n, tol):
                - representations.h_from_nevanlinna(nd, equiv_grid))
         worst_equiv = max(worst_equiv, float(np.abs(gap).max()))
         check = slope_mod.pick_check(partial(representations.h_from_measure, nu), grid)
-        min_im = min(min_im, check.min_im_h)
-        min_im_zh = min(min_im_zh, check.min_im_neg_zh)
+        min_im = min(min_im, check["min_im_h"])
+        min_im_zh = min(min_im_zh, check["min_im_neg_zh"])
     suite = {
         "round_trip_max": None if lost_atoms else worst_round,
         "evaluation_equivalence_max": worst_equiv,

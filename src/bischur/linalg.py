@@ -12,7 +12,7 @@ the screen cannot clear, near the ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +46,10 @@ class Tolerances:
     solve_cond_max: float = 1e14
 
     def __post_init__(self):
-        for name in ("rank_rel", "structural", "solve_cond_max"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (np.isfinite(value) and value > 0):
-                raise InvalidInputError(f"tolerance {name} must be finite and positive")
+                raise InvalidInputError(f"tolerance {field.name} must be finite and positive")
         if self.rank_rel >= 1:
             raise InvalidInputError("rank_rel must be below 1")
 

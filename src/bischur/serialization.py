@@ -4,11 +4,12 @@ Wire conventions: a complex scalar is a two-element array [re, im]; a matrix
 is {"rows": r, "cols": c, "data": [[re, im], ...]} in row-major order;
 vectors are single-column matrices; measures are {"atoms": [{"s": .., "w": ..}]}
 and Nevanlinna data {"c": .., "d": .., "atoms": [{"t": .., "m": ..}]}.
-Tolerance payloads may set any of rank_rel/structural/solve_cond_max.
+Tolerance payloads may set any field of ``linalg.Tolerances``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from itertools import chain
 
 import numpy as np
@@ -185,17 +186,12 @@ def tolerances_from_json(obj, base: Tolerances) -> Tolerances:
         return base
     if not isinstance(obj, dict):
         raise SchemaError("tolerances: expected an object")
-    allowed = {"rank_rel", "structural", "solve_cond_max"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - {f.name for f in fields(Tolerances)}
     if unknown:
         raise SchemaError(f"tolerances: unknown fields {sorted(unknown)}")
     values = {name: _real(obj[name], f"tolerances.{name}") for name in obj}
     try:
-        return Tolerances(
-            rank_rel=values.get("rank_rel", base.rank_rel),
-            structural=values.get("structural", base.structural),
-            solve_cond_max=values.get("solve_cond_max", base.solve_cond_max),
-        )
+        return replace(base, **values)
     except Exception as exc:
         raise SchemaError(f"tolerances: {exc}") from exc
 

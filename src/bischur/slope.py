@@ -17,7 +17,6 @@ h(1) = -||u_tau||^2 equals minus the Caratheodory liminf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,8 @@ __all__ = [
     "slope_measure",
     "directional_derivative_analytic",
     "directional_derivative_numeric",
+    "derivative_checks",
     "pick_check",
-    "PickReport",
 ]
 
 # Eigenvalues of Y this close are one atom of the slope measure.
@@ -147,14 +146,29 @@ def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     return results
 
 
-class PickReport(NamedTuple):
-    min_im_h: float
-    min_im_neg_zh: float
-    passed: bool
+def derivative_checks(phi, tau, phi_tau, deltas, h) -> list[dict]:
+    """The slope formula checked along each direction of ``deltas``: one
+    record per direction with its ``delta``, the ``numeric`` difference
+    quotient limit of ``phi`` (see ``directional_derivative_numeric``), the
+    ``analytic`` value from the slope function ``h`` (see
+    ``directional_derivative_analytic``), ``abs_err``, ``rel_err`` (relative
+    to 1 + |analytic|) and whether the quotients ``converged``."""
+    deltas = list(deltas)
+    checks = []
+    for delta, (numeric, report) in zip(
+            deltas, directional_derivative_numeric(phi, tau, deltas, phi_tau)):
+        analytic = directional_derivative_analytic(phi_tau, tau, delta, h)
+        abs_err = abs(numeric - analytic)
+        checks.append({"delta": (complex(delta[0]), complex(delta[1])),
+                       "numeric": numeric, "analytic": analytic, "abs_err": abs_err,
+                       "rel_err": abs_err / (1.0 + abs(analytic)),
+                       "converged": report.converged})
+    return checks
 
 
-def pick_check(h, grid) -> PickReport:
-    """Minimal imaginary parts of h and -z h(z) on an upper-half-plane grid.
+def pick_check(h, grid) -> dict:
+    """Minimal imaginary parts of h and -z h(z) on an upper-half-plane grid,
+    as ``{"min_im_h", "min_im_neg_zh", "pass"}``.
 
     ``h`` is called once, on the grid as a 1-D complex array, so it must
     return an array of that shape (or a constant).  Slope-type functions
@@ -167,4 +181,5 @@ def pick_check(h, grid) -> PickReport:
     values = np.broadcast_to(h(z), z.shape)
     min_h = float(np.min(values.imag, initial=np.inf))
     min_zh = float(np.min((-z * values).imag, initial=np.inf))
-    return PickReport(min_h, min_zh, min_h >= -PICK_SLACK and min_zh >= -PICK_SLACK)
+    return {"min_im_h": min_h, "min_im_neg_zh": min_zh,
+            "pass": min_h >= -PICK_SLACK and min_zh >= -PICK_SLACK}

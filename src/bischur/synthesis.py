@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +45,6 @@ __all__ = [
     "fit_colligation",
     "verify_slope",
     "verify_carapoint",
-    "SlopeVerification",
-    "CarapointVerification",
 ]
 
 
@@ -158,62 +155,36 @@ def fit_colligation(syn: SynthesizedSchur,
     return exact
 
 
-class SlopeVerification(NamedTuple):
-    deltas: tuple
-    numeric: tuple
-    analytic: tuple
-    max_rel_err: float
-    passed: bool
-    reason: str | None = None
+def verify_slope(syn: SynthesizedSchur, deltas) -> dict:
+    """Compare numeric directional derivatives at tau with the slope formula,
+    ``slope.derivative_checks`` with h evaluated from the measure, as
+    ``{"max_rel_err", "pass"}``.
 
-
-def verify_slope(syn: SynthesizedSchur, deltas) -> SlopeVerification:
-    """Compare numeric directional derivatives at tau with the slope formula.
-
-    For each direction the analytic side is
-    omega * conj(tau_2) delta_2 * h( conj(tau_2) delta_2 / (conj(tau_1) delta_1) )
-    with h evaluated from the measure; errors are relative to 1 + |value|.
     The check passes when every difference quotient converged and the
-    largest error is below ``SLOPE_TOL``; otherwise ``reason`` says why.
+    largest relative error is below ``SLOPE_TOL``; otherwise ``reason`` says
+    why.
     """
-    deltas = tuple(deltas)
-    results = slope_mod.directional_derivative_numeric(
-        partial(synth_eval, syn), syn.tau, deltas, phi_tau=syn.omega
-    )
-    numeric, analytic, unconverged = [], [], []
-    worst = 0.0
-    for k, (delta, (num, report)) in enumerate(zip(deltas, results)):
-        ana = complex(slope_mod.directional_derivative_analytic(
-            syn.omega, syn.tau, delta, partial(h_from_measure, syn.nu)))
-        numeric.append(complex(num))
-        analytic.append(ana)
-        worst = max(worst, float(abs(num - ana) / (1.0 + abs(ana))))
-        if not report.converged:
-            unconverged.append(k)
-    reason = None
+    checks = slope_mod.derivative_checks(partial(synth_eval, syn), syn.tau, syn.omega,
+                                         deltas, partial(h_from_measure, syn.nu))
+    worst = float(max([0.0, *(check["rel_err"] for check in checks)]))
+    unconverged = [k for k, check in enumerate(checks) if not check["converged"]]
+    report = {"max_rel_err": worst, "pass": False}
     if unconverged:
-        reason = f"the difference quotients along deltas {unconverged} did not converge"
+        report["reason"] = f"the difference quotients along deltas {unconverged} did not converge"
     elif not worst < SLOPE_TOL:
-        reason = f"max_rel_err {worst:.3e} is not below {SLOPE_TOL:g}"
-    return SlopeVerification(deltas, tuple(numeric), tuple(analytic),
-                             worst, reason is None, reason)
+        report["reason"] = f"max_rel_err {worst:.3e} is not below {SLOPE_TOL:g}"
+    else:
+        report["pass"] = True
+    return report
 
 
-class CarapointVerification(NamedTuple):
-    liminf: float
-    expected_mass: float
-    boundary_value: complex
-    omega: complex
-    passed: bool
-    reason: str | None = None
-
-
-def verify_carapoint(syn: SynthesizedSchur) -> CarapointVerification:
+def verify_carapoint(syn: SynthesizedSchur) -> dict:
     """Check the radial Julia liminf equals the total mass of nu and that the
-    nontangential boundary value equals omega.  Both come from one sampling
-    of phi along the radius; the check passes when both extrapolations
-    converged and both agree within ``CARAPOINT_TOL``, and otherwise
-    ``reason`` says why."""
+    nontangential boundary value equals omega, as ``{"liminf",
+    "expected_mass", "boundary_value", "omega", "pass"}``.  Both come from
+    one sampling of phi along the radius; the check passes when both
+    extrapolations converged and both agree within ``CARAPOINT_TOL``, and
+    otherwise ``reason`` says why."""
     path = boundary.ApproachPath.radial(syn.tau)
     value, liminf = boundary._value_and_liminf(partial(synth_eval, syn), path)
     mass = syn.nu.total_mass
@@ -224,7 +195,9 @@ def verify_carapoint(syn: SynthesizedSchur) -> CarapointVerification:
         failures.append("the Julia liminf differs from the mass of nu")
     if not abs(value.estimate - syn.omega) < CARAPOINT_TOL:
         failures.append("the boundary value differs from omega")
-    reason = "; ".join(failures) or None
-    return CarapointVerification(float(liminf.estimate.real), mass,
-                                 complex(value.estimate), syn.omega,
-                                 reason is None, reason)
+    report = {"liminf": float(liminf.estimate.real), "expected_mass": mass,
+              "boundary_value": complex(value.estimate), "omega": syn.omega,
+              "pass": not failures}
+    if failures:
+        report["reason"] = "; ".join(failures)
+    return report

@@ -226,8 +226,8 @@ def test_criterion_09_pick_positivity_suites():
     for _ in range(100):
         nu = random_measure(rng)
         result = pick_check(lambda z: h_from_measure(nu, z), grid)
-        min_h = min(min_h, result.min_im_h)
-        min_zh = min(min_zh, result.min_im_neg_zh)
+        min_h = min(min_h, result["min_im_h"])
+        min_zh = min(min_zh, result["min_im_neg_zh"])
     min_h2 = np.inf
     for _ in range(100):
         rep = random_nev_rep(rng, int(rng.integers(1, 5)))

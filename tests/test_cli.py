@@ -325,6 +325,24 @@ class TestFailureReports:
         assert got == report["exit_code"] == code
         assert json.loads(out.read_text()) == report
 
+    @pytest.mark.parametrize("extra, code", [
+        (["--tau", "1,1", "--tolerances", '{"solve_cond_max": 10}'], 4),
+        (["--tau", "2,1"], 2),
+    ], ids=["numeric", "input"])
+    def test_failed_analyze_overwrites_its_csv_samples(self, capsys, favourite_file,
+                                                       tmp_path, extra, code):
+        samples = tmp_path / "s.csv"
+        got, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--csv", samples,
+                          "--no-timestamp")
+        header, *rows = samples.read_text().splitlines()
+        assert got == 0 and header == "z_re,z_im,h_re,h_im"
+        assert [[float(x) for x in row.split(",")] for row in rows] == [
+            [*sample["z"], *sample["h"]] for sample in report["slope_samples"]]
+        got, report = run(capsys, "analyze", favourite_file, *extra, "--csv", samples,
+                          "--no-timestamp")
+        assert got == report["exit_code"] == code and "slope_samples" not in report
+        assert samples.read_text().splitlines() == [header]
+
 
 def unconverged(monkeypatch, module):
     """Make every limit that ``module`` extrapolates report no convergence."""

@@ -161,7 +161,7 @@ class TestConversions:
         rng = np.random.default_rng(43)
         grid = [complex(rng.uniform(-3, 3), rng.uniform(0.1, 3)) for _ in range(50)]
         for _ in range(25):
-            assert pick_check(partial(h_from_measure, random_measure(rng)), grid).passed
+            assert pick_check(partial(h_from_measure, random_measure(rng)), grid)["pass"]
 
 
 def _recorded(h):

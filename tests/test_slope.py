@@ -9,18 +9,25 @@ from bischur import (
     DomainError,
     InvalidInputError,
     SlopePair,
+    SynthesizedSchur,
+    derivative_checks,
     desingularize,
     directional_derivative_analytic,
     directional_derivative_numeric,
     eval_phi,
+    fit_colligation,
+    h_from_measure,
     nontangential_value,
     pick_check,
     slope_eval,
     slope_measure,
+    synth_eval,
 )
+from bischur.cli import _verify_directions
 from bischur.generate import (
     random_colligation_with_kernel,
     random_inward_direction,
+    random_measure,
     random_torus_point,
 )
 
@@ -177,28 +184,66 @@ class TestDirectionalDerivativeNumeric:
             assert abs(numeric - analytic) < 1e-5 * (1.0 + abs(analytic))
 
 
+class TestDerivativeChecks:
+    def test_record_of_each_direction(self):
+        deltas = [(1.0, 1.0), (2.0, 1.0)]
+        checks = derivative_checks(favourite_formula, CHI, 1.0, deltas, HALF_H)
+        assert [check["delta"] for check in checks] == [(1 + 0j, 1 + 0j), (2 + 0j, 1 + 0j)]
+        for delta, check, (numeric, report) in zip(
+                deltas, checks, directional_derivative_numeric(favourite_formula, CHI,
+                                                               deltas, 1.0)):
+            analytic = directional_derivative_analytic(1.0, CHI, delta, HALF_H)
+            assert check == {"delta": check["delta"], "numeric": numeric,
+                             "analytic": analytic, "abs_err": abs(numeric - analytic),
+                             "rel_err": abs(numeric - analytic) / (1.0 + abs(analytic)),
+                             "converged": report.converged}
+            assert check["converged"] and check["rel_err"] < 1e-6
+
+    def test_analyze_and_synth_records_agree(self):
+        # analyze checks the fitted colligation against its desingularized
+        # slope function, synth --verify the synthesized function against
+        # the measure's; both read the same directions
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            nu = random_measure(rng)
+            for tau in (CHI, (-1.0, 1j)):
+                syn = SynthesizedSchur(nu, tau=tau, omega=-1.0)
+                c = fit_colligation(syn)
+                g = desingularize(c, tau)
+                deltas = _verify_directions(syn.tau)
+                fitted = derivative_checks(
+                    partial(eval_phi, c), tau, g.a + g.u_tau @ g.beta.conj(), deltas,
+                    partial(slope_eval, SlopePair.from_realization(g)))
+                synthesized = derivative_checks(partial(synth_eval, syn), tau, syn.omega,
+                                                deltas, partial(h_from_measure, nu))
+                for a, b in zip(fitted, synthesized, strict=True):
+                    assert a["converged"] and b["converged"]
+                    assert abs(a["analytic"] - b["analytic"]) <= 1e-12 * abs(b["analytic"])
+                    assert abs(a["numeric"] - b["numeric"]) <= 1e-8
+
+
 class TestPickCheck:
     GRID = [complex(x, y) for x in np.linspace(-3, 3, 10)
             for y in np.linspace(0.1, 2.5, 10)]
 
     def test_favourite_slope_function(self):
         report = pick_check(lambda z: -2.0 / (1.0 + z), self.GRID)
-        assert report.passed
-        assert report.min_im_h > 0 and report.min_im_neg_zh > 0
+        assert report["pass"]
+        assert report["min_im_h"] > 0 and report["min_im_neg_zh"] > 0
 
     def test_identity_function_fails(self):
         report = pick_check(lambda z: z, self.GRID)
-        assert not report.passed
-        assert report.min_im_neg_zh < -1e-6
+        assert not report["pass"]
+        assert report["min_im_neg_zh"] < -1e-6
 
     def test_negative_constant_passes_at_boundary(self):
         report = pick_check(lambda z: -1.0, self.GRID)
-        assert report.passed
-        assert report.min_im_h == 0.0 and report.min_im_neg_zh >= 0.0
+        assert report["pass"]
+        assert report["min_im_h"] == 0.0 and report["min_im_neg_zh"] >= 0.0
 
     def test_nan_values_fail(self):
         report = pick_check(lambda z: np.where(z.real > 0, np.nan, -1.0 / z), self.GRID)
-        assert not report.passed
+        assert not report["pass"]
 
     def test_grid_is_checked_before_h_is_called(self):
         calls = []
@@ -214,7 +259,7 @@ class TestPickCheck:
             Y = (W * rng.uniform(size=n)) @ W.conj().T
             pair = SlopePair(Y=0.5 * (Y + Y.conj().T),
                              u_tau=rng.normal(size=n) + 1j * rng.normal(size=n))
-            assert pick_check(lambda z: slope_eval(pair, z), self.GRID).passed
+            assert pick_check(lambda z: slope_eval(pair, z), self.GRID)["pass"]
 
 
 class TestRealAxisCheck:

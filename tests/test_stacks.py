@@ -295,9 +295,9 @@ def test_synth_verification_makes_one_call_per_check(monkeypatch):
     monkeypatch.setattr(synthesis, "synth_eval", lambda s, lam: counted(
         partial(synth_eval, s), calls)(lam))
     report = synthesis.verify_slope(syn, cli._verify_directions(syn.tau))
-    assert report.passed and calls == [6 * 24]
+    assert report["pass"] and calls == [6 * 24]
     calls.clear()
-    assert synthesis.verify_carapoint(syn).passed and calls == [24]
+    assert synthesis.verify_carapoint(syn)["pass"] and calls == [24]
 
 
 # ------------------------------------------------------------ stacked draws
