@@ -9,6 +9,7 @@ three consecutive extrapolants agree to the requested tolerance.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,9 @@ __all__ = ["LimitReport", "refine_to_limit", "stacked_samplers"]
 
 # Samples growing monotonically past this size are taken as divergent.
 _DIVERGENCE_THRESHOLD = 1e6
-# The first call of a sampler covers this many args of each sequence.  No
-# extrapolation of the CLI's pipelines has been seen to read more than 21.
+# The one stacked call of the samplers covers this many args of each
+# sequence; a later arg costs a call of its own.  The CLI's extrapolations
+# have been seen to read at most 25 args, and past 24 only rarely.
 _HEAD = 24
 
 
@@ -87,17 +89,16 @@ def refine_to_limit(sample, xs, *, tol):
 
 def stacked_samplers(f, arg_lists):
     """Samplers for ``refine_to_limit``, one per sequence of ``arg_lists``,
-    that share a few stacked calls of ``f``: sampler ``j`` gives at ``k`` the
+    that share one stacked call of ``f``: sampler ``j`` gives at ``k`` the
     value of ``f`` at ``arg_lists[j][k]``.
 
     ``f(seq, args)`` takes an integer array ``seq`` that names the sequence
     of each entry of the float array ``args``, of the same 1-D shape, and
-    returns an array with one row per arg (or a constant).  The first call
-    covers the first ``_HEAD`` args of every sequence together.  A sampler
-    asked for an index past its head makes one more call, on the rest of its
-    own sequence.  When a call raises a BischurError, its args are sampled
-    on stacks of one instead, as far as the extrapolation reads, so a point
-    the extrapolation never reaches never raises.
+    returns an array with one row per arg (or a constant).  The one stacked
+    call covers the first ``_HEAD`` args of every sequence together.  An
+    index past the head, or any index once that call raised a BischurError,
+    is sampled on a stack of one, so a point the extrapolation never reaches
+    never raises.
     """
     seqs = [np.asarray(args, dtype=float) for args in arg_lists]
     values = [[] for _ in seqs]
@@ -112,22 +113,12 @@ def stacked_samplers(f, arg_lists):
         for j, start, end in zip(js, [0, *ends], ends):
             values[j].extend(rows[start:end])
 
-    def stacked(js, chunks):
-        """``extend``; False, with nothing appended, if f raised."""
-        try:
-            extend(js, chunks)
-        except BischurError:
-            return False
-        return True
-
-    head = bool(seqs) and stacked(list(range(len(seqs))), [args[:_HEAD] for args in seqs])
-    tail_due = [head and args.size > _HEAD for args in seqs]
+    if seqs:
+        with suppress(BischurError):
+            extend(list(range(len(seqs))), [args[:_HEAD] for args in seqs])
 
     def sampler(j):
         def sample(k):
-            if k >= len(values[j]) and tail_due[j]:
-                tail_due[j] = False
-                stacked([j], [seqs[j][_HEAD:]])
             while k >= len(values[j]):
                 n = len(values[j])
                 extend([j], [seqs[j][n:n + 1]])

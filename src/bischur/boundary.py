@@ -21,7 +21,7 @@ from ._limits import LimitReport, refine_to_limit, stacked_samplers
 from .colligation import Colligation, model_vector
 from .errors import InvalidInputError, NoSolutionError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, min_norm_solve
-from .points import as_point, require_torus, sup_norm
+from .points import as_point, require_torus
 
 __all__ = [
     "ApproachPath",
@@ -91,7 +91,8 @@ def _quotient(value, lam):
     ||u_lam||^2 for realized functions, and the unsquared quotient differs
     from it by a factor in [1/2, 2], so the two are finite together.
     """
-    return (1.0 - np.abs(value) ** 2) / (1.0 - sup_norm(lam) ** 2)
+    sup = np.maximum(np.abs(lam[0]), np.abs(lam[1]))
+    return (1.0 - np.abs(value) ** 2) / (1.0 - sup ** 2)
 
 
 def _radial_samples(phi, path: ApproachPath):
@@ -114,11 +115,11 @@ def radial_liminf(phi, path: ApproachPath) -> LimitReport:
     to ``LIMINF_TOL``.
 
     ``phi`` is called on stacks of the path's points, so it must accept a
-    stack (or return a constant): once on the first steps, and once more on
-    the rest only if the extrapolation reads past them; if a call raises a
-    BischurError, its points are sampled on stacks of one as far as the
-    extrapolation needs.  On a carapoint path this converges to the
-    Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
+    stack (or return a constant): once on the first steps, then on a stack
+    of one for each step the extrapolation reads past them; if the first
+    call raises a BischurError, its points are sampled on stacks of one as
+    far as the extrapolation needs.  On a carapoint path this converges to
+    the Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
     meaning the path provides no carapoint evidence.
     """
     return _limit(_radial_samples(phi, path), path, 1, LIMINF_TOL)
@@ -152,9 +153,9 @@ def model_liminf(c: Colligation, path: ApproachPath,
     By the model identity 1 - |phi(lam)|^2 = (1 - |lam_1|^2) ||P1 u_lam||^2
     + (1 - |lam_2|^2) ||(1 - P1) u_lam||^2, and each 1 - |lam_j|^2 is formed
     from the path data, so the quotient never subtracts two numbers near 1;
-    on the radial path it is ||u_lam||^2.  The model vectors come from
-    stacked solves, with the same head-then-tail calls and stack-of-one
-    fallback as ``radial_liminf``.
+    on the radial path it is ||u_lam||^2.  The model vectors come from one
+    stacked solve of the first steps and stacks of one past them, with the
+    same stack-of-one fallback as ``radial_liminf``.
     """
     def quotient(seq, t):
         u = model_vector(c, path.point(t), tol)

@@ -187,6 +187,12 @@ def _fail(args, tol, source, code, kind, message):
     return code
 
 
+def _require_seed(args):
+    """Refuse a negative ``--seed``, which numpy's generators cannot take."""
+    if args.seed < 0:
+        raise InvalidInputError(f"--seed must be non-negative, got {args.seed}")
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -268,6 +274,7 @@ def _analysis(args):
         c = colligation_from_json(payload)
         c.validate(tol)
         tau = require_torus(parse_point(args.tau))
+        _require_seed(args)
     except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
         return _failure(args, tol, source, EXIT_INPUT, "input", str(exc))
 
@@ -572,9 +579,12 @@ def _suite_reps(rng, n, tol):
 
 def cmd_verify(args) -> int:
     tol, source = _resolve_tolerances(args.tolerances)
-    if args.random < 1:
-        return _fail(args, tol, source, EXIT_INPUT, "input",
-                     f"--random must be at least 1, got {args.random}")
+    try:
+        if args.random < 1:
+            raise InvalidInputError(f"--random must be at least 1, got {args.random}")
+        _require_seed(args)
+    except InvalidInputError as exc:
+        return _fail(args, tol, source, EXIT_INPUT, "input", str(exc))
     rng = np.random.default_rng(args.seed)
     n = args.random
     try:

@@ -89,16 +89,13 @@ class Colligation:
         points: (D, stacked pencil)."""
         return self.D, _pencil(self.P1, l1[:, None, None], l2[:, None, None])
 
-    def structural_residuals(self) -> dict[str, float]:
-        return {
+    def validate(self, tol: Tolerances = DEFAULT_TOLERANCES) -> dict[str, float]:
+        """Check the structural invariants, raising on violation."""
+        residuals = {
             "unitary": linalg.structure_check(self.L, "unitary").residual,
             "projection": linalg.structure_check(self.P1, "projection").residual,
             "hermitian": linalg.structure_check(self.P1, "hermitian").residual,
         }
-
-    def validate(self, tol: Tolerances = DEFAULT_TOLERANCES) -> dict[str, float]:
-        """Check the structural invariants, raising on violation."""
-        residuals = self.structural_residuals()
         bad = {k: v for k, v in residuals.items() if v > tol.structural}
         if bad:
             raise InvalidInputError(f"colligation fails structural checks: {bad}")

@@ -123,8 +123,7 @@ def _kernel_split(A, b, tol: Tolerances):
     ker(A)-perp) and near the kept singular values within a factor 1e3 of the
     rank cutoff, whose kernel split is ill-determined."""
     u, s, vh = np.linalg.svd(A)
-    cutoff = tol.rank_rel * s[0]
-    rank = int(np.sum(s > cutoff))
+    rank = _numerical_rank(s, tol.rank_rel)
     if rank > 0:
         cond = s[0] / s[rank - 1]
         if cond > tol.solve_cond_max:
@@ -142,7 +141,7 @@ def _kernel_split(A, b, tol: Tolerances):
             f"system inconsistent: residual {residual:.3e} above bound {bound:.3e}",
             residual,
         )
-    near = s[:rank][s[:rank] < 1e3 * max(cutoff, np.finfo(float).tiny)]
+    near = s[:rank][s[:rank] < 1e3 * max(tol.rank_rel * s[0], np.finfo(float).tiny)]
     return x, rank, vh, near
 
 

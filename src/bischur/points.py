@@ -84,11 +84,6 @@ def _sup(l1, l2):
     return np.maximum(abs(l1), abs(l2)) if isinstance(l1, np.ndarray) else max(abs(l1), abs(l2))
 
 
-def sup_norm(lam):
-    """max(|lam_1|, |lam_2|), for a point or, as an array, for a stack."""
-    return _sup(*as_points(lam))
-
-
 def require_interior(lam):
     """A point or a stack of points of the open bidisc (see ``as_points``)."""
     lam = as_points(lam)

@@ -118,13 +118,13 @@ def h_from_nevanlinna(nd: NevanlinnaData, z):
     """Evaluate c + d z + (1/pi) sum m (1 + t z)/(t - z) at a point or an
     array of points; the result has the shape of ``z``.  Raises PoleError
     when any point coincides with an atom."""
-    z = np.asarray(z, dtype=complex)[()]
-    floor = 1e-14 * (1.0 + np.abs(z))
+    z = as_complex(z)
+    floor = 1e-14 * (1.0 + abs(z))
     total = nd.c + nd.d * z
     for t, m in nd.atoms:
         den = t - z
-        hit = np.abs(den) < floor
-        if hit.any():
+        hit = abs(den) < floor
+        if any_true(hit):
             raise PoleError(
                 f"evaluation point {np.extract(hit, z)[0]} coincides with the atom at t={t}"
             )

@@ -24,7 +24,7 @@ from .representations import DiscreteMeasure01, NevanlinnaData
 __all__ = [
     "complex_to_json", "complex_from_json",
     "matrix_to_json", "matrix_from_json",
-    "vector_to_json", "vector_from_json",
+    "vector_from_json",
     "colligation_to_json", "colligation_from_json",
     "generalized_to_json",
     "measure_to_json", "measure_from_json",
@@ -97,10 +97,6 @@ def matrix_from_json(obj, where="matrix") -> np.ndarray:
     return A
 
 
-def vector_to_json(v) -> dict:
-    return matrix_to_json(np.asarray(v, dtype=complex).reshape(-1, 1))
-
-
 def vector_from_json(obj, where="vector") -> np.ndarray:
     A = matrix_from_json(obj, where)
     if A.shape[1] != 1:
@@ -111,8 +107,8 @@ def vector_from_json(obj, where="vector") -> np.ndarray:
 def colligation_to_json(c: Colligation) -> dict:
     return {
         "a": complex_to_json(c.a),
-        "beta": vector_to_json(c.beta),
-        "gamma": vector_to_json(c.gamma),
+        "beta": matrix_to_json(c.beta),
+        "gamma": matrix_to_json(c.gamma),
         "D": matrix_to_json(c.D),
         "P1": matrix_to_json(c.P1),
     }
@@ -141,12 +137,12 @@ def colligation_from_json(obj) -> Colligation:
 def generalized_to_json(g: GeneralizedRealization) -> dict:
     return {
         "a": complex_to_json(g.a),
-        "beta": vector_to_json(g.beta),
-        "gamma": vector_to_json(g.gamma),
+        "beta": matrix_to_json(g.beta),
+        "gamma": matrix_to_json(g.gamma),
         "Q": matrix_to_json(g.Q),
         "Y": matrix_to_json(g.Y),
         "tau": [complex_to_json(g.tau[0]), complex_to_json(g.tau[1])],
-        "u_tau": vector_to_json(g.u_tau),
+        "u_tau": matrix_to_json(g.u_tau),
     }
 
 
@@ -175,7 +171,7 @@ def nevanlinna_to_json(nd: NevanlinnaData) -> dict:
 def rep_to_json(rep: TwoVarNevRep) -> dict:
     return {
         "b": rep.b,
-        "alpha": vector_to_json(rep.alpha),
+        "alpha": matrix_to_json(rep.alpha),
         "B": matrix_to_json(rep.B),
         "Y": matrix_to_json(rep.Y),
     }

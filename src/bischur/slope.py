@@ -123,11 +123,12 @@ def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     the sequence ``deltas``, extrapolated to ``DERIVATIVE_TOL``.
 
     ``phi`` is called on stacks of points, so it must accept a stack (or
-    return a constant): once on the first steps of every path together, and
-    once more on the rest of a path only if its extrapolation reads past
-    them; if a call raises a BischurError, its points are sampled on stacks
-    of one as far as the extrapolations need.  Quotients are extrapolated
-    with one elimination step, which removes the O(t) truncation term.
+    return a constant): once on the first steps of every path together,
+    then on a stack of one for each step an extrapolation reads past them;
+    if the first call raises a BischurError, its points are sampled on
+    stacks of one as far as the extrapolations need.  Quotients are
+    extrapolated with one elimination step, which removes the O(t)
+    truncation term.
     """
     tau = as_point(tau)
     paths = [boundary.ApproachPath(tau, delta) for delta in deltas]

@@ -94,10 +94,6 @@ def synth_eval(syn: SynthesizedSchur, lam):
     l1, l2 = require_interior(lam)
     mu = (syn.tau[0].conjugate() * l1, syn.tau[1].conjugate() * l2)
     f = _herglotz_sum(syn.nu, mu)
-    if any_true(abs(1.0 + f) < 1e-100):
-        raise InternalInconsistencyError(
-            "1 + f vanished at an interior point; Re f > 0 should forbid this"
-        )
     value = syn.omega * (1.0 - f) / (1.0 + f)
     return value if isinstance(value, np.ndarray) else complex(value)
 

@@ -231,6 +231,16 @@ class TestInputErrors:
         assert report["error"] == {
             "kind": "input", "message": f"point {point} has a coordinate that is not finite"}
 
+    def test_negative_seed_fails_analyze_as_input(self, capsys, favourite_file, tmp_path):
+        out, samples = tmp_path / "r.json", tmp_path / "s.csv"
+        code, report = run(capsys, "analyze", favourite_file, "--tau=1,1", "--seed=-5",
+                           "--out", out, "--csv", samples, "--no-timestamp")
+        assert code == report["exit_code"] == 2
+        assert report["error"] == {"kind": "input",
+                                   "message": "--seed must be non-negative, got -5"}
+        assert json.loads(out.read_text()) == report
+        assert samples.read_text().splitlines() == ["z_re,z_im,h_re,h_im"]
+
     def test_nevrep_rejects_a_representation(self, capsys, measure_file, tmp_path):
         rep_file = tmp_path / "rep.json"
         code, _ = run(capsys, "nevrep", measure_file, "--omega=-1", "--out", rep_file,
@@ -265,6 +275,13 @@ class TestVerify:
         code, report = run(capsys, "verify", "--random", count, "--no-timestamp")
         assert code == report["exit_code"] == 2
         assert report["error"]["kind"] == "input"
+
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, report = run(capsys, "verify", "--random", "1", "--seed=-1", "--no-timestamp")
+        assert code == report["exit_code"] == 2
+        assert report["error"] == {"kind": "input",
+                                   "message": "--seed must be non-negative, got -1"}
 
 
 class TestMinusValues:

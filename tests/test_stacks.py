@@ -187,40 +187,38 @@ def test_path_converging_in_its_head_makes_one_call(favourite_colligation):
 PAST_THE_HEAD = ApproachPath(CHI, (1.0, 3.0))
 
 
-def test_path_read_past_its_head_makes_a_second_call(favourite_colligation, monkeypatch):
+def test_path_read_past_its_head_samples_stacks_of_one(favourite_colligation, monkeypatch):
     monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
     path = PAST_THE_HEAD
     phi = partial(eval_phi, favourite_colligation)
     calls = []
     report = radial_liminf(counted(phi, calls), path)
-    assert calls == [24, len(path.steps) - 24]
+    assert calls == [24] + [1] * (len(path.steps) - 24)
     assert len(report.samples) == len(path.steps)
-    # head then tail give the digits of stacks of one and of one whole-path call
+    # head then stacks of one give the digits of stacks of one and of one
+    # whole-path call
     assert report == pointwise(phi, path, 1e-300)
     whole = julia_quotient(phi, path.point(np.array(path.steps)))
     assert report == refine_to_limit(whole.__getitem__, path.steps, tol=1e-300)
 
 
-@pytest.mark.parametrize("broken", ["head", "tail"])
+@pytest.mark.parametrize("broken", ["head"])
 def test_stack_that_raises_falls_back_to_points(broken, favourite_colligation, monkeypatch):
     monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
     path = PAST_THE_HEAD
-    tail = len(path.steps) - 24
     phi = partial(eval_phi, favourite_colligation)
     calls = []
 
     def breaks(lam):
         calls.append(np.shape(lam[0]))
-        if len(lam[0]) > 1 and (broken == "head" or len(lam[0]) == tail):
+        if len(lam[0]) > 1:
             raise IllConditionedError(f"the {broken} stack is refused", cond=1e300)
         return phi(lam)
 
     report = radial_liminf(breaks, path)
     assert len(report.samples) == len(path.steps)
-    if broken == "head":   # no second stacked call: every point alone
-        assert calls == [(24,)] + [(1,)] * len(report.samples)
-    else:
-        assert calls == [(24,), (tail,)] + [(1,)] * (len(report.samples) - 24)
+    # no second stacked call: every point alone
+    assert calls == [(24,)] + [(1,)] * len(report.samples)
     assert report == radial_liminf(phi, path)
     assert report == pointwise(phi, path, 1e-300)
 
@@ -234,7 +232,7 @@ def refusing_stacks(f, at):
     return refuses
 
 
-SAMPLINGS = ("whole", "head and tail", "stacks of one")
+SAMPLINGS = ("whole", "head and stacks of one", "stacks of one")
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -265,7 +263,7 @@ def test_carapoint_at_infinity_samplings_agree_bit_for_bit(dim, monkeypatch):
     for sampling in SAMPLINGS:
         h = partial(eval_h2, rep)
         with monkeypatch.context() as m:
-            if sampling == "head and tail":
+            if sampling == "head and stacks of one":
                 m.setattr(_limits, "_HEAD", 10)
             elif sampling == "stacks of one":
                 h = refusing_stacks(h, 0)
