@@ -18,12 +18,13 @@ independent numerical route back to the measure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._integrate import REL_TOL, adaptive_trapezoid
-from ._limits import refine_to_limit
+from ._limits import refine_to_limit, stacked_samplers
 from .points import any_true, as_complex
 from .errors import (
     InvalidInputError,
@@ -183,23 +184,26 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
     Integrates Im h(x + iy) over [a, b] for each y in the decreasing sequence
     ``ys`` and extrapolates y -> 0, to ``10 * REL_TOL``.  Each integral is
     taken along a contour above the window, a+iy -> a+iY -> b+iY -> b+iy, by
-    Gauss-Legendre rules that double until two agree within ``REL_TOL``;
-    ``h`` is called once per rule, on an array of points with Im z >= y, and
-    must return an array of the same shape (or a constant).  For Nevanlinna
-    data the limit is the window mass of (1 + t^2) dmu(t), with half weight
-    for atoms sitting on a window endpoint.  Raises InvalidInputError before
-    any call of ``h`` when a, b or some y is not finite, and NoLimitError
-    when an integral or the sequence does not settle.
+    Gauss-Legendre rules that double until two agree within ``REL_TOL``.
+    ``h`` is called once per rule level for all unsettled ys of the window,
+    on a 1-D array of points with Im z >= ys[-1], and must return an array of
+    that shape (or a constant).  It may see points of ys the extrapolation never
+    reads; a BischurError raised there falls back to stacks of one y, any
+    other exception propagates.  For Nevanlinna data the limit is the window
+    mass of (1 + t^2) dmu(t), with half weight for atoms sitting on a window
+    endpoint.  Raises InvalidInputError before any call of ``h`` when a, b or
+    some y is not a finite real or ``ys`` is empty, and NoLimitError when an
+    integral or the sequence does not settle.
     """
-    ys = [float(y) for y in ys]
-    if not all(math.isfinite(v) for v in (a, b, *ys)):
-        raise InvalidInputError("the window ends and ys must be finite")
+    ys = list(ys)
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (a, b, *ys)):
+        raise InvalidInputError("the window ends and ys must be finite reals")
     if not b > a:
         raise InvalidInputError("window must satisfy a < b")
-    if any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
-        raise InvalidInputError("ys must be positive and strictly decreasing")
-    report = refine_to_limit(lambda k: adaptive_trapezoid(h, a, b, ys[k]),
-                             ys, tol=10 * REL_TOL)
+    if not ys or any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
+        raise InvalidInputError("ys must be nonempty, positive and strictly decreasing")
+    sample = stacked_samplers(lambda seq, y: adaptive_trapezoid(h, a, b, y), [ys])[0]
+    report = refine_to_limit(sample, ys, tol=10 * REL_TOL)
     if not report.converged:
         raise NoLimitError(
             f"window integrals did not stabilize (best gap {report.achieved:.3e})"

@@ -202,12 +202,37 @@ class TestStieltjes:
         (-math.inf, 0.0, [0.1, 0.05, 0.01]),
         (-2.0, 0.0, [0.1, math.nan, 0.01]),
         (-2.0, 0.0, [math.inf, 0.1, 0.05]),
-    ], ids=["b-inf", "a-inf", "y-nan", "y-inf"])
+        (-2.0, 0.0, []),
+        (-2.0 + 0j, 0.0, [0.1, 0.05, 0.01]),
+        (-2.0, 1j, [0.1, 0.05, 0.01]),
+        (-2.0, 0.0, [0.1, 0.05j, 0.01]),
+    ], ids=["b-inf", "a-inf", "y-nan", "y-inf", "ys-empty", "a-complex", "b-complex",
+            "y-complex"])
     def test_non_finite_input_rejected_before_h(self, a, b, ys):
         h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
         with pytest.raises(InvalidInputError):
             stieltjes_recover(h, a, b, ys)
         assert calls == []
+
+    def test_criterion_05_window_calls_h_once(self):
+        h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
+        assert len(calls) == 1
+
+    def test_ys_the_extrapolation_never_reads_never_raise(self):
+        # the extrapolation settles on the first six ys, down to 0.003125; below
+        # Im z = 2e-3 the noise keeps every later y's rules from agreeing
+        rng = np.random.default_rng(19)
+
+        def h(z):
+            noise = rng.normal(size=z.shape) + 1j * rng.normal(size=z.shape)
+            return h_from_nevanlinna(HALF_NEV, z) + np.where(z.imag < 2e-3, noise, 0.0)
+
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        with pytest.raises(NoLimitError):
+            adaptive_trapezoid(h, -2.0, 0.0, ys[6])
+        assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
 
 
 class TestContourQuadrature:

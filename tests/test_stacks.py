@@ -1,5 +1,6 @@
 """Stacked evaluation: a stack of points gives what the points give one by one."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ from bischur import (
     ApproachPath,
     DiscreteMeasure01,
     IllConditionedError,
+    NevanlinnaData,
     SlopePair,
     SynthesizedSchur,
     Tolerances,
@@ -18,6 +20,7 @@ from bischur import (
     eval_I,
     eval_phi,
     eval_phi_gen,
+    h_from_nevanlinna,
     model_liminf,
     model_residual,
     radial_liminf,
@@ -25,6 +28,7 @@ from bischur import (
     synth_eval,
 )
 from bischur import _limits, boundary, cli, nev2d, synthesis
+from bischur._integrate import adaptive_trapezoid
 from bischur._limits import refine_to_limit
 from bischur.boundary import _quotient
 from bischur.generate import (
@@ -116,6 +120,15 @@ def test_synth_stack_matches_points(atoms):
     syn = SynthesizedSchur(nu, tau=random_torus_point(rng), omega=np.exp(1j * rng.uniform(0, 6)))
     lam = bidisc_stack(rng)
     assert close(synth_eval(syn, lam), [synth_eval(syn, p) for p in points_of(lam)])
+
+
+@pytest.mark.parametrize("a, b", [(-4.0, 0.5), (-2.0, 0.0), (-1.001, 0.5), (-3.0, -1.0001)])
+def test_window_integral_stack_matches_ys(a, b):
+    h = partial(h_from_nevanlinna, NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.0, math.pi),)))
+    ys = [0.1 * 2.0 ** -k for k in range(11)]   # acceptance criterion 05
+    # a y's integral does not depend on the stack it is taken in
+    assert np.array_equal(adaptive_trapezoid(h, a, b, np.array(ys)),
+                          [adaptive_trapezoid(h, a, b, y) for y in ys])
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
