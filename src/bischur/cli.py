@@ -7,7 +7,9 @@ and ``verify`` (seeded random property suites).
 
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused, and each call looks
-up its ``cmd_*`` handler afresh.
+up its ``cmd_*`` handler afresh.  Each handler runs its command's builder
+through ``_report``, which alone turns a raised error into the report's
+``error`` and exit code, and then writes the command's outputs.
 
 Exit codes: 0 success, 2 malformed input, 3 failed precondition (not a
 carapoint), 4 numeric failure, 5 verification failure, 6 obstruction
@@ -24,6 +26,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import cache, partial
 
@@ -89,6 +92,19 @@ ROUND_TRIP_MAX = 1e-12        # measure -> Nevanlinna data -> measure
 EQUIVALENCE_MAX = 1e-10       # h from a measure against h from its Nevanlinna data
 INFINITY_LIMIT_MAX = 1e-6     # |lim y Im h(iy, iy) - ||alpha||^2|
 
+
+class _InputFailure(BischurError):
+    """The input could not be read, parsed or validated."""
+
+
+# A builder's failure by its nearest listed class: (exit code, error kind).
+_FAILURES = {
+    _InputFailure: (EXIT_INPUT, "input"),
+    PreconditionError: (EXIT_PRECONDITION, "precondition"),
+    ObstructionError: (EXIT_OBSTRUCTION, "obstruction"),
+    BischurError: (EXIT_NUMERIC, "numeric"),
+}
+
 _CSV_RADII = (0.25, 0.55, 0.85)
 _CSV_ANGLES = tuple(2.0 * np.pi * k / 4 for k in range(4))
 
@@ -137,17 +153,6 @@ def _resolve_tolerances(flag_value: str | None):
     return tol, source
 
 
-def _base_report(args, tol, source):
-    report = {
-        "tool": {"name": "bischur", "version": __version__},
-        "tolerances": dict(vars(tol)),
-        "tolerances_source": source,
-    }
-    if not args.no_timestamp:
-        report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return report
-
-
 def _json_default(obj):
     # complex first: numpy's complex128 is a complex, and most values land here
     if isinstance(obj, (complex, np.complexfloating)):
@@ -175,16 +180,33 @@ def _emit(report, out_path=None):
     print(text)
 
 
-def _failure(args, tol, source, code, kind, message):
-    report = _base_report(args, tol, source)
-    report["error"] = {"kind": kind, "message": message}
-    report["exit_code"] = code
+@contextmanager
+def _input_stage():
+    """Report a failure to read, parse or validate the input (a SchemaError
+    is an InvalidInputError) as an ``input`` error."""
+    try:
+        yield
+    except (OSError, json.JSONDecodeError, InvalidInputError) as exc:
+        raise _InputFailure(str(exc)) from exc
+
+
+def _report(args, build) -> dict:
+    """The report of one command: the header, filled by
+    ``build(args, tol, report)``, which returns the exit code.  A failure it
+    raises leaves the report as far as it got, plus ``error`` and the exit
+    code ``_FAILURES`` gives.  Malformed tolerances raise, before any report."""
+    tol, source = _resolve_tolerances(args.tolerances)
+    report = {"tool": {"name": "bischur", "version": __version__},
+              "tolerances": dict(vars(tol)), "tolerances_source": source}
+    if not args.no_timestamp:
+        report["timestamp"] = datetime.now(timezone.utc).isoformat()
+    try:
+        report["exit_code"] = build(args, tol, report)
+    except BischurError as exc:
+        code, kind = next(_FAILURES[t] for t in type(exc).__mro__ if t in _FAILURES)
+        report["error"] = {"kind": kind, "message": str(exc)}
+        report["exit_code"] = code
     return report
-
-
-def _fail(args, tol, source, code, kind, message):
-    _emit(_failure(args, tol, source, code, kind, message))
-    return code
 
 
 def _require_seed(args):
@@ -255,7 +277,7 @@ def _generalized_verification(c, g, rng, tol):
 
 
 def cmd_analyze(args) -> int:
-    report = _analysis(args)
+    report = _report(args, _analysis)
     # like --out, --csv is rewritten by every report, so no stale samples stay
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -267,45 +289,34 @@ def cmd_analyze(args) -> int:
     return report["exit_code"]
 
 
-def _analysis(args):
-    tol, source = _resolve_tolerances(args.tolerances)
-    try:
+def _analysis(args, tol, report) -> int:
+    with _input_stage():
         payload = _load_json(args.colligation)
         c = colligation_from_json(payload)
         c.validate(tol)
         tau = require_torus(parse_point(args.tau))
         _require_seed(args)
-    except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
-        return _failure(args, tol, source, EXIT_INPUT, "input", str(exc))
-
-    report = _base_report(args, tol, source)
     report["input"] = {"colligation": payload, "tau": tau}
     report["seed"] = args.seed
 
     try:
         g = desingularize(c, tau, tol)
-        pair = slope_mod.SlopePair.from_realization(g)
-        nu = slope_mod.slope_measure(pair)
-        nd = representations.nevanlinna_from_measure(nu)
-        path = boundary.ApproachPath.radial(tau)
-        liminf = boundary.model_liminf(c, path, tol)
-        # (1 - Q) u_tau = gamma and I(tau) = 1 in the generalized model
-        phi_tau = g.a + g.u_tau @ g.beta.conj()
-        rng = np.random.default_rng(args.seed)
-        checks = _derivative_checks(c, tau, phi_tau, pair, rng, 4, tol)
-        verification = _generalized_verification(c, g, rng, tol)
-        zs = np.array((1.0, *SLOPE_SAMPLE_POINTS))
-        h1, *h_samples = slope_mod.slope_eval(pair, zs).tolist()
-    except PreconditionError:
+    except PreconditionError as exc:
         report["carapoint"] = {"is_carapoint": False}
-        report["error"] = {
-            "kind": "precondition",
-            "message": "no carapoint evidence: gamma is outside ran(1 - D tau)",
-        }
-        report["exit_code"] = EXIT_PRECONDITION
-        return report
-    except BischurError as exc:
-        return _failure(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
+        raise PreconditionError(
+            "no carapoint evidence: gamma is outside ran(1 - D tau)") from exc
+    pair = slope_mod.SlopePair.from_realization(g)
+    nu = slope_mod.slope_measure(pair)
+    nd = representations.nevanlinna_from_measure(nu)
+    path = boundary.ApproachPath.radial(tau)
+    liminf = boundary.model_liminf(c, path, tol)
+    # (1 - Q) u_tau = gamma and I(tau) = 1 in the generalized model
+    phi_tau = g.a + g.u_tau @ g.beta.conj()
+    rng = np.random.default_rng(args.seed)
+    checks = _derivative_checks(c, tau, phi_tau, pair, rng, 4, tol)
+    verification = _generalized_verification(c, g, rng, tol)
+    zs = np.array((1.0, *SLOPE_SAMPLE_POINTS))
+    h1, *h_samples = slope_mod.slope_eval(pair, zs).tolist()
 
     witness_norm_sq = float(np.linalg.norm(g.u_tau) ** 2)
     report["carapoint"] = {
@@ -328,8 +339,7 @@ def _analysis(args):
     report["slope_samples"] = [{"z": z, "h": h} for z, h in zip(SLOPE_SAMPLE_POINTS, h_samples)]
     report["derivative_checks"] = checks
     report["verification"] = _gate(verification, liminf, checks)
-    report["exit_code"] = EXIT_OK if verification["pass"] else EXIT_NUMERIC
-    return report
+    return EXIT_OK if verification["pass"] else EXIT_NUMERIC
 
 
 # ------------------------------------------------------------------ synth
@@ -341,61 +351,47 @@ def _verify_directions(tau):
 
 
 def cmd_synth(args) -> int:
-    tol, source = _resolve_tolerances(args.tolerances)
-    try:
+    report = _report(args, _synthesis)
+    _emit(report)
+    return report["exit_code"]
+
+
+def _synthesis(args, tol, report) -> int:
+    with _input_stage():
         nu = measure_from_json(_load_json(args.measure))
         if not nu.atoms:
             raise SchemaError("measure must carry at least one atom")
         tau = parse_point(args.tau) if args.tau else (1.0 + 0j, 1.0 + 0j)
         omega = parse_complex(args.omega) if args.omega else 1.0 + 0j
         syn = synthesis.SynthesizedSchur(nu, tau, omega)
-    except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
-        return _fail(args, tol, source, EXIT_INPUT, "input", str(exc))
-
-    report = _base_report(args, tol, source)
-    report["input"] = {
-        "measure": measure_to_json(nu),
-        "tau": syn.tau,
-        "omega": syn.omega,
-    }
+    report["input"] = {"measure": measure_to_json(nu), "tau": syn.tau, "omega": syn.omega}
     report["seed"] = args.seed
 
-    try:
-        if args.out and args.out.endswith(".csv"):
-            lams = tuple(np.array([(r1 * np.exp(1j * a1), r2 * np.exp(1j * a2))
-                                   for r1 in _CSV_RADII for a1 in _CSV_ANGLES
-                                   for r2 in _CSV_RADII for a2 in _CSV_ANGLES]).T)
-            values = synthesis.synth_eval(syn, lams)
-            rows = np.column_stack([lams[0].real, lams[0].imag, lams[1].real,
-                                    lams[1].imag, values.real, values.imag]).tolist()
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["l1_re", "l1_im", "l2_re", "l2_im", "phi_re", "phi_im"])
-                writer.writerows(rows)
-            report["output"] = {"kind": "samples_csv", "path": args.out, "rows": len(rows)}
-        elif args.out:
-            fitted = synthesis.fit_colligation(syn, tol=tol)
-            with open(args.out, "w") as fh:
-                fh.write(_json_text(colligation_to_json(fitted)) + "\n")
-            report["output"] = {
-                "kind": "colligation_json",
-                "path": args.out,
-                "model_dim": fitted.dim,
-            }
-        if args.verify:
-            report["verification"] = checks = {
-                "slope": synthesis.verify_slope(syn, _verify_directions(syn.tau)),
-                "carapoint": synthesis.verify_carapoint(syn),
-            }
-            if not all(check["pass"] for check in checks.values()):
-                report["exit_code"] = EXIT_VERIFY
-                _emit(report)
-                return EXIT_VERIFY
-    except BischurError as exc:
-        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
-
-    report["exit_code"] = EXIT_OK
-    _emit(report)
+    if args.out and args.out.endswith(".csv"):
+        lams = tuple(np.array([(r1 * np.exp(1j * a1), r2 * np.exp(1j * a2))
+                               for r1 in _CSV_RADII for a1 in _CSV_ANGLES
+                               for r2 in _CSV_RADII for a2 in _CSV_ANGLES]).T)
+        values = synthesis.synth_eval(syn, lams)
+        rows = np.column_stack([lams[0].real, lams[0].imag, lams[1].real,
+                                lams[1].imag, values.real, values.imag]).tolist()
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["l1_re", "l1_im", "l2_re", "l2_im", "phi_re", "phi_im"])
+            writer.writerows(rows)
+        report["output"] = {"kind": "samples_csv", "path": args.out, "rows": len(rows)}
+    elif args.out:
+        fitted = synthesis.fit_colligation(syn, tol=tol)
+        with open(args.out, "w") as fh:
+            fh.write(_json_text(colligation_to_json(fitted)) + "\n")
+        report["output"] = {"kind": "colligation_json", "path": args.out,
+                            "model_dim": fitted.dim}
+    if args.verify:
+        report["verification"] = checks = {
+            "slope": synthesis.verify_slope(syn, _verify_directions(syn.tau)),
+            "carapoint": synthesis.verify_carapoint(syn),
+        }
+        if not all(check["pass"] for check in checks.values()):
+            return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -403,9 +399,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_nevrep(args) -> int:
-    tol, source = _resolve_tolerances(args.tolerances)
+    report = _report(args, _representation)
+    if args.out and report["exit_code"] == EXIT_OK:
+        with open(args.out, "w") as fh:
+            fh.write(_json_text(report["rep"]) + "\n")
+    _emit(report)
+    return report["exit_code"]
+
+
+def _representation(args, tol, report) -> int:
     chi = (1.0 + 0j, 1.0 + 0j)
-    try:
+    # fit_colligation stays in the input stage: an empty measure is an input error
+    with _input_stage():
         payload = _load_json(args.input)
         kind = detect_payload_kind(payload)
         if kind == "colligation":
@@ -418,26 +423,12 @@ def cmd_nevrep(args) -> int:
             c = synthesis.fit_colligation(syn, tol=tol)
         else:
             raise SchemaError(f"nevrep needs a colligation or a measure, got {kind}")
-    except (OSError, json.JSONDecodeError, SchemaError, InvalidInputError) as exc:
-        return _fail(args, tol, source, EXIT_INPUT, "input", str(exc))
-    except BischurError as exc:
-        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
-
-    report = _base_report(args, tol, source)
     report["input"] = {"kind": kind}
     report["seed"] = args.seed
 
-    try:
-        g = desingularize(c, chi, tol)
-        rep = nev2d.rep_from_schur(g, tol)
-        infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
-    except PreconditionError:
-        return _fail(args, tol, source, EXIT_PRECONDITION, "precondition",
-                     "(1, 1) is not a carapoint of the realized function")
-    except ObstructionError as exc:
-        return _fail(args, tol, source, EXIT_OBSTRUCTION, "obstruction", str(exc))
-    except BischurError as exc:
-        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
+    g = desingularize(c, chi, tol)
+    rep = nev2d.rep_from_schur(g, tol)
+    infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
 
     alpha_norm_sq = float(np.linalg.norm(rep.alpha) ** 2)
     report["rep"] = rep_to_json(rep)
@@ -451,11 +442,6 @@ def cmd_nevrep(args) -> int:
             abs(infinity.limit - alpha_norm_sq) if infinity.limit is not None else None
         ),
     }
-    report["exit_code"] = EXIT_OK
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_json_text(report["rep"]) + "\n")
-    _emit(report)
     return EXIT_OK
 
 
@@ -578,31 +564,8 @@ def _suite_reps(rng, n, tol):
 
 
 def cmd_verify(args) -> int:
-    tol, source = _resolve_tolerances(args.tolerances)
-    try:
-        if args.random < 1:
-            raise InvalidInputError(f"--random must be at least 1, got {args.random}")
-        _require_seed(args)
-    except InvalidInputError as exc:
-        return _fail(args, tol, source, EXIT_INPUT, "input", str(exc))
-    rng = np.random.default_rng(args.seed)
-    n = args.random
-    try:
-        suites = {
-            "colligations": _suite_colligations(rng, n, tol),
-            "desingularization": _suite_desingularization(rng, max(1, n // 2), tol),
-            "measures": _suite_measures(rng, n, tol),
-            "reps": _suite_reps(rng, max(1, n // 2), tol),
-        }
-    except BischurError as exc:
-        return _fail(args, tol, source, EXIT_NUMERIC, "numeric", str(exc))
-    report = _base_report(args, tol, source)
-    report["seed"] = args.seed
-    report["random"] = n
-    report["suites"] = suites
-    all_pass = all(s["pass"] for s in suites.values())
-    report["exit_code"] = EXIT_OK if all_pass else EXIT_VERIFY
-    for name, suite in suites.items():
+    report = _report(args, _suites)
+    for name, suite in report.get("suites", {}).items():
         detail = " ".join(
             f"{k}={v:.3e}" for k, v in suite.items()
             if k != "pass" and isinstance(v, float)
@@ -613,6 +576,29 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
     _emit(report)
     return report["exit_code"]
+
+
+def _suites(args, tol, report) -> int:
+    with _input_stage():
+        if args.random < 1:
+            raise InvalidInputError(f"--random must be at least 1, got {args.random}")
+        _require_seed(args)
+    report["seed"] = args.seed
+    rng = np.random.default_rng(args.seed)
+    n = args.random
+    try:
+        suites = {
+            "colligations": _suite_colligations(rng, n, tol),
+            "desingularization": _suite_desingularization(rng, max(1, n // 2), tol),
+            "measures": _suite_measures(rng, n, tol),
+            "reps": _suite_reps(rng, max(1, n // 2), tol),
+        }
+    except PreconditionError as exc:
+        # a drawn instance, not the input, missed the precondition: a numeric failure
+        raise BischurError(str(exc)) from exc
+    report["random"] = n
+    report["suites"] = suites
+    return EXIT_OK if all(s["pass"] for s in suites.values()) else EXIT_VERIFY
 
 
 # ------------------------------------------------------------------- main

@@ -93,11 +93,19 @@ def require_interior(lam):
     return lam
 
 
+def to_circle(z: complex) -> complex:
+    """A nonzero complex scalar over its modulus; z itself, bit for bit,
+    when its modulus is 1.0."""
+    r = abs(z)
+    return complex(z.real / r, z.imag / r)
+
+
 def require_torus(tau) -> tuple[complex, complex]:
+    """A point within TORUS_SLACK of the torus, put on it by ``to_circle``."""
     tau = as_point(tau)
     if any(abs(abs(t) - 1.0) > TORUS_SLACK for t in tau):
         raise InvalidInputError(f"point {tau} is not on the torus")
-    return tau
+    return to_circle(tau[0]), to_circle(tau[1])
 
 
 def require_upper_half_plane(z):

@@ -65,16 +65,6 @@ class SlopePair:
         """Extract (Y, u_tau) from a desingularized realization."""
         return cls(g.Y, g.u_tau)
 
-    @classmethod
-    def from_measure(cls, nu: DiscreteMeasure01) -> "SlopePair":
-        """Diagonal operator model of an atomic measure: Y = diag(s_i),
-        u_tau = (sqrt(w_i))."""
-        if not nu.atoms:
-            return cls(np.zeros((1, 1)), np.zeros(1))
-        s = np.array([loc for loc, _ in nu.atoms], dtype=float)
-        w = np.array([wt for _, wt in nu.atoms], dtype=float)
-        return cls(np.diag(s).astype(complex), np.sqrt(w).astype(complex))
-
 
 def slope_eval(pair: SlopePair, z):
     """Evaluate h(z) = -<(1 - Y + z Y)^{-1} u_tau, u_tau> off the cut, at a

@@ -35,7 +35,8 @@ from . import boundary, slope as slope_mod
 from .colligation import Colligation, eval_phi
 from .errors import InternalInconsistencyError, InvalidInputError, PoleError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import any_true, as_points, first_point, require_interior, require_torus
+from .points import (TORUS_SLACK, any_true, as_points, first_point, require_interior,
+                     require_torus, to_circle)
 from .representations import DiscreteMeasure01, h_from_measure
 
 __all__ = [
@@ -51,7 +52,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SynthesizedSchur:
     """A Schur function with slope measure nu at the carapoint tau, where it
-    takes the unimodular boundary value omega."""
+    takes the unimodular boundary value omega.  tau and omega may lie within
+    TORUS_SLACK of the torus and the circle; they are stored put on them."""
 
     nu: DiscreteMeasure01
     tau: tuple[complex, complex]
@@ -62,10 +64,10 @@ class SynthesizedSchur:
             raise InvalidInputError("nu must be a DiscreteMeasure01")
         tau = require_torus(self.tau)
         omega = complex(self.omega)
-        if not abs(abs(omega) - 1.0) <= 1e-12:   # a NaN fails too
+        if not abs(abs(omega) - 1.0) <= TORUS_SLACK:   # a NaN fails too
             raise InvalidInputError("omega must be unimodular")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", to_circle(omega))
 
 
 def herglotz_component(s: float, lam):

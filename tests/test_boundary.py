@@ -14,6 +14,7 @@ from bischur import (
     radial_liminf,
 )
 from bischur.boundary import STEPS, _quotient
+from bischur.points import require_torus, to_circle
 from bischur.generate import (
     random_colligation,
     random_colligation_with_kernel,
@@ -72,6 +73,17 @@ class TestApproachPath:
     def test_point_off_the_torus_rejected(self):
         with pytest.raises(InvalidInputError, match="is not on the torus"):
             ApproachPath((1j, 0.3), (1j, 1))
+
+    def test_point_near_the_torus_is_put_on_it(self):
+        path = ApproachPath((1.0000000000009, complex(0.0, -0.9999999999991)), (1, -1j))
+        assert path.tau == (1.0, -1j)
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, 1j, complex(-0.0, 1.0), complex(-1.0, -0.0),
+                                   complex(0.6, 0.8), np.exp(2.5j)])
+    def test_unimodular_coordinates_keep_their_bits(self, z):
+        assert abs(z) == 1.0
+        tau = to_circle(z), require_torus((z, 1.0))[0]
+        assert [repr(t) for t in tau] == [repr(complex(z))] * 2
 
     def test_steps_are_python_floats(self):
         path = ApproachPath(CHI, (1.0, 4.0))

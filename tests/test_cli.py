@@ -38,6 +38,14 @@ def random_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def three_atom_file(tmp_path):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"atoms": [{"s": 0.2, "w": 1.0}, {"s": 0.5, "w": 0.5},
+                                          {"s": 0.9, "w": 2.0}]}))
+    return path
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
@@ -304,7 +312,61 @@ class TestMinusValues:
         self.same(capsys, "nevrep", measure_file, "--omega", "-i")
 
 
+RANK = ("--tolerances", '{"rank_rel": 0.9}')
+COND = ("--tolerances", '{"solve_cond_max": 1.5}')
+HEADER = {"tool", "tolerances", "tolerances_source"}
+
+
 class TestFailureReports:
+    # command, its arguments, a patch, the exit code, the error kind (None for
+    # a failed verification, which prints a full report) and whether the input
+    # stage passed, so that the report echoes the input and seed
+    @pytest.mark.parametrize("command, argv, patch, exit_code, kind, echoed", [
+        ("analyze", ["missing.json", "--tau=1,1"], None, 2, "input", False),
+        ("synth", ["missing.json"], None, 2, "input", False),
+        ("nevrep", ["empty.json"], None, 2, "input", False),
+        ("verify", ["--random", "0"], None, 2, "input", False),
+        ("analyze", ["random.json", "--tau=1,1", *RANK], None, 3, "precondition", True),
+        ("nevrep", ["random.json", *RANK], None, 3, "precondition", True),
+        ("analyze", ["random.json", "--tau=1,1", *COND], None, 4, "numeric", True),
+        ("synth", ["measure.json", "--out", "c.json", *COND], None, 4, "numeric", True),
+        ("nevrep", ["random.json", *COND], None, 4, "numeric", True),
+        ("verify", ["--random", "3", *COND], None, 4, "numeric", True),
+        # a drawn instance that is not a carapoint is a numeric failure of verify
+        ("verify", ["--random", "2", *RANK], None, 4, "numeric", True),
+        ("nevrep", ["measure.json"], None, 6, "obstruction", True),
+        ("analyze", ["favourite.json", "--tau=1,1"], "residual", 4, None, True),
+        ("synth", ["measure.json", "--verify"], "unconverged", 5, None, True),
+        ("verify", ["--random", "2"], "residual", 5, None, True),
+    ], ids=["analyze-input", "synth-input", "nevrep-input", "verify-input",
+            "analyze-precondition", "nevrep-precondition", "analyze-numeric",
+            "synth-numeric", "nevrep-numeric", "verify-numeric", "verify-drawn-precondition",
+            "nevrep-obstruction", "analyze-verification", "synth-verification",
+            "verify-verification"])
+    def test_report_as_far_as_the_command_got(self, capsys, monkeypatch, tmp_path,
+                                              measure_file, random_file, favourite_file,
+                                              command, argv, patch, exit_code, kind, echoed):
+        monkeypatch.chdir(tmp_path)
+        Path("empty.json").write_text('{"atoms": []}')
+        if patch == "residual":
+            monkeypatch.setattr(cli, "RESIDUAL_MAX", 1e-30)
+        elif patch == "unconverged":
+            unconverged(monkeypatch, slope)
+        code, report = run(capsys, command, *argv, "--no-timestamp")
+        assert code == report["exit_code"] == exit_code
+        assert report["tool"] == {"name": "bischur", "version": cli.__version__}
+        assert report["tolerances_source"][0] == "default"
+        echo = set()
+        if echoed:
+            echo = {"seed"} if command == "verify" else {"seed", "input"}
+        assert set(report) & {"seed", "input"} == echo
+        if kind is None:
+            assert "error" not in report
+            return
+        extra = {"carapoint"} if (command, kind) == ("analyze", "precondition") else set()
+        assert set(report) == HEADER | echo | extra | {"error", "exit_code"}
+        assert report["error"]["kind"] == kind and report["error"]["message"]
+
     @pytest.mark.parametrize("command", ["analyze", "nevrep"])
     def test_not_a_carapoint_exits_3(self, capsys, random_file, command):
         extra = ["--tau", "1,1"] if command == "analyze" else []
@@ -314,6 +376,11 @@ class TestFailureReports:
         assert report["error"]["kind"] == "precondition"
         if command == "analyze":
             assert report["carapoint"] == {"is_carapoint": False}
+            assert report["error"]["message"] == (
+                "no carapoint evidence: gamma is outside ran(1 - D tau)")
+        else:
+            assert report["error"]["message"].startswith(
+                "((1+0j), (1+0j)) is not a carapoint: system inconsistent: residual ")
 
     @pytest.mark.parametrize("command", ["analyze", "nevrep", "verify"])
     def test_numeric_failure_prints_the_full_report(self, capsys, random_file, command):
@@ -359,6 +426,28 @@ class TestFailureReports:
                           "--no-timestamp")
         assert got == report["exit_code"] == code and "slope_samples" not in report
         assert samples.read_text().splitlines() == [header]
+
+
+class TestNearTheCircle:
+    """A tau or omega that passes the torus check is put on the circle, so it
+    gives the report of the point it is near."""
+
+    @pytest.mark.parametrize("tau", [
+        "1.0000000000009,1", "0.9999999999991,1", "1.0000000000005,1",
+        "0.9999999999995,1", "1,1.0000000000009", "1,0.9999999999991"])
+    def test_analyze_tau(self, capsys, three_atom_file, tmp_path, tau):
+        c = tmp_path / "c.json"
+        assert run(capsys, "synth", three_atom_file, "--tau=1,1", "--omega=-1", "--out", c,
+                   "--no-timestamp")[0] == 0
+        exact = run(capsys, "analyze", c, "--tau=1,1", "--no-timestamp")
+        assert exact[0] == 0
+        assert run(capsys, "analyze", c, f"--tau={tau}", "--no-timestamp") == exact
+
+    def test_synth_omega(self, capsys, three_atom_file):
+        argv = ["synth", three_atom_file, "--tau=-1,1j", "--verify", "--no-timestamp"]
+        exact = run(capsys, *argv, "--omega=-1")
+        assert exact[0] == 0
+        assert run(capsys, *argv, "--omega=-1.0000000000005") == exact
 
 
 def unconverged(monkeypatch, module):

@@ -285,7 +285,8 @@ class TestRealAxisCheck:
 
     def test_slope_from_measure_diag_model(self):
         nu = DiscreteMeasure01(((0.2, 0.5), (0.8, 1.5)))
-        pair = SlopePair.from_measure(nu)
+        s, w = np.array(nu.atoms).T
+        pair = SlopePair(np.diag(s), np.sqrt(w))
         from bischur import h_from_measure
         for z in (1.0, 1j, 3.0):
             assert slope_eval(pair, z) == pytest.approx(h_from_measure(nu, z), abs=1e-12)

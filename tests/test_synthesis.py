@@ -62,6 +62,12 @@ class TestSynthesizedSchur:
         with pytest.raises(InvalidInputError, match="omega must be unimodular"):
             SynthesizedSchur(favourite_measure, tau=CHI, omega=omega)
 
+    def test_near_unimodular_values_are_put_on_the_circle(self, favourite_measure):
+        syn = SynthesizedSchur(favourite_measure, tau=(-1.0000000000009, 1j),
+                               omega=complex(0.0, -1.0000000000005))
+        assert syn.tau == (-1.0, 1j)
+        assert syn.omega == -1j
+
 
 class TestSynthEval:
     def test_half_atom_reproduces_favourite(self, favourite_measure):
