@@ -34,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from . import boundary, nev2d, representations, slope as slope_mod, synthesis
-from .colligation import eval_phi, model_residual
-from .desingularize import desingularize, eval_I, eval_phi_gen
+from .colligation import Colligation, _stack, eval_phi, model_residual
+from .desingularize import GeneralizedRealization, desingularize, eval_I, eval_phi_gen
 from .errors import (
     BischurError,
     InvalidInputError,
@@ -44,12 +44,13 @@ from .errors import (
     SchemaError,
 )
 from .generate import (
-    random_colligation,
-    random_colligation_with_kernel,
+    _colligation,
+    _kernel_colligation,
+    _nev_rep,
+    _Unitaries,
     random_interior_points,
     random_inward_directions,
     random_measure,
-    random_nev_rep,
     random_torus_points,
     random_upper_points,
 )
@@ -250,13 +251,18 @@ def _pair_stacks(rng, n):
     return (l1[0::2], l2[0::2]), (l1[1::2], l2[1::2])
 
 
-def _inner_residual(g, rng, n, tol):
-    """Max of ||I* I - 1|| over n torus draws, skipping those within 0.2 of tau."""
-    l1, l2 = random_torus_points(rng, n)
-    kept = (abs(l1 - g.tau[0]) >= 0.2) & (abs(l2 - g.tau[1]) >= 0.2)
-    if not kept.any():
+def _far_from(tau, lam):
+    """The points of the stack lam at least 0.2 from tau in each coordinate."""
+    kept = (abs(lam[0] - tau[0]) >= 0.2) & (abs(lam[1] - tau[1]) >= 0.2)
+    return lam[0][kept], lam[1][kept]
+
+
+def _inner_residual(g, lam, tol):
+    """Max of ||I* I - 1|| over a stack of torus points, 0 for none; g may
+    be a stack with one row per point."""
+    if not len(lam[0]):
         return 0.0
-    I_lam = eval_I(g, (l1[kept], l2[kept]), tol)
+    I_lam = eval_I(g, lam, tol)
     gap = np.swapaxes(I_lam.conj(), -1, -2) @ I_lam - np.eye(g.dim)
     return float(np.linalg.svd(gap, compute_uv=False)[:, 0].max())
 
@@ -266,7 +272,7 @@ def _generalized_verification(c, g, rng, tol):
     lams, mus = _pair_stacks(rng, 10)
     model_max = float(model_residual(g, lams, mus, tol).max())
     agree_max = float(np.abs(eval_phi_gen(g, lams, tol) - eval_phi(c, lams, tol)).max())
-    inner_max = _inner_residual(g, rng, 10, tol)
+    inner_max = _inner_residual(g, _far_from(g.tau, random_torus_points(rng, 10)), tol)
     return {
         "model_residual_max": model_max,
         "phi_agreement_max": agree_max,
@@ -448,14 +454,53 @@ def _representation(args, tol, report) -> int:
 # ----------------------------------------------------------------- verify
 
 
+# Each suite draws every instance and its points first, in the order the
+# random stream gives them, then evaluates the instances of one dimension as
+# one stack of realizations, one row per point.  The dimensions come in the
+# order of their first instance and the rows in instance order, so a refusal
+# names the first refused point of the first instance it meets.
+
+
+def _by_dimension(dims, records):
+    """The records grouped by their dimensions, in order of first record."""
+    groups = {}
+    for dim, record in zip(dims, records):
+        groups.setdefault(dim, []).append(record)
+    return groups.values()
+
+
+def _rows(stacks):
+    """Point stacks, one per member of a group, as one stack, and for each
+    point the index of its member."""
+    rows = np.repeat(np.arange(len(stacks)), [len(lam[0]) for lam in stacks])
+    return rows, tuple(np.concatenate(coordinate) for coordinate in zip(*stacks))
+
+
+def _model_residual_max(kind, members, pairs, tol):
+    """The largest model residual of the members (field tuples of ``kind``,
+    see ``_stack``) over their pairs (lam, mu) of stacks, in one call."""
+    rows, lam = _rows([pair[0] for pair in pairs])
+    mu = _rows([pair[1] for pair in pairs])[1]
+    stack = _stack(kind, members, np.concatenate([rows, rows]))
+    return float(model_residual(stack, lam, mu, tol).max())
+
+
 def _suite_colligations(rng, n, tol):
+    unitaries = _Unitaries()
+    dims, drawn = [], []
+    for _ in range(n):
+        dims.append(int(rng.integers(2, 6)))
+        drawn.append((_colligation(rng, dims[-1], unitaries),
+                      random_interior_points(rng, 4), _pair_stacks(rng, 3)))
     worst_schur = 0.0
     worst_model = 0.0
-    for _ in range(n):
-        c = random_colligation(rng, int(rng.integers(2, 6)))
-        lams = random_interior_points(rng, 4)
-        worst_schur = max(worst_schur, float(np.abs(eval_phi(c, lams, tol)).max()) - 1.0)
-        worst_model = max(worst_model, float(model_residual(c, *_pair_stacks(rng, 3), tol).max()))
+    for group in _by_dimension(dims, drawn):
+        builds, lams, pairs = zip(*group)
+        cs = [build() for build in builds]
+        rows, lam = _rows(lams)
+        phi = eval_phi(_stack(Colligation, cs, rows), lam, tol)
+        worst_schur = max(worst_schur, float(np.abs(phi).max()) - 1.0)
+        worst_model = max(worst_model, _model_residual_max(Colligation, cs, pairs, tol))
     return {
         "schur_bound_excess_max": worst_schur,
         "model_residual_max": worst_model,
@@ -464,26 +509,41 @@ def _suite_colligations(rng, n, tol):
 
 
 def _suite_desingularization(rng, n, tol):
+    unitaries = _Unitaries()
+    drawn = []
+    for _ in range(n):
+        tau = tuple(np.ravel(random_torus_points(rng, 1)))
+        build = _kernel_colligation(rng, int(rng.integers(2, 5)),
+                                    int(rng.integers(1, 3)), tau, unitaries)
+        drawn.append((tau, build, _pair_stacks(rng, 3), random_torus_points(rng, 3)))
     worst = {"model_residual": 0.0, "inner": 0.0, "radial_inner": 0.0,
              "slope_liminf": 0.0}
     unconverged = 0
-    for _ in range(n):
-        tau = tuple(np.ravel(random_torus_points(rng, 1)))
-        c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
-                                           int(rng.integers(1, 3)), tau)
+    shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
+    dims, records = [], []
+    for tau, build, pairs, torus in drawn:
+        c = build()
         g = desingularize(c, tau, tol)
-        worst["model_residual"] = max(worst["model_residual"],
-                                      float(model_residual(g, *_pair_stacks(rng, 3), tol).max()))
-        worst["inner"] = max(worst["inner"], _inner_residual(g, rng, 3, tol))
-        shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
-        I_lam = eval_I(g, (shrink * tau[0], shrink * tau[1]), tol)
-        worst["radial_inner"] = max(worst["radial_inner"], float(
-            np.abs(I_lam - shrink[:, None, None] * np.eye(g.dim)).max()))
         pair = slope_mod.SlopePair.from_realization(g)
         liminf = boundary.model_liminf(c, boundary.ApproachPath.radial(tau), tol)
         unconverged += not liminf.converged
         worst["slope_liminf"] = max(worst["slope_liminf"], abs(
             liminf.estimate.real + slope_mod.slope_eval(pair, 1.0).real))
+        dims.append(g.dim)
+        records.append(((g.a, g.beta, g.gamma, g.Q, g.Y, g.tau), pairs,
+                        _far_from(g.tau, torus), (shrink * tau[0], shrink * tau[1])))
+    for group in _by_dimension(dims, records):
+        gs, pairs, torus, radial = zip(*group)
+        worst["model_residual"] = max(worst["model_residual"], _model_residual_max(
+            GeneralizedRealization, gs, pairs, tol))
+        rows, lam = _rows(torus)
+        worst["inner"] = max(worst["inner"], _inner_residual(
+            _stack(GeneralizedRealization, gs, rows), lam, tol))
+        rows, lam = _rows(radial)
+        I_lam = eval_I(_stack(GeneralizedRealization, gs, rows), lam, tol)
+        r = np.tile(shrink, len(gs))[:, None, None]
+        worst["radial_inner"] = max(worst["radial_inner"], float(
+            np.abs(I_lam - r * np.eye(I_lam.shape[-1])).max()))
     suite = {
         **worst,
         "pass": bool(not unconverged
@@ -537,15 +597,24 @@ def _suite_measures(rng, n, tol):
 
 
 def _suite_reps(rng, n, tol):
+    unitaries = _Unitaries()
+    dims, builds, grids = [], [], []
+    for _ in range(n):
+        dims.append(int(rng.integers(1, 5)))
+        builds.append(_nev_rep(rng, dims[-1], unitaries))
+        grids.append(tuple(random_upper_points(rng, (10, 2)).T))
+    reps = [build() for build in builds]
     min_im = np.inf
+    for group in _by_dimension(dims, zip(reps, grids)):
+        members, zs = zip(*group)
+        rows, z = _rows(zs)
+        h = nev2d.eval_h2(_stack(nev2d.TwoVarNevRep, members, rows), z, tol)
+        min_im = min(min_im, float(h.imag.min()))
     worst_limit = 0.0
     no_limit = 0
-    for _ in range(n):
-        rep = random_nev_rep(rng, int(rng.integers(1, 5)))
-        h = partial(nev2d.eval_h2, rep, tol=tol)
-        zs = tuple(random_upper_points(rng, (10, 2)).T)
-        min_im = min(min_im, float(h(zs).imag.min()))
-        infinity = nev2d.carapoint_at_infinity(h)
+    for fields in reps:
+        rep = nev2d.TwoVarNevRep(*fields)
+        infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
         if not infinity.finite:
             no_limit += 1
         else:

@@ -21,7 +21,7 @@ evaluation, model vector and model identity goes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class Colligation:
 
     @property
     def dim(self) -> int:
-        return self.beta.shape[0]
+        return self.beta.shape[-1]
 
     @property
     def L(self) -> np.ndarray:
@@ -103,7 +103,7 @@ class Colligation:
 
 
 def _pencil(P1, l1, l2):
-    return l1 * P1 + l2 * (np.eye(P1.shape[0]) - P1)
+    return l1 * P1 + l2 * (np.eye(P1.shape[-1]) - P1)
 
 
 def _block_operator(a, beta, gamma, T) -> np.ndarray:
@@ -126,17 +126,39 @@ def _realize(r, lam, tol: Tolerances):
     at ``tol.solve_cond_max``.
     A point gives (complex, (n,), (n,)), a stack of k points ((k,), (k, n),
     (k, n)).
+
+    ``r`` may also be a stack of k realizations of one kind and dimension
+    (see ``_stack``), one row per point of the stack: every array of it has
+    a leading axis of length k, and point j is evaluated with row j.  A
+    single realization is that stack broadcast to every point, and each
+    point's digits are the same either way.
     """
     l1, l2, single = to_stack(require_interior(lam))
     T, I_lam = r._feedback(l1, l2, tol)
-    u = linalg.guarded_solve(np.eye(r.dim) - T @ I_lam, r.gamma[:, None], (l1, l2),
+    u = linalg.guarded_solve(np.eye(r.dim) - T @ I_lam, r.gamma[..., None], (l1, l2),
                              tol.solve_cond_max)[..., 0]
     # einsum, not matmul: a point's digits must not depend on the stack size
     Iu = np.einsum("kij,kj->ki", I_lam, u)
-    phi = r.a + np.einsum("kn,n->k", Iu, r.beta.conj())
+    phi = r.a + np.einsum("kn,kn->k" if r.beta.ndim > 1 else "kn,n->k", Iu, r.beta.conj())
     if single:
         return complex(phi[0]), u[0], Iu[0]
     return phi, u, Iu
+
+
+def _stack(kind, values, rows):
+    """A stack of realizations (or representations) of class ``kind`` and
+    one dimension, for the evaluation kernels: ``values[i]`` holds the
+    first fields of instance i in ``kind``'s order, and row j of every
+    stacked field is that of instance ``rows[j]``.  A point field (tau) is
+    stacked as a pair of arrays.  The stack skips ``kind``'s checks, so
+    only ``_realize``, ``model_residual``, ``eval_I`` and ``eval_h2`` read
+    it."""
+    stack = object.__new__(kind)
+    for field, column in zip(fields(kind), zip(*values)):
+        column = np.array(column)[rows]
+        object.__setattr__(stack, field.name,
+                           tuple(column.T) if field.name == "tau" else column)
+    return stack
 
 
 def eval_phi(c: Colligation, lam, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -158,7 +180,9 @@ def model_residual(r, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES):
     |1 - conj(phi(mu)) phi(lam) - <u_lam, u_mu> + <I(lam) u_lam, I(mu) u_mu>|,
     which vanishes (to rounding) when L is unitary.  ``lam`` and ``mu`` may
     be two stacks of one length; the residuals of the pairs then come back
-    as an array, from one solve of both stacks.
+    as an array, from one solve of both stacks.  ``r`` may then be a stack
+    of realizations (see ``_realize``) with one row per point of lam and
+    then one per point of mu.
     """
     l1, l2 = as_points(lam)
     m1, m2 = as_points(mu)

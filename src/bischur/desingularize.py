@@ -80,7 +80,7 @@ class GeneralizedRealization:
 
     @property
     def dim(self) -> int:
-        return self.beta.shape[0]
+        return self.beta.shape[-1]
 
     @property
     def kernel_dim(self) -> int:
@@ -93,12 +93,13 @@ class GeneralizedRealization:
 
 
 def _inner_matrix(Y: np.ndarray, tau, l1, l2, tol: Tolerances) -> np.ndarray:
-    """I at the stack of points (l1, l2), shape (k, n, n).  A denominator
-    is singular when ``guarded_solve`` refuses it at the ceiling
-    1 / rank_rel."""
+    """I at the stack of points (l1, l2), shape (k, n, n).  Y and tau may be
+    stacks with one row per point, Y (k, n, n) and tau a pair of (k,)
+    arrays.  A denominator is singular when ``guarded_solve`` refuses it at
+    the ceiling 1 / rank_rel."""
     x1 = (np.conj(tau[0]) * l1)[:, None, None]
     x2 = (np.conj(tau[1]) * l2)[:, None, None]
-    eye = np.eye(Y.shape[0])
+    eye = np.eye(Y.shape[-1])
     num = x1 * Y + x2 * (eye - Y) - (x1 * x2) * eye
     den = eye - x1 * (eye - Y) - x2 * Y
     try:

@@ -86,20 +86,22 @@ class TwoVarNevRep:
 
     @property
     def dim(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha.shape[-1]
 
 
 def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES):
     """Evaluate b - <(B + z1 Y + z2 (1 - Y))^{-1} alpha, alpha> on the
     upper half-plane squared: a complex at a point, a complex array at a
     stack of points, solved at once by ``guarded_solve`` at
-    ``tol.solve_cond_max``."""
+    ``tol.solve_cond_max``.  ``rep`` may also be a stack of representations
+    of one dimension with one row per point (see ``colligation._stack``)."""
     z1, z2, single = to_stack(require_upper_half_plane(z))
     T = (rep.B + z1[:, None, None] * rep.Y
          + z2[:, None, None] * (np.eye(rep.dim) - rep.Y))
     # einsum, not matmul: a point's digits must not depend on the stack size
-    x = guarded_solve(T, rep.alpha[:, None], (z1, z2), tol.solve_cond_max)[..., 0]
-    h = rep.b - np.einsum("kn,n->k", x, rep.alpha.conj())
+    x = guarded_solve(T, rep.alpha[..., None], (z1, z2), tol.solve_cond_max)[..., 0]
+    h = rep.b - np.einsum("kn,kn->k" if rep.alpha.ndim > 1 else "kn,n->k",
+                          x, rep.alpha.conj())
     return complex(h[0]) if single else h
 
 

@@ -1,6 +1,9 @@
-"""Stacked evaluation: a stack of points gives what the points give one by one."""
+"""Stacked evaluation and draws: a stack of points, or of realizations, gives
+what its members give one by one, and a deferred draw gives the instances
+drawn one by one."""
 
 import math
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -8,12 +11,16 @@ import pytest
 
 from bischur import (
     ApproachPath,
+    BoundarySingularityError,
+    Colligation,
     DiscreteMeasure01,
+    GeneralizedRealization,
     IllConditionedError,
     NevanlinnaData,
     SlopePair,
     SynthesizedSchur,
     Tolerances,
+    TwoVarNevRep,
     carapoint_at_infinity,
     desingularize,
     eval_h2,
@@ -31,7 +38,12 @@ from bischur import _limits, boundary, cli, nev2d, synthesis
 from bischur._integrate import adaptive_trapezoid
 from bischur._limits import refine_to_limit
 from bischur.boundary import _quotient
+from bischur.colligation import _realize, _stack
 from bischur.generate import (
+    _colligation,
+    _kernel_colligation,
+    _nev_rep,
+    _Unitaries,
     random_colligation,
     random_colligation_with_kernel,
     random_interior_point,
@@ -41,6 +53,7 @@ from bischur.generate import (
     random_nev_rep,
     random_torus_point,
     random_torus_points,
+    random_unitary,
     random_upper_points,
 )
 
@@ -365,3 +378,217 @@ def test_pair_stacks_alternate_lam_and_mu():
         return np.transpose(pairs, (1, 2, 0))   # (lam or mu, coordinate, point)
 
     same_draws(lambda rng: cli._pair_stacks(rng, 7), one_by_one)
+
+
+# ------------------------------------------------- deferred QRs of the draws
+
+
+def same_instances(seed, deferred, one_by_one):
+    """Draw instances from one seed both ways: every array must have the
+    same bits, and the generator must end in the same state."""
+    rng_deferred, rng_eager = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = deferred(rng_deferred), one_by_one(rng_eager)
+    assert len(got) == len(want)
+    for instance, expected in zip(got, want):
+        for x, y in zip(instance, expected, strict=True):
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    assert rng_deferred.bit_generator.state == rng_eager.bit_generator.state
+
+
+def deferred_draws(rng, draws):
+    """The instances of the draws ``draw(rng, unitaries)``, a point stack
+    drawn after each one, built only once every instance is drawn."""
+    unitaries = _Unitaries()
+    drawn = [(draw(rng, unitaries), random_interior_points(rng, 2)) for draw in draws]
+    return [(*build(), *points) for build, points in drawn]
+
+
+def eager_draws(rng, draws):
+    """The same with the instances ``draw(rng)`` drawn one by one."""
+    return [(*draw(rng), *random_interior_points(rng, 2)) for draw in draws]
+
+
+def colligation_fields(c):
+    return c.a, c.beta, c.gamma, c.D, c.P1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_deferred_unitaries_are_random_unitary(seed):
+    sizes = np.random.default_rng(900 + seed).integers(1, 9, size=40)
+
+    def deferred(rng):
+        unitaries = _Unitaries()
+        handles = [(unitaries.draw(rng, n), rng.uniform()) for n in sizes]
+        return [(handle(), x) for handle, x in handles]
+
+    same_instances(seed, deferred,
+                   lambda rng: [(random_unitary(rng, n), rng.uniform()) for n in sizes])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_deferred_colligations_are_random_colligation(seed):
+    dims = [int(n) for n in np.random.default_rng(920 + seed).integers(1, 7, size=12)]
+    same_instances(
+        seed,
+        lambda rng: deferred_draws(rng, [partial(lambda n, r, u: _colligation(r, n, u), n)
+                                         for n in dims]),
+        lambda rng: eager_draws(rng, [partial(lambda n, r: colligation_fields(
+            random_colligation(r, n)), n) for n in dims]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_deferred_kernel_colligations_are_random_colligation_with_kernel(seed):
+    shapes = np.random.default_rng(940 + seed).integers(1, 4, size=(8, 2)).tolist()
+    args = [(m, k, random_torus_point(np.random.default_rng(960 + 8 * seed + j)))
+            for j, (m, k) in enumerate(shapes)]
+
+    def deferred(r, u, arg):
+        build = _kernel_colligation(r, *arg, u)
+        return lambda: colligation_fields(build())
+
+    same_instances(
+        seed,
+        lambda rng: deferred_draws(rng, [partial(lambda a, r, u: deferred(r, u, a), a)
+                                         for a in args]),
+        lambda rng: eager_draws(rng, [partial(lambda a, r: colligation_fields(
+            random_colligation_with_kernel(r, *a)), a) for a in args]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_deferred_nev_reps_are_random_nev_rep(seed):
+    dims = [int(n) for n in np.random.default_rng(980 + seed).integers(1, 6, size=12)]
+
+    def rep_fields(rep):
+        return rep.b, rep.alpha, rep.B, rep.Y
+
+    same_instances(
+        seed,
+        lambda rng: deferred_draws(rng, [partial(lambda n, r, u: _nev_rep(r, n, u), n)
+                                         for n in dims]),
+        lambda rng: eager_draws(rng, [partial(lambda n, r: rep_fields(random_nev_rep(r, n)), n)
+                                      for n in dims]))
+
+
+# ------------------------------------------------- stacks of realizations
+
+
+def fields_of(kind, instance, count):
+    """The first ``count`` fields of an instance of kind, in order."""
+    return tuple(getattr(instance, field.name) for field in fields(kind)[:count])
+
+
+def point_stacks(rng, sizes):
+    """One stack of interior points per size, some 1e-8 inside the torus."""
+    return [bidisc_stack(rng, int(k)) for k in sizes]
+
+
+def stacked(kind, instances, count, stacks):
+    """The stack of the instances with one row per point of their point
+    stacks, and those points as one stack."""
+    rows = np.repeat(np.arange(len(instances)), [len(lam[0]) for lam in stacks])
+    stack = _stack(kind, [fields_of(kind, x, count) for x in instances], rows)
+    return stack, tuple(np.concatenate(coordinate) for coordinate in zip(*stacks))
+
+
+def assert_stack_is_its_instances(kind, instances, count, stacks, evaluate):
+    """evaluate on the stack of the instances, each row at its own points,
+    gives each output of the instances alone at their points, concatenated,
+    bit for bit."""
+    alone = [evaluate(x, lam) for x, lam in zip(instances, stacks)]
+    for k, output in enumerate(evaluate(*stacked(kind, instances, count, stacks))):
+        expected = np.concatenate([a[k] for a in alone])
+        assert output.shape == expected.shape
+        assert output.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_colligation_stack_is_its_instances(dim):
+    rng = np.random.default_rng(1000 + dim)
+    cs = [random_colligation(rng, dim) for _ in range(7)]
+    assert_stack_is_its_instances(Colligation, cs, 5, point_stacks(rng, [1, 4, 9, 2, 16, 3, 5]),
+                                  lambda c, lam: _realize(c, lam, Tolerances()))
+
+
+def generalized_realizations(rng, count):
+    """Desingularizations of random colligations with a kernel, grouped by
+    dimension."""
+    groups = {}
+    for _ in range(count):
+        tau = random_torus_point(rng)
+        c = random_colligation_with_kernel(rng, int(rng.integers(1, 5)),
+                                           int(rng.integers(1, 3)), tau)
+        g = desingularize(c, tau)
+        groups.setdefault(g.dim, []).append(g)
+    return groups.values()
+
+
+def test_generalized_stack_is_its_instances():
+    rng = np.random.default_rng(1010)
+    for gs in generalized_realizations(rng, 24):
+        stacks = point_stacks(rng, rng.integers(1, 8, size=len(gs)))
+        assert_stack_is_its_instances(GeneralizedRealization, gs, 6, stacks,
+                                      lambda g, lam: _realize(g, lam, Tolerances()))
+        assert_stack_is_its_instances(GeneralizedRealization, gs, 6, stacks,
+                                      lambda g, lam: (eval_I(g, lam),))
+
+
+def test_h2_stack_is_its_instances():
+    rng = np.random.default_rng(1020)
+    for dim in range(1, 6):
+        reps = [random_nev_rep(rng, dim) for _ in range(6)]
+        stacks = [tuple(random_upper_points(rng, (int(k), 2)).T)
+                  for k in rng.integers(1, 12, size=6)]
+        assert_stack_is_its_instances(TwoVarNevRep, reps, 4, stacks,
+                                      lambda rep, z: (eval_h2(rep, z),))
+
+
+def test_model_residual_stack_is_its_instances():
+    rng = np.random.default_rng(1030)
+    cs = [random_colligation(rng, 3) for _ in range(5)]
+    lams, mus = point_stacks(rng, [3] * 5), point_stacks(rng, [3] * 5)
+    # one row per point of lam, then one per point of mu
+    rows = np.repeat(np.arange(5), 3)
+    stack = _stack(Colligation, [colligation_fields(c) for c in cs], np.concatenate([rows, rows]))
+    lam, mu = (stacked(Colligation, cs, 5, stacks)[1] for stacks in (lams, mus))
+    alone = np.concatenate([model_residual(c, l, m) for c, l, m in zip(cs, lams, mus)])
+    assert model_residual(stack, lam, mu).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_stack_refusing_one_instance_names_its_point(favourite_colligation, j):
+    rng = np.random.default_rng(1040)
+    cs = [random_colligation(rng, 2) for _ in range(5)]
+    cs[j] = favourite_colligation
+    stacks = point_stacks(rng, [3] * 5)
+    bad = (1.0 - 1e-15, 1.0 - 1e-15)
+    stacks[j] = tuple(np.append(x, b) for x, b in zip(stacks[j], bad))
+    with pytest.raises(IllConditionedError) as alone:
+        eval_phi(favourite_colligation, bad)
+    with pytest.raises(IllConditionedError) as refused:
+        eval_phi(*stacked(Colligation, cs, 5, stacks))
+    assert refused.value.point == bad
+    assert str(refused.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_inner_stack_refusing_one_instance_names_its_point(j):
+    # 1 - lam_1 (1 - Y) at lam_2 = 0, with 0 in the spectrum of Y, has
+    # condition number about 1 / (1 - lam_1): 1e11, above 1 / rank_rel
+    rng = np.random.default_rng(1050)
+    zero = np.zeros(3, dtype=complex)
+    gs = []
+    for _ in range(4):
+        U = random_unitary(rng, 3)
+        gs.append(GeneralizedRealization(
+            a=0.0, beta=zero, gamma=zero, Q=np.zeros((3, 3)),
+            Y=U @ np.diag([1.0, 0.0, 0.5]) @ U.conj().T, tau=CHI, u_tau=zero,
+            model_basis=np.eye(3), kernel_basis=np.zeros((3, 0))))
+    stacks = point_stacks(rng, [2] * 4)
+    bad = (1.0 - 1e-11, 0.0)
+    stacks[j] = tuple(np.append(x, b) for x, b in zip(stacks[j], bad))
+    with pytest.raises(BoundarySingularityError) as err:
+        eval_I(*stacked(GeneralizedRealization, gs, 6, stacks))
+    assert str(err.value) == ("inner-function denominator is singular at "
+                              f"{tuple(map(complex, bad))}")
