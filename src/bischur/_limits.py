@@ -94,11 +94,17 @@ def stacked_samplers(f, arg_lists):
 
     ``f(seq, args)`` takes an integer array ``seq`` that names the sequence
     of each entry of the float array ``args``, of the same 1-D shape, and
-    returns an array with one row per arg (or a constant).  The one stacked
-    call covers the first ``_HEAD`` args of every sequence together.  An
-    index past the head, or any index once that call raised a BischurError,
-    is sampled on a stack of one, so a point the extrapolation never reaches
-    never raises.
+    returns an array with one row per arg (or a constant).  A sequence may
+    stand for one instance of a stack, such as a colligation of
+    ``boundary.model_liminf`` or a function of
+    ``nev2d.carapoint_at_infinity``, so that ``f`` evaluates each arg with
+    the instance its ``seq`` names.  The one stacked call covers the first
+    ``_HEAD`` args of every sequence together.  An index past the head, or
+    any index once that call raised a BischurError, is sampled on a stack of
+    one, with ``seq`` naming its sequence alone, so a point the
+    extrapolation never reaches never raises, and each sequence's values do
+    not depend on the others as long as ``f`` gives each row the digits it
+    gives alone.
     """
     seqs = [np.asarray(args, dtype=float) for args in arg_lists]
     values = [[] for _ in seqs]

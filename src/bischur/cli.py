@@ -106,6 +106,13 @@ _FAILURES = {
     BischurError: (EXIT_NUMERIC, "numeric"),
 }
 
+
+def _failure(exc: BischurError) -> tuple[int, str]:
+    """The exit code and error kind of a raised error: those of its nearest
+    class in ``_FAILURES``."""
+    return next(_FAILURES[t] for t in type(exc).__mro__ if t in _FAILURES)
+
+
 _CSV_RADII = (0.25, 0.55, 0.85)
 _CSV_ANGLES = tuple(2.0 * np.pi * k / 4 for k in range(4))
 
@@ -204,7 +211,7 @@ def _report(args, build) -> dict:
     try:
         report["exit_code"] = build(args, tol, report)
     except BischurError as exc:
-        code, kind = next(_FAILURES[t] for t in type(exc).__mro__ if t in _FAILURES)
+        code, kind = _failure(exc)
         report["error"] = {"kind": kind, "message": str(exc)}
         report["exit_code"] = code
     return report
@@ -443,6 +450,7 @@ def _representation(args, tol, report) -> int:
         "finite": infinity.finite,
         "limit": infinity.limit,
         "value": infinity.value,
+        "converged": infinity.converged,
         "alpha_norm_sq": alpha_norm_sq,
         "limit_matches_alpha": (
             abs(infinity.limit - alpha_norm_sq) if infinity.limit is not None else None
@@ -461,12 +469,23 @@ def _representation(args, tol, report) -> int:
 # names the first refused point of the first instance it meets.
 
 
-def _by_dimension(dims, records):
-    """The records grouped by their dimensions, in order of first record."""
+# The instances whose limits are sampled together: runs of at most this many
+# of one dimension.  Each adds the first 24 points of its limit to the stack.
+# Over verify --random 50, runs of 4 took no more CPU than whole dimension
+# groups, whose largest stacks (up to 16 colligations) more than doubled the
+# peak memory a run allocates.
+_LIMIT_RUN = 4
+
+
+def _by_dimension(dims, records, size=None):
+    """The records grouped by their dimensions, in order of first record;
+    with ``size``, each group is cut into runs of at most that many."""
     groups = {}
     for dim, record in zip(dims, records):
         groups.setdefault(dim, []).append(record)
-    return groups.values()
+    if size is None:
+        return list(groups.values())
+    return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
 
 
 def _rows(stacks):
@@ -520,18 +539,22 @@ def _suite_desingularization(rng, n, tol):
              "slope_liminf": 0.0}
     unconverged = 0
     shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
-    dims, records = [], []
+    dims, records, instances = [], [], []
     for tau, build, pairs, torus in drawn:
         c = build()
         g = desingularize(c, tau, tol)
-        pair = slope_mod.SlopePair.from_realization(g)
-        liminf = boundary.model_liminf(c, boundary.ApproachPath.radial(tau), tol)
-        unconverged += not liminf.converged
-        worst["slope_liminf"] = max(worst["slope_liminf"], abs(
-            liminf.estimate.real + slope_mod.slope_eval(pair, 1.0).real))
+        h1 = slope_mod.slope_eval(slope_mod.SlopePair.from_realization(g), 1.0).real
+        instances.append((c, tau, h1))
         dims.append(g.dim)
         records.append(((g.a, g.beta, g.gamma, g.Q, g.Y, g.tau), pairs,
                         _far_from(g.tau, torus), (shrink * tau[0], shrink * tau[1])))
+    # the Julia liminfs of a run of colligations of one dimension from one sampling
+    for run in _by_dimension([c.dim for c, _, _ in instances], instances, _LIMIT_RUN):
+        cs, taus, h1s = zip(*run)
+        paths = [boundary.ApproachPath.radial(tau) for tau in taus]
+        for liminf, h1 in zip(boundary.model_liminf(cs, paths, tol), h1s):
+            unconverged += not liminf.converged
+            worst["slope_liminf"] = max(worst["slope_liminf"], abs(liminf.estimate.real + h1))
     for group in _by_dimension(dims, records):
         gs, pairs, torus, radial = zip(*group)
         worst["model_residual"] = max(worst["model_residual"], _model_residual_max(
@@ -566,8 +589,7 @@ def _suite_measures(rng, n, tol):
     lost_atoms = 0
     grid = random_upper_points(rng, (25,))
     equiv_grid = grid[:8]
-    for _ in range(n):
-        nu = random_measure(rng)
+    for nu in [random_measure(rng) for _ in range(n)]:
         nd = representations.nevanlinna_from_measure(nu)
         back = representations.measure_from_nevanlinna(nd)
         if len(back.atoms) != len(nu.atoms):
@@ -612,14 +634,17 @@ def _suite_reps(rng, n, tol):
         min_im = min(min_im, float(h.imag.min()))
     worst_limit = 0.0
     no_limit = 0
-    for fields in reps:
-        rep = nev2d.TwoVarNevRep(*fields)
-        infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
-        if not infinity.finite:
-            no_limit += 1
-        else:
-            worst_limit = max(worst_limit, abs(
-                infinity.limit - float(np.linalg.norm(rep.alpha) ** 2)))
+    for members in _by_dimension(dims, reps, _LIMIT_RUN):
+        # the rays (iy, iy) of a run of representations from one sampling
+        infinities = nev2d.carapoint_at_infinity(
+            lambda seq, z: nev2d.eval_h2(_stack(nev2d.TwoVarNevRep, members, seq), z, tol),
+            len(members))
+        for (_, alpha, _, _), infinity in zip(members, infinities):
+            if infinity.finite and infinity.converged:
+                worst_limit = max(worst_limit, abs(
+                    infinity.limit - float(np.linalg.norm(alpha) ** 2)))
+            else:
+                no_limit += 1
     suite = {
         "min_im_h2": float(min_im),
         "infinity_limit_err_max": None if no_limit else worst_limit,
@@ -627,20 +652,31 @@ def _suite_reps(rng, n, tol):
                      and worst_limit < INFINITY_LIMIT_MAX),
     }
     if no_limit:
-        suite["reason"] = (f"y Im h(iy, iy) found no finite limit for "
-                           f"{no_limit} of {n} representations")
+        suite["reason"] = (f"y Im h(iy, iy) found no finite limit, or h(iy, iy) no "
+                           f"converged value, for {no_limit} of {n} representations")
     return suite
+
+
+# verify's suites in report order: the name of the suite (``_suite_<name>``),
+# the share of --random it draws (a suite of share 2 draws half as many, at
+# least one) and its figures, which a suite that raises reports as null.
+_SUITES = (
+    ("colligations", 1, ("schur_bound_excess_max", "model_residual_max")),
+    ("desingularization", 2, ("model_residual", "inner", "radial_inner", "slope_liminf")),
+    ("measures", 1,
+     ("round_trip_max", "evaluation_equivalence_max", "min_im_h", "min_im_neg_zh")),
+    ("reps", 2, ("min_im_h2", "infinity_limit_err_max")),
+)
 
 
 def cmd_verify(args) -> int:
     report = _report(args, _suites)
     for name, suite in report.get("suites", {}).items():
         detail = " ".join(
-            f"{k}={v:.3e}" for k, v in suite.items()
-            if k != "pass" and isinstance(v, float)
+            [f"{k}={v:.3e}" for k, v in suite.items()
+             if k != "pass" and isinstance(v, float)]
+            + ([f"({suite['reason']})"] if "reason" in suite else [])
         )
-        if "reason" in suite:
-            detail += f" ({suite['reason']})"
         print(f"{'PASS' if suite['pass'] else 'FAIL'} {name}: {detail}",
               file=sys.stderr)
     _emit(report)
@@ -655,16 +691,17 @@ def _suites(args, tol, report) -> int:
     report["seed"] = args.seed
     rng = np.random.default_rng(args.seed)
     n = args.random
-    try:
-        suites = {
-            "colligations": _suite_colligations(rng, n, tol),
-            "desingularization": _suite_desingularization(rng, max(1, n // 2), tol),
-            "measures": _suite_measures(rng, n, tol),
-            "reps": _suite_reps(rng, max(1, n // 2), tol),
-        }
-    except PreconditionError as exc:
-        # a drawn instance, not the input, missed the precondition: a numeric failure
-        raise BischurError(str(exc)) from exc
+    suites = {}
+    for name, share, figures in _SUITES:
+        # Every suite draws all its instances before it evaluates one, so a
+        # suite that raises leaves the stream where it would have, and the
+        # later suites draw what they draw after a pass.  Looked up on each
+        # call, so a rebound suite (a tracer) runs.
+        try:
+            suites[name] = globals()[f"_suite_{name}"](rng, max(1, n // share), tol)
+        except BischurError as exc:
+            suites[name] = {**dict.fromkeys(figures), "pass": False,
+                            "reason": f"{_failure(exc)[1]} error: {exc}"}
     report["random"] = n
     report["suites"] = suites
     return EXIT_OK if all(s["pass"] for s in suites.values()) else EXIT_VERIFY

@@ -151,11 +151,11 @@ def _stack(kind, values, rows):
     first fields of instance i in ``kind``'s order, and row j of every
     stacked field is that of instance ``rows[j]``.  A point field (tau) is
     stacked as a pair of arrays.  The stack skips ``kind``'s checks, so
-    only ``_realize``, ``model_residual``, ``eval_I`` and ``eval_h2`` read
-    it."""
+    only ``_realize``, ``model_residual``, ``eval_I``, ``eval_h2`` and
+    ``boundary.model_liminf`` read it."""
     stack = object.__new__(kind)
     for field, column in zip(fields(kind), zip(*values)):
-        column = np.array(column)[rows]
+        column = np.array(column).take(rows, axis=0)
         object.__setattr__(stack, field.name,
                            tuple(column.T) if field.name == "tau" else column)
     return stack

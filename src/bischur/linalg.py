@@ -179,6 +179,7 @@ def guarded_solve(M, B, points, ceiling) -> np.ndarray:
         X = np.linalg.solve(M, R)
     except np.linalg.LinAlgError:
         X = None
+    del R   # read only by the solve: the screen below then holds one stack less
     if X is None or ceiling > _SCREEN_CEILING_MAX:
         rest = np.arange(k)
     else:

@@ -106,12 +106,37 @@ def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES):
 
 
 class InfinityCarapoint(NamedTuple):
+    """The carapoint at infinity along the diagonal ray: ``finite`` when
+    y Im h(iy, iy) has a finite limit, ``limit``, and then ``value``, the
+    extrapolated h(iy, iy), with ``converged`` the flag of that second
+    extrapolation."""
+
     finite: bool
     limit: float | None
     value: complex | None
+    converged: bool = False
 
 
-def carapoint_at_infinity(h) -> InfinityCarapoint:
+_GROWTH_XS = [1.0 / (y * y) for y in INFINITY_YS]
+_VALUE_XS = [1.0 / y for y in INFINITY_YS]
+
+
+def _infinity(value) -> InfinityCarapoint:
+    """The carapoint at infinity from a sampler of h(iy, iy) over INFINITY_YS."""
+    ys = INFINITY_YS
+    try:
+        growth = refine_to_limit(lambda k: ys[k] * complex(value(k)).imag, _GROWTH_XS,
+                                 tol=INFINITY_TOL)
+    except DivergenceError:
+        return InfinityCarapoint(False, None, None)
+    if not growth.converged:
+        return InfinityCarapoint(False, None, None)
+    limit = refine_to_limit(value, _VALUE_XS, tol=INFINITY_TOL)
+    return InfinityCarapoint(True, float(growth.estimate.real), complex(limit.estimate),
+                             limit.converged)
+
+
+def carapoint_at_infinity(h, count=None):
     """Detect a finite-value carapoint at infinity along the diagonal ray.
 
     Extrapolates y Im h(iy, iy) as y -> infinity over ``INFINITY_YS``, to
@@ -121,21 +146,19 @@ def carapoint_at_infinity(h) -> InfinityCarapoint:
     the points (iy, iy), so it must accept a stack (or return a constant);
     if that call raises a BischurError, the points are sampled on stacks of
     one as far as the extrapolation needs.
+
+    With ``count``, ``h`` is a family of ``count`` functions sampled
+    together: ``h(seq, z)`` gives at point i of the stack z the value of
+    function ``seq[i]``.  A list of ``count`` results comes back, each what
+    its function gives alone, digit for digit: one call of ``h`` covers the
+    ray of every function, and a point past it, or every point once that
+    call raised, is taken for its own function on a stack of one.
     """
-    ys = INFINITY_YS
-    value = stacked_samplers(lambda seq, y: h((1j * y, 1j * y)), [ys])[0]
-    try:
-        growth = refine_to_limit(
-            lambda k: ys[k] * complex(value(k)).imag,
-            [1.0 / (y * y) for y in ys],
-            tol=INFINITY_TOL,
-        )
-    except DivergenceError:
-        return InfinityCarapoint(False, None, None)
-    if not growth.converged:
-        return InfinityCarapoint(False, None, None)
-    limit = refine_to_limit(value, [1.0 / y for y in ys], tol=INFINITY_TOL)
-    return InfinityCarapoint(True, float(growth.estimate.real), complex(limit.estimate))
+    family = h if count is not None else (lambda seq, z: h(z))
+    samplers = stacked_samplers(lambda seq, y: family(seq, (1j * y, 1j * y)),
+                                [INFINITY_YS] * (1 if count is None else count))
+    results = [_infinity(value) for value in samplers]
+    return results[0] if count is None else results
 
 
 def to_halfplane(lam):

@@ -193,7 +193,7 @@ class TestNevrep:
                            "--out", out, "--no-timestamp")
         assert code == 0
         info = report["carapoint_at_infinity"]
-        assert info["finite"] is True
+        assert info["finite"] is True and info["converged"] is True
         assert info["limit"] == pytest.approx(info["alpha_norm_sq"], abs=1e-6)
         rep_payload = json.loads(out.read_text())
         assert rep_payload["b"] == pytest.approx(0.0, abs=1e-9)
@@ -331,9 +331,9 @@ class TestFailureReports:
         ("analyze", ["random.json", "--tau=1,1", *COND], None, 4, "numeric", True),
         ("synth", ["measure.json", "--out", "c.json", *COND], None, 4, "numeric", True),
         ("nevrep", ["random.json", *COND], None, 4, "numeric", True),
-        ("verify", ["--random", "3", *COND], None, 4, "numeric", True),
-        # a drawn instance that is not a carapoint is a numeric failure of verify
-        ("verify", ["--random", "2", *RANK], None, 4, "numeric", True),
+        # a drawn instance that raises fails its suite, not the whole of verify
+        ("verify", ["--random", "3", *COND], None, 5, None, True),
+        ("verify", ["--random", "2", *RANK], None, 5, None, True),
         ("nevrep", ["measure.json"], None, 6, "obstruction", True),
         ("analyze", ["favourite.json", "--tau=1,1"], "residual", 4, None, True),
         ("synth", ["measure.json", "--verify"], "unconverged", 5, None, True),
@@ -388,8 +388,17 @@ class TestFailureReports:
                 "verify": ["--random", "3"]}[command]
         code, report = run(capsys, command, *argv, "--tolerances",
                            '{"solve_cond_max": 1.5}', "--no-timestamp")
-        assert code == report["exit_code"] == 4
-        assert report["error"]["kind"] == "numeric"
+        if command == "verify":
+            # each suite that raises fails alone, with its figures null
+            assert code == report["exit_code"] == 5 and "error" not in report
+            suites = report["suites"]
+            failed = suites["colligations"]
+            assert failed["pass"] is False and failed["schur_bound_excess_max"] is None
+            assert failed["reason"].startswith("numeric error: resolvent condition number")
+            assert suites["measures"]["pass"] is True
+        else:
+            assert code == report["exit_code"] == 4
+            assert report["error"]["kind"] == "numeric"
         assert report["tool"]["name"] == "bischur"
         assert report["tolerances"]["solve_cond_max"] == 1.5
         assert report["tolerances_source"] == ["default", "flag"]

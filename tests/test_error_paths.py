@@ -89,14 +89,22 @@ def test_synthesis_agreement_gate_exits_4(monkeypatch, capsys, tmp_path):
     assert "disagrees" in report["error"]["message"]
 
 
+# The suites take every limit of one dimension group in one call: a stub of
+# carapoint_at_infinity gets the family and its size, and one of model_liminf
+# the sequences of colligations and paths, and each returns a list.
 @pytest.mark.parametrize("suite, owner, target, stub, figure, reason", [
     ("reps", nev2d, "carapoint_at_infinity",
-     lambda h, *args, **kwargs: InfinityCarapoint(False, None, None),
+     lambda h, count: [InfinityCarapoint(False, None, None)] * count,
      "infinity_limit_err_max", "no finite limit"),
+    # a finite limit whose value did not converge counts as missing
+    ("reps", nev2d, "carapoint_at_infinity",
+     lambda h, count: [InfinityCarapoint(True, 0.0, 0j)] * count,
+     "infinity_limit_err_max", "no converged value"),
     ("measures", representations, "measure_from_nevanlinna",
      lambda nd: DiscreteMeasure01(()), "round_trip_max", "number of atoms"),
     ("desingularization", boundary, "model_liminf",
-     lambda *args, real=boundary.model_liminf: dataclasses.replace(real(*args), converged=False),
+     lambda *args, real=boundary.model_liminf: [
+         dataclasses.replace(report, converged=False) for report in real(*args)],
      "slope_liminf", "Julia liminf did not converge for 1 of 1"),
 ])
 def test_verify_reports_a_failed_suite_as_null_and_exits_5(
@@ -111,6 +119,44 @@ def test_verify_reports_a_failed_suite_as_null_and_exits_5(
     assert failed["pass"] is False and failed[figure] is None
     assert reason in failed["reason"]
     assert all(s["pass"] for name, s in report["suites"].items() if name != suite)
+
+
+def test_a_suite_that_raises_leaves_the_stream_to_the_next(monkeypatch, capsys):
+    import json
+    from bischur.cli import main
+    from bischur.errors import NoLimitError
+    main(["verify", "--random", "4", "--no-timestamp"])
+    passed = json.loads(capsys.readouterr().out)["suites"]
+    convert = representations.nevanlinna_from_measure
+    calls = []
+
+    def refuses_the_second(nu):
+        calls.append(nu)
+        if len(calls) == 2:
+            raise NoLimitError("the second measure is refused")
+        return convert(nu)
+
+    monkeypatch.setattr(representations, "nevanlinna_from_measure", refuses_the_second)
+    code = main(["verify", "--random", "4", "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == report["exit_code"] == 5 and "error" not in report
+    assert report["suites"]["measures"] == {
+        "round_trip_max": None, "evaluation_equivalence_max": None, "min_im_h": None,
+        "min_im_neg_zh": None, "pass": False,
+        "reason": "numeric error: the second measure is refused"}
+    # every measure was drawn before the second raised, so the reps suite
+    # draws what it draws after a pass
+    assert report["suites"]["reps"] == passed["reps"]
+    assert report["suites"]["colligations"] == passed["colligations"]
+
+
+def test_verify_looks_its_suites_up_on_each_call(monkeypatch, capsys):
+    # a rebound suite (a test stub, the benchmark tracer) is the one that runs
+    import json
+    from bischur import cli
+    monkeypatch.setattr(cli, "_suite_reps", lambda rng, n, tol: {"pass": True, "size": n})
+    assert cli.main(["verify", "--random", "5", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["suites"]["reps"] == {"pass": True, "size": 2}
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -191,11 +191,11 @@ def test_model_liminf_falls_back_on_an_unreached_tail(favourite_colligation):
     assert tight.estimate == pytest.approx(loose.estimate, abs=1e-12)
 
 
-def counted(phi, calls):
-    """phi, recording the length of each stack it is called on."""
-    def wrapped(lam):
-        calls.append(len(lam[0]))
-        return phi(lam)
+def counted(f, calls, at=0):
+    """f, recording the length of the point stack it gets as argument ``at``."""
+    def wrapped(*args):
+        calls.append(len(args[at][0]))
+        return f(*args)
     return wrapped
 
 
@@ -297,6 +297,74 @@ def test_carapoint_at_infinity_samplings_agree_bit_for_bit(dim, monkeypatch):
         limits.clear()
     assert results[0][0].finite
     assert results[1] == results[0] and results[2] == results[0]
+
+
+def colligation_group(dim):
+    """Three colligations of one dimension, each with its own path: radial
+    to a relocated tau, or skew."""
+    rng = np.random.default_rng(780 + dim)
+    cs = [random_colligation(rng, dim) for _ in range(3)]
+    taus = [random_torus_point(rng) for _ in cs]
+    paths = [ApproachPath.radial(taus[0]), ApproachPath(taus[1], (taus[1][0], 2 * taus[1][1])),
+             ApproachPath.radial(taus[2])]
+    return cs, paths
+
+
+@pytest.mark.parametrize("tol", [boundary.LIMINF_TOL, 1e-300], ids=["default", "every step"])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_model_liminf_of_a_group_is_each_alone(dim, tol, monkeypatch):
+    cs, paths = colligation_group(dim)
+    monkeypatch.setattr(boundary, "LIMINF_TOL", tol)
+    alone = [model_liminf(c, path) for c, path in zip(cs, paths)]
+    calls = []
+    monkeypatch.setattr(boundary, "model_vector", counted(boundary.model_vector, calls, 1))
+    together = model_liminf(cs, paths)
+    # estimate, samples, gap and flag, bit for bit
+    assert together == alone
+    # one head call for the group, then a stack of one per step read past it
+    past = sum(max(0, len(report.samples) - _limits._HEAD) for report in alone)
+    assert calls == [3 * _limits._HEAD] + [1] * past
+    if tol == 1e-300:
+        assert past > 0
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_model_liminf_of_a_group_whose_head_raises(dim, monkeypatch):
+    cs, paths = colligation_group(dim)
+    alone = [model_liminf(c, path) for c, path in zip(cs, paths)]
+    monkeypatch.setattr(boundary, "model_vector", refusing_stacks(boundary.model_vector, 1))
+    # every member falls back to stacks of one, with the same digits
+    assert model_liminf(cs, paths) == alone
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["stacked", "head raises"])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_carapoint_at_infinity_of_a_family_is_each_alone(dim, refused, monkeypatch):
+    rng = np.random.default_rng(790 + dim)
+    reps = [random_nev_rep(rng, dim) for _ in range(3)]
+    limits = []
+    monkeypatch.setattr(nev2d, "refine_to_limit", lambda *args, **kwargs: limits.append(
+        refine_to_limit(*args, **kwargs)) or limits[-1])
+    alone = [carapoint_at_infinity(partial(eval_h2, rep)) for rep in reps]
+    alone_limits = limits[:]
+    limits.clear()
+    members = [(rep.b, rep.alpha, rep.B, rep.Y) for rep in reps]
+    calls = []
+
+    def family(seq, z):
+        return eval_h2(_stack(TwoVarNevRep, members, seq), z)
+
+    if refused:
+        family = refusing_stacks(family, 1)
+    together = carapoint_at_infinity(counted(family, calls, 1), len(reps))
+    assert all(result.finite and result.converged for result in alone)
+    # every result and every extrapolation (samples, gap, flag), bit for bit
+    assert together == alone and limits == alone_limits
+    if refused:
+        assert calls[0] == 3 * len(nev2d.INFINITY_YS) and set(calls[1:]) == {1}
+    else:
+        # the whole ray of every function in one call
+        assert calls == [3 * len(nev2d.INFINITY_YS)]
 
 
 def test_derivative_checks_make_one_call(favourite_colligation, monkeypatch):

@@ -144,7 +144,7 @@ def suite_reps(rng, n, tol):
         zs = tuple(random_upper_points(rng, (10, 2)).T)
         min_im = min(min_im, float(h(zs).imag.min()))
         infinity = nev2d.carapoint_at_infinity(h)
-        if not infinity.finite:
+        if not (infinity.finite and infinity.converged):
             no_limit += 1
         else:
             worst_limit = max(worst_limit, abs(
@@ -156,8 +156,8 @@ def suite_reps(rng, n, tol):
                      and worst_limit < INFINITY_LIMIT_MAX),
     }
     if no_limit:
-        suite["reason"] = (f"y Im h(iy, iy) found no finite limit for "
-                           f"{no_limit} of {n} representations")
+        suite["reason"] = (f"y Im h(iy, iy) found no finite limit, or h(iy, iy) no "
+                           f"converged value, for {no_limit} of {n} representations")
     return suite
 
 
@@ -176,3 +176,24 @@ def test_suites_equal_their_per_instance_reference(seed, n):
         tol = Tolerances()
         assert stacked(stacked_rng, size, tol) == reference(reference_rng, size, tol)
         assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_limits_are_sampled_per_run_of_one_dimension(monkeypatch):
+    # each run of at most _LIMIT_RUN instances of one dimension is one call
+    liminf_runs, infinity_runs = [], []
+    model_liminf, carapoint_at_infinity = boundary.model_liminf, nev2d.carapoint_at_infinity
+    monkeypatch.setattr(boundary, "model_liminf", lambda cs, paths, tol: liminf_runs.append(
+        [c.dim for c in cs]) or model_liminf(cs, paths, tol))
+    monkeypatch.setattr(nev2d, "carapoint_at_infinity", lambda h, count: infinity_runs.append(
+        count) or carapoint_at_infinity(h, count))
+    rng = np.random.default_rng(104)
+    assert cli._suite_desingularization(rng, 25, Tolerances())["pass"]
+    assert cli._suite_reps(rng, 25, Tolerances())["pass"]
+    assert sum(map(len, liminf_runs)) == 25 and sum(infinity_runs) == 25
+    assert all(len(set(dims)) == 1 and len(dims) <= cli._LIMIT_RUN for dims in liminf_runs)
+    assert max(map(len, liminf_runs)) == max(infinity_runs) == cli._LIMIT_RUN
+    # a dimension's instances fill its runs before a short one
+    per_dim = {}
+    for dims in liminf_runs:
+        per_dim.setdefault(dims[0], []).append(len(dims))
+    assert all(sizes[:-1] == [cli._LIMIT_RUN] * (len(sizes) - 1) for sizes in per_dim.values())
