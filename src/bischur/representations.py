@@ -98,37 +98,75 @@ class NevanlinnaData:
         return float(sum(m for _, m in self.atoms))
 
 
-def h_from_measure(nu: DiscreteMeasure01, z):
+def _columns(rows, ndim):
+    """The shape (k, 1, ..., 1) of a column, with ``ndim`` ones to broadcast
+    against the points, and the atoms of ``rows``, k atom tuples, as columns:
+    column j holds each row's j-th (location, weight) as two such arrays.  A
+    row shorter than the longest is padded with zero weights at the
+    location of the first atom of the first row that has one.  Every padded
+    denominator is then that atom's own, which the pole check passes (or
+    refuses in column 0), so a padded term adds an exact zero, never a NaN."""
+    shape = (len(rows),) + (1,) * ndim
+    width = max(map(len, rows), default=0)
+    if not width:
+        return shape, []
+    pad = (next(row for row in rows if row)[0][0], 0.0)
+    table = np.array([row + (pad,) * (width - len(row)) for row in rows])
+    return shape, [(table[:, j, 0].reshape(shape), table[:, j, 1].reshape(shape))
+                   for j in range(width)]
+
+
+def _pole(hit, z, loc, weight, what) -> PoleError:
+    """The error for the points ``hit`` of a column's atoms: it names the
+    first point, the atom and, for a column of a stack, its row."""
+    if not isinstance(loc, np.ndarray):
+        return PoleError(f"evaluation point {np.extract(hit, z)[0]} {what}={loc}")
+    row, *at = np.argwhere(hit & (weight > 0))[0]
+    point = np.broadcast_to(z, hit.shape[1:])[tuple(at)]
+    return PoleError(f"evaluation point {point} {what}={loc.flat[row]} in row {row}")
+
+
+def h_from_measure(nu, z):
     """Evaluate - sum w / (1 - s + s z) off the cut (-inf, 0], at a point (a
-    complex) or an array of points (an array of the same shape)."""
+    complex) or an array of points (an array of the same shape).  ``nu`` is
+    a DiscreteMeasure01 or a sequence of them; a sequence gives one row per
+    measure, of shape ``(len(nu), *z.shape)``, each row equal to that
+    measure's own call on the array ``z``, bit for bit."""
     z = as_complex(z)
+    if isinstance(nu, DiscreteMeasure01):
+        total, columns = 0.0 + 0.0j, nu.atoms
+    else:
+        shape, columns = _columns([m.atoms for m in nu], np.ndim(z))
+        total = np.zeros(shape[:1] + np.shape(z), dtype=complex)
     floor = 1e-14 * (1.0 + abs(z))
-    total = 0.0 + 0.0j
-    for s, w in nu.atoms:
+    for s, w in columns:
         den = 1.0 - s + s * z
         hit = abs(den) < floor
         if any_true(hit):
-            raise PoleError(
-                f"evaluation point {np.extract(hit, z)[0]} hits the pole of the atom at s={s}"
-            )
+            raise _pole(hit, z, s, w, "hits the pole of the atom at s")
         total = total + w / den
     return -total
 
 
-def h_from_nevanlinna(nd: NevanlinnaData, z):
+def h_from_nevanlinna(nd, z):
     """Evaluate c + d z + (1/pi) sum m (1 + t z)/(t - z) at a point or an
-    array of points; the result has the shape of ``z``.  Raises PoleError
-    when any point coincides with an atom."""
+    array of points; the result has the shape of ``z``.  ``nd`` is a
+    NevanlinnaData or a sequence of them, which gives one row per member as
+    ``h_from_measure`` does.  Raises PoleError when any point coincides with
+    an atom."""
     z = as_complex(z)
+    if isinstance(nd, NevanlinnaData):
+        total, columns = nd.c + nd.d * z, nd.atoms
+    else:
+        shape, columns = _columns([x.atoms for x in nd], np.ndim(z))
+        c = np.array([x.c for x in nd]).reshape(shape)
+        total = c + np.array([x.d for x in nd]).reshape(shape) * z
     floor = 1e-14 * (1.0 + abs(z))
-    total = nd.c + nd.d * z
-    for t, m in nd.atoms:
+    for t, m in columns:
         den = t - z
         hit = abs(den) < floor
         if any_true(hit):
-            raise PoleError(
-                f"evaluation point {np.extract(hit, z)[0]} coincides with the atom at t={t}"
-            )
+            raise _pole(hit, z, t, m, "coincides with the atom at t")
         total = total + m * (1.0 + t * z) / (math.pi * den)
     return total
 

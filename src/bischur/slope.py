@@ -162,14 +162,15 @@ def pick_check(h, grid) -> dict:
     as ``{"min_im_h", "min_im_neg_zh", "pass"}``.
 
     ``h`` is called once, on the grid as a 1-D complex array, so it must
-    return an array of that shape (or a constant).  Slope-type functions
-    keep both minima nonnegative; the check passes when both stay above
-    ``-PICK_SLACK``.
+    return an array of that shape (or a constant), or one such row per
+    function of a family, whose minima are then taken over every row.
+    Slope-type functions keep both minima nonnegative; the check passes
+    when both stay above ``-PICK_SLACK``.
     """
     z = np.asarray(grid, dtype=complex).reshape(-1)
     if (z.imag <= 0).any():
         raise InvalidInputError("pick_check grid points must have Im z > 0")
-    values = np.broadcast_to(h(z), z.shape)
+    values, z = np.broadcast_arrays(h(z), z)
     min_h = float(np.min(values.imag, initial=np.inf))
     min_zh = float(np.min((-z * values).imag, initial=np.inf))
     return {"min_im_h": min_h, "min_im_neg_zh": min_zh,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bischur import boundary, cli, eval_phi, slope
+from bischur import boundary, cli, eval_phi, nev2d, slope
 from bischur.cli import main, parse_complex, parse_point
 from bischur.generate import random_colligation, random_interior_point
 from bischur.serialization import colligation_from_json, colligation_to_json
@@ -194,9 +194,30 @@ class TestNevrep:
         assert code == 0
         info = report["carapoint_at_infinity"]
         assert info["finite"] is True and info["converged"] is True
+        assert "reason" not in info
         assert info["limit"] == pytest.approx(info["alpha_norm_sq"], abs=1e-6)
         rep_payload = json.loads(out.read_text())
         assert rep_payload["b"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"converged": False}, "the extrapolation of h(iy, iy) did not converge"),
+        ({"finite": False, "limit": None, "value": None},
+         "y Im h(iy, iy) has no finite limit"),
+    ], ids=["unconverged", "infinite"])
+    def test_no_converged_limit_at_infinity_exits_4(self, capsys, measure_file, tmp_path,
+                                                    monkeypatch, fields, reason):
+        out = tmp_path / "rep.json"
+        real = nev2d.carapoint_at_infinity
+        monkeypatch.setattr(nev2d, "carapoint_at_infinity",
+                            lambda h: real(h)._replace(**fields))
+        code, report = run(capsys, "nevrep", measure_file, "--omega=-1",
+                           "--out", out, "--no-timestamp")
+        assert code == report["exit_code"] == 4
+        assert "error" not in report
+        info = report["carapoint_at_infinity"]
+        assert info["reason"] == reason
+        assert {name: info[name] for name in fields} == fields
+        assert not out.exists()
 
     def test_favourite_obstruction_exits_6(self, capsys, favourite_file):
         code, report = run(capsys, "nevrep", favourite_file, "--no-timestamp")

@@ -17,6 +17,7 @@ from bischur import (
     GeneralizedRealization,
     IllConditionedError,
     NevanlinnaData,
+    PoleError,
     SlopePair,
     SynthesizedSchur,
     Tolerances,
@@ -27,9 +28,12 @@ from bischur import (
     eval_I,
     eval_phi,
     eval_phi_gen,
+    h_from_measure,
     h_from_nevanlinna,
     model_liminf,
     model_residual,
+    nevanlinna_from_measure,
+    pick_check,
     radial_liminf,
     slope_eval,
     synth_eval,
@@ -660,3 +664,87 @@ def test_inner_stack_refusing_one_instance_names_its_point(j):
         eval_I(*stacked(GeneralizedRealization, gs, 6, stacks))
     assert str(err.value) == ("inner-function denominator is singular at "
                               f"{tuple(map(complex, bad))}")
+
+
+def measures_of_1_to_4_atoms(rng):
+    """Random measures of 1 to 4 atoms, with measures that have atoms at
+    s = 0 and s = 1 and one with no atoms among them."""
+    drawn = [DiscreteMeasure01(tuple(zip(rng.uniform(size=k), rng.uniform(0.1, 2.0, size=k))))
+             for k in (3, 1, 4, 2, 4, 1)]
+    return [*drawn[:2], DiscreteMeasure01(((0.0, 1.0),)), *drawn[2:4],
+            DiscreteMeasure01(((0.0, 0.5), (0.3, 1.0), (1.0, 2.0))), DiscreteMeasure01(()),
+            DiscreteMeasure01(((1.0, 0.7),)), *drawn[4:]]
+
+
+def assert_rows_are_the_members(evaluate, members, z):
+    rows = evaluate(members, z)
+    assert rows.shape == (len(members), *z.shape)
+    for row, member in zip(rows, members):
+        assert (row == evaluate(member, z)).all()
+
+
+# upper points, a second row of them, and positive reals, off every pole
+STACK_POINTS = np.concatenate([
+    random_upper_points(np.random.default_rng(1060), (2, 9)),
+    [[0.25, 1.0, 3.0, 1e-3, 7.0, 0.5, 2.0, 1e4, 1.5]]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", [STACK_POINTS, STACK_POINTS[0], STACK_POINTS[2]],
+                         ids=["grid", "upper", "real"])
+def test_measure_stack_is_its_members(z):
+    measures = measures_of_1_to_4_atoms(np.random.default_rng(1070))
+    assert_rows_are_the_members(h_from_measure, measures, z)
+    assert_rows_are_the_members(h_from_measure, measures[2:3], z)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", [STACK_POINTS, STACK_POINTS[0], np.array([0.0, -0.5, -2.5, 3.0])],
+                         ids=["grid", "upper", "real"])
+def test_nevanlinna_stack_is_its_members(z):
+    # no atom sits at t = 0, so z = 0 would be 0/0 at an atom padded there
+    nds = [NevanlinnaData(c=-1.0, d=0.5, atoms=()),
+           *(nevanlinna_from_measure(nu) for nu in measures_of_1_to_4_atoms(
+               np.random.default_rng(1080)) if all(s < 1.0 for s, _ in nu.atoms)),
+           NevanlinnaData(c=2.0, d=0.0, atoms=())]
+    assert sorted({len(nd.atoms) for nd in nds}) == [0, 1, 2, 3, 4]
+    assert_rows_are_the_members(h_from_nevanlinna, nds, z)
+    assert_rows_are_the_members(h_from_nevanlinna, nds[:1], z)
+
+
+def test_empty_stacks_have_no_rows():
+    assert h_from_measure([], STACK_POINTS).shape == (0, *STACK_POINTS.shape)
+    assert h_from_nevanlinna([], 1j).shape == (0,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("point, row", [(-1.0, 1), (-2.0, 2)])
+def test_stack_pole_names_the_row_of_its_atom(point, row):
+    # row 0 is padded at t = -1, the first atom of row 1, so its padded
+    # term is 0/0 at z = -1, which the pole of row 1 must refuse first
+    nds = [NevanlinnaData(c=-1.0, d=0.0, atoms=()),
+           NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.0, 1.0),)),
+           NevanlinnaData(c=-1.0, d=0.0, atoms=((-2.0, 1.0),))]
+    z = np.array([1j, point, 3.0])
+    with pytest.raises(PoleError) as alone:
+        h_from_nevanlinna(nds[row], z)
+    assert str(alone.value) == f"evaluation point ({point:g}+0j) coincides with the atom at t={point}"
+    with pytest.raises(PoleError) as stacked_err:
+        h_from_nevanlinna(nds, z)
+    assert str(stacked_err.value) == f"{alone.value} in row {row}"
+    measures = [DiscreteMeasure01(()), DiscreteMeasure01(((0.5, 1.0),))]
+    with pytest.raises(PoleError, match=r"^evaluation point \(-1\+0j\) hits the pole of the "
+                                        r"atom at s=0.5 in row 1$"):
+        h_from_measure(measures, -1.0)
+
+
+def test_pick_check_of_rows_is_the_worst_row():
+    measures = measures_of_1_to_4_atoms(np.random.default_rng(1090))
+    grid = random_upper_points(np.random.default_rng(1100), (25,))
+    rows = h_from_measure(measures, grid)
+    alone = [pick_check(partial(h_from_measure, nu), grid) for nu in measures]
+    assert pick_check(lambda z: rows, grid) == {
+        "min_im_h": min(check["min_im_h"] for check in alone),
+        "min_im_neg_zh": min(check["min_im_neg_zh"] for check in alone),
+        "pass": True}
+    assert pick_check(lambda z: np.stack([rows[0], z]), grid)["pass"] is False

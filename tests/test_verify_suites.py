@@ -197,3 +197,16 @@ def test_limits_are_sampled_per_run_of_one_dimension(monkeypatch):
     for dims in liminf_runs:
         per_dim.setdefault(dims[0], []).append(len(dims))
     assert all(sizes[:-1] == [cli._LIMIT_RUN] * (len(sizes) - 1) for sizes in per_dim.values())
+
+
+@pytest.mark.parametrize("n", [1, 7, 50])
+def test_measures_are_evaluated_in_one_call_per_encoding(monkeypatch, n):
+    # one h_from_measure and one h_from_nevanlinna over every measure, and
+    # one pick_check of all their rows, whatever n is
+    calls = []
+    for module, name in ((representations, "h_from_measure"),
+                         (representations, "h_from_nevanlinna"), (slope_mod, "pick_check")):
+        monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name), name=name:
+                            calls.append(name) or real(*args))
+    assert cli._suite_measures(np.random.default_rng(104), n, Tolerances())["pass"]
+    assert sorted(calls) == ["h_from_measure", "h_from_nevanlinna", "pick_check"]
