@@ -44,6 +44,7 @@ from .errors import (
     SchemaError,
 )
 from .generate import (
+    _blocks_accepted,
     _colligation,
     _kernel_colligation,
     _nev_rep,
@@ -83,6 +84,14 @@ SLOPE_SAMPLE_POINTS = tuple(map(complex, (0.1, 0.5, 1.0, 2.0, 10.0, 1j, 1 + 1j, 
 # analyze's generalized model passes when each residual maximum is below this;
 # verify's model and inner residuals are held to it too.
 RESIDUAL_MAX = 1e-9
+
+# analyze's derivative checks pass when each rel_err is below this, and its
+# Julia liminf when both matches are below LIMINF_MATCH_MAX (1 + ||u_tau||^2)
+DERIVATIVE_REL_ERR_MAX = 1e-7
+LIMINF_MATCH_MAX = 1e-8
+# nevrep's value at infinity passes when |value - b| <= VALUE_MATCH_MAX (1 + |b|),
+# and its limit when |limit - ||alpha||^2| <= INFINITY_LIMIT_MAX (1 + ||alpha||^2)
+VALUE_MATCH_MAX = 1e-6
 
 # The other bounds of the verify suites; a Pick-class value passes when its
 # imaginary part is at least -slope.PICK_SLACK.
@@ -238,17 +247,43 @@ def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
         partial(slope_mod.slope_eval, pair))
 
 
-def _gate(verification, liminf, checks):
-    """Fail the verification unless every extrapolated limit converged, and
-    name the cause of a failure under ``reason``."""
-    unconverged = (["julia_liminf"] if not liminf.converged else []) + [
+def _bound_text(bound):
+    return np.format_float_scientific(bound, precision=3, trim="-", exp_digits=1)
+
+
+def _gate(report):
+    """Fill the derivative and Julia liminf figures and bounds into the
+    report's verification and fail it unless every extrapolated limit
+    converged, every residual maximum is below RESIDUAL_MAX, every
+    derivative check's rel_err below DERIVATIVE_REL_ERR_MAX and both Julia
+    liminf matches below their bound; name the first cause, in that order,
+    under ``reason``."""
+    verification, checks = report["verification"], report["derivative_checks"]
+    julia = report["julia_liminf"]
+    matches = ("matches_witness_norm_sq", "matches_minus_h1")
+    verification["derivative_rel_err_max"] = max(check["rel_err"] for check in checks)
+    verification["derivative_rel_err_bound"] = DERIVATIVE_REL_ERR_MAX
+    verification["liminf_match_max"] = max(julia[key] for key in matches)
+    verification["liminf_match_bound"] = bound = LIMINF_MATCH_MAX * (
+        1.0 + report["carapoint"]["witness_norm_sq"])
+    unconverged = (["julia_liminf"] if not julia["converged"] else []) + [
         f"derivative_checks[{k}]" for k, check in enumerate(checks) if not check["converged"]]
+    inaccurate = [f"derivative_checks[{k}]" for k, check in enumerate(checks)
+                  if not check["rel_err"] < DERIVATIVE_REL_ERR_MAX]
+    missed = [f"julia_liminf.{key}" for key in matches if not julia[key] < bound]
     if unconverged:
-        verification["pass"] = False
-        verification["reason"] = f"{', '.join(unconverged)} did not converge"
+        reason = f"{', '.join(unconverged)} did not converge"
     elif not verification["pass"]:
-        bound = np.format_float_scientific(RESIDUAL_MAX, trim="-", exp_digits=1)
-        verification["reason"] = f"a residual maximum is not below {bound}"
+        reason = f"a residual maximum is not below {_bound_text(RESIDUAL_MAX)}"
+    elif inaccurate:
+        reason = (f"the rel_err of {', '.join(inaccurate)} is not below "
+                  f"{_bound_text(DERIVATIVE_REL_ERR_MAX)}")
+    elif missed:
+        reason = f"{', '.join(missed)} is not below {_bound_text(bound)}"
+    else:
+        return verification
+    verification["pass"] = False
+    verification["reason"] = reason
     return verification
 
 
@@ -351,8 +386,8 @@ def _analysis(args, tol, report) -> int:
     report["nevanlinna"] = nevanlinna_to_json(nd)
     report["slope_samples"] = [{"z": z, "h": h} for z, h in zip(SLOPE_SAMPLE_POINTS, h_samples)]
     report["derivative_checks"] = checks
-    report["verification"] = _gate(verification, liminf, checks)
-    return EXIT_OK if verification["pass"] else EXIT_NUMERIC
+    report["verification"] = verification
+    return EXIT_OK if _gate(report)["pass"] else EXIT_NUMERIC
 
 
 # ------------------------------------------------------------------ synth
@@ -444,6 +479,8 @@ def _representation(args, tol, report) -> int:
     infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
 
     alpha_norm_sq = float(np.linalg.norm(rep.alpha) ** 2)
+    limit_gap = abs(infinity.limit - alpha_norm_sq) if infinity.limit is not None else None
+    value_gap = abs(infinity.value - rep.b) if infinity.value is not None else None
     report["rep"] = rep_to_json(rep)
     report["generalized"] = generalized_to_json(g)
     report["carapoint_at_infinity"] = at_infinity = {
@@ -452,14 +489,21 @@ def _representation(args, tol, report) -> int:
         "value": infinity.value,
         "converged": infinity.converged,
         "alpha_norm_sq": alpha_norm_sq,
-        "limit_matches_alpha": (
-            abs(infinity.limit - alpha_norm_sq) if infinity.limit is not None else None
-        ),
+        "limit_matches_alpha": limit_gap,
+        "value_matches_b": value_gap,
     }
+    limit_bound = INFINITY_LIMIT_MAX * (1.0 + alpha_norm_sq)
+    value_bound = VALUE_MATCH_MAX * (1.0 + abs(rep.b))
     if not infinity.finite:
         at_infinity["reason"] = "y Im h(iy, iy) has no finite limit"
     elif not infinity.converged:
         at_infinity["reason"] = "the extrapolation of h(iy, iy) did not converge"
+    elif not limit_gap <= limit_bound:
+        at_infinity["reason"] = (f"the limit of y Im h(iy, iy) misses ||alpha||^2 by "
+                                 f"{limit_gap:.3e}, above {limit_bound:.3e}")
+    elif not value_gap <= value_bound:
+        at_infinity["reason"] = (f"h(iy, iy) tends to a value that misses b by "
+                                 f"{value_gap:.3e}, above {value_bound:.3e}")
     return EXIT_NUMERIC if "reason" in at_infinity else EXIT_OK
 
 
@@ -471,9 +515,13 @@ def _representation(args, tol, report) -> int:
 # one stack of realizations, one row per point.  The dimensions come in the
 # order of their first instance and the rows in instance order, so a refusal
 # names the first refused point of the first instance it meets.  The
-# measures suite has no dimensions: it evaluates all its measures in one
-# call per encoding, one row per measure, and checks the rows with one
-# pick_check.
+# desingularization suite draws each colligation's block unchecked and
+# decides every block's acceptance at once; if one is rejected it draws the
+# suite again from its starting state with the resampling loop.  It then
+# desingularizes the colligations of one dimension in one call and takes
+# h(1) of the models of one dimension from one evaluation.  The measures
+# suite has no dimensions: it evaluates all its measures in one call per
+# encoding, one row per measure, and checks the rows with one pick_check.
 
 
 # The instances whose limits are sampled together: runs of at most this many
@@ -493,6 +541,16 @@ def _by_dimension(dims, records, size=None):
     if size is None:
         return list(groups.values())
     return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
+
+
+def _grouped(dims, evaluate):
+    """The results of ``evaluate(group)``, one per index of the group, for
+    each group of indices of one dimension, put back in index order."""
+    results = [None] * len(dims)
+    for group in _by_dimension(dims, range(len(dims))):
+        for i, result in zip(group, evaluate(group)):
+            results[i] = result
+    return results
 
 
 def _rows(stacks):
@@ -534,23 +592,43 @@ def _suite_colligations(rng, n, tol):
     }
 
 
-def _suite_desingularization(rng, n, tol):
+def _kernel_instances(rng, n, deferred):
+    """Draw the desingularization suite's n instances, each as (ambient
+    dimension, tau, build, block gap, pairs, torus points); see
+    ``generate._kernel_colligation`` for ``deferred``."""
     unitaries = _Unitaries()
     drawn = []
     for _ in range(n):
         tau = tuple(np.ravel(random_torus_points(rng, 1)))
-        build = _kernel_colligation(rng, int(rng.integers(2, 5)),
-                                    int(rng.integers(1, 3)), tau, unitaries)
-        drawn.append((tau, build, _pair_stacks(rng, 3), random_torus_points(rng, 3)))
+        n_model, kernel_dim = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        build, gap = _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries, deferred)
+        drawn.append((n_model + kernel_dim, tau, build, gap, _pair_stacks(rng, 3),
+                      random_torus_points(rng, 3)))
+    return drawn
+
+
+def _suite_desingularization(rng, n, tol):
+    start = rng.bit_generator.state
+    drawn = _kernel_instances(rng, n, deferred=True)
+    if not _blocks_accepted([gap for _, _, _, gap, _, _ in drawn]):
+        # random_colligation_with_kernel would draw a block again: so does
+        # the suite, from where it started
+        rng.bit_generator.state = start
+        drawn = _kernel_instances(rng, n, deferred=False)
+    cs = [build() for _, _, build, _, _, _ in drawn]
+    # one desingularization of the colligations of each dimension, and h(1)
+    # of the models of each dimension from one evaluation
+    gs = _grouped([c.dim for c in cs], lambda group: desingularize(
+        [cs[i] for i in group], [drawn[i][1] for i in group], tol))
+    h1s = _grouped([g.dim for g in gs], lambda group: slope_mod.slope_eval(
+        _stack(slope_mod.SlopePair, [(gs[i].Y, gs[i].u_tau) for i in group],
+               np.arange(len(group))), np.ones(len(group))).real.tolist())
     worst = {"model_residual": 0.0, "inner": 0.0, "radial_inner": 0.0,
              "slope_liminf": 0.0}
     unconverged = 0
     shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
     dims, records, instances = [], [], []
-    for tau, build, pairs, torus in drawn:
-        c = build()
-        g = desingularize(c, tau, tol)
-        h1 = slope_mod.slope_eval(slope_mod.SlopePair.from_realization(g), 1.0).real
+    for c, g, h1, (_, tau, _, _, pairs, torus) in zip(cs, gs, h1s, drawn):
         instances.append((c, tau, h1))
         dims.append(g.dim)
         records.append(((g.a, g.beta, g.gamma, g.Q, g.Y, g.tau), pairs,

@@ -151,8 +151,8 @@ def _stack(kind, values, rows):
     first fields of instance i in ``kind``'s order, and row j of every
     stacked field is that of instance ``rows[j]``.  A point field (tau) is
     stacked as a pair of arrays.  The stack skips ``kind``'s checks, so
-    only ``_realize``, ``model_residual``, ``eval_I``, ``eval_h2`` and
-    ``boundary.model_liminf`` read it."""
+    only ``_realize``, ``model_residual``, ``eval_I``, ``eval_h2``,
+    ``slope_eval`` and ``boundary.model_liminf`` read it."""
     stack = object.__new__(kind)
     for field, column in zip(fields(kind), zip(*values)):
         column = np.array(column).take(rows, axis=0)

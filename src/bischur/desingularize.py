@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .colligation import Colligation, _realize
+from .colligation import Colligation, _pencil, _realize
 from .errors import (
     BoundarySingularityError,
     IllConditionedError,
@@ -44,7 +44,7 @@ from .errors import (
     PreconditionError,
     UseLimitError,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .linalg import DEFAULT_TOLERANCES, Tolerances, _adjoint, _apply, _norms
 from .points import as_points, require_interior, require_torus, to_stack
 
 __all__ = [
@@ -110,90 +110,114 @@ def _inner_matrix(Y: np.ndarray, tau, l1, l2, tol: Tolerances) -> np.ndarray:
         ) from exc
 
 
-def desingularize(c: Colligation, tau, tol: Tolerances = DEFAULT_TOLERANCES) -> GeneralizedRealization:
+def desingularize(c, tau, tol: Tolerances = DEFAULT_TOLERANCES):
     """Compress a colligation to the generalized model at a carapoint.
 
+    ``c`` and ``tau`` may also be two sequences, of colligations of one
+    dimension and of one carapoint for each; a list of models comes back,
+    each what its colligation and carapoint give alone, digit for digit.
+    One call takes one stacked SVD of the operators 1 - D tau, then
+    compresses and checks the members of one rank as one stack; a single
+    colligation is a group of one.
+
     Raises PreconditionError when tau is not a carapoint (gamma outside
-    ran(1 - D tau)).
+    ran(1 - D tau)); a group raises what its first such member raises
+    alone.  A model whose kernel split is ill-determined carries a note,
+    which is also issued as a warning, one per member.
     """
-    tau = require_torus(tau)
-    T = c.pencil(tau)
-    D_tau = c.D @ T
-    n = c.dim
-    # one SVD of 1 - D tau gives both u_tau and the kernel split
+    single = isinstance(c, Colligation)
+    cs, taus = ([c], [tau]) if single else (list(c), list(tau))
+    taus = [require_torus(t) for t in taus]
+    n = cs[0].dim
+    if len(taus) != len(cs) or any(m.dim != n for m in cs):
+        raise InvalidInputError(
+            "a group needs colligations of one dimension and one carapoint for each")
+    P1 = np.array([m.P1 for m in cs])
+    t = np.array(taus)[:, :, None, None]
+    T = _pencil(P1, t[:, 0], t[:, 1])
+    D_tau = np.array([m.D for m in cs]) @ T
+    gamma = np.array([m.gamma for m in cs])
+    tau_beta = _apply(_adjoint(T), np.array([m.beta for m in cs]))
+    # one SVD of each 1 - D tau gives both u_tau and the kernel split
     try:
-        u_ambient, rank, vh, near = linalg._kernel_split(np.eye(n) - D_tau, c.gamma, tol)
+        u_ambient, ranks, vh, near = linalg._kernel_split(np.eye(n) - D_tau, gamma, tol)
     except NoSolutionError as exc:
         raise PreconditionError(
-            f"{tuple(map(complex, tau))} is not a carapoint: {exc}"
+            f"{tuple(map(complex, taus[exc.member]))} is not a carapoint: {exc}"
         ) from exc
 
-    notes = ()
-    if near.size:
-        notes = (
-            f"singular values {near} sit just above the rank cutoff; "
-            "the kernel split may be ill-determined",
-        )
-        warnings.warn(notes[0], stacklevel=2)
-    if rank == n:
-        model = np.eye(n, dtype=complex)
-        kernel = np.zeros((n, 0), dtype=complex)
-    else:
-        model = vh[:rank].conj().T.copy()
-        kernel = vh[rank:].conj().T.copy()
+    notes = []
+    for s in near:
+        notes.append((f"singular values {s} sit just above the rank cutoff; "
+                      "the kernel split may be ill-determined",) if s.size else ())
+        if s.size:
+            warnings.warn(notes[-1][0], stacklevel=2)
+    models = [None] * len(cs)
+    for rank, members, at in linalg._rank_groups(ranks):
+        if rank == n:
+            model = np.repeat(np.eye(n, dtype=complex)[None], len(members), axis=0)
+            kernel = np.zeros((len(members), n, 0), dtype=complex)
+        else:
+            model = _adjoint(vh[at, :rank]).copy()
+            kernel = _adjoint(vh[at, rank:]).copy()
+        model_h = _adjoint(model)
+        Q = model_h @ D_tau[at] @ model
+        Y = model_h @ P1[at] @ model
+        gamma_m = _apply(model_h, gamma[at])
+        beta_m = _apply(model_h, tau_beta[at])
+        u_m = _apply(model_h, u_ambient[at])
+        _consistency_checks(P1[at], gamma[at], tau_beta[at], model, kernel, Q, Y,
+                            gamma_m, beta_m, u_m, u_ambient[at], tol)
+        for j, i in enumerate(members):
+            models[i] = GeneralizedRealization(
+                a=cs[i].a, beta=beta_m[j], gamma=gamma_m[j], Q=Q[j], Y=Y[j], tau=taus[i],
+                u_tau=u_m[j], model_basis=model[j], kernel_basis=kernel[j], notes=notes[i],
+            )
+    return models[0] if single else models
 
-    Q = model.conj().T @ D_tau @ model
-    Y = model.conj().T @ c.P1 @ model
-    gamma_m = model.conj().T @ c.gamma
-    beta_m = model.conj().T @ (T.conj().T @ c.beta)
-    u_m = model.conj().T @ u_ambient
 
-    _consistency_checks(c, tau, model, kernel, Q, Y, gamma_m, beta_m, u_m,
-                        u_ambient, tol)
-    return GeneralizedRealization(
-        a=c.a, beta=beta_m, gamma=gamma_m, Q=Q, Y=Y, tau=tau, u_tau=u_m,
-        model_basis=model, kernel_basis=kernel, notes=notes,
-    )
-
-
-def _consistency_checks(c, tau, model, kernel, Q, Y, gamma_m, beta_m, u_m,
+def _consistency_checks(P1, gamma, tau_beta, model, kernel, Q, Y, gamma_m, beta_m, u_m,
                         u_ambient, tol):
-    """Assert the facts the compression is guaranteed to satisfy."""
+    """Assert the facts the compression is guaranteed to satisfy, for a
+    stack of members of one rank.  A failed check raises with the figure of
+    its first failing member."""
     bound = 1e3 * tol.structural
 
-    def demand(value, what):
-        if value > bound:
-            raise InternalInconsistencyError(f"{what} deviates by {value:.3e}")
-
-    def demand_2norm(X, what):
-        # ||X||_2 <= ||X||_F, so a Frobenius norm within half the bound (the
-        # 2 a rounding margin) passes without the SVD of the 2-norm
-        if not np.linalg.norm(X) <= 0.5 * bound:
-            demand(float(np.linalg.norm(X, 2)), what)
+    def demand(values, what):
+        for value in values.tolist():
+            if value > bound:
+                raise InternalInconsistencyError(f"{what} deviates by {value:.3e}")
 
     # gamma and tau*beta live in the model space, u_tau is kernel-orthogonal
-    demand(float(np.linalg.norm(c.gamma - model @ gamma_m)), "gamma in model space")
-    tau_beta = c.pencil(tau).conj().T @ c.beta
-    demand(float(np.linalg.norm(tau_beta - model @ beta_m)), "tau* beta in model space")
-    if kernel.shape[1]:
-        demand(float(np.abs(kernel.conj().T @ u_ambient).max()), "u_tau kernel-orthogonal")
+    demand(_norms(gamma - _apply(model, gamma_m)), "gamma in model space")
+    demand(_norms(tau_beta - _apply(model, beta_m)), "tau* beta in model space")
+    kernel_h = _adjoint(kernel)
+    if kernel.shape[-1]:
+        demand(np.abs(_apply(kernel_h, u_ambient)).max(-1), "u_tau kernel-orthogonal")
     # the boundary vector solves (1 - Q) u = gamma
-    demand(float(np.linalg.norm((np.eye(Q.shape[0]) - Q) @ u_m - gamma_m)),
-           "(1 - Q) u_tau = gamma")
-    # block relations of the split projection
-    if kernel.shape[1]:
-        X = kernel.conj().T @ c.P1 @ kernel
-        B = kernel.conj().T @ c.P1 @ model
-        eye_k = np.eye(X.shape[0])
-        eye_m = np.eye(Y.shape[0])
-        demand_2norm(B @ B.conj().T - X @ (eye_k - X),
-                     "off-diagonal block: B B* = X(1 - X)")
-        demand_2norm(B.conj().T @ B - Y @ (eye_m - Y),
-                     "off-diagonal block: B* B = Y(1 - Y)")
-        demand_2norm(B @ Y - (eye_k - X) @ B,
-                     "intertwining: B Y = (1 - X) B")
-        demand_2norm(B @ (eye_m - Y) - X @ B,
-                     "intertwining: B (1 - Y) = X B")
+    eye_m = np.eye(Q.shape[-1])
+    demand(_norms(_apply(eye_m - Q, u_m) - gamma_m), "(1 - Q) u_tau = gamma")
+    # block relations of the split projection: in the split basis it is
+    # P = [[Y, B*], [B, X]], and P^2 - P = 0 holds block by block
+    if kernel.shape[-1]:
+        X = kernel_h @ P1 @ kernel
+        B = kernel_h @ P1 @ model
+        P = np.concatenate((np.concatenate((Y, _adjoint(B)), -1),
+                            np.concatenate((B, X), -1)), -2)
+        gap = P @ P - P
+        # ||G||_2 <= ||G||_F, so a Frobenius norm of the whole within half the
+        # bound (the 2 a rounding margin) passes every block without the SVD
+        # of its 2-norm
+        rest = [not f <= 0.5 * bound for f in _norms(gap, (-2, -1)).tolist()]
+        if any(rest):
+            m = Y.shape[-1]
+            # the top right block is the adjoint of the bottom left one, and
+            # B (1 - Y) = X B is B Y = (1 - X) B rearranged
+            for block, what in (
+                    (gap[rest, m:, m:], "off-diagonal block: B B* = X(1 - X)"),
+                    (gap[rest, :m, :m], "off-diagonal block: B* B = Y(1 - Y)"),
+                    (gap[rest, m:, :m], "intertwining: B Y = (1 - X) B")):
+                demand(np.linalg.norm(block, 2, axis=(-2, -1)), what)
 
 
 def eval_I(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

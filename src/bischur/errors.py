@@ -14,11 +14,14 @@ class SchemaError(InvalidInputError):
 
 
 class NoSolutionError(BischurError):
-    """A linear system is inconsistent; carries the measured residual."""
+    """A linear system is inconsistent; carries the measured residual and
+    the index of the system in the stack it was solved in (0 for one
+    system)."""
 
-    def __init__(self, message, residual):
+    def __init__(self, message, residual, member=0):
         super().__init__(message)
         self.residual = float(residual)
+        self.member = member
 
 
 class IllConditionedError(BischurError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 import numpy as np
 
 from .colligation import Colligation
@@ -27,6 +29,10 @@ __all__ = [
 ]
 
 MAX_ATOMS = 4  # most atoms of a random_measure
+# random_colligation_with_kernel draws its block again until the smallest
+# singular value of 1 - D0 pencil0 exceeds this, so that 1 stays safely out
+# of the block's spectrum
+BLOCK_SIGMA_MIN = 1e-3
 
 
 def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -68,7 +74,7 @@ def random_colligation_with_kernel(rng: np.random.Generator, n_model: int,
     position.  The remaining block is resampled until it keeps 1 safely out
     of its spectrum.
     """
-    return _kernel_colligation(rng, n_model, kernel_dim, tau, _Unitaries())()
+    return _kernel_colligation(rng, n_model, kernel_dim, tau, _Unitaries())[0]()
 
 
 def random_measure(rng: np.random.Generator) -> DiscreteMeasure01:
@@ -90,10 +96,12 @@ def random_nev_rep(rng: np.random.Generator, dim: int) -> TwoVarNevRep:
 # ``_nev_rep`` read the stream as the random_* function of their name does
 # and return a function that builds the instance later.  Their unitaries wait
 # in one ``_Unitaries``, so the QRs of many instances are taken in one
-# stacked call per size, with the same digits.  The ``verify`` suites draw
-# every instance and its points this way first, then evaluate all instances
-# of one dimension as one stack of realizations, one row per point (see
-# ``colligation._stack``).
+# stacked call per size, with the same digits.  A deferred
+# ``_kernel_colligation`` leaves its resampling test for later too:
+# ``_blocks_accepted`` decides the tests of many draws with one stacked SVD
+# per size.  The ``verify`` suites draw every instance and its points this
+# way first, then evaluate all instances of one dimension as one stack of
+# realizations, one row per point (see ``colligation._stack``).
 
 
 class _Unitaries:
@@ -151,21 +159,25 @@ def _colligation(rng, n, unitaries: _Unitaries):
     return build
 
 
-def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries):
+def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries,
+                        deferred=False):
     """Draw what random_colligation_with_kernel draws, in its order; return
-    the function that builds the Colligation.  The resampling loop reads its
-    unitaries at once, so it takes their QRs eagerly."""
+    the function that builds the Colligation and the function that gives
+    its block's 1 - D0 pencil0.  The resampling loop checks each drawn
+    block at once, so it takes their QRs eagerly.  A ``deferred`` draw keeps
+    its first block unchecked, with its QRs waiting: it is
+    random_colligation_with_kernel's draw exactly when ``_blocks_accepted``
+    passes that block."""
     tau = require_torus(tau)
     if n_model < 1 or kernel_dim < 1:
         raise InvalidInputError("model and kernel dimensions must be positive")
     n = n_model + kernel_dim
     for _ in range(64):
-        L0 = random_unitary(rng, n_model + 1)
-        P1_model = random_projection(rng, n_model)
-        D0 = L0[1:, 1:]
-        pencil0 = tau[0] * P1_model + tau[1] * (np.eye(n_model) - P1_model)
-        s = np.linalg.svd(np.eye(n_model) - D0 @ pencil0, compute_uv=False)
-        if s[-1] > 1e-3:
+        L0 = unitaries.draw(rng, n_model + 1)
+        # built once for both the block's test and the colligation
+        P1_model = cache(_projection(rng, n_model, unitaries))
+        gap = partial(_block_gap, L0, P1_model, tau)
+        if deferred or _blocks_accepted([gap]):
             break
     else:
         raise InvalidInputError("failed to draw a block with 1 outside its spectrum")
@@ -179,24 +191,44 @@ def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries):
     W = unitaries.draw(rng, n)
 
     def build():
-        p1_kernel, w = P1_kernel(), W()
+        l0, p1_model, p1_kernel, w = L0(), P1_model(), P1_kernel(), W()
         V = np.conj(tau[0]) * p1_kernel + np.conj(tau[1]) * (np.eye(kernel_dim) - p1_kernel)
         D = np.zeros((n, n), dtype=complex)
-        D[:n_model, :n_model] = D0
+        D[:n_model, :n_model] = l0[1:, 1:]
         D[n_model:, n_model:] = V
         P1 = np.zeros((n, n), dtype=complex)
-        P1[:n_model, :n_model] = P1_model
+        P1[:n_model, :n_model] = p1_model
         P1[n_model:, n_model:] = p1_kernel
-        beta = np.concatenate([L0[0, 1:].conj(), np.zeros(kernel_dim)])
-        gamma = np.concatenate([L0[1:, 0], np.zeros(kernel_dim)])
+        beta = np.concatenate([l0[0, 1:].conj(), np.zeros(kernel_dim)])
+        gamma = np.concatenate([l0[1:, 0], np.zeros(kernel_dim)])
         return Colligation(
-            a=L0[0, 0],
+            a=l0[0, 0],
             beta=w @ beta,
             gamma=w @ gamma,
             D=w @ D @ w.conj().T,
             P1=w @ P1 @ w.conj().T,
         )
-    return build
+    return build, gap
+
+
+def _block_gap(L0, P1_model, tau):
+    """1 - D0 pencil0 of a drawn block, from the handles of its unitary and
+    projection."""
+    p1 = P1_model()
+    eye = np.eye(len(p1))
+    return eye - L0()[1:, 1:] @ (tau[0] * p1 + tau[1] * (eye - p1))
+
+
+def _blocks_accepted(gaps) -> bool:
+    """Whether the smallest singular value of every block's 1 - D0 pencil0
+    (a function, as ``_kernel_colligation`` returns it) exceeds
+    BLOCK_SIGMA_MIN, from one stacked SVD per size."""
+    gaps = [gap() for gap in gaps]
+    for n in dict.fromkeys(len(g) for g in gaps):
+        s = np.linalg.svd(np.array([g for g in gaps if len(g) == n]), compute_uv=False)
+        if not (s[:, -1] > BLOCK_SIGMA_MIN).all():
+            return False
+    return True
 
 
 def _nev_rep(rng, dim, unitaries: _Unitaries):

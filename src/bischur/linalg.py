@@ -87,7 +87,40 @@ def as_vector(v, name="vector") -> np.ndarray:
 
 
 def _numerical_rank(s, rank_rel):
-    return int(np.sum(s > rank_rel * s[0]))
+    """The number of singular values s (largest first) above rank_rel times
+    the largest."""
+    cut = rank_rel * s[0]
+    return sum(1 for v in s if v > cut)
+
+
+def _rank_groups(ranks):
+    """(rank, members, at) for each distinct rank of a list of them, in
+    order of its first member: the indices of its members, and ``at``, which
+    selects them from a stack, the whole stack when every member has it."""
+    distinct = dict.fromkeys(ranks)
+    groups = []
+    for rank in distinct:
+        members = [i for i, r in enumerate(ranks) if r == rank]
+        groups.append((rank, members, slice(None) if len(distinct) == 1 else members))
+    return groups
+
+
+def _adjoint(M):
+    """The conjugate transposes of a stack of matrices."""
+    return M.conj().swapaxes(-1, -2)
+
+
+def _apply(M, v):
+    """M[i] v[i] for a stack of matrices and one of vectors, each product
+    the matrix-vector product of its member alone."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _norms(x, axis=-1):
+    """The Euclidean norms of a stack of complex arrays over ``axis``, the
+    last one by default; over the last two, Frobenius norms."""
+    v = np.ascontiguousarray(x, dtype=complex).view(float)
+    return np.sqrt(np.add.reduce(np.square(v), axis=axis))
 
 
 def null_space(A, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -113,36 +146,45 @@ def min_norm_solve(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     b = as_vector(b, "b")
     if b.shape[0] != A.shape[0]:
         raise InvalidInputError("b must have as many rows as A")
-    return _kernel_split(A, b, tol)[0]
+    return _kernel_split(A[None], b[None], tol)[0][0]
 
 
 def _kernel_split(A, b, tol: Tolerances):
-    """One SVD of a validated A: (x, rank, vh, near).  x is
-    ``min_norm_solve(A, b, tol)`` and raises as it does, rank the numerical
-    rank, vh the right singular vectors as rows (the first rank of them span
-    ker(A)-perp) and near the kept singular values within a factor 1e3 of the
-    rank cutoff, whose kernel split is ill-determined."""
+    """One SVD of each matrix of a validated stack A, (k, m, n), with right
+    sides b, (k, m): (x, ranks, vh, near).  Row i of x is
+    ``min_norm_solve(A[i], b[i], tol)``, ranks[i] the numerical rank of
+    A[i], vh[i] its right singular vectors as rows (the first ranks[i] of
+    them span ker(A[i])-perp) and near[i] its kept singular values within a
+    factor 1e3 of the rank cutoff, whose kernel split is ill-determined.
+    The solves of one rank are one stacked product, with each member's
+    digits alone.  The first member min_norm_solve would refuse raises as it
+    does there; a NoSolutionError holds its index as ``member``."""
     u, s, vh = np.linalg.svd(A)
-    rank = _numerical_rank(s, tol.rank_rel)
-    if rank > 0:
-        cond = s[0] / s[rank - 1]
+    ranks, conds, near = [], [], []
+    for i, row in enumerate(s.tolist()):
+        rank = _numerical_rank(row, tol.rank_rel)
+        ranks.append(rank)
+        conds.append(row[0] / row[rank - 1] if rank else 0.0)
+        limit = 1e3 * max(tol.rank_rel * row[0], np.finfo(float).tiny)
+        near.append(s[i, :rank][s[i, :rank] < limit])
+    x = np.zeros((len(A), A.shape[-1]), dtype=complex)
+    for rank, _, at in _rank_groups(ranks):
+        if rank:
+            coeff = _apply(_adjoint(u[at, :, :rank]), b[at]) / s[at, :rank]
+            x[at] = _apply(_adjoint(vh[at, :rank]), coeff)
+    residual = _norms(_apply(A, x) - b).tolist()
+    bound = (tol.structural * (s[:, 0] * _norms(x) + _norms(b))).tolist()
+    for i, cond in enumerate(conds):
         if cond > tol.solve_cond_max:
             raise IllConditionedError(
                 f"effective condition number {cond:.3e} exceeds ceiling", cond
             )
-        coeff = (u[:, :rank].conj().T @ b) / s[:rank]
-        x = vh[:rank].conj().T @ coeff
-    else:
-        x = np.zeros(A.shape[1], dtype=complex)
-    residual = float(np.linalg.norm(A @ x - b))
-    bound = tol.structural * (s[0] * np.linalg.norm(x) + np.linalg.norm(b))
-    if residual > bound:
-        raise NoSolutionError(
-            f"system inconsistent: residual {residual:.3e} above bound {bound:.3e}",
-            residual,
-        )
-    near = s[:rank][s[:rank] < 1e3 * max(tol.rank_rel * s[0], np.finfo(float).tiny)]
-    return x, rank, vh, near
+        if residual[i] > bound[i]:
+            raise NoSolutionError(
+                f"system inconsistent: residual {residual[i]:.3e} above bound {bound[i]:.3e}",
+                residual[i], i,
+            )
+    return x, ranks, vh, near
 
 
 # Beyond this ceiling, a point the LU screen clears could have kappa * eps

@@ -68,15 +68,24 @@ class SlopePair:
 
 def slope_eval(pair: SlopePair, z):
     """Evaluate h(z) = -<(1 - Y + z Y)^{-1} u_tau, u_tau> off the cut, at a
-    point (a complex) or an array of points (an array of the same shape)."""
+    point (a complex) or an array of points (an array of the same shape).
+
+    ``pair`` may also be a stack of k pairs of one dimension (see
+    ``colligation._stack``) with z an array of k points, one row per point;
+    each value is then what its pair gives alone, digit for digit.
+    """
     z = as_complex(z)
     on_cut = (z.imag == 0.0) & (z.real <= 0.0)
     if any_true(on_cut):
         raise DomainError(f"slope functions are undefined on the cut (-inf, 0]; "
                           f"got {np.extract(on_cut, z)[0]}")
-    M = np.eye(pair.Y.shape[0]) + np.multiply.outer(z - 1.0, pair.Y)
+    eye = np.eye(pair.Y.shape[-1])
+    if pair.u_tau.ndim > 1:
+        M, subscripts = eye + (z - 1.0)[:, None, None] * pair.Y, "kn,kn->k"
+    else:
+        M, subscripts = eye + np.multiply.outer(z - 1.0, pair.Y), "...n,n->..."
     # einsum, not matmul: a point's digits must not depend on the stack size
-    h = -np.einsum("...n,n->...", np.linalg.solve(M, pair.u_tau[:, None])[..., 0],
+    h = -np.einsum(subscripts, np.linalg.solve(M, pair.u_tau[..., None])[..., 0],
                    pair.u_tau.conj())
     return complex(h) if isinstance(z, complex) else h
 

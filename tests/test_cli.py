@@ -547,6 +547,122 @@ class TestConvergenceGate:
             "the radial boundary value did not converge")
 
 
+def scaled(module, name, factor):
+    """A mutation: ``module.name`` with its results multiplied by factor."""
+    def mutate(monkeypatch):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: real(*args, **kwargs) * factor)
+    return mutate
+
+
+def perturbed_infinity(field):
+    """A mutation: carapoint_at_infinity with its ``field`` moved by 1e-3
+    relative to 1 + its size."""
+    def mutate(monkeypatch):
+        real = nev2d.carapoint_at_infinity
+
+        def wrong(h):
+            result = real(h)
+            value = getattr(result, field)
+            return result._replace(**{field: value + 1e-3 * (1.0 + abs(value))})
+        monkeypatch.setattr(nev2d, "carapoint_at_infinity", wrong)
+    return mutate
+
+
+class TestMutations:
+    """A wrong formula fails every command it reaches, with a reason."""
+
+    @pytest.mark.parametrize("mutate, codes", [
+        (scaled(slope, "slope_eval", 1.0 + 1e-3), {"analyze": 4}),
+        (scaled(slope, "directional_derivative_analytic", 2.0),
+         {"analyze": 4, "synth --verify": 5}),
+        (perturbed_infinity("limit"), {"nevrep": 4}),
+        (perturbed_infinity("value"), {"nevrep": 4}),
+    ], ids=["slope_eval", "directional_derivative_analytic", "infinity_limit",
+            "infinity_value"])
+    def test_every_reached_command_fails(self, capsys, three_atom_file, tmp_path,
+                                         monkeypatch, mutate, codes):
+        c, out = tmp_path / "c.json", tmp_path / "rep.json"
+        assert run(capsys, "synth", three_atom_file, "--tau=-1,1j", "--omega=-1", "--out", c,
+                   "--no-timestamp")[0] == 0
+        mutate(monkeypatch)
+        commands = {
+            "analyze": ["analyze", c, "--tau=-1,1j"],
+            "synth --verify": ["synth", three_atom_file, "--tau=-1,1j", "--omega=-1",
+                               "--verify"],
+            "nevrep": ["nevrep", three_atom_file, "--omega=-1", "--out", out],
+        }
+        for name, argv in commands.items():
+            code, report = run(capsys, *argv, "--no-timestamp")
+            assert code == report["exit_code"] == codes.get(name, 0), name
+            if name == "analyze":
+                reason = report["verification"].get("reason")
+            elif name == "nevrep":
+                reason = report["carapoint_at_infinity"].get("reason")
+                assert out.exists() == (code == 0)
+            else:
+                failed = [check for check in report["verification"].values() if not check["pass"]]
+                assert all("reason" in check for check in failed)
+                reason = failed[0]["reason"] if failed else None
+            assert bool(reason) == (code != 0), (name, reason)
+
+
+class TestAccuracyGates:
+    def test_analyze_reports_its_bounds_next_to_its_figures(self, capsys, three_atom_file,
+                                                            tmp_path):
+        c = tmp_path / "c.json"
+        run(capsys, "synth", three_atom_file, "--tau=-1,1j", "--omega=-1", "--out", c,
+            "--no-timestamp")
+        code, report = run(capsys, "analyze", c, "--tau=-1,1j", "--no-timestamp")
+        verification, julia = report["verification"], report["julia_liminf"]
+        assert code == 0 and verification["pass"] is True
+        assert verification["derivative_rel_err_bound"] == cli.DERIVATIVE_REL_ERR_MAX
+        assert verification["derivative_rel_err_max"] == max(
+            check["rel_err"] for check in report["derivative_checks"])
+        assert verification["liminf_match_bound"] == cli.LIMINF_MATCH_MAX * (
+            1.0 + report["carapoint"]["witness_norm_sq"])
+        assert verification["liminf_match_max"] == max(
+            julia["matches_witness_norm_sq"], julia["matches_minus_h1"])
+        assert verification["derivative_rel_err_max"] < verification["derivative_rel_err_bound"]
+        assert verification["liminf_match_max"] < verification["liminf_match_bound"]
+
+    @pytest.mark.parametrize("bound, reason", [
+        ("DERIVATIVE_REL_ERR_MAX", "the rel_err of derivative_checks[0], derivative_checks[1], "
+                                   "derivative_checks[2], derivative_checks[3] is not below 1e-30"),
+        ("LIMINF_MATCH_MAX", "julia_liminf.matches_witness_norm_sq, "
+                             "julia_liminf.matches_minus_h1 is not below "),
+    ])
+    def test_analyze_fails_a_figure_above_its_bound(self, capsys, favourite_file, monkeypatch,
+                                                   bound, reason):
+        monkeypatch.setattr(cli, bound, 1e-30)
+        code, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--no-timestamp")
+        assert code == report["exit_code"] == 4
+        assert report["verification"]["pass"] is False
+        assert report["verification"]["reason"].startswith(reason)
+
+    def test_nevrep_value_matches_b(self, capsys, three_atom_file):
+        code, report = run(capsys, "nevrep", three_atom_file, "--omega=-1", "--no-timestamp")
+        info, b = report["carapoint_at_infinity"], report["rep"]["b"]
+        assert code == 0 and "reason" not in info
+        assert info["value_matches_b"] == abs(complex(*info["value"]) - b)
+        assert info["value_matches_b"] <= cli.VALUE_MATCH_MAX * (1.0 + abs(b))
+
+    @pytest.mark.parametrize("bound, reason", [
+        ("INFINITY_LIMIT_MAX", "the limit of y Im h(iy, iy) misses ||alpha||^2 by "),
+        ("VALUE_MATCH_MAX", "h(iy, iy) tends to a value that misses b by "),
+    ])
+    def test_nevrep_fails_a_gap_above_its_bound(self, capsys, three_atom_file, tmp_path,
+                                               monkeypatch, bound, reason):
+        out = tmp_path / "rep.json"
+        # a bound no gap meets: this input's value gap is exactly 0
+        monkeypatch.setattr(cli, bound, -1.0)
+        code, report = run(capsys, "nevrep", three_atom_file, "--omega=-1", "--out", out,
+                           "--no-timestamp")
+        assert code == report["exit_code"] == 4
+        assert report["carapoint_at_infinity"]["reason"].startswith(reason)
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, favourite_file):
         main(["analyze", str(favourite_file), "--tau", "1,1", "--no-timestamp"])

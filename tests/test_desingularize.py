@@ -382,8 +382,10 @@ class TestConsistencyChecks:
             # a deviation the Frobenius screen cannot pass but the 2-norm does
             if any(np.linalg.norm(d) > bound / 2 for d, _ in relations) and not failed:
                 seen.add("screened")
-            args = (c, tau, model, kernel, g.Q, Y, g.gamma, g.beta, g.u_tau,
-                    model @ g.u_tau, tol)
+            # the checks take stacks: this model as a stack of one
+            args = (*(x[None] for x in (c.P1, c.gamma, c.pencil(tau).conj().T @ c.beta,
+                                        model, kernel, g.Q, Y, g.gamma, g.beta, g.u_tau,
+                                        model @ g.u_tau)), tol)
             if failed:
                 seen.add("raised")
                 value, what = failed[0]

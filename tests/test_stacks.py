@@ -3,6 +3,7 @@ what its members give one by one, and a deferred draw gives the instances
 drawn one by one."""
 
 import math
+import warnings
 from dataclasses import fields
 from functools import partial
 
@@ -16,8 +17,10 @@ from bischur import (
     DiscreteMeasure01,
     GeneralizedRealization,
     IllConditionedError,
+    InvalidInputError,
     NevanlinnaData,
     PoleError,
+    PreconditionError,
     SlopePair,
     SynthesizedSchur,
     Tolerances,
@@ -517,7 +520,7 @@ def test_deferred_kernel_colligations_are_random_colligation_with_kernel(seed):
             for j, (m, k) in enumerate(shapes)]
 
     def deferred(r, u, arg):
-        build = _kernel_colligation(r, *arg, u)
+        build, _ = _kernel_colligation(r, *arg, u)
         return lambda: colligation_fields(build())
 
     same_instances(
@@ -594,6 +597,85 @@ def generalized_realizations(rng, count):
         g = desingularize(c, tau)
         groups.setdefault(g.dim, []).append(g)
     return groups.values()
+
+
+def near_cutoff_colligation():
+    """A colligation whose 1 - D tau at CHI has the singular value 1e-8, just
+    above the rank cutoff: its desingularization carries a note."""
+    eps = 1e-8
+    b = np.sqrt(2 * eps - eps * eps)
+    return Colligation(a=-(1 - eps), beta=[b, 0.0], gamma=[b, 0.0],
+                       D=[[1 - eps, 0.0], [0.0, -1.0]], P1=np.eye(2))
+
+
+def desingularization_group(dim):
+    """Colligations of one dimension with a relocated carapoint each, their
+    kernel dimensions 0 to 2 interleaved; at dimension 2 also one with a
+    singular value just above the rank cutoff."""
+    rng = np.random.default_rng(1030 + dim)
+    members = []
+    for kernel_dim in (1, 0, 2, 1, 0, 2):
+        if kernel_dim < dim:
+            tau = random_torus_point(rng)
+            c = (random_colligation_with_kernel(rng, dim - kernel_dim, kernel_dim, tau)
+                 if kernel_dim else random_colligation(rng, dim))
+            members.append((c, tau))
+    if dim == 2:
+        members.insert(2, (near_cutoff_colligation(), CHI))
+    return [c for c, _ in members], [tau for _, tau in members]
+
+
+def bits(g):
+    """Every field of a model, with its shape and dtype, as bytes."""
+    return [(f.name, np.shape(x), np.asarray(x).dtype, np.asarray(x).tobytes())
+            for f in fields(g) for x in [getattr(g, f.name)]]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_desingularize_of_a_group_is_each_alone(dim):
+    cs, taus = desingularization_group(dim)
+    with warnings.catch_warnings(record=True) as warned_alone:
+        warnings.simplefilter("always")
+        alone = [desingularize(c, tau) for c, tau in zip(cs, taus)]
+    with warnings.catch_warnings(record=True) as warned_together:
+        warnings.simplefilter("always")
+        together = desingularize(cs, taus)
+    assert [bits(g) for g in together] == [bits(g) for g in alone]
+    assert [str(w.message) for w in warned_together] == [str(w.message) for w in warned_alone]
+    assert len(warned_alone) == (dim == 2)
+    assert sorted({g.kernel_dim for g in alone}) == list(range(min(dim, 3)))
+
+
+def test_a_group_raises_what_its_non_carapoint_raises_alone():
+    rng = np.random.default_rng(1040)
+    # gamma outside ran(1 - D) at CHI: non-unitary data
+    broken = Colligation(a=0.0, beta=[0.0, 1.0], gamma=[1.0, 0.0],
+                         D=[[1.0, 0.0], [0.0, 0.0]], P1=np.eye(2))
+    with pytest.raises(PreconditionError) as alone:
+        desingularize(broken, CHI)
+    taus = [random_torus_point(rng), CHI, random_torus_point(rng)]
+    with pytest.raises(PreconditionError) as together:
+        desingularize([random_colligation(rng, 2), broken, random_colligation(rng, 2)], taus)
+    assert str(together.value) == str(alone.value)
+
+
+def test_a_group_needs_one_dimension_and_a_carapoint_each():
+    rng = np.random.default_rng(1050)
+    cs = [random_colligation(rng, 2), random_colligation(rng, 3)]
+    with pytest.raises(InvalidInputError):
+        desingularize(cs, [CHI, CHI])
+    with pytest.raises(InvalidInputError):
+        desingularize(cs[:1], [CHI, CHI])
+
+
+def test_slope_eval_of_a_stack_of_pairs_is_each_alone():
+    rng = np.random.default_rng(1060)
+    for gs in generalized_realizations(rng, 24):
+        pairs = [SlopePair.from_realization(g) for g in gs]
+        z = rng.uniform(0.05, 3, len(gs)) + 1j * rng.uniform(-3, 3, len(gs))
+        z[0] = 1.0
+        stack = _stack(SlopePair, [(p.Y, p.u_tau) for p in pairs], np.arange(len(pairs)))
+        assert np.array_equal(slope_eval(stack, z), [slope_eval(p, w) for p, w in zip(pairs, z)])
 
 
 def test_generalized_stack_is_its_instances():

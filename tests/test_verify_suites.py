@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bischur import Tolerances, boundary, cli, nev2d, representations, slope as slope_mod
+from bischur import Tolerances, boundary, cli, generate, nev2d, representations, slope as slope_mod
 from bischur.cli import (
     EQUIVALENCE_MAX,
     INFINITY_LIMIT_MAX,
@@ -210,3 +210,39 @@ def test_measures_are_evaluated_in_one_call_per_encoding(monkeypatch, n):
                             calls.append(name) or real(*args))
     assert cli._suite_measures(np.random.default_rng(104), n, Tolerances())["pass"]
     assert sorted(calls) == ["h_from_measure", "h_from_nevanlinna", "pick_check"]
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1), (4, 5), (104, 25)])
+def test_a_rejected_block_draws_the_suite_again_as_the_reference_does(seed, n, monkeypatch):
+    # at this threshold a first draw of each seed here is rejected: the suite
+    # goes back to the state it started from and draws with the resampling
+    # loop, as random_colligation_with_kernel does
+    monkeypatch.setattr(generate, "BLOCK_SIGMA_MIN", 0.2)
+    drawn, draw = [], cli._kernel_instances
+    monkeypatch.setattr(cli, "_kernel_instances", lambda rng, count, deferred: drawn.append(
+        deferred) or draw(rng, count, deferred))
+    stacked_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tol = Tolerances()
+    assert cli._suite_desingularization(stacked_rng, n, tol) == suite_desingularization(
+        reference_rng, n, tol)
+    assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
+    assert drawn == [True, False]
+
+
+def test_desingularizations_are_one_call_per_dimension(monkeypatch):
+    # one desingularize per ambient dimension and one h(1) evaluation per
+    # model dimension, from a first draw that needs no second
+    drawn, calls, evaluations = [], [], []
+    desingularize_, slope_eval, draw = cli.desingularize, slope_mod.slope_eval, cli._kernel_instances
+    monkeypatch.setattr(cli, "_kernel_instances", lambda rng, count, deferred: drawn.append(
+        deferred) or draw(rng, count, deferred))
+    monkeypatch.setattr(cli, "desingularize", lambda cs, taus, tol: calls.append(
+        [c.dim for c in cs]) or desingularize_(cs, taus, tol))
+    monkeypatch.setattr(slope_mod, "slope_eval", lambda pair, z: evaluations.append(
+        pair.u_tau.shape) or slope_eval(pair, z))
+    assert cli._suite_desingularization(np.random.default_rng(104), 25, Tolerances())["pass"]
+    assert drawn == [True]
+    assert sum(map(len, calls)) == 25 and all(len(set(dims)) == 1 for dims in calls)
+    assert len({dims[0] for dims in calls}) == len(calls) > 1
+    assert sum(count for count, _ in evaluations) == 25
+    assert len({dim for _, dim in evaluations}) == len(evaluations) > 1
