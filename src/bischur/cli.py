@@ -483,6 +483,8 @@ def _representation(args, tol, report) -> int:
     value_gap = abs(infinity.value - rep.b) if infinity.value is not None else None
     report["rep"] = rep_to_json(rep)
     report["generalized"] = generalized_to_json(g)
+    if g.notes:
+        report["generalized"]["notes"] = list(g.notes)
     report["carapoint_at_infinity"] = at_infinity = {
         "finite": infinity.finite,
         "limit": infinity.limit,
@@ -620,6 +622,7 @@ def _suite_desingularization(rng, n, tol):
     # of the models of each dimension from one evaluation
     gs = _grouped([c.dim for c in cs], lambda group: desingularize(
         [cs[i] for i in group], [drawn[i][1] for i in group], tol))
+    notes = [f"colligation {i}: {note}" for i, g in enumerate(gs) for note in g.notes]
     h1s = _grouped([g.dim for g in gs], lambda group: slope_mod.slope_eval(
         _stack(slope_mod.SlopePair, [(gs[i].Y, gs[i].u_tau) for i in group],
                np.arange(len(group))), np.ones(len(group))).real.tolist())
@@ -663,6 +666,8 @@ def _suite_desingularization(rng, n, tol):
         suite["slope_liminf"] = None
         suite["reason"] = (f"the Julia liminf did not converge for "
                            f"{unconverged} of {n} colligations")
+    if notes:
+        suite["notes"] = notes
     return suite
 
 

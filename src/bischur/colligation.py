@@ -32,7 +32,7 @@ from .errors import (
     NotAnIsometryError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import as_point, as_points, require_interior, to_stack
+from .points import as_point, as_points, require_interior
 
 __all__ = [
     "Colligation",
@@ -133,16 +133,14 @@ def _realize(r, lam, tol: Tolerances):
     single realization is that stack broadcast to every point, and each
     point's digits are the same either way.
     """
-    l1, l2, single = to_stack(require_interior(lam))
+    l1, l2, single = require_interior(lam)
     T, I_lam = r._feedback(l1, l2, tol)
     u = linalg.guarded_solve(np.eye(r.dim) - T @ I_lam, r.gamma[..., None], (l1, l2),
                              tol.solve_cond_max)[..., 0]
     # einsum, not matmul: a point's digits must not depend on the stack size
     Iu = np.einsum("kij,kj->ki", I_lam, u)
-    phi = r.a + np.einsum("kn,kn->k" if r.beta.ndim > 1 else "kn,n->k", Iu, r.beta.conj())
-    if single:
-        return complex(phi[0]), u[0], Iu[0]
-    return phi, u, Iu
+    phi = r.a + np.einsum("...n,...n->...", Iu, r.beta.conj())
+    return (complex(phi[0]), u[0], Iu[0]) if single else (phi, u, Iu)
 
 
 def _stack(kind, values, rows):
@@ -184,16 +182,16 @@ def model_residual(r, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES):
     of realizations (see ``_realize``) with one row per point of lam and
     then one per point of mu.
     """
-    l1, l2 = as_points(lam)
-    m1, m2 = as_points(mu)
-    if np.shape(l1) != np.shape(m1):
+    l1, l2, single = as_points(lam)
+    m1, m2, single_mu = as_points(mu)
+    if l1.shape != m1.shape or single != single_mu:
         raise InvalidInputError("lam and mu must be two points or two stacks of one length")
-    k = np.size(l1)
+    k = l1.size
     phi, u, Iu = _realize(r, (np.append(l1, m1), np.append(l2, m2)), tol)
     lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
     rhs = (u[k:].conj() * u[:k]).sum(-1) - (Iu[k:].conj() * Iu[:k]).sum(-1)
     residual = abs(lhs - rhs)
-    return residual if isinstance(l1, np.ndarray) else float(residual[0])
+    return float(residual[0]) if single else residual
 
 
 def unitary_extension(domain_vecs, range_vecs,

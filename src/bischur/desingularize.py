@@ -28,7 +28,6 @@ are comparable across runs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from .errors import (
     UseLimitError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances, _adjoint, _apply, _norms
-from .points import as_points, require_interior, require_torus, to_stack
+from .points import as_points, require_interior, require_torus
 
 __all__ = [
     "GeneralizedRealization",
@@ -122,8 +121,8 @@ def desingularize(c, tau, tol: Tolerances = DEFAULT_TOLERANCES):
 
     Raises PreconditionError when tau is not a carapoint (gamma outside
     ran(1 - D tau)); a group raises what its first such member raises
-    alone.  A model whose kernel split is ill-determined carries a note,
-    which is also issued as a warning, one per member.
+    alone.  A model whose kernel split is ill-determined carries a note on
+    ``notes``.
     """
     single = isinstance(c, Colligation)
     cs, taus = ([c], [tau]) if single else (list(c), list(tau))
@@ -146,12 +145,8 @@ def desingularize(c, tau, tol: Tolerances = DEFAULT_TOLERANCES):
             f"{tuple(map(complex, taus[exc.member]))} is not a carapoint: {exc}"
         ) from exc
 
-    notes = []
-    for s in near:
-        notes.append((f"singular values {s} sit just above the rank cutoff; "
-                      "the kernel split may be ill-determined",) if s.size else ())
-        if s.size:
-            warnings.warn(notes[-1][0], stacklevel=2)
+    notes = [(f"singular values {s} sit just above the rank cutoff; "
+              "the kernel split may be ill-determined",) if s.size else () for s in near]
     models = [None] * len(cs)
     for rank, members, at in linalg._rank_groups(ranks):
         if rank == n:
@@ -227,7 +222,7 @@ def eval_I(g: GeneralizedRealization, lam, tol: Tolerances = DEFAULT_TOLERANCES)
     Defined whenever 1 is outside the spectrum of t1 (1 - Y) + t2 Y; on the
     torus this holds exactly when lam_1 != tau_1 and lam_2 != tau_2.
     """
-    l1, l2, single = to_stack(as_points(lam))
+    l1, l2, single = as_points(lam)
     I_lam = _inner_matrix(g.Y, g.tau, l1, l2, tol)
     return I_lam[0] if single else I_lam
 
@@ -258,7 +253,10 @@ def quadrature_log_check(nodes: int, lam) -> tuple[complex, complex, float]:
     """
     if nodes < 2:
         raise InvalidInputError("at least two quadrature nodes are required")
-    l1, l2 = require_interior(lam)
+    l1, l2, single = require_interior(lam)
+    if not single:
+        raise InvalidInputError("quadrature_log_check takes one interior point, not a stack")
+    l1, l2 = complex(l1[0]), complex(l2[0])
     if abs(l1 - l2) < 1e-12:
         raise UseLimitError(
             "the closed form degenerates on the diagonal lam1 = lam2"

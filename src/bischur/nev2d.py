@@ -38,7 +38,7 @@ from .linalg import (
     guarded_solve,
     structure_check,
 )
-from .points import any_true, as_complex, as_point, as_points, require_upper_half_plane, to_stack
+from .points import as_point, as_points, as_values, require_upper_half_plane
 
 __all__ = [
     "TwoVarNevRep",
@@ -95,13 +95,12 @@ def eval_h2(rep: TwoVarNevRep, z, tol: Tolerances = DEFAULT_TOLERANCES):
     stack of points, solved at once by ``guarded_solve`` at
     ``tol.solve_cond_max``.  ``rep`` may also be a stack of representations
     of one dimension with one row per point (see ``colligation._stack``)."""
-    z1, z2, single = to_stack(require_upper_half_plane(z))
+    z1, z2, single = require_upper_half_plane(z)
     T = (rep.B + z1[:, None, None] * rep.Y
          + z2[:, None, None] * (np.eye(rep.dim) - rep.Y))
     # einsum, not matmul: a point's digits must not depend on the stack size
     x = guarded_solve(T, rep.alpha[..., None], (z1, z2), tol.solve_cond_max)[..., 0]
-    h = rep.b - np.einsum("kn,kn->k" if rep.alpha.ndim > 1 else "kn,n->k",
-                          x, rep.alpha.conj())
+    h = rep.b - np.einsum("...n,...n->...", x, rep.alpha.conj())
     return complex(h[0]) if single else h
 
 
@@ -164,29 +163,35 @@ def carapoint_at_infinity(h, count=None):
 def to_halfplane(lam):
     """Coordinatewise Cayley map z_j = i (1 + lam_j)/(1 - lam_j), at a point
     or a stack of points."""
-    return tuple(map(pick_value_from_schur, as_points(lam)))
+    l1, l2, single = as_points(lam)
+    z = pick_value_from_schur(l1), pick_value_from_schur(l2)
+    return tuple(complex(v[0]) for v in z) if single else z
 
 
 def to_bidisc(z):
     """Inverse coordinatewise Cayley map lam_j = (z_j - i)/(z_j + i), at a
     point or a stack of points."""
-    return tuple(map(schur_value_from_pick, as_points(z)))
+    z1, z2, single = as_points(z)
+    lam = schur_value_from_pick(z1), schur_value_from_pick(z2)
+    return tuple(complex(v[0]) for v in lam) if single else lam
 
 
 def pick_value_from_schur(w):
     """i (1 + w)/(1 - w), at a value or an array of values."""
-    w = as_complex(w)
-    if any_true(w == 1.0):
+    w, single = as_values(w)
+    if (w == 1.0).any():
         raise DomainError("the value map is singular at 1")
-    return 1j * (1.0 + w) / (1.0 - w)
+    v = 1j * (1.0 + w) / (1.0 - w)
+    return complex(v[0]) if single else v
 
 
 def schur_value_from_pick(v):
     """(v - i)/(v + i), at a value or an array of values."""
-    v = as_complex(v)
-    if any_true(v == -1j):
+    v, single = as_values(v)
+    if (v == -1j).any():
         raise DomainError("the value map is singular at -i")
-    return (v - 1j) / (v + 1j)
+    w = (v - 1j) / (v + 1j)
+    return complex(w[0]) if single else w
 
 
 def rep_from_schur(g: GeneralizedRealization,

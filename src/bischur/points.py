@@ -1,8 +1,9 @@
 """Point validation for the bidisc, the torus and the upper half-plane.
 
-A point is a pair of complex scalars.  Where a function says it takes a
-stack of points, the pair may instead hold two equal-length 1-D arrays, the
-k-th point being (lam_1[k], lam_2[k]).
+A point is a pair of complex scalars, a stack of points a pair of 1-D arrays
+of one length, the k-th point being (lam_1[k], lam_2[k]).  The validators
+give a lone point (or value) as a stack of one and say it came alone, so
+every evaluator computes on a stack and unwraps a lone point at return.
 """
 
 from __future__ import annotations
@@ -29,68 +30,51 @@ def as_point(lam) -> tuple[complex, complex]:
 
 
 def as_points(lam):
-    """A point as ``as_point`` gives it, or a stack of points as a pair of
-    finite 1-D complex arrays of one length."""
+    """(l1, l2, single): a point or a stack of points as two finite 1-D
+    complex arrays of one length, a point as a stack of one, and whether
+    ``lam`` was one point."""
     try:
         l1, l2 = lam
     except (TypeError, ValueError):
         raise InvalidInputError("a point must be a pair of complex numbers") from None
-    if _is_scalar(l1) and _is_scalar(l2):
-        return as_point((l1, l2))
     l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
-    if l1.ndim != 1 or l1.shape != l2.shape:
+    single = l1.ndim == l2.ndim == 0
+    if not single and (l1.ndim != 1 or l1.shape != l2.shape):
         raise InvalidInputError("a stack of points must be two 1-D arrays of one length")
+    l1, l2 = np.atleast_1d(l1, l2)
     bad = first_point((l1, l2), ~(np.isfinite(l1) & np.isfinite(l2)))
     if bad is not None:
         raise InvalidInputError(f"point {bad} has a coordinate that is not finite")
-    return l1, l2
+    return l1, l2, single
 
 
-def _is_scalar(v) -> bool:
-    return isinstance(v, (complex, float, int)) or np.ndim(v) == 0
-
-
-def as_complex(v):
-    """A complex scalar, or a complex array for array input."""
-    return complex(v) if _is_scalar(v) else np.asarray(v, dtype=complex)
-
-
-def any_true(mask) -> bool:
-    """Whether a boolean, or a boolean array, holds anywhere."""
-    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+def as_values(z):
+    """(z, single): a complex value or an array of them as a finite complex
+    array, a lone value as an array of one, and whether ``z`` was one."""
+    z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise InvalidInputError(f"value {complex(z[~finite][0])} is not finite")
+    return np.atleast_1d(z), z.ndim == 0
 
 
 def first_point(lam, bad) -> tuple[complex, complex] | None:
-    """The first point of ``lam`` (a point or a stack) where the boolean
-    ``bad`` holds, or None when it holds nowhere."""
-    if not any_true(bad):
+    """The first point of the stack ``lam`` where the boolean array ``bad``
+    holds, or None when it holds nowhere."""
+    if not bad.any():
         return None
-    if not isinstance(bad, np.ndarray):
-        return tuple(map(complex, lam))
     k = int(np.argmax(bad))
     return complex(lam[0][k]), complex(lam[1][k])
 
 
-def to_stack(lam):
-    """(l1, l2, single): a point or stack already returned by ``as_points``
-    as two 1-D arrays, and whether it was a single point."""
-    l1, l2 = lam
-    if isinstance(l1, np.ndarray):
-        return l1, l2, False
-    return np.array([l1]), np.array([l2]), True
-
-
-def _sup(l1, l2):
-    return np.maximum(abs(l1), abs(l2)) if isinstance(l1, np.ndarray) else max(abs(l1), abs(l2))
-
-
 def require_interior(lam):
-    """A point or a stack of points of the open bidisc (see ``as_points``)."""
-    lam = as_points(lam)
-    outside = first_point(lam, _sup(*lam) >= 1.0)
+    """A point or a stack of points of the open bidisc, as ``as_points``
+    gives it."""
+    l1, l2, single = as_points(lam)
+    outside = first_point((l1, l2), np.maximum(abs(l1), abs(l2)) >= 1.0)
     if outside is not None:
         raise InvalidInputError(f"point {outside} is not in the open bidisc")
-    return lam
+    return l1, l2, single
 
 
 def to_circle(z: complex) -> complex:
@@ -109,9 +93,10 @@ def require_torus(tau) -> tuple[complex, complex]:
 
 
 def require_upper_half_plane(z):
-    """A point or a stack of points of the upper half-plane squared."""
-    z = as_points(z)
-    below = first_point(z, (z[0].imag <= 0) | (z[1].imag <= 0))
+    """A point or a stack of points of the upper half-plane squared, as
+    ``as_points`` gives it."""
+    z1, z2, single = as_points(z)
+    below = first_point((z1, z2), (z1.imag <= 0) | (z2.imag <= 0))
     if below is not None:
         raise InvalidInputError(f"point {below} is not in the open upper half-plane squared")
-    return z
+    return z1, z2, single

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._integrate import REL_TOL, adaptive_trapezoid
 from ._limits import refine_to_limit, stacked_samplers
-from .points import any_true, as_complex
+from .points import as_values
 from .errors import (
     InvalidInputError,
     NoLimitError,
@@ -126,26 +126,33 @@ def _pole(hit, z, loc, weight, what) -> PoleError:
     return PoleError(f"evaluation point {point} {what}={loc.flat[row]} in row {row}")
 
 
+def _unwrap(values, single):
+    """``values`` at an array of points, or for a lone point its value: a
+    complex, or one per row of a sequence of members."""
+    values = values[..., 0] if single else values
+    return complex(values) if values.ndim == 0 else values
+
+
 def h_from_measure(nu, z):
     """Evaluate - sum w / (1 - s + s z) off the cut (-inf, 0], at a point (a
     complex) or an array of points (an array of the same shape).  ``nu`` is
     a DiscreteMeasure01 or a sequence of them; a sequence gives one row per
     measure, of shape ``(len(nu), *z.shape)``, each row equal to that
-    measure's own call on the array ``z``, bit for bit."""
-    z = as_complex(z)
+    measure's own call on ``z``, bit for bit."""
+    z, single = as_values(z)
     if isinstance(nu, DiscreteMeasure01):
-        total, columns = 0.0 + 0.0j, nu.atoms
+        shape, columns = (), nu.atoms
     else:
-        shape, columns = _columns([m.atoms for m in nu], np.ndim(z))
-        total = np.zeros(shape[:1] + np.shape(z), dtype=complex)
+        shape, columns = _columns([m.atoms for m in nu], z.ndim)
+    total = np.zeros(shape[:1] + z.shape, dtype=complex)
     floor = 1e-14 * (1.0 + abs(z))
     for s, w in columns:
         den = 1.0 - s + s * z
         hit = abs(den) < floor
-        if any_true(hit):
+        if hit.any():
             raise _pole(hit, z, s, w, "hits the pole of the atom at s")
         total = total + w / den
-    return -total
+    return _unwrap(-total, single)
 
 
 def h_from_nevanlinna(nd, z):
@@ -154,21 +161,21 @@ def h_from_nevanlinna(nd, z):
     NevanlinnaData or a sequence of them, which gives one row per member as
     ``h_from_measure`` does.  Raises PoleError when any point coincides with
     an atom."""
-    z = as_complex(z)
+    z, single = as_values(z)
     if isinstance(nd, NevanlinnaData):
         total, columns = nd.c + nd.d * z, nd.atoms
     else:
-        shape, columns = _columns([x.atoms for x in nd], np.ndim(z))
+        shape, columns = _columns([x.atoms for x in nd], z.ndim)
         c = np.array([x.c for x in nd]).reshape(shape)
         total = c + np.array([x.d for x in nd]).reshape(shape) * z
     floor = 1e-14 * (1.0 + abs(z))
     for t, m in columns:
         den = t - z
         hit = abs(den) < floor
-        if any_true(hit):
+        if hit.any():
             raise _pole(hit, z, t, m, "coincides with the atom at t")
         total = total + m * (1.0 + t * z) / (math.pi * den)
-    return total
+    return _unwrap(total, single)
 
 
 def nevanlinna_from_measure(nu: DiscreteMeasure01) -> NevanlinnaData:

@@ -24,7 +24,7 @@ from . import boundary
 from ._limits import refine_to_limit, stacked_samplers
 from .errors import DomainError, InvalidInputError
 from .linalg import as_matrix, as_vector
-from .points import any_true, as_complex, as_point
+from .points import as_point, as_values, require_torus
 from .representations import DiscreteMeasure01
 
 __all__ = [
@@ -74,20 +74,16 @@ def slope_eval(pair: SlopePair, z):
     ``colligation._stack``) with z an array of k points, one row per point;
     each value is then what its pair gives alone, digit for digit.
     """
-    z = as_complex(z)
+    z, single = as_values(z)
     on_cut = (z.imag == 0.0) & (z.real <= 0.0)
-    if any_true(on_cut):
+    if on_cut.any():
         raise DomainError(f"slope functions are undefined on the cut (-inf, 0]; "
-                          f"got {np.extract(on_cut, z)[0]}")
-    eye = np.eye(pair.Y.shape[-1])
-    if pair.u_tau.ndim > 1:
-        M, subscripts = eye + (z - 1.0)[:, None, None] * pair.Y, "kn,kn->k"
-    else:
-        M, subscripts = eye + np.multiply.outer(z - 1.0, pair.Y), "...n,n->..."
+                          f"got {z[on_cut][0]}")
+    M = np.eye(pair.Y.shape[-1]) + (z - 1.0)[..., None, None] * pair.Y
     # einsum, not matmul: a point's digits must not depend on the stack size
-    h = -np.einsum(subscripts, np.linalg.solve(M, pair.u_tau[..., None])[..., 0],
+    h = -np.einsum("...n,...n->...", np.linalg.solve(M, pair.u_tau[..., None])[..., 0],
                    pair.u_tau.conj())
-    return complex(h) if isinstance(z, complex) else h
+    return complex(h[0]) if single else h
 
 
 def slope_measure(pair: SlopePair) -> DiscreteMeasure01:
@@ -105,14 +101,17 @@ def slope_measure(pair: SlopePair) -> DiscreteMeasure01:
     return DiscreteMeasure01(tuple((s, w) for s, w in atoms if w > 1e-14))
 
 
-def directional_derivative_analytic(phi_tau, tau, delta, h) -> complex:
-    """Directional derivative from the slope formula, with ``h`` the slope
-    function at tau (a callable on complex numbers, such as
-    ``partial(slope_eval, pair)``).  delta must point into the bidisc at
-    tau, as for an ``ApproachPath``."""
-    tau, delta = boundary._inward(tau, delta)
-    w1 = np.conj(tau[0]) * delta[0]
-    w2 = np.conj(tau[1]) * delta[1]
+def directional_derivative_analytic(phi_tau, tau, deltas, h) -> np.ndarray:
+    """Directional derivatives from the slope formula, one per direction of
+    the sequence ``deltas``, as a complex array.  ``h`` is the slope function
+    at tau, such as ``partial(slope_eval, pair)``; it is called once, on the
+    array of the directions' arguments conj(tau_2) delta_2 / (conj(tau_1)
+    delta_1).  Each delta must point into the bidisc at tau, as for an
+    ``ApproachPath``."""
+    tau = require_torus(tau)
+    d = np.array([boundary._inward(tau, delta)[1] for delta in deltas]).reshape(-1, 2)
+    w1 = np.conj(tau[0]) * d[:, 0]
+    w2 = np.conj(tau[1]) * d[:, 1]
     return complex(phi_tau) * w2 * h(w2 / w1)
 
 
@@ -155,9 +154,9 @@ def derivative_checks(phi, tau, phi_tau, deltas, h) -> list[dict]:
     to 1 + |analytic|) and whether the quotients ``converged``."""
     deltas = list(deltas)
     checks = []
-    for delta, (numeric, report) in zip(
-            deltas, directional_derivative_numeric(phi, tau, deltas, phi_tau)):
-        analytic = directional_derivative_analytic(phi_tau, tau, delta, h)
+    for delta, (numeric, report), analytic in zip(
+            deltas, directional_derivative_numeric(phi, tau, deltas, phi_tau),
+            directional_derivative_analytic(phi_tau, tau, deltas, h).tolist()):
         abs_err = abs(numeric - analytic)
         checks.append({"delta": (complex(delta[0]), complex(delta[1])),
                        "numeric": numeric, "analytic": analytic, "abs_err": abs_err,

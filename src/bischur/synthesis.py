@@ -35,8 +35,8 @@ from . import boundary, slope as slope_mod
 from .colligation import Colligation, eval_phi
 from .errors import InternalInconsistencyError, InvalidInputError, PoleError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import (TORUS_SLACK, any_true, as_points, first_point, require_interior,
-                     require_torus, to_circle)
+from .points import (TORUS_SLACK, as_points, first_point, require_interior, require_torus,
+                     to_circle)
 from .representations import DiscreteMeasure01, h_from_measure
 
 __all__ = [
@@ -76,28 +76,30 @@ def herglotz_component(s: float, lam):
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise InvalidInputError("the mixing parameter s must lie in [0, 1]")
-    l1, l2 = as_points(lam)
-    if any_true(l1 == 1.0) or any_true(l2 == 1.0):
+    l1, l2, single = as_points(lam)
+    if (l1 == 1.0).any() or (l2 == 1.0).any():
         raise PoleError("herglotz component has a pole where a coordinate equals 1")
     den = s * (1.0 + l1) / (1.0 - l1) + (1.0 - s) * (1.0 + l2) / (1.0 - l2)
     zero = first_point((l1, l2), den == 0)
     if zero is not None:
         raise PoleError(f"herglotz denominator vanishes at {zero}")
-    return 1.0 / den
+    f = 1.0 / den
+    return complex(f[0]) if single else f
 
 
 def _herglotz_sum(nu: DiscreteMeasure01, lam):
-    return sum((w * herglotz_component(s, lam) for s, w in nu.atoms), 0.0 + 0.0j)
+    return sum((w * herglotz_component(s, lam) for s, w in nu.atoms),
+               np.zeros(np.shape(lam[0]), dtype=complex))
 
 
 def synth_eval(syn: SynthesizedSchur, lam):
     """Evaluate the synthesized Schur function at an interior point (a
     complex), or at a stack of points (a complex array)."""
-    l1, l2 = require_interior(lam)
+    l1, l2, single = require_interior(lam)
     mu = (syn.tau[0].conjugate() * l1, syn.tau[1].conjugate() * l2)
     f = _herglotz_sum(syn.nu, mu)
     value = syn.omega * (1.0 - f) / (1.0 + f)
-    return value if isinstance(value, np.ndarray) else complex(value)
+    return complex(value[0]) if single else value
 
 
 # Interior points at which fit_colligation checks itself against synth_eval,

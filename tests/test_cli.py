@@ -3,6 +3,7 @@ import dataclasses
 import json
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,18 @@ class TestNevrep:
         assert {name: info[name] for name in fields} == fields
         assert not out.exists()
 
+    @pytest.mark.parametrize("rank_rel, noted", [(1e-10, False), (1e-3, True)])
+    def test_generalized_notes_only_a_rank_gap(self, capsys, three_atom_file, rank_rel,
+                                               noted):
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            code, report = run(capsys, "nevrep", three_atom_file, "--omega=-1", "--tolerances",
+                               json.dumps({"rank_rel": rank_rel}), "--no-timestamp")
+        assert code == 0 and not warned
+        notes = report["generalized"].get("notes", [])
+        assert ("notes" in report["generalized"]) == noted
+        assert all("sit just above the rank cutoff" in note for note in notes)
+
     def test_favourite_obstruction_exits_6(self, capsys, favourite_file):
         code, report = run(capsys, "nevrep", favourite_file, "--no-timestamp")
         assert code == 6
@@ -298,6 +311,19 @@ class TestVerify:
                            "--no-timestamp")
         assert code == 0
         assert report["suites"]["desingularization"]["slope_liminf"] < 1e-7
+
+    def test_rank_gap_notes_name_their_colligation(self, capsys):
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            code, report = run(capsys, "verify", "--random", "5", "--seed", "1", "--tolerances",
+                               '{"rank_rel": 0.01}', "--no-timestamp")
+        assert code == 0 and not warned
+        notes = report["suites"]["desingularization"]["notes"]
+        assert [note.split(":")[0] for note in notes] == ["colligation 0", "colligation 1"]
+        assert all("sit just above the rank cutoff" in note for note in notes)
+        # at default tolerances no model has a note, and the suite no notes key
+        code, report = run(capsys, "verify", "--random", "5", "--seed", "1", "--no-timestamp")
+        assert code == 0 and "notes" not in report["suites"]["desingularization"]
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_exits_2(self, capsys, count):

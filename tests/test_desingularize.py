@@ -11,6 +11,7 @@ from bischur import (
     DiscreteMeasure01,
     GeneralizedRealization,
     InternalInconsistencyError,
+    InvalidInputError,
     IllConditionedError,
     PreconditionError,
     SlopePair,
@@ -92,9 +93,11 @@ class TestDesingularize:
         c = Colligation(a=-(1 - eps), beta=[b, 0.0], gamma=[b, 0.0],
                         D=[[1 - eps, 0.0], [0.0, -1.0]], P1=np.eye(2))
         c.validate()
-        with pytest.warns(UserWarning):
+        # the note is kept on the model, not issued as a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             g = desingularize(c, CHI)
-        assert g.notes
+        assert len(g.notes) == 1 and "sit just above the rank cutoff" in g.notes[0]
         assert g.kernel_dim == 0
 
     def test_not_a_carapoint_raises(self):
@@ -411,3 +414,10 @@ class TestQuadratureLogCheck:
     def test_degenerate_diagonal(self):
         with pytest.raises(UseLimitError):
             quadrature_log_check(100, (0.5, 0.5))
+
+    @pytest.mark.parametrize("lam", [(np.array([0.5, 0.3]), np.array([-0.5, -0.3])),
+                                     (np.array([0.5]), np.array([-0.5]))],
+                             ids=["stack", "stack of one"])
+    def test_a_stack_is_refused(self, lam):
+        with pytest.raises(InvalidInputError, match="takes one interior point"):
+            quadrature_log_check(100, lam)

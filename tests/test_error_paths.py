@@ -1,6 +1,7 @@
 """Error contracts named by the operation signatures."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from bischur import (
     DiscreteMeasure01,
     DivergenceError,
     IllConditionedError,
+    InvalidInputError,
+    NevanlinnaData,
     NoLimitError,
     PoleError,
+    SlopePair,
     Tolerances,
     TwoVarNevRep,
     desingularize,
@@ -19,7 +23,12 @@ from bischur import (
     eval_I,
     eval_h2,
     eval_phi,
+    h_from_measure,
+    h_from_nevanlinna,
     herglotz_component,
+    pick_value_from_schur,
+    schur_value_from_pick,
+    slope_eval,
     stieltjes_recover,
 )
 from bischur import boundary, nev2d, representations
@@ -64,6 +73,24 @@ def test_inner_function_singular_at_the_carapoint(favourite_colligation):
 def test_herglotz_pole_on_the_distinguished_boundary():
     with pytest.raises(PoleError):
         herglotz_component(0.5, (1.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.5, -np.inf)], ids=str)
+@pytest.mark.parametrize("evaluate", [
+    partial(slope_eval, SlopePair(Y=[[0.5]], u_tau=[1.0])),
+    partial(h_from_measure, DiscreteMeasure01(((0.5, 1.0),))),
+    partial(h_from_nevanlinna, NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.0, 1.0),))),
+    pick_value_from_schur,
+    schur_value_from_pick,
+], ids=["slope_eval", "h_from_measure", "h_from_nevanlinna", "pick_value_from_schur",
+        "schur_value_from_pick"])
+def test_one_variable_evaluator_refuses_a_value_that_is_not_finite(evaluate, bad):
+    # as the two-variable evaluators refuse such a point, alone or in a stack
+    with pytest.raises(InvalidInputError, match=r"^value .* is not finite$"):
+        evaluate(bad)
+    with pytest.raises(InvalidInputError, match=r"^value .* is not finite$"):
+        evaluate(np.array([1j, 2.0, bad]))
 
 
 def test_eval_h2_near_real_boundary_is_ill_conditioned():

@@ -3,7 +3,6 @@ what its members give one by one, and a deferred draw gives the instances
 drawn one by one."""
 
 import math
-import warnings
 from dataclasses import fields
 from functools import partial
 
@@ -33,15 +32,20 @@ from bischur import (
     eval_phi_gen,
     h_from_measure,
     h_from_nevanlinna,
+    herglotz_component,
     model_liminf,
     model_residual,
     nevanlinna_from_measure,
     pick_check,
+    pick_value_from_schur,
     radial_liminf,
+    schur_value_from_pick,
     slope_eval,
     synth_eval,
+    to_bidisc,
+    to_halfplane,
 )
-from bischur import _limits, boundary, cli, nev2d, synthesis
+from bischur import _limits, boundary, cli, nev2d, slope, synthesis
 from bischur._integrate import adaptive_trapezoid
 from bischur._limits import refine_to_limit
 from bischur.boundary import _quotient
@@ -69,14 +73,6 @@ from conftest import CHI
 N_POINTS = 64
 
 
-def close(stacked, scalar):
-    """Stacked values within 1e-13 (1 + |value|) of the scalar ones."""
-    stacked, scalar = np.asarray(stacked), np.asarray(scalar)
-    scale = 1.0 + np.abs(scalar).reshape(scalar.shape[0], -1).max(axis=1)
-    gap = np.abs(stacked - scalar).reshape(scalar.shape[0], -1).max(axis=1)
-    return bool(np.all(gap <= 1e-13 * scale))
-
-
 def bidisc_stack(rng, n=N_POINTS):
     """n interior points; every fourth one lies 1e-8 inside the torus."""
     radius = 0.95 * np.sqrt(rng.uniform(size=(2, n)))
@@ -96,8 +92,8 @@ def test_colligation_stack_matches_points(dim):
     lam, mu = bidisc_stack(rng), bidisc_stack(rng)
     # phi's digits at a point do not depend on the size of its stack
     assert np.array_equal(eval_phi(c, lam), [eval_phi(c, p) for p in points_of(lam)])
-    assert close(model_residual(c, lam, mu),
-                 [model_residual(c, p, q) for p, q in zip(points_of(lam), points_of(mu))])
+    assert np.array_equal(model_residual(c, lam, mu), [
+        model_residual(c, p, q) for p, q in zip(points_of(lam), points_of(mu))])
 
 
 def test_generalized_stack_matches_points():
@@ -109,8 +105,8 @@ def test_generalized_stack_matches_points():
         g = desingularize(c, tau)
         lam = bidisc_stack(rng)
         points = points_of(lam)
-        assert close(eval_phi_gen(g, lam), [eval_phi_gen(g, p) for p in points])
-        assert close(eval_I(g, lam), [eval_I(g, p) for p in points])
+        assert np.array_equal(eval_phi_gen(g, lam), [eval_phi_gen(g, p) for p in points])
+        assert np.array_equal(eval_I(g, lam), [eval_I(g, p) for p in points])
 
 
 def test_h2_stack_matches_points():
@@ -139,7 +135,29 @@ def test_synth_stack_matches_points(atoms):
     nu = DiscreteMeasure01(tuple(zip(rng.uniform(size=atoms), rng.uniform(0.1, 2.0, atoms))))
     syn = SynthesizedSchur(nu, tau=random_torus_point(rng), omega=np.exp(1j * rng.uniform(0, 6)))
     lam = bidisc_stack(rng)
-    assert close(synth_eval(syn, lam), [synth_eval(syn, p) for p in points_of(lam)])
+    points = points_of(lam)
+    assert np.array_equal(synth_eval(syn, lam), [synth_eval(syn, p) for p in points])
+    for s, _ in nu.atoms:
+        assert np.array_equal(herglotz_component(s, lam),
+                              [herglotz_component(s, p) for p in points])
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 5, 12, 30])
+def test_one_variable_stack_matches_points(atoms):
+    rng = np.random.default_rng(735 + atoms)
+    nu = DiscreteMeasure01(tuple(zip(rng.uniform(0.01, 0.99, atoms),
+                                     rng.uniform(0.1, 2.0, atoms))))
+    upper = np.concatenate([random_upper_points(rng, (N_POINTS,)), rng.uniform(0.01, 9, 16)])
+    disc = np.concatenate(bidisc_stack(rng))
+    # a value's digits do not depend on the size of its array
+    for evaluate, z in ((partial(h_from_measure, nu), upper),
+                        (partial(h_from_nevanlinna, nevanlinna_from_measure(nu)), upper),
+                        (pick_value_from_schur, disc), (schur_value_from_pick, upper)):
+        assert np.array_equal(evaluate(z), [evaluate(w) for w in z])
+    lam = bidisc_stack(rng)
+    z = to_halfplane(lam)
+    assert np.array_equal(np.transpose(z), [to_halfplane(p) for p in points_of(lam)])
+    assert np.array_equal(np.transpose(to_bidisc(z)), [to_bidisc(p) for p in points_of(z)])
 
 
 @pytest.mark.parametrize("a, b", [(-4.0, 0.5), (-2.0, 0.0), (-1.001, 0.5), (-3.0, -1.0001)])
@@ -385,6 +403,25 @@ def test_derivative_checks_make_one_call(favourite_colligation, monkeypatch):
                                     np.random.default_rng(3), 4, Tolerances())
     assert len(calls) == 1 and calls[0] <= 4 * 24
     assert len(checks) == 4 and all(check["converged"] for check in checks)
+
+
+def test_derivative_checks_call_h_once(favourite_colligation, monkeypatch):
+    g = desingularize(favourite_colligation, CHI)
+    calls = []
+    monkeypatch.setattr(slope, "slope_eval",
+                        lambda pair, z: calls.append(z.shape) or slope_eval(pair, z))
+    checks = cli._derivative_checks(favourite_colligation, CHI, g.a + g.u_tau @ g.beta.conj(),
+                                    SlopePair.from_realization(g),
+                                    np.random.default_rng(3), 4, Tolerances())
+    assert calls == [(4,)] and len(checks) == 4
+    # synth --verify's six directions: one call of the measure's h
+    syn = SynthesizedSchur(DiscreteMeasure01(((0.3, 1.0), (0.8, 0.5))), tau=(1j, -1.0),
+                           omega=-1.0)
+    calls.clear()
+    monkeypatch.setattr(synthesis, "h_from_measure",
+                        lambda nu, z: calls.append(z.shape) or h_from_measure(nu, z))
+    assert synthesis.verify_slope(syn, cli._verify_directions(syn.tau))["pass"]
+    assert calls == [(6,)]
 
 
 def test_synth_verification_makes_one_call_per_check(monkeypatch):
@@ -634,15 +671,11 @@ def bits(g):
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_desingularize_of_a_group_is_each_alone(dim):
     cs, taus = desingularization_group(dim)
-    with warnings.catch_warnings(record=True) as warned_alone:
-        warnings.simplefilter("always")
-        alone = [desingularize(c, tau) for c, tau in zip(cs, taus)]
-    with warnings.catch_warnings(record=True) as warned_together:
-        warnings.simplefilter("always")
-        together = desingularize(cs, taus)
+    alone = [desingularize(c, tau) for c, tau in zip(cs, taus)]
+    together = desingularize(cs, taus)
+    # every field, notes included
     assert [bits(g) for g in together] == [bits(g) for g in alone]
-    assert [str(w.message) for w in warned_together] == [str(w.message) for w in warned_alone]
-    assert len(warned_alone) == (dim == 2)
+    assert sum(len(g.notes) for g in alone) == (dim == 2)
     assert sorted({g.kernel_dim for g in alone}) == list(range(min(dim, 3)))
 
 

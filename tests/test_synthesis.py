@@ -141,6 +141,7 @@ class TestFitColligation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             g = desingularize(fit_colligation(syn), tau)
+        assert g.notes == ()
         assert g.kernel_dim == len(nu.atoms)
         pair = SlopePair.from_realization(g)
         for z in (1.0, 0.3, 2.5, 1j, 1 + 1j, 3 - 0.5j, 0.07, 12.0, 0.4 + 2j, 5j):
