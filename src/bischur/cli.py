@@ -44,7 +44,6 @@ from .errors import (
     SchemaError,
 )
 from .generate import (
-    _blocks_accepted,
     _colligation,
     _kernel_colligation,
     _nev_rep,
@@ -517,13 +516,14 @@ def _representation(args, tol, report) -> int:
 # one stack of realizations, one row per point.  The dimensions come in the
 # order of their first instance and the rows in instance order, so a refusal
 # names the first refused point of the first instance it meets.  The
-# desingularization suite draws each colligation's block unchecked and
-# decides every block's acceptance at once; if one is rejected it draws the
-# suite again from its starting state with the resampling loop.  It then
-# desingularizes the colligations of one dimension in one call and takes
-# h(1) of the models of one dimension from one evaluation.  The measures
-# suite has no dimensions: it evaluates all its measures in one call per
-# encoding, one row per measure, and checks the rows with one pick_check.
+# desingularization suite builds its colligations once all are drawn, each
+# turning its block by the phase that keeps 1 out of the block's spectrum
+# (see ``generate._kernel_colligation``), so no value drawn changes what is
+# drawn next.  It desingularizes the colligations of one dimension in one
+# call and takes h(1) of the models of one dimension from one evaluation.
+# The measures suite has no dimensions: it evaluates all its measures in one
+# call per encoding, one row per measure, and checks the rows with one
+# pick_check.
 
 
 # The instances whose limits are sampled together: runs of at most this many
@@ -594,34 +594,19 @@ def _suite_colligations(rng, n, tol):
     }
 
 
-def _kernel_instances(rng, n, deferred):
-    """Draw the desingularization suite's n instances, each as (ambient
-    dimension, tau, build, block gap, pairs, torus points); see
-    ``generate._kernel_colligation`` for ``deferred``."""
+def _suite_desingularization(rng, n, tol):
     unitaries = _Unitaries()
     drawn = []
     for _ in range(n):
         tau = tuple(np.ravel(random_torus_points(rng, 1)))
         n_model, kernel_dim = int(rng.integers(2, 5)), int(rng.integers(1, 3))
-        build, gap = _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries, deferred)
-        drawn.append((n_model + kernel_dim, tau, build, gap, _pair_stacks(rng, 3),
-                      random_torus_points(rng, 3)))
-    return drawn
-
-
-def _suite_desingularization(rng, n, tol):
-    start = rng.bit_generator.state
-    drawn = _kernel_instances(rng, n, deferred=True)
-    if not _blocks_accepted([gap for _, _, _, gap, _, _ in drawn]):
-        # random_colligation_with_kernel would draw a block again: so does
-        # the suite, from where it started
-        rng.bit_generator.state = start
-        drawn = _kernel_instances(rng, n, deferred=False)
-    cs = [build() for _, _, build, _, _, _ in drawn]
+        drawn.append((tau, _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries),
+                      _pair_stacks(rng, 3), random_torus_points(rng, 3)))
+    cs = [build() for _, build, _, _ in drawn]
     # one desingularization of the colligations of each dimension, and h(1)
     # of the models of each dimension from one evaluation
     gs = _grouped([c.dim for c in cs], lambda group: desingularize(
-        [cs[i] for i in group], [drawn[i][1] for i in group], tol))
+        [cs[i] for i in group], [drawn[i][0] for i in group], tol))
     notes = [f"colligation {i}: {note}" for i, g in enumerate(gs) for note in g.notes]
     h1s = _grouped([g.dim for g in gs], lambda group: slope_mod.slope_eval(
         _stack(slope_mod.SlopePair, [(gs[i].Y, gs[i].u_tau) for i in group],
@@ -631,7 +616,7 @@ def _suite_desingularization(rng, n, tol):
     unconverged = 0
     shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
     dims, records, instances = [], [], []
-    for c, g, h1, (_, tau, _, _, pairs, torus) in zip(cs, gs, h1s, drawn):
+    for c, g, h1, (tau, _, pairs, torus) in zip(cs, gs, h1s, drawn):
         instances.append((c, tau, h1))
         dims.append(g.dim)
         records.append(((g.a, g.beta, g.gamma, g.Q, g.Y, g.tau), pairs,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cache, partial
-
 import numpy as np
 
 from .colligation import Colligation
@@ -29,9 +27,8 @@ __all__ = [
 ]
 
 MAX_ATOMS = 4  # most atoms of a random_measure
-# random_colligation_with_kernel draws its block again until the smallest
-# singular value of 1 - D0 pencil0 exceeds this, so that 1 stays safely out
-# of the block's spectrum
+# the smallest singular value of 1 - c D0 pencil0 must exceed this for the
+# phase c that random_colligation_with_kernel gives its block
 BLOCK_SIGMA_MIN = 1e-3
 
 
@@ -71,10 +68,13 @@ def random_colligation_with_kernel(rng: np.random.Generator, n_model: int,
     A block of the prescribed size is decoupled from the scalar channel and
     made to act as the inverse of the coordinate pencil there, then the whole
     datum is conjugated by a random unitary so the kernel sits in generic
-    position.  The remaining block is resampled until it keeps 1 safely out
-    of its spectrum.
+    position.  The rows of the remaining block's unitary L0 below the first
+    (gamma0 and D0) are multiplied by the first phase c of 1.0, 1j, -1.0,
+    -1j for which 1 - c D0 pencil0 keeps its smallest singular value above
+    BLOCK_SIGMA_MIN, so that 1 stays safely out of the block's spectrum.
+    This keeps L0 unitary, and 1.0 leaves it as drawn.
     """
-    return _kernel_colligation(rng, n_model, kernel_dim, tau, _Unitaries())[0]()
+    return _kernel_colligation(rng, n_model, kernel_dim, tau, _Unitaries())()
 
 
 def random_measure(rng: np.random.Generator) -> DiscreteMeasure01:
@@ -96,12 +96,12 @@ def random_nev_rep(rng: np.random.Generator, dim: int) -> TwoVarNevRep:
 # ``_nev_rep`` read the stream as the random_* function of their name does
 # and return a function that builds the instance later.  Their unitaries wait
 # in one ``_Unitaries``, so the QRs of many instances are taken in one
-# stacked call per size, with the same digits.  A deferred
-# ``_kernel_colligation`` leaves its resampling test for later too:
-# ``_blocks_accepted`` decides the tests of many draws with one stacked SVD
-# per size.  The ``verify`` suites draw every instance and its points this
-# way first, then evaluate all instances of one dimension as one stack of
-# realizations, one row per point (see ``colligation._stack``).
+# stacked call per size, with the same digits.  No draw reads the stream
+# according to the values it drew: ``_kernel_colligation`` chooses its
+# block's phase when it builds.  The ``verify`` suites draw every instance
+# and its points this way first, then evaluate all instances of one
+# dimension as one stack of realizations, one row per point (see
+# ``colligation._stack``).
 
 
 class _Unitaries:
@@ -159,28 +159,16 @@ def _colligation(rng, n, unitaries: _Unitaries):
     return build
 
 
-def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries,
-                        deferred=False):
-    """Draw what random_colligation_with_kernel draws, in its order; return
-    the function that builds the Colligation and the function that gives
-    its block's 1 - D0 pencil0.  The resampling loop checks each drawn
-    block at once, so it takes their QRs eagerly.  A ``deferred`` draw keeps
-    its first block unchecked, with its QRs waiting: it is
-    random_colligation_with_kernel's draw exactly when ``_blocks_accepted``
-    passes that block."""
+def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries):
+    """Draw what random_colligation_with_kernel draws, in its order (L0, the
+    model projection, the kernel projection or its bit, W); return the
+    function that builds the Colligation."""
     tau = require_torus(tau)
     if n_model < 1 or kernel_dim < 1:
         raise InvalidInputError("model and kernel dimensions must be positive")
     n = n_model + kernel_dim
-    for _ in range(64):
-        L0 = unitaries.draw(rng, n_model + 1)
-        # built once for both the block's test and the colligation
-        P1_model = cache(_projection(rng, n_model, unitaries))
-        gap = partial(_block_gap, L0, P1_model, tau)
-        if deferred or _blocks_accepted([gap]):
-            break
-    else:
-        raise InvalidInputError("failed to draw a block with 1 outside its spectrum")
+    L0 = unitaries.draw(rng, n_model + 1)
+    P1_model = _projection(rng, n_model, unitaries)
     if kernel_dim > 1:
         P1_kernel = _projection(rng, kernel_dim, unitaries)
     else:
@@ -192,15 +180,22 @@ def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries,
 
     def build():
         l0, p1_model, p1_kernel, w = L0(), P1_model(), P1_kernel(), W()
+        eye = np.eye(n_model)
+        A = l0[1:, 1:] @ (tau[0] * p1_model + tau[1] * (eye - p1_model))
+        for c in (1.0, 1j, -1.0, -1j):
+            if np.linalg.svd(eye - c * A, compute_uv=False)[-1] > BLOCK_SIGMA_MIN:
+                break
+        else:
+            raise InvalidInputError("no phase keeps 1 outside the block's spectrum")
         V = np.conj(tau[0]) * p1_kernel + np.conj(tau[1]) * (np.eye(kernel_dim) - p1_kernel)
         D = np.zeros((n, n), dtype=complex)
-        D[:n_model, :n_model] = l0[1:, 1:]
+        D[:n_model, :n_model] = c * l0[1:, 1:]
         D[n_model:, n_model:] = V
         P1 = np.zeros((n, n), dtype=complex)
         P1[:n_model, :n_model] = p1_model
         P1[n_model:, n_model:] = p1_kernel
         beta = np.concatenate([l0[0, 1:].conj(), np.zeros(kernel_dim)])
-        gamma = np.concatenate([l0[1:, 0], np.zeros(kernel_dim)])
+        gamma = np.concatenate([c * l0[1:, 0], np.zeros(kernel_dim)])
         return Colligation(
             a=l0[0, 0],
             beta=w @ beta,
@@ -208,27 +203,7 @@ def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries,
             D=w @ D @ w.conj().T,
             P1=w @ P1 @ w.conj().T,
         )
-    return build, gap
-
-
-def _block_gap(L0, P1_model, tau):
-    """1 - D0 pencil0 of a drawn block, from the handles of its unitary and
-    projection."""
-    p1 = P1_model()
-    eye = np.eye(len(p1))
-    return eye - L0()[1:, 1:] @ (tau[0] * p1 + tau[1] * (eye - p1))
-
-
-def _blocks_accepted(gaps) -> bool:
-    """Whether the smallest singular value of every block's 1 - D0 pencil0
-    (a function, as ``_kernel_colligation`` returns it) exceeds
-    BLOCK_SIGMA_MIN, from one stacked SVD per size."""
-    gaps = [gap() for gap in gaps]
-    for n in dict.fromkeys(len(g) for g in gaps):
-        s = np.linalg.svd(np.array([g for g in gaps if len(g) == n]), compute_uv=False)
-        if not (s[:, -1] > BLOCK_SIGMA_MIN).all():
-            return False
-    return True
+    return build
 
 
 def _nev_rep(rng, dim, unitaries: _Unitaries):

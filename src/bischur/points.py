@@ -23,7 +23,10 @@ def as_point(lam) -> tuple[complex, complex]:
         l1, l2 = lam
     except (TypeError, ValueError):
         raise InvalidInputError("a point must be a pair of complex numbers") from None
-    l1, l2 = complex(l1), complex(l2)
+    try:
+        l1, l2 = complex(l1), complex(l2)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"point {lam!r} has a coordinate that is not a number") from None
     if not (cmath.isfinite(l1) and cmath.isfinite(l2)):
         raise InvalidInputError(f"point {(l1, l2)} has a coordinate that is not finite")
     return l1, l2
@@ -37,7 +40,11 @@ def as_points(lam):
         l1, l2 = lam
     except (TypeError, ValueError):
         raise InvalidInputError("a point must be a pair of complex numbers") from None
-    l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+    try:
+        l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInputError("a coordinate of a point is not a number or an array of "
+                                "numbers") from None
     single = l1.ndim == l2.ndim == 0
     if not single and (l1.ndim != 1 or l1.shape != l2.shape):
         raise InvalidInputError("a stack of points must be two 1-D arrays of one length")
@@ -51,7 +58,10 @@ def as_points(lam):
 def as_values(z):
     """(z, single): a complex value or an array of them as a finite complex
     array, a lone value as an array of one, and whether ``z`` was one."""
-    z = np.asarray(z, dtype=complex)
+    try:
+        z = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"value {z!r} is not a number or an array of numbers") from None
     finite = np.isfinite(z)
     if not finite.all():
         raise InvalidInputError(f"value {complex(z[~finite][0])} is not finite")

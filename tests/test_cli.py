@@ -595,6 +595,16 @@ def perturbed_infinity(field):
     return mutate
 
 
+def flipped_beta(monkeypatch):
+    """A mutation: desingularize with the sign of its model's beta flipped."""
+    real = cli.desingularize
+
+    def wrong(*args):
+        g = real(*args)
+        return dataclasses.replace(g, beta=-g.beta)
+    monkeypatch.setattr(cli, "desingularize", wrong)
+
+
 class TestMutations:
     """A wrong formula fails every command it reaches, with a reason."""
 
@@ -604,8 +614,9 @@ class TestMutations:
          {"analyze": 4, "synth --verify": 5}),
         (perturbed_infinity("limit"), {"nevrep": 4}),
         (perturbed_infinity("value"), {"nevrep": 4}),
+        (flipped_beta, {"analyze": 4, "nevrep": 4}),
     ], ids=["slope_eval", "directional_derivative_analytic", "infinity_limit",
-            "infinity_value"])
+            "infinity_value", "desingularize_beta"])
     def test_every_reached_command_fails(self, capsys, three_atom_file, tmp_path,
                                          monkeypatch, mutate, codes):
         c, out = tmp_path / "c.json", tmp_path / "rep.json"
@@ -621,11 +632,15 @@ class TestMutations:
         for name, argv in commands.items():
             code, report = run(capsys, *argv, "--no-timestamp")
             assert code == report["exit_code"] == codes.get(name, 0), name
-            if name == "analyze":
+            if name == "nevrep":
+                assert out.exists() == (code == 0)
+            if "error" in report:
+                # the command failed before it wrote its verification
+                reason = report["error"]["message"]
+            elif name == "analyze":
                 reason = report["verification"].get("reason")
             elif name == "nevrep":
                 reason = report["carapoint_at_infinity"].get("reason")
-                assert out.exists() == (code == 0)
             else:
                 failed = [check for check in report["verification"].values() if not check["pass"]]
                 assert all("reason" in check for check in failed)

@@ -30,6 +30,7 @@ from bischur import (
     schur_value_from_pick,
     slope_eval,
     stieltjes_recover,
+    to_bidisc,
 )
 from bischur import boundary, nev2d, representations
 from bischur.nev2d import InfinityCarapoint
@@ -91,6 +92,19 @@ def test_one_variable_evaluator_refuses_a_value_that_is_not_finite(evaluate, bad
         evaluate(bad)
     with pytest.raises(InvalidInputError, match=r"^value .* is not finite$"):
         evaluate(np.array([1j, 2.0, bad]))
+
+
+@pytest.mark.parametrize("evaluate, message", [
+    (lambda c: eval_phi(c, ("a", 0.1)), "coordinate of a point is not a number"),
+    (lambda c: slope_eval(SlopePair(Y=[[0.5]], u_tau=[1.0]), "x"), "'x' is not a number"),
+    (lambda c: h_from_measure(DiscreteMeasure01(((0.5, 1.0),)), "x"), "'x' is not a number"),
+    (lambda c: to_bidisc(("x", 1j)), "coordinate of a point is not a number"),
+], ids=["eval_phi", "slope_eval", "h_from_measure", "to_bidisc"])
+def test_a_coordinate_that_is_not_a_number_is_refused(favourite_colligation, evaluate,
+                                                      message):
+    # an input error, not the bare ValueError of complex() or np.asarray
+    with pytest.raises(InvalidInputError, match=message):
+        evaluate(favourite_colligation)
 
 
 def test_eval_h2_near_real_boundary_is_ill_conditioned():

@@ -45,7 +45,7 @@ from bischur import (
     to_bidisc,
     to_halfplane,
 )
-from bischur import _limits, boundary, cli, nev2d, slope, synthesis
+from bischur import _limits, boundary, cli, generate, nev2d, slope, synthesis
 from bischur._integrate import adaptive_trapezoid
 from bischur._limits import refine_to_limit
 from bischur.boundary import _quotient
@@ -557,7 +557,7 @@ def test_deferred_kernel_colligations_are_random_colligation_with_kernel(seed):
             for j, (m, k) in enumerate(shapes)]
 
     def deferred(r, u, arg):
-        build, _ = _kernel_colligation(r, *arg, u)
+        build = _kernel_colligation(r, *arg, u)
         return lambda: colligation_fields(build())
 
     same_instances(
@@ -566,6 +566,32 @@ def test_deferred_kernel_colligations_are_random_colligation_with_kernel(seed):
                                          for a in args]),
         lambda rng: eager_draws(rng, [partial(lambda a, r: colligation_fields(
             random_colligation_with_kernel(r, *a)), a) for a in args]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_kernel_colligation_reads_the_stream_alike_at_any_threshold(seed, monkeypatch):
+    # a block that fails at c = 1 is turned by a phase, not drawn again, so
+    # the draws of one seed read the same numbers at 1e-3 as at 0.2, where
+    # about one block in nine is turned
+    shapes = np.random.default_rng(1000 + seed).integers([2, 1], [5, 3], size=(30, 2)).tolist()
+    taus = [random_torus_point(np.random.default_rng(1100 + 30 * seed + j)) for j in range(30)]
+    states, draws = [], []
+    for sigma_min in (generate.BLOCK_SIGMA_MIN, 0.2):
+        monkeypatch.setattr(generate, "BLOCK_SIGMA_MIN", sigma_min)
+        rng = np.random.default_rng(seed)
+        draws.append([random_colligation_with_kernel(rng, m, k, tau)
+                      for (m, k), tau in zip(shapes, taus)])
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+    turned = [not np.array_equal(c.gamma, drawn.gamma) for drawn, c in zip(*draws)]
+    assert 0 < sum(turned) < len(turned)
+
+
+def test_a_block_no_phase_can_turn_is_refused(monkeypatch):
+    # sigma_min(1 - c D0 pencil0) <= 1 + ||D0 pencil0|| <= 2 for every phase c
+    monkeypatch.setattr(generate, "BLOCK_SIGMA_MIN", 3.0)
+    with pytest.raises(InvalidInputError, match="no phase keeps 1 outside the block's spectrum"):
+        random_colligation_with_kernel(np.random.default_rng(0), 3, 1, (1.0, 1j))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -212,36 +212,64 @@ def test_measures_are_evaluated_in_one_call_per_encoding(monkeypatch, n):
     assert sorted(calls) == ["h_from_measure", "h_from_nevanlinna", "pick_check"]
 
 
+def spied_builds(monkeypatch):
+    """The list that collects (kernel dimension, tau, colligation) of each
+    colligation the stacked desingularization suite builds, in build order."""
+    built, draw = [], cli._kernel_colligation
+
+    def spy(rng, n_model, kernel_dim, tau, unitaries):
+        build = draw(rng, n_model, kernel_dim, tau, unitaries)
+        return lambda: built.append((kernel_dim, tau, build())) or built[-1][-1]
+    monkeypatch.setattr(cli, "_kernel_colligation", spy)
+    return built
+
+
 @pytest.mark.parametrize("seed, n", [(1, 1), (4, 5), (104, 25)])
-def test_a_rejected_block_draws_the_suite_again_as_the_reference_does(seed, n, monkeypatch):
-    # at this threshold a first draw of each seed here is rejected: the suite
-    # goes back to the state it started from and draws with the resampling
-    # loop, as random_colligation_with_kernel does
-    monkeypatch.setattr(generate, "BLOCK_SIGMA_MIN", 0.2)
-    drawn, draw = [], cli._kernel_instances
-    monkeypatch.setattr(cli, "_kernel_instances", lambda rng, count, deferred: drawn.append(
-        deferred) or draw(rng, count, deferred))
-    stacked_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    tol = Tolerances()
-    assert cli._suite_desingularization(stacked_rng, n, tol) == suite_desingularization(
-        reference_rng, n, tol)
-    assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
-    assert drawn == [True, False]
+def test_a_block_that_fails_at_phase_one_is_turned_as_the_reference_does(seed, n, monkeypatch):
+    # at 0.2 some block of each seed here fails at c = 1: the suite turns it
+    # by a phase, as random_colligation_with_kernel does, and reads the
+    # stream as it does at the default threshold
+    built = spied_builds(monkeypatch)
+    tol, states = Tolerances(), []
+    for sigma_min in (generate.BLOCK_SIGMA_MIN, 0.2):
+        monkeypatch.setattr(generate, "BLOCK_SIGMA_MIN", sigma_min)
+        stacked_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert cli._suite_desingularization(stacked_rng, n, tol) == suite_desingularization(
+            reference_rng, n, tol)
+        assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
+        states.append(stacked_rng.bit_generator.state)
+    assert states[0] == states[1] and len(built) == 2 * n
+    phases = []
+    for (_, _, drawn), (kernel_dim, tau, turned) in zip(built[:n], built[n:]):
+        # only gamma0 and D0 turn: a, beta and P1 keep their bits
+        assert turned.a == drawn.a
+        assert np.array_equal(turned.beta, drawn.beta) and np.array_equal(turned.P1, drawn.P1)
+        gaps = {p: np.abs(turned.gamma - p * drawn.gamma).max() for p in (1.0, 1j, -1.0, -1j)}
+        phase = min(gaps, key=gaps.get)
+        assert gaps[phase] < 1e-14
+        assert (phase == 1.0) == (np.array_equal(turned.gamma, drawn.gamma)
+                                  and np.array_equal(turned.D, drawn.D))
+        phases.append(phase)
+        # 1 - D tau has the planted kernel and every other singular value
+        # above the threshold
+        eye, P1 = np.eye(turned.dim), turned.P1
+        s = np.linalg.svd(eye - turned.D @ (tau[0] * P1 + tau[1] * (eye - P1)), compute_uv=False)
+        assert s[-kernel_dim:].max() < 1e-12 and s[-kernel_dim - 1] > 0.2
+    assert any(phase != 1.0 for phase in phases)
 
 
 def test_desingularizations_are_one_call_per_dimension(monkeypatch):
     # one desingularize per ambient dimension and one h(1) evaluation per
-    # model dimension, from a first draw that needs no second
-    drawn, calls, evaluations = [], [], []
-    desingularize_, slope_eval, draw = cli.desingularize, slope_mod.slope_eval, cli._kernel_instances
-    monkeypatch.setattr(cli, "_kernel_instances", lambda rng, count, deferred: drawn.append(
-        deferred) or draw(rng, count, deferred))
+    # model dimension, each colligation drawn and built once
+    calls, evaluations = [], []
+    desingularize_, slope_eval = cli.desingularize, slope_mod.slope_eval
+    built = spied_builds(monkeypatch)
     monkeypatch.setattr(cli, "desingularize", lambda cs, taus, tol: calls.append(
         [c.dim for c in cs]) or desingularize_(cs, taus, tol))
     monkeypatch.setattr(slope_mod, "slope_eval", lambda pair, z: evaluations.append(
         pair.u_tau.shape) or slope_eval(pair, z))
     assert cli._suite_desingularization(np.random.default_rng(104), 25, Tolerances())["pass"]
-    assert drawn == [True]
+    assert len(built) == 25
     assert sum(map(len, calls)) == 25 and all(len(set(dims)) == 1 for dims in calls)
     assert len({dims[0] for dims in calls}) == len(calls) > 1
     assert sum(count for count, _ in evaluations) == 25
