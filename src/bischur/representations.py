@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import REL_TOL, adaptive_trapezoid
-from ._limits import refine_to_limit, stacked_samplers
+from ._integrate import REL_TOL, _level, adaptive_trapezoid
+from ._limits import refine_to_limit
 from .points import as_values
 from .errors import (
+    BischurError,
     InvalidInputError,
     NoLimitError,
     NotSlopeTypeError,
@@ -230,15 +231,17 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
     ``ys`` and extrapolates y -> 0, to ``10 * REL_TOL``.  Each integral is
     taken along a contour above the window, a+iy -> a+iY -> b+iY -> b+iy, by
     Gauss-Legendre rules that double until two agree within ``REL_TOL``.
-    ``h`` is called once per rule level for all unsettled ys of the window,
-    on a 1-D array of points with Im z >= ys[-1], and must return an array of
-    that shape (or a constant).  It may see points of ys the extrapolation never
-    reads; a BischurError raised there falls back to stacks of one y, any
-    other exception propagates.  For Nevanlinna data the limit is the window
-    mass of (1 + t^2) dmu(t), with half weight for atoms sitting on a window
-    endpoint.  Raises InvalidInputError before any call of ``h`` when a, b or
-    some y is not a finite real or ``ys`` is empty, and NoLimitError when an
-    integral or the sequence does not settle.
+    ``h`` is called on a 1-D array of points with Im z >= ys[-1] and must
+    return an array of that shape (or a constant): once on the first rule
+    level of all ys, sampling a shared top side once, then alone for each y
+    the extrapolation reads that has not settled, so it sees only first-level
+    points of unread ys.  A BischurError on the first call falls back to
+    stacks of one y, any other exception propagates.  For Nevanlinna data the
+    limit is the window mass of (1 + t^2) dmu(t), with half weight for atoms
+    on a window endpoint.  Raises InvalidInputError before any call of ``h``
+    when a, b or some y is not a finite real or ``ys`` is empty, or when h
+    returns another shape, and NoLimitError when an integral it reads or the
+    sequence does not settle.
     """
     ys = list(ys)
     if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (a, b, *ys)):
@@ -247,7 +250,11 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
         raise InvalidInputError("window must satisfy a < b")
     if not ys or any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be nonempty, positive and strictly decreasing")
-    sample = stacked_samplers(lambda seq, y: adaptive_trapezoid(h, a, b, y), [ys])[0]
+    try:
+        head, settled = _level(h, a, b, np.array(ys, dtype=float)[:, None], (16, 32))
+        sample = lambda k: head[k] if settled[k] else adaptive_trapezoid(h, a, b, ys[k])
+    except BischurError:  # stacks of one y
+        sample = lambda k: adaptive_trapezoid(h, a, b, ys[k])
     report = refine_to_limit(sample, ys, tol=10 * REL_TOL)
     if not report.converged:
         raise NoLimitError(

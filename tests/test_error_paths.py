@@ -65,6 +65,18 @@ def test_stieltjes_no_limit_with_starved_sequence():
         stieltjes_recover(lambda z: h_from_nevanlinna(nd, z), -2.0, 0.0, [0.2, 0.1])
 
 
+@pytest.mark.parametrize("returned, message", [
+    (lambda z: np.zeros(3), r"float64 values of shape \(3,\) where numbers of shape \(\d+,\)"),
+    (lambda z: np.zeros((2, z.size)),
+     r"float64 values of shape \(2, (\d+)\) where numbers of shape \(\1,\)"),
+    (lambda z: None, r"object values of shape \(\) where numbers of shape \(\d+,\)"),
+], ids=["too-few", "two-rows", "none"])
+def test_stieltjes_integrand_of_another_shape_is_refused(returned, message):
+    # an input error naming both shapes, not the bare error of np.broadcast_to
+    with pytest.raises(InvalidInputError, match="^h returned " + message):
+        stieltjes_recover(returned, -2.0, 0.0, [0.2, 0.1])
+
+
 def test_inner_function_singular_at_the_carapoint(favourite_colligation):
     g = desingularize(favourite_colligation, CHI)
     with pytest.raises(BoundarySingularityError):

@@ -225,14 +225,35 @@ class TestStieltjes:
         # Im z = 2e-3 the noise keeps every later y's rules from agreeing
         rng = np.random.default_rng(19)
 
-        def h(z):
+        def noisy(z):
             noise = rng.normal(size=z.shape) + 1j * rng.normal(size=z.shape)
             return h_from_nevanlinna(HALF_NEV, z) + np.where(z.imag < 2e-3, noise, 0.0)
 
+        h, calls = _recorded(noisy)
         ys = [0.1 * 2.0 ** -k for k in range(11)]
         with pytest.raises(NoLimitError):
             adaptive_trapezoid(h, -2.0, 0.0, ys[6])
-        assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
+        calls.clear()
+        # the unread ys cost only their first-level points: no rule of theirs
+        # is doubled (once 12 calls on 32 208 points)
+        assert stieltjes_recover(h, -2.0, 0.0, ys) == 6.2831850630461155
+        assert len(calls) == 1 and sum(z.size for z in calls) <= 1584
+
+    def test_a_non_finite_integral_is_not_doubled(self):
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        h, calls = _recorded(lambda z: np.full(z.shape, np.nan))
+        with pytest.raises(NoLimitError, match=r"at y = 0\.1 did not settle: it is nan with 32 "):
+            stieltjes_recover(h, -2.0, 0.0, ys)
+        # the first level of every y, then that of the y read alone (once 12
+        # calls on 73 152 points, doubling to the last rule)
+        assert [z.size for z in calls] == [1104, 144]
+        h, calls = _recorded(lambda z: np.where(z.imag < 2e-3, np.nan, 1.0))
+        with pytest.raises(NoLimitError, match=r"at y = 0\.001 did not settle: it is nan"):
+            adaptive_trapezoid(h, -2.0, 0.0, np.array([0.1, 0.01, 0.001]))
+        assert len(calls) == 1
+        # NaNs below the ys the extrapolation reads never raise
+        h = lambda z: np.where(z.imag < 2e-3, np.nan, h_from_nevanlinna(HALF_NEV, z))
+        assert stieltjes_recover(h, -2.0, 0.0, ys) == 6.2831850630461155
 
 
 class TestContourQuadrature:

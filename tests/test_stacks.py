@@ -160,13 +160,17 @@ def test_one_variable_stack_matches_points(atoms):
     assert np.array_equal(np.transpose(to_bidisc(z)), [to_bidisc(p) for p in points_of(z)])
 
 
-@pytest.mark.parametrize("a, b", [(-4.0, 0.5), (-2.0, 0.0), (-1.001, 0.5), (-3.0, -1.0001)])
+@pytest.mark.parametrize("a, b", [(-4.0, 0.5), (-2.0, 0.0), (-1.001, 0.5), (-3.0, -1.0001),
+                                  (-1.05, -0.95)])
 def test_window_integral_stack_matches_ys(a, b):
     h = partial(h_from_nevanlinna, NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.0, math.pi),)))
     ys = [0.1 * 2.0 ** -k for k in range(11)]   # acceptance criterion 05
-    # a y's integral does not depend on the stack it is taken in
-    assert np.array_equal(adaptive_trapezoid(h, a, b, np.array(ys)),
-                          [adaptive_trapezoid(h, a, b, y) for y in ys])
+    # a y's integral does not depend on the stack it is taken in, whether the
+    # ys share the top side Y = b - a or, on [-1.05, -0.95], the first has Y = 2y
+    stack = adaptive_trapezoid(h, a, b, np.array(ys))
+    assert np.array_equal(stack, [adaptive_trapezoid(h, a, b, y) for y in ys])
+    exact = [2.0 * (math.atan((b + 1.0) / y) + math.atan((-1.0 - a) / y)) for y in ys]
+    assert stack == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
