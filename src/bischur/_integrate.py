@@ -28,6 +28,10 @@ MAX_NODES = 1024  # Gauss-Legendre nodes per side of the last rule tried
 REL_TOL = 1e-6  # agreement of two successive rules, relative to sum |w_i h(z_i)|
 
 
+class _Refusal(InvalidInputError):
+    """h answered with values of another shape, or with values that are not numbers."""
+
+
 @cache
 def _gauss_legendre(*sizes):
     """Nodes and weights on [0, 1] of the n-point Gauss-Legendre rules, n in sizes, end to end."""
@@ -51,8 +55,8 @@ def _level(h, a, b, y, sizes, previous=None):
     try:
         hz = np.broadcast_to(hz.astype(complex, casting="same_kind", copy=False), points.shape)
     except (TypeError, ValueError):
-        raise InvalidInputError(f"h returned {hz.dtype} values of shape {hz.shape} where numbers "
-                                f"of shape {points.shape} or a constant were due") from None
+        raise _Refusal(f"h returned {hz.dtype} values of shape {hz.shape} where numbers "
+                       f"of shape {points.shape} or a constant were due") from None
     sides = (rise * hz[:s.size].reshape(s.shape),  # a rule's row is [left, top, right], as alone
              np.broadcast_to((b - a) * w * hz[s.size:-s.size].reshape(top.shape), s.shape),
              -rise * hz[-s.size:].reshape(s.shape))

@@ -513,36 +513,26 @@ def _representation(args, tol, report) -> int:
 
 # Each suite draws every instance and its points first, in the order the
 # random stream gives them, then evaluates the instances of one dimension as
-# one stack of realizations, one row per point.  The dimensions come in the
-# order of their first instance and the rows in instance order, so a refusal
-# names the first refused point of the first instance it meets.  The
-# desingularization suite builds its colligations once all are drawn, each
-# turning its block by the phase that keeps 1 out of the block's spectrum
-# (see ``generate._kernel_colligation``), so no value drawn changes what is
-# drawn next.  It desingularizes the colligations of one dimension in one
-# call and takes h(1) of the models of one dimension from one evaluation.
-# The measures suite has no dimensions: it evaluates all its measures in one
+# one stack of realizations, one row per point, and samples their limits as
+# one stack.  The dimensions come in the order of their first instance and
+# the rows in instance order, so a refusal names the first refused point of
+# the first instance it meets.  The desingularization suite builds its
+# colligations once all are drawn, each turning its block by the phase that
+# keeps 1 out of the block's spectrum (see ``generate._kernel_colligation``),
+# so no value drawn changes what is drawn next.  It desingularizes the
+# colligations of one ambient dimension in one call, every one before any
+# liminf, and checks the models of one model dimension together.  The
+# measures suite has no dimensions: it evaluates all its measures in one
 # call per encoding, one row per measure, and checks the rows with one
 # pick_check.
 
 
-# The instances whose limits are sampled together: runs of at most this many
-# of one dimension.  Each adds the first 24 points of its limit to the stack.
-# Over verify --random 50, runs of 4 took no more CPU than whole dimension
-# groups, whose largest stacks (up to 16 colligations) more than doubled the
-# peak memory a run allocates.
-_LIMIT_RUN = 4
-
-
-def _by_dimension(dims, records, size=None):
-    """The records grouped by their dimensions, in order of first record;
-    with ``size``, each group is cut into runs of at most that many."""
+def _by_dimension(dims, records):
+    """The records grouped by their dimensions, in order of first record."""
     groups = {}
     for dim, record in zip(dims, records):
         groups.setdefault(dim, []).append(record)
-    if size is None:
-        return list(groups.values())
-    return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
+    return list(groups.values())
 
 
 def _grouped(dims, evaluate):
@@ -602,42 +592,36 @@ def _suite_desingularization(rng, n, tol):
         n_model, kernel_dim = int(rng.integers(2, 5)), int(rng.integers(1, 3))
         drawn.append((tau, _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries),
                       _pair_stacks(rng, 3), random_torus_points(rng, 3)))
-    cs = [build() for _, build, _, _ in drawn]
-    # one desingularization of the colligations of each dimension, and h(1)
-    # of the models of each dimension from one evaluation
-    gs = _grouped([c.dim for c in cs], lambda group: desingularize(
-        [cs[i] for i in group], [drawn[i][0] for i in group], tol))
+    taus, builds, pairs, torus = zip(*drawn)
+    cs = [build() for build in builds]
+    # per ambient dimension; every desingularization first, so a failing
+    # suite names a desingularization's error before a liminf's
+    ambient = [c.dim for c in cs]
+    gs = _grouped(ambient, lambda group: desingularize(
+        [cs[i] for i in group], [taus[i] for i in group], tol))
+    liminfs = _grouped(ambient, lambda group: boundary.model_liminf(
+        [cs[i] for i in group], [boundary.ApproachPath.radial(taus[i]) for i in group], tol))
     notes = [f"colligation {i}: {note}" for i, g in enumerate(gs) for note in g.notes]
-    h1s = _grouped([g.dim for g in gs], lambda group: slope_mod.slope_eval(
-        _stack(slope_mod.SlopePair, [(gs[i].Y, gs[i].u_tau) for i in group],
-               np.arange(len(group))), np.ones(len(group))).real.tolist())
+    unconverged = sum(not liminf.converged for liminf in liminfs)
     worst = {"model_residual": 0.0, "inner": 0.0, "radial_inner": 0.0,
              "slope_liminf": 0.0}
-    unconverged = 0
     shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
-    dims, records, instances = [], [], []
-    for c, g, h1, (tau, _, pairs, torus) in zip(cs, gs, h1s, drawn):
-        instances.append((c, tau, h1))
-        dims.append(g.dim)
-        records.append(((g.a, g.beta, g.gamma, g.Q, g.Y, g.tau), pairs,
-                        _far_from(g.tau, torus), (shrink * tau[0], shrink * tau[1])))
-    # the Julia liminfs of a run of colligations of one dimension from one sampling
-    for run in _by_dimension([c.dim for c, _, _ in instances], instances, _LIMIT_RUN):
-        cs, taus, h1s = zip(*run)
-        paths = [boundary.ApproachPath.radial(tau) for tau in taus]
-        for liminf, h1 in zip(boundary.model_liminf(cs, paths, tol), h1s):
-            unconverged += not liminf.converged
-            worst["slope_liminf"] = max(worst["slope_liminf"], abs(liminf.estimate.real + h1))
-    for group in _by_dimension(dims, records):
-        gs, pairs, torus, radial = zip(*group)
+    # per model dimension: h(1) and the model, inner and radial-inner residuals
+    for group in _by_dimension([g.dim for g in gs], range(n)):
+        members = [gs[i] for i in group]
+        models = [(g.a, g.beta, g.gamma, g.Q, g.Y, g.tau) for g in members]
+        h1 = slope_mod.slope_eval(_stack(slope_mod.SlopePair, [(g.Y, g.u_tau) for g in members],
+                                         np.arange(len(group))), np.ones(len(group)))
+        worst["slope_liminf"] = max(worst["slope_liminf"], *(
+            abs(liminfs[i].estimate.real + h) for i, h in zip(group, h1.real.tolist())))
         worst["model_residual"] = max(worst["model_residual"], _model_residual_max(
-            GeneralizedRealization, gs, pairs, tol))
-        rows, lam = _rows(torus)
+            GeneralizedRealization, models, [pairs[i] for i in group], tol))
+        rows, lam = _rows([_far_from(g.tau, torus[i]) for g, i in zip(members, group)])
         worst["inner"] = max(worst["inner"], _inner_residual(
-            _stack(GeneralizedRealization, gs, rows), lam, tol))
-        rows, lam = _rows(radial)
-        I_lam = eval_I(_stack(GeneralizedRealization, gs, rows), lam, tol)
-        r = np.tile(shrink, len(gs))[:, None, None]
+            _stack(GeneralizedRealization, models, rows), lam, tol))
+        rows, lam = _rows([(shrink * taus[i][0], shrink * taus[i][1]) for i in group])
+        I_lam = eval_I(_stack(GeneralizedRealization, models, rows), lam, tol)
+        r = np.tile(shrink, len(group))[:, None, None]
         worst["radial_inner"] = max(worst["radial_inner"], float(
             np.abs(I_lam - r * np.eye(I_lam.shape[-1])).max()))
     suite = {
@@ -697,15 +681,14 @@ def _suite_reps(rng, n, tol):
         grids.append(tuple(random_upper_points(rng, (10, 2)).T))
     reps = [build() for build in builds]
     min_im = np.inf
+    worst_limit = 0.0
+    no_limit = 0
     for group in _by_dimension(dims, zip(reps, grids)):
         members, zs = zip(*group)
         rows, z = _rows(zs)
         h = nev2d.eval_h2(_stack(nev2d.TwoVarNevRep, members, rows), z, tol)
         min_im = min(min_im, float(h.imag.min()))
-    worst_limit = 0.0
-    no_limit = 0
-    for members in _by_dimension(dims, reps, _LIMIT_RUN):
-        # the rays (iy, iy) of a run of representations from one sampling
+        # the rays (iy, iy) of every representation of the dimension from one sampling
         infinities = nev2d.carapoint_at_infinity(
             lambda seq, z: nev2d.eval_h2(_stack(nev2d.TwoVarNevRep, members, seq), z, tol),
             len(members))

@@ -127,10 +127,12 @@ def desingularize(c, tau, tol: Tolerances = DEFAULT_TOLERANCES):
     single = isinstance(c, Colligation)
     cs, taus = ([c], [tau]) if single else (list(c), list(tau))
     taus = [require_torus(t) for t in taus]
-    n = cs[0].dim
-    if len(taus) != len(cs) or any(m.dim != n for m in cs):
+    if len(taus) != len(cs) or any(m.dim != cs[0].dim for m in cs):
         raise InvalidInputError(
             "a group needs colligations of one dimension and one carapoint for each")
+    if not cs:
+        return []
+    n = cs[0].dim
     P1 = np.array([m.P1 for m in cs])
     t = np.array(taus)[:, :, None, None]
     T = _pencil(P1, t[:, 0], t[:, 1])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import REL_TOL, _level, adaptive_trapezoid
+from ._integrate import REL_TOL, _level, _Refusal, adaptive_trapezoid
 from ._limits import refine_to_limit
 from .points import as_values
 from .errors import (
@@ -235,13 +235,13 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
     return an array of that shape (or a constant): once on the first rule
     level of all ys, sampling a shared top side once, then alone for each y
     the extrapolation reads that has not settled, so it sees only first-level
-    points of unread ys.  A BischurError on the first call falls back to
-    stacks of one y, any other exception propagates.  For Nevanlinna data the
-    limit is the window mass of (1 + t^2) dmu(t), with half weight for atoms
-    on a window endpoint.  Raises InvalidInputError before any call of ``h``
-    when a, b or some y is not a finite real or ``ys`` is empty, or when h
-    returns another shape, and NoLimitError when an integral it reads or the
-    sequence does not settle.
+    points of unread ys.  A BischurError h raises on the first call falls
+    back to stacks of one y, any other exception propagates.  For Nevanlinna
+    data the limit is the window mass of (1 + t^2) dmu(t), with half weight
+    for atoms on a window endpoint.  Raises InvalidInputError before any call
+    of ``h`` when a, b or some y is not a finite real or ``ys`` is empty, or
+    on the first call when h returns another shape, and NoLimitError when an
+    integral it reads or the sequence does not settle.
     """
     ys = list(ys)
     if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (a, b, *ys)):
@@ -253,7 +253,9 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
     try:
         head, settled = _level(h, a, b, np.array(ys, dtype=float)[:, None], (16, 32))
         sample = lambda k: head[k] if settled[k] else adaptive_trapezoid(h, a, b, ys[k])
-    except BischurError:  # stacks of one y
+    except _Refusal:  # h answered: a stack of one y would be refused too
+        raise
+    except BischurError:  # an error of h: stacks of one y
         sample = lambda k: adaptive_trapezoid(h, a, b, ys[k])
     report = refine_to_limit(sample, ys, tol=10 * REL_TOL)
     if not report.converged:

@@ -220,6 +220,25 @@ class TestStieltjes:
         assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
         assert len(calls) == 1
 
+    def test_an_integrand_of_another_shape_is_refused_at_the_first_call(self):
+        # refused on the window's stack, not called again on a stack of one y
+        h, calls = _recorded(lambda z: np.zeros(3))
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        with pytest.raises(InvalidInputError, match=r"numbers of shape \(1104,\) or a constant"):
+            stieltjes_recover(h, -2.0, 0.0, ys)
+        assert [z.size for z in calls] == [1104]
+
+    def test_an_error_of_h_on_the_first_call_falls_back_to_single_ys(self):
+        def small_stacks_only(z):
+            if z.size > 144:
+                raise PoleError("too many points")
+            return h_from_nevanlinna(HALF_NEV, z)
+
+        h, calls = _recorded(small_stacks_only)
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
+        assert calls[0].size == 1104 and {z.size for z in calls[1:]} == {144}
+
     def test_ys_the_extrapolation_never_reads_never_raise(self):
         # the extrapolation settles on the first six ys, down to 0.003125; below
         # Im z = 2e-3 the noise keeps every later y's rules from agreeing

@@ -860,6 +860,9 @@ def test_nevanlinna_stack_is_its_members(z):
 def test_empty_stacks_have_no_rows():
     assert h_from_measure([], STACK_POINTS).shape == (0, *STACK_POINTS.shape)
     assert h_from_nevanlinna([], 1j).shape == (0,)
+    assert desingularize([], []) == []
+    assert model_liminf([], []) == []
+    assert carapoint_at_infinity(lambda seq, z: z[0], 0) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -178,25 +178,26 @@ def test_suites_equal_their_per_instance_reference(seed, n):
         assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
-def test_limits_are_sampled_per_run_of_one_dimension(monkeypatch):
-    # each run of at most _LIMIT_RUN instances of one dimension is one call
-    liminf_runs, infinity_runs = [], []
+def test_limits_are_sampled_per_dimension(monkeypatch):
+    # one model_liminf per ambient dimension, one carapoint_at_infinity per
+    # rep dimension, and every instance sampled once
+    liminf_calls, infinity_calls, rep_dims = [], [], []
     model_liminf, carapoint_at_infinity = boundary.model_liminf, nev2d.carapoint_at_infinity
-    monkeypatch.setattr(boundary, "model_liminf", lambda cs, paths, tol: liminf_runs.append(
+    nev_rep = cli._nev_rep
+    monkeypatch.setattr(boundary, "model_liminf", lambda cs, paths, tol: liminf_calls.append(
         [c.dim for c in cs]) or model_liminf(cs, paths, tol))
-    monkeypatch.setattr(nev2d, "carapoint_at_infinity", lambda h, count: infinity_runs.append(
+    monkeypatch.setattr(nev2d, "carapoint_at_infinity", lambda h, count: infinity_calls.append(
         count) or carapoint_at_infinity(h, count))
+    monkeypatch.setattr(cli, "_nev_rep", lambda rng, dim, unitaries: rep_dims.append(
+        dim) or nev_rep(rng, dim, unitaries))
     rng = np.random.default_rng(104)
     assert cli._suite_desingularization(rng, 25, Tolerances())["pass"]
     assert cli._suite_reps(rng, 25, Tolerances())["pass"]
-    assert sum(map(len, liminf_runs)) == 25 and sum(infinity_runs) == 25
-    assert all(len(set(dims)) == 1 and len(dims) <= cli._LIMIT_RUN for dims in liminf_runs)
-    assert max(map(len, liminf_runs)) == max(infinity_runs) == cli._LIMIT_RUN
-    # a dimension's instances fill its runs before a short one
-    per_dim = {}
-    for dims in liminf_runs:
-        per_dim.setdefault(dims[0], []).append(len(dims))
-    assert all(sizes[:-1] == [cli._LIMIT_RUN] * (len(sizes) - 1) for sizes in per_dim.values())
+    assert sum(map(len, liminf_calls)) == 25 and sum(infinity_calls) == 25
+    assert all(len(set(dims)) == 1 for dims in liminf_calls)
+    assert len({dims[0] for dims in liminf_calls}) == len(liminf_calls) > 1
+    assert infinity_calls == [rep_dims.count(dim) for dim in dict.fromkeys(rep_dims)]
+    assert len(infinity_calls) > 1
 
 
 @pytest.mark.parametrize("n", [1, 7, 50])
