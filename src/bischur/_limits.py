@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BischurError, DivergenceError
+from .errors import BischurError, DivergenceError, InvalidInputError
 
 __all__ = ["LimitReport", "refine_to_limit", "stacked_samplers"]
 
@@ -51,7 +51,7 @@ def refine_to_limit(sample, xs, *, tol):
     """
     xs = [float(x) for x in xs]
     if not xs:
-        raise ValueError("xs must be a nonempty sequence")
+        raise InvalidInputError("xs must be a nonempty sequence")
 
     samples: list[complex] = []
     extrapolants: list[complex] = []

@@ -139,54 +139,37 @@ def _value_and_liminf(phi, path: ApproachPath) -> tuple[LimitReport, LimitReport
     return _limit(rows, path, 0, VALUE_TOL), liminf
 
 
-def _factor_coefficients(path: ApproachPath):
-    """Per coordinate of the path, the Python scalars 2 Re(conj(tau_j)
-    delta_j) and |delta_j|^2, with which 1 - |tau_j - t delta_j|^2 =
-    t (2 Re(conj(tau_j) delta_j) - t |delta_j|^2) holds without cancellation
-    for |tau_j| = 1."""
-    return [(2.0 * (np.conj(tj) * dj).real, abs(dj) ** 2)
-            for tj, dj in zip(path.tau, path.delta)]
+def model_liminf(c, tau, tol: Tolerances = DEFAULT_TOLERANCES):
+    """The limit of ``radial_liminf`` along the radius lam = (1 - t) tau for
+    the function realized by ``c``, from its model vectors: by the model
+    identity 1 - |phi|^2 = (1 - |lam_1|^2) ||P1 u_lam||^2 + (1 - |lam_2|^2)
+    ||(1 - P1) u_lam||^2, and on the radius 1 - |lam_j|^2 = 1 - ||lam||_inf^2,
+    so the quotient is ||u_lam||^2, with no cancellation.
 
-
-def model_liminf(c, path, tol: Tolerances = DEFAULT_TOLERANCES):
-    """The limit of ``radial_liminf`` for the function realized by ``c``,
-    with the Julia quotient taken from the model vectors.
-
-    By the model identity 1 - |phi(lam)|^2 = (1 - |lam_1|^2) ||P1 u_lam||^2
-    + (1 - |lam_2|^2) ||(1 - P1) u_lam||^2, and each 1 - |lam_j|^2 is formed
-    from the path's own scalars, so the quotient never subtracts two numbers
-    near 1; on the radial path it is ||u_lam||^2.
-
-    ``c`` and ``path`` may also be two sequences, of colligations of one
-    dimension and of one path for each; a list of reports comes back, each
-    what its colligation and path give alone, digit for digit.  One call is
-    one ``stacked_samplers`` sampling: the model vectors of the first steps
-    of every path come from one solve of a stack of the colligations, and a
-    step read past them, or every step once that solve raised a
-    BischurError, from a stack of one, as in ``radial_liminf``.
+    ``c`` and ``tau`` may also be two sequences, of colligations of one
+    dimension and of one carapoint for each; a list of reports comes back,
+    each what its colligation and carapoint give alone, digit for digit.
+    One call is one ``stacked_samplers`` sampling: the first steps of every
+    radius from one solve of a stack of the colligations, and a step read
+    past them, or every step once that solve raised a BischurError, from a
+    stack of one, as in ``radial_liminf``.
     """
-    single = isinstance(path, ApproachPath)
-    cs, paths = ([c], [path]) if single else (c, path)
+    single = isinstance(c, Colligation)
+    cs, taus = ([c], [tau]) if single else (list(c), list(tau))
+    taus = np.array([require_torus(t) for t in taus]).reshape(-1, 2)
+    if len(taus) != len(cs) or any(m.dim != cs[0].dim for m in cs):
+        raise InvalidInputError(
+            "a group needs colligations of one dimension and one carapoint for each")
     members = [(m.a, m.beta, m.gamma, m.D, m.P1) for m in cs]
-    ends = np.array([(*p.tau, *p.delta) for p in paths])
-    coef = np.array([_factor_coefficients(p) for p in paths]).reshape(-1, 4)
 
-    def quotient(seq, t):
+    def norm_sq(seq, t):
         stack = _stack(Colligation, members, seq)
-        tau1, tau2, delta1, delta2 = ends.take(seq, axis=0).T
-        u = model_vector(stack, (tau1 - t * delta1, tau2 - t * delta2), tol)
-        # einsum, not matmul: a point's digits must not depend on the stack size
-        p1u = np.einsum("kj,kij->ki", u, stack.P1)
-        norm1 = (np.abs(p1u) ** 2).sum(-1)
-        norm2 = (np.abs(u - p1u) ** 2).sum(-1)
-        inward1, sq1, inward2, sq2 = coef.take(seq, axis=0).T
-        d1, d2 = t * (inward1 - t * sq1), t * (inward2 - t * sq2)
-        d = np.minimum(d1, d2)
-        return norm1 * (d1 / d) + norm2 * (d2 / d)
+        tau1, tau2 = taus.take(seq, axis=0).T
+        u = model_vector(stack, ((1.0 - t) * tau1, (1.0 - t) * tau2), tol)
+        return (np.abs(u) ** 2).sum(-1)
 
-    samplers = stacked_samplers(quotient, [p.steps for p in paths])
-    reports = [refine_to_limit(sample, p.steps, tol=LIMINF_TOL)
-               for sample, p in zip(samplers, paths)]
+    samplers = stacked_samplers(norm_sq, [STEPS] * len(cs))
+    reports = [refine_to_limit(sample, STEPS, tol=LIMINF_TOL) for sample in samplers]
     return reports[0] if single else reports
 
 

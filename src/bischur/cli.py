@@ -355,8 +355,7 @@ def _analysis(args, tol, report) -> int:
     pair = slope_mod.SlopePair.from_realization(g)
     nu = slope_mod.slope_measure(pair)
     nd = representations.nevanlinna_from_measure(nu)
-    path = boundary.ApproachPath.radial(tau)
-    liminf = boundary.model_liminf(c, path, tol)
+    liminf = boundary.model_liminf(c, tau, tol)
     # (1 - Q) u_tau = gamma and I(tau) = 1 in the generalized model
     phi_tau = g.a + g.u_tau @ g.beta.conj()
     rng = np.random.default_rng(args.seed)
@@ -600,7 +599,7 @@ def _suite_desingularization(rng, n, tol):
     gs = _grouped(ambient, lambda group: desingularize(
         [cs[i] for i in group], [taus[i] for i in group], tol))
     liminfs = _grouped(ambient, lambda group: boundary.model_liminf(
-        [cs[i] for i in group], [boundary.ApproachPath.radial(taus[i]) for i in group], tol))
+        [cs[i] for i in group], [taus[i] for i in group], tol))
     notes = [f"colligation {i}: {note}" for i, g in enumerate(gs) for note in g.notes]
     unconverged = sum(not liminf.converged for liminf in liminfs)
     worst = {"model_residual": 0.0, "inner": 0.0, "radial_inner": 0.0,

@@ -32,7 +32,7 @@ from .errors import (
     NotAnIsometryError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import as_point, as_points, require_interior
+from .points import as_point, as_points, as_scalar, require_interior
 
 __all__ = [
     "Colligation",
@@ -59,7 +59,7 @@ class Colligation:
     P1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
+        object.__setattr__(self, "a", as_scalar(self.a, "a must be a finite number"))
         beta = linalg.as_vector(self.beta, "beta")
         gamma = linalg.as_vector(self.gamma, "gamma")
         D = linalg.as_matrix(self.D, "D")

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IllConditionedError, InvalidInputError, NoSolutionError
+from .points import as_scalar
 
 __all__ = [
     "Tolerances",
@@ -47,9 +48,11 @@ class Tolerances:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidInputError(f"tolerance {field.name} must be finite and positive")
+            refusal = f"tolerance {field.name} must be finite and positive"
+            value = as_scalar(getattr(self, field.name), refusal, float)
+            if not value > 0:
+                raise InvalidInputError(refusal)
+            object.__setattr__(self, field.name, value)
         if self.rank_rel >= 1:
             raise InvalidInputError("rank_rel must be below 1")
 

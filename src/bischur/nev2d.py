@@ -38,7 +38,7 @@ from .linalg import (
     guarded_solve,
     structure_check,
 )
-from .points import as_point, as_points, as_values, require_upper_half_plane
+from .points import as_point, as_points, as_scalar, as_values, require_upper_half_plane
 
 __all__ = [
     "TwoVarNevRep",
@@ -72,7 +72,7 @@ class TwoVarNevRep:
     Y: np.ndarray
 
     def __post_init__(self):
-        b = float(self.b)
+        b = as_scalar(self.b, "b must be a finite real number", float)
         alpha = as_vector(self.alpha, "alpha")
         B = as_matrix(self.B, "B")
         Y = as_matrix(self.Y, "Y")

@@ -68,6 +68,18 @@ def as_values(z):
     return np.atleast_1d(z), z.ndim == 0
 
 
+def as_scalar(z, refusal: str, kind=complex):
+    """``z`` as a finite Python complex (a float for ``kind=float``), or
+    InvalidInputError(refusal) when it is not a finite number of that kind."""
+    try:
+        z = kind(z)
+    except (TypeError, ValueError, OverflowError):
+        z = cmath.nan
+    if not cmath.isfinite(z):
+        raise InvalidInputError(refusal)
+    return z
+
+
 def first_point(lam, bad) -> tuple[complex, complex] | None:
     """The first point of the stack ``lam`` where the boolean array ``bad``
     holds, or None when it holds nowhere."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._integrate import REL_TOL, _level, _Refusal, adaptive_trapezoid
 from ._limits import refine_to_limit
-from .points import as_values
+from .points import as_scalar, as_values
 from .errors import (
     BischurError,
     InvalidInputError,
@@ -49,9 +49,8 @@ def _normalize_atoms(pairs, *, low=None, high=None, what="atom"):
     """Sort, merge coincident locations, drop zero weights, check signs."""
     merged: dict[float, float] = {}
     for loc, weight in pairs:
-        loc, weight = float(loc), float(weight)
-        if not (math.isfinite(loc) and math.isfinite(weight)):
-            raise InvalidInputError(f"{what} data must be finite")
+        refusal = f"{what} data must be finite real numbers"
+        loc, weight = as_scalar(loc, refusal, float), as_scalar(weight, refusal, float)
         if weight < 0:
             raise InvalidInputError(f"{what} weights must be nonnegative")
         if low is not None and (loc < low or loc > high):
@@ -85,9 +84,8 @@ class NevanlinnaData:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        c, d = float(self.c), float(self.d)
-        if not (math.isfinite(c) and math.isfinite(d)):
-            raise InvalidInputError("c and d must be finite")
+        refusal = "c and d must be finite real numbers"
+        c, d = as_scalar(self.c, refusal, float), as_scalar(self.d, refusal, float)
         if d < 0:
             raise InvalidInputError("d must be nonnegative")
         object.__setattr__(self, "c", c)

@@ -38,7 +38,10 @@ __all__ = [
 def _real(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: the integer is too large for a float") from None
 
 
 def complex_to_json(z) -> list[float]:

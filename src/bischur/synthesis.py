@@ -35,8 +35,8 @@ from . import boundary, slope as slope_mod
 from .colligation import Colligation, eval_phi
 from .errors import InternalInconsistencyError, InvalidInputError, PoleError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import (TORUS_SLACK, as_points, first_point, require_interior, require_torus,
-                     to_circle)
+from .points import (TORUS_SLACK, as_points, as_scalar, first_point, require_interior,
+                     require_torus, to_circle)
 from .representations import DiscreteMeasure01, h_from_measure
 
 __all__ = [
@@ -63,8 +63,8 @@ class SynthesizedSchur:
         if not isinstance(self.nu, DiscreteMeasure01):
             raise InvalidInputError("nu must be a DiscreteMeasure01")
         tau = require_torus(self.tau)
-        omega = complex(self.omega)
-        if not abs(abs(omega) - 1.0) <= TORUS_SLACK:   # a NaN fails too
+        omega = as_scalar(self.omega, "omega must be unimodular")
+        if abs(abs(omega) - 1.0) > TORUS_SLACK:
             raise InvalidInputError("omega must be unimodular")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "omega", to_circle(omega))
@@ -73,9 +73,10 @@ class SynthesizedSchur:
 def herglotz_component(s: float, lam):
     """f_s(lam), the convex-combination Herglotz kernel; Re f_s > 0 inside.
     A complex at a point, a complex array at a stack of points."""
-    s = float(s)
+    refusal = "the mixing parameter s must lie in [0, 1]"
+    s = as_scalar(s, refusal, float)
     if not 0.0 <= s <= 1.0:
-        raise InvalidInputError("the mixing parameter s must lie in [0, 1]")
+        raise InvalidInputError(refusal)
     l1, l2, single = as_points(lam)
     if (l1 == 1.0).any() or (l2 == 1.0).any():
         raise PoleError("herglotz component has a pole where a coordinate equals 1")

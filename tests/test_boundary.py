@@ -18,7 +18,6 @@ from bischur.points import require_torus, to_circle
 from bischur.generate import (
     random_colligation,
     random_colligation_with_kernel,
-    random_inward_direction,
     random_torus_point,
 )
 
@@ -113,7 +112,7 @@ class TestRadialLiminf:
 
 class TestModelLiminf:
     def test_favourite_at_chi(self, favourite_colligation):
-        report = model_liminf(favourite_colligation, ApproachPath.radial(CHI))
+        report = model_liminf(favourite_colligation, CHI)
         assert report.converged
         assert report.estimate.real == pytest.approx(1.0, abs=1e-9)
 
@@ -125,19 +124,30 @@ class TestModelLiminf:
                                                int(rng.integers(1, 3)), tau)
             _, witness = is_carapoint(c, tau)
             norm_sq = np.linalg.norm(witness) ** 2
-            report = model_liminf(c, ApproachPath.radial(tau))
+            report = model_liminf(c, tau)
             assert report.converged
             assert abs(report.estimate.real - norm_sq) < 1e-8 * (1.0 + norm_sq)
 
-    def test_agrees_with_radial_liminf_along_a_nontangential_path(self):
+    def test_agrees_with_radial_liminf_along_the_radius(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
             tau = random_torus_point(rng)
             c = random_colligation_with_kernel(rng, 3, 1, tau)
-            path = ApproachPath(tau, random_inward_direction(rng, tau))
-            model = model_liminf(c, path).estimate.real
-            direct = radial_liminf(partial(eval_phi, c), path).estimate.real
+            model = model_liminf(c, tau).estimate.real
+            direct = radial_liminf(partial(eval_phi, c), ApproachPath.radial(tau)).estimate.real
             assert model == pytest.approx(direct, rel=1e-6)
+
+    def test_a_group_is_refused_unless_one_carapoint_per_colligation_of_one_dimension(self):
+        rng = np.random.default_rng(21)
+        c2, c2b, c3 = (random_colligation(rng, n) for n in (2, 2, 3))
+        for cs, taus in [([c2, c2b], [CHI]), ([c2], [CHI, CHI]), ([c2, c3], [CHI, CHI]),
+                         ([c2, c2b], [CHI, (1.0, 0.5)])]:
+            with pytest.raises(InvalidInputError):
+                model_liminf(cs, taus)
+
+    def test_off_torus_point_is_refused(self, favourite_colligation):
+        with pytest.raises(InvalidInputError, match="not on the torus"):
+            model_liminf(favourite_colligation, (1.0, 0.5))
 
 
 class TestNontangentialValue:

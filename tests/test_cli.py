@@ -283,6 +283,26 @@ class TestInputErrors:
         assert json.loads(out.read_text()) == report
         assert samples.read_text().splitlines() == ["z_re,z_im,h_re,h_im"]
 
+    @pytest.mark.parametrize("command, field", [
+        ("synth", "atoms[0].s"), ("nevrep", "atoms[0].s"), ("verify", "tolerances.rank_rel"),
+        ("verify-env", "tolerances.rank_rel"),
+    ])
+    def test_an_integer_too_large_for_a_float_exits_2(self, capsys, tmp_path, monkeypatch,
+                                                      command, field):
+        # a SchemaError naming the field, not the bare OverflowError of float()
+        huge = "1" + "0" * 400
+        measure = tmp_path / "huge.json"
+        measure.write_text('{"atoms": [{"s": %s, "w": 1.0}]}' % huge)
+        argv = {"synth": ["synth", measure], "nevrep": ["nevrep", measure],
+                "verify": ["verify", "--tolerances", '{"rank_rel": %s}' % huge],
+                "verify-env": ["verify"]}[command]
+        if command == "verify-env":
+            monkeypatch.setenv("BISCHUR_TOLERANCES", '{"rank_rel": %s}' % huge)
+        code, report = run(capsys, *argv, "--no-timestamp")
+        assert code == report.get("exit_code", 2) == 2
+        assert report["error"] == {
+            "kind": "input", "message": f"{field}: the integer is too large for a float"}
+
     def test_nevrep_rejects_a_representation(self, capsys, measure_file, tmp_path):
         rep_file = tmp_path / "rep.json"
         code, _ = run(capsys, "nevrep", measure_file, "--omega=-1", "--out", rep_file,

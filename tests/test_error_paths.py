@@ -16,6 +16,7 @@ from bischur import (
     NoLimitError,
     PoleError,
     SlopePair,
+    SynthesizedSchur,
     Tolerances,
     TwoVarNevRep,
     desingularize,
@@ -33,6 +34,7 @@ from bischur import (
     to_bidisc,
 )
 from bischur import boundary, nev2d, representations
+from bischur._limits import refine_to_limit
 from bischur.nev2d import InfinityCarapoint
 
 from conftest import CHI
@@ -119,6 +121,33 @@ def test_a_coordinate_that_is_not_a_number_is_refused(favourite_colligation, eva
         evaluate(favourite_colligation)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda c, bad: dataclasses.replace(c, a=bad), "a must be a finite number"),
+    (lambda c, bad: TwoVarNevRep(b=bad, alpha=[1.0], B=[[0.0]], Y=[[1.0]]),
+     "b must be a finite real number"),
+    (lambda c, bad: SynthesizedSchur(DiscreteMeasure01(((0.5, 1.0),)), CHI, bad),
+     "omega must be unimodular"),
+    (lambda c, bad: DiscreteMeasure01(((bad, 1.0),)), "measure data must be finite real numbers"),
+    (lambda c, bad: NevanlinnaData(c=bad, d=0.0, atoms=()), "c and d must be finite real numbers"),
+    (lambda c, bad: herglotz_component(bad, (0.1, 0.2)),
+     r"the mixing parameter s must lie in \[0, 1\]"),
+    (lambda c, bad: Tolerances(rank_rel=bad), "tolerance rank_rel must be finite and positive"),
+], ids=["Colligation.a", "TwoVarNevRep.b", "SynthesizedSchur.omega", "measure atom",
+        "NevanlinnaData.c", "herglotz_component", "Tolerances"])
+@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), 10 ** 400],
+                         ids=["text", "None", "nan", "inf", "huge"])
+def test_a_scalar_that_is_not_a_finite_number_is_refused(favourite_colligation, build,
+                                                         message, bad):
+    # an input error, not the bare ValueError or TypeError of float() or complex()
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        build(favourite_colligation, bad)
+
+
+def test_an_extrapolation_of_no_steps_is_refused():
+    with pytest.raises(InvalidInputError, match="xs must be a nonempty sequence"):
+        refine_to_limit(lambda k: 0.0, [], tol=1e-9)
+
+
 def test_eval_h2_near_real_boundary_is_ill_conditioned():
     rep = TwoVarNevRep(b=0.0, alpha=[1.0, 1.0], B=np.diag([0.0, 1.0]),
                        Y=np.diag([1.0, 0.0]))
@@ -144,7 +173,7 @@ def test_synthesis_agreement_gate_exits_4(monkeypatch, capsys, tmp_path):
 
 # The suites take every limit of one dimension group in one call: a stub of
 # carapoint_at_infinity gets the family and its size, and one of model_liminf
-# the sequences of colligations and paths, and each returns a list.
+# the sequences of colligations and carapoints, and each returns a list.
 @pytest.mark.parametrize("suite, owner, target, stub, figure, reason", [
     ("reps", nev2d, "carapoint_at_infinity",
      lambda h, count: [InfinityCarapoint(False, None, None)] * count,

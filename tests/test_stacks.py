@@ -212,9 +212,8 @@ def test_unreached_ill_conditioned_tail_falls_back_to_points(favourite_colligati
 
 
 def test_model_liminf_falls_back_on_an_unreached_tail(favourite_colligation):
-    path = ApproachPath.radial(CHI)
-    tight = model_liminf(favourite_colligation, path, Tolerances(solve_cond_max=1e3))
-    loose = model_liminf(favourite_colligation, path)
+    tight = model_liminf(favourite_colligation, CHI, Tolerances(solve_cond_max=1e3))
+    loose = model_liminf(favourite_colligation, CHI)
     assert tight.converged
     assert len(tight.samples) == len(loose.samples)
     assert tight.estimate == pytest.approx(loose.estimate, abs=1e-12)
@@ -294,17 +293,19 @@ SAMPLINGS = ("whole", "head and stacks of one", "stacks of one")
 def test_model_liminf_samplings_agree_bit_for_bit(dim, monkeypatch):
     rng = np.random.default_rng(750 + dim)
     c = random_colligation(rng, dim)
-    path = ApproachPath.radial(random_torus_point(rng))
-    monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)   # read every step
+    tau = random_torus_point(rng)
+    # no gap is below a negative tolerance, so every step is read; at 1e-300
+    # a radius whose extrapolants repeat exactly (dim 2) stops at step 37
+    monkeypatch.setattr(boundary, "LIMINF_TOL", -1.0)
     reports = []
     for sampling in SAMPLINGS:
         with monkeypatch.context() as m:
             if sampling == "whole":
-                m.setattr(_limits, "_HEAD", len(path.steps))
+                m.setattr(_limits, "_HEAD", len(boundary.STEPS))
             elif sampling == "stacks of one":
                 m.setattr(boundary, "model_vector", refusing_stacks(boundary.model_vector, 1))
-            reports.append(model_liminf(c, path))
-    assert len(reports[0].samples) == len(path.steps) > _limits._HEAD
+            reports.append(model_liminf(c, tau))
+    assert len(reports[0].samples) == len(boundary.STEPS) > _limits._HEAD
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
@@ -329,25 +330,21 @@ def test_carapoint_at_infinity_samplings_agree_bit_for_bit(dim, monkeypatch):
 
 
 def colligation_group(dim):
-    """Three colligations of one dimension, each with its own path: radial
-    to a relocated tau, or skew."""
+    """Three colligations of one dimension, each with its own carapoint."""
     rng = np.random.default_rng(780 + dim)
     cs = [random_colligation(rng, dim) for _ in range(3)]
-    taus = [random_torus_point(rng) for _ in cs]
-    paths = [ApproachPath.radial(taus[0]), ApproachPath(taus[1], (taus[1][0], 2 * taus[1][1])),
-             ApproachPath.radial(taus[2])]
-    return cs, paths
+    return cs, [random_torus_point(rng) for _ in cs]
 
 
 @pytest.mark.parametrize("tol", [boundary.LIMINF_TOL, 1e-300], ids=["default", "every step"])
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_model_liminf_of_a_group_is_each_alone(dim, tol, monkeypatch):
-    cs, paths = colligation_group(dim)
+    cs, taus = colligation_group(dim)
     monkeypatch.setattr(boundary, "LIMINF_TOL", tol)
-    alone = [model_liminf(c, path) for c, path in zip(cs, paths)]
+    alone = [model_liminf(c, tau) for c, tau in zip(cs, taus)]
     calls = []
     monkeypatch.setattr(boundary, "model_vector", counted(boundary.model_vector, calls, 1))
-    together = model_liminf(cs, paths)
+    together = model_liminf(cs, taus)
     # estimate, samples, gap and flag, bit for bit
     assert together == alone
     # one head call for the group, then a stack of one per step read past it
@@ -359,11 +356,11 @@ def test_model_liminf_of_a_group_is_each_alone(dim, tol, monkeypatch):
 
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_model_liminf_of_a_group_whose_head_raises(dim, monkeypatch):
-    cs, paths = colligation_group(dim)
-    alone = [model_liminf(c, path) for c, path in zip(cs, paths)]
+    cs, taus = colligation_group(dim)
+    alone = [model_liminf(c, tau) for c, tau in zip(cs, taus)]
     monkeypatch.setattr(boundary, "model_vector", refusing_stacks(boundary.model_vector, 1))
     # every member falls back to stacks of one, with the same digits
-    assert model_liminf(cs, paths) == alone
+    assert model_liminf(cs, taus) == alone
 
 
 @pytest.mark.parametrize("refused", [False, True], ids=["stacked", "head raises"])

@@ -78,7 +78,7 @@ def suite_desingularization(rng, n, tol):
         worst["radial_inner"] = max(worst["radial_inner"], float(
             np.abs(I_lam - shrink[:, None, None] * np.eye(g.dim)).max()))
         pair = slope_mod.SlopePair.from_realization(g)
-        liminf = boundary.model_liminf(c, boundary.ApproachPath.radial(tau), tol)
+        liminf = boundary.model_liminf(c, tau, tol)
         unconverged += not liminf.converged
         worst["slope_liminf"] = max(worst["slope_liminf"], abs(
             liminf.estimate.real + slope_mod.slope_eval(pair, 1.0).real))
@@ -184,8 +184,8 @@ def test_limits_are_sampled_per_dimension(monkeypatch):
     liminf_calls, infinity_calls, rep_dims = [], [], []
     model_liminf, carapoint_at_infinity = boundary.model_liminf, nev2d.carapoint_at_infinity
     nev_rep = cli._nev_rep
-    monkeypatch.setattr(boundary, "model_liminf", lambda cs, paths, tol: liminf_calls.append(
-        [c.dim for c in cs]) or model_liminf(cs, paths, tol))
+    monkeypatch.setattr(boundary, "model_liminf", lambda cs, taus, tol: liminf_calls.append(
+        [c.dim for c in cs]) or model_liminf(cs, taus, tol))
     monkeypatch.setattr(nev2d, "carapoint_at_infinity", lambda h, count: infinity_calls.append(
         count) or carapoint_at_infinity(h, count))
     monkeypatch.setattr(cli, "_nev_rep", lambda rng, dim, unitaries: rep_dims.append(

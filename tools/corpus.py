@@ -1,14 +1,28 @@
-"""The verify regression corpus: ``verify --random 50`` and ``verify --random 7``
-with ``--no-timestamp`` on a range of seeds, run in process.
+"""The regression corpus: two sets of CLI reports, each with ``--no-timestamp``
+and run in process.
 
-    python3 tools/corpus.py [--seeds 0-199] [--against REV]
+    python3 tools/corpus.py [--seeds 0-199] [--measures 30] [--against REV]
 
-Prints one line per report, ``seed random exit_code sha256`` of its stdout,
-then one sha256 over those lines.  ``--against REV`` runs the same corpus on
-the ``src`` of a ``git archive`` export of REV and lists the reports whose
-stdout differs; the exit status is then 1 when any does.  The tolerances are
-the CLI's, so ``BISCHUR_TOLERANCES`` applies to both sides.  No digest is
-fixed anywhere: the last digits depend on numpy and its BLAS.
+The ``verify`` set is ``verify --random 50`` and ``verify --random 7`` on a
+range of seeds.  The pipeline set draws measures from
+``generate.random_measure`` of ``default_rng(5)``, each followed by a torus
+point tau from the same generator, and runs on each ``synth --tau=tau
+--omega=-1 --verify --out``, then ``analyze`` of the written colligation at
+tau and ``nevrep --omega=-1`` of the measure.  Seeds 0-39 with 30 measures
+give the 170-report corpus.  The measures are drawn by the package under
+``src`` of this checkout, and each side writes them under relative names in a
+fresh temporary directory and runs there, so the paths its reports name
+agree.
+
+Prints one line per report: its set, its key, its exit code and the sha256 of
+its stdout; after each set, one digest over that set's lines.  ``--against
+REV`` runs the same corpus on the ``src`` of a ``git archive`` export of REV
+and lists the reports whose stdout differs, each with every field that moved:
+a number with its largest absolute move over the entries that field names
+(array indices are folded into ``[*]``), anything else as ``changed``.  The
+exit status is then 1 when any report differs.  The tolerances are the CLI's,
+so ``BISCHUR_TOLERANCES`` applies to both sides.  No digest is fixed
+anywhere: the last digits depend on numpy and its BLAS.
 """
 
 from __future__ import annotations
@@ -18,13 +32,19 @@ import contextlib
 import hashlib
 import importlib
 import io
+import json
+import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 RANDOM = (50, 7)
+PIPELINE_SEED = 5
+OMEGA = "--omega=-1"
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -44,18 +64,95 @@ def _import_cli(src):
         sys.path.remove(str(src))
 
 
-def reports(src, seeds):
-    """{(seed, random): (exit code, sha256 of stdout)} of the package under ``src``."""
+def pipeline_inputs(count):
+    """[(measure JSON text, --tau value)] of the first ``count`` pipelines,
+    drawn by the package under this checkout's ``src``."""
+    _import_cli(REPO / "src")
+    generate = sys.modules["bischur.generate"]
+    rng = np.random.default_rng(PIPELINE_SEED)
+    inputs = []
+    for _ in range(count):
+        nu = generate.random_measure(rng)
+        tau = generate.random_torus_point(rng)
+        measure = {"atoms": [{"s": float(s), "w": float(w)} for s, w in nu.atoms]}
+        tau_arg = ",".join(f"{z.real!r}{z.imag:+.17g}j" for z in map(complex, tau))
+        inputs.append((json.dumps(measure), tau_arg))
+    return inputs
+
+
+def _call(cli, argv):
+    """(exit code, stdout) of one in-process CLI call."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, "--no-timestamp"])
+    return code, stdout.getvalue()
+
+
+@contextlib.contextmanager
+def _inside(directory):
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def reports(src, seeds, inputs):
+    """{key: (exit code, stdout)} of the package under ``src``: keys
+    ("verify", seed, random) and ("pipeline", index, command)."""
     cli = _import_cli(src)
     out = {}
     for seed in seeds:
         for n in RANDOM:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(["verify", "--random", str(n), "--seed", str(seed),
-                                 "--no-timestamp"])
-            out[seed, n] = code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+            out["verify", seed, n] = _call(cli, ["verify", "--random", str(n),
+                                                 "--seed", str(seed)])
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+        for i, (measure, tau) in enumerate(inputs):
+            m, c = f"measure_{i:02d}.json", f"colligation_{i:02d}.json"
+            Path(m).write_text(measure)
+            out["pipeline", i, "synth"] = _call(cli, ["synth", m, f"--tau={tau}", OMEGA,
+                                                      "--verify", "--out", c])
+            out["pipeline", i, "analyze"] = _call(cli, ["analyze", c, f"--tau={tau}"])
+            out["pipeline", i, "nevrep"] = _call(cli, ["nevrep", m, OMEGA])
     return out
+
+
+def _leaves(node, path=""):
+    """(field, value) for every scalar under a JSON node, in order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _leaves(value, f"{path}[*]")
+    else:
+        yield path, node
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def moves(old, new):
+    """{field: largest absolute move, or "changed"} between two reports'
+    stdout; the field "stdout" when either is not JSON or their fields
+    differ."""
+    try:
+        old, new = list(_leaves(json.loads(old))), list(_leaves(json.loads(new)))
+    except ValueError:
+        return {"stdout": "changed"}
+    if [field for field, _ in old] != [field for field, _ in new]:
+        return {"stdout": "changed"}
+    moved = {}
+    for (field, a), (_, b) in zip(old, new):
+        if a == b or (a != a and b != b):   # equal, or both NaN
+            continue
+        if _is_number(a) and _is_number(b) and moved.get(field) != "changed":
+            moved[field] = max(moved.get(field, 0.0), abs(a - b))
+        else:
+            moved[field] = "changed"
+    return moved
 
 
 def _export(rev, into):
@@ -67,24 +164,35 @@ def _export(rev, into):
     return Path(into) / "src"
 
 
+def _name(key):
+    return " ".join(map(str, key))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=_seeds("0-199"),
-                        help="inclusive seed range, e.g. 0-199 (default) or 7")
+                        help="inclusive verify seed range, e.g. 0-199 (default) or 7")
+    parser.add_argument("--measures", type=int, default=30,
+                        help="measures of the pipeline set (default 30)")
     parser.add_argument("--against", metavar="REV",
                         help="also run REV's package and list the reports that differ")
     args = parser.parse_args(argv)
-    ours = reports(REPO / "src", args.seeds)
-    lines = [f"{seed} {n} {code} {digest}" for (seed, n), (code, digest) in ours.items()]
-    print("\n".join(lines))
-    print("digest", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    inputs = pipeline_inputs(args.measures)
+    ours = reports(REPO / "src", args.seeds, inputs)
+    for kind in ("verify", "pipeline"):
+        lines = [f"{_name(key)} {code} {hashlib.sha256(text.encode()).hexdigest()}"
+                 for key, (code, text) in ours.items() if key[0] == kind]
+        print("\n".join(lines))
+        print("digest", kind, hashlib.sha256("\n".join(lines).encode()).hexdigest())
     if not args.against:
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        theirs = reports(_export(args.against, tmp), args.seeds)
+        theirs = reports(_export(args.against, tmp), args.seeds, inputs)
     differ = [key for key in ours if ours[key] != theirs[key]]
-    for seed, n in differ:
-        print(f"differs: seed {seed} --random {n}: exit {theirs[seed, n][0]} -> {ours[seed, n][0]}")
+    for key in differ:
+        print(f"differs: {_name(key)}: exit {theirs[key][0]} -> {ours[key][0]}")
+        for field, move in moves(theirs[key][1], ours[key][1]).items():
+            print(f"  {field} {move if move == 'changed' else f'{move:.3g}'}")
     print(f"{len(ours) - len(differ)} of {len(ours)} reports identical to {args.against}")
     return 1 if differ else 0
 
