@@ -64,7 +64,6 @@ from .nev2d import (
     rep_from_schur,
     schur_value_from_pick,
     to_bidisc,
-    to_halfplane,
 )
 from .representations import (
     DiscreteMeasure01,

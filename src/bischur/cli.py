@@ -33,7 +33,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from . import boundary, nev2d, representations, slope as slope_mod, synthesis
+from . import boundary, gates, nev2d, representations, slope as slope_mod, synthesis
 from .colligation import Colligation, _stack, eval_phi, model_residual
 from .desingularize import GeneralizedRealization, desingularize, eval_I, eval_phi_gen
 from .errors import (
@@ -79,28 +79,6 @@ EXIT_OBSTRUCTION = 6
 TOLERANCES_ENV = "BISCHUR_TOLERANCES"
 
 SLOPE_SAMPLE_POINTS = tuple(map(complex, (0.1, 0.5, 1.0, 2.0, 10.0, 1j, 1 + 1j, 2j, -1 + 1j)))
-
-# analyze's generalized model passes when each residual maximum is below this;
-# verify's model and inner residuals are held to it too.
-RESIDUAL_MAX = 1e-9
-
-# analyze's derivative checks pass when each rel_err is below this, and its
-# Julia liminf when both matches are below LIMINF_MATCH_MAX (1 + ||u_tau||^2)
-DERIVATIVE_REL_ERR_MAX = 1e-7
-LIMINF_MATCH_MAX = 1e-8
-# nevrep's value at infinity passes when |value - b| <= VALUE_MATCH_MAX (1 + |b|),
-# and its limit when |limit - ||alpha||^2| <= INFINITY_LIMIT_MAX (1 + ||alpha||^2)
-VALUE_MATCH_MAX = 1e-6
-
-# The other bounds of the verify suites; a Pick-class value passes when its
-# imaginary part is at least -slope.PICK_SLACK.
-SCHUR_EXCESS_MAX = 1e-9       # |phi| - 1 inside the bidisc
-RADIAL_INNER_MAX = 1e-11      # |I(r tau) - r| along the radius
-SLOPE_LIMINF_MAX = 1e-6       # |Julia liminf + h(1)|
-ROUND_TRIP_MAX = 1e-12        # measure -> Nevanlinna data -> measure
-EQUIVALENCE_MAX = 1e-10       # h from a measure against h from its Nevanlinna data
-INFINITY_LIMIT_MAX = 1e-6     # |lim y Im h(iy, iy) - ||alpha||^2|
-
 
 class _InputFailure(BischurError):
     """The input could not be read, parsed or validated."""
@@ -246,44 +224,29 @@ def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
         partial(slope_mod.slope_eval, pair))
 
 
-def _bound_text(bound):
-    return np.format_float_scientific(bound, precision=3, trim="-", exp_digits=1)
-
-
 def _gate(report):
     """Fill the derivative and Julia liminf figures and bounds into the
-    report's verification and fail it unless every extrapolated limit
-    converged, every residual maximum is below RESIDUAL_MAX, every
-    derivative check's rel_err below DERIVATIVE_REL_ERR_MAX and both Julia
-    liminf matches below their bound; name the first cause, in that order,
-    under ``reason``."""
+    report's verification and decide it: every extrapolated limit converged,
+    the residual maxima passed (see ``_generalized_verification``), every
+    derivative check's rel_err is below DERIVATIVE_REL_ERR_MAX and both
+    Julia liminf matches below their bound, read in that order."""
     verification, checks = report["verification"], report["derivative_checks"]
     julia = report["julia_liminf"]
     matches = ("matches_witness_norm_sq", "matches_minus_h1")
     verification["derivative_rel_err_max"] = max(check["rel_err"] for check in checks)
-    verification["derivative_rel_err_bound"] = DERIVATIVE_REL_ERR_MAX
+    verification["derivative_rel_err_bound"] = gates.DERIVATIVE_REL_ERR_MAX
     verification["liminf_match_max"] = max(julia[key] for key in matches)
-    verification["liminf_match_bound"] = bound = LIMINF_MATCH_MAX * (
+    verification["liminf_match_bound"] = bound = gates.LIMINF_MATCH_MAX * (
         1.0 + report["carapoint"]["witness_norm_sq"])
-    unconverged = (["julia_liminf"] if not julia["converged"] else []) + [
-        f"derivative_checks[{k}]" for k, check in enumerate(checks) if not check["converged"]]
-    inaccurate = [f"derivative_checks[{k}]" for k, check in enumerate(checks)
-                  if not check["rel_err"] < DERIVATIVE_REL_ERR_MAX]
-    missed = [f"julia_liminf.{key}" for key in matches if not julia[key] < bound]
-    if unconverged:
-        reason = f"{', '.join(unconverged)} did not converge"
-    elif not verification["pass"]:
-        reason = f"a residual maximum is not below {_bound_text(RESIDUAL_MAX)}"
-    elif inaccurate:
-        reason = (f"the rel_err of {', '.join(inaccurate)} is not below "
-                  f"{_bound_text(DERIVATIVE_REL_ERR_MAX)}")
-    elif missed:
-        reason = f"{', '.join(missed)} is not below {_bound_text(bound)}"
-    else:
-        return verification
-    verification["pass"] = False
-    verification["reason"] = reason
-    return verification
+    return gates.verdict(verification, [
+        gates.converged("julia_liminf", julia["converged"]),
+        *(gates.converged(f"derivative_checks[{k}]", check["converged"])
+          for k, check in enumerate(checks)),
+        (verification["pass"], verification.get("reason")),
+        *(gates.within(f"derivative_checks[{k}].rel_err", check["rel_err"], "lt",
+                       gates.DERIVATIVE_REL_ERR_MAX) for k, check in enumerate(checks)),
+        *(gates.within(f"julia_liminf.{key}", julia[key], "lt", bound) for key in matches),
+    ])
 
 
 def _pair_stacks(rng, n):
@@ -314,13 +277,13 @@ def _generalized_verification(c, g, rng, tol):
     model_max = float(model_residual(g, lams, mus, tol).max())
     agree_max = float(np.abs(eval_phi_gen(g, lams, tol) - eval_phi(c, lams, tol)).max())
     inner_max = _inner_residual(g, _far_from(g.tau, random_torus_points(rng, 10)), tol)
-    return {
+    figures = {
         "model_residual_max": model_max,
         "phi_agreement_max": agree_max,
         "inner_residual_max": inner_max,
-        "pass": bool(model_max < RESIDUAL_MAX and agree_max < RESIDUAL_MAX
-                     and inner_max < RESIDUAL_MAX),
     }
+    return gates.verdict(figures, [gates.within(name, figure, "lt", gates.RESIDUAL_MAX)
+                                   for name, figure in figures.items()])
 
 
 def cmd_analyze(args) -> int:
@@ -492,19 +455,16 @@ def _representation(args, tol, report) -> int:
         "limit_matches_alpha": limit_gap,
         "value_matches_b": value_gap,
     }
-    limit_bound = INFINITY_LIMIT_MAX * (1.0 + alpha_norm_sq)
-    value_bound = VALUE_MATCH_MAX * (1.0 + abs(rep.b))
-    if not infinity.finite:
-        at_infinity["reason"] = "y Im h(iy, iy) has no finite limit"
-    elif not infinity.converged:
-        at_infinity["reason"] = "the extrapolation of h(iy, iy) did not converge"
-    elif not limit_gap <= limit_bound:
-        at_infinity["reason"] = (f"the limit of y Im h(iy, iy) misses ||alpha||^2 by "
-                                 f"{limit_gap:.3e}, above {limit_bound:.3e}")
-    elif not value_gap <= value_bound:
-        at_infinity["reason"] = (f"h(iy, iy) tends to a value that misses b by "
-                                 f"{value_gap:.3e}, above {value_bound:.3e}")
-    return EXIT_NUMERIC if "reason" in at_infinity else EXIT_OK
+    # the section carries a failure's reason, and no pass flag
+    passed = gates.verdict(at_infinity, [
+        (infinity.finite, "y Im h(iy, iy) has no finite limit"),
+        gates.converged("the extrapolation of h(iy, iy)", infinity.converged),
+        gates.within("limit_matches_alpha", limit_gap, "le",
+                     gates.INFINITY_LIMIT_MAX * (1.0 + alpha_norm_sq)),
+        gates.within("value_matches_b", value_gap, "le",
+                     gates.VALUE_MATCH_MAX * (1.0 + abs(rep.b))),
+    ]).pop("pass")
+    return EXIT_OK if passed else EXIT_NUMERIC
 
 
 # ----------------------------------------------------------------- verify
@@ -576,11 +536,8 @@ def _suite_colligations(rng, n, tol):
         phi = eval_phi(_stack(Colligation, cs, rows), lam, tol)
         worst_schur = max(worst_schur, float(np.abs(phi).max()) - 1.0)
         worst_model = max(worst_model, _model_residual_max(Colligation, cs, pairs, tol))
-    return {
-        "schur_bound_excess_max": worst_schur,
-        "model_residual_max": worst_model,
-        "pass": bool(worst_schur <= SCHUR_EXCESS_MAX and worst_model < RESIDUAL_MAX),
-    }
+    return _verdict("colligations", {"schur_bound_excess_max": worst_schur,
+                                      "model_residual_max": worst_model})
 
 
 def _suite_desingularization(rng, n, tol):
@@ -623,17 +580,10 @@ def _suite_desingularization(rng, n, tol):
         r = np.tile(shrink, len(group))[:, None, None]
         worst["radial_inner"] = max(worst["radial_inner"], float(
             np.abs(I_lam - r * np.eye(I_lam.shape[-1])).max()))
-    suite = {
-        **worst,
-        "pass": bool(not unconverged
-                     and worst["model_residual"] < RESIDUAL_MAX and worst["inner"] < RESIDUAL_MAX
-                     and worst["radial_inner"] < RADIAL_INNER_MAX
-                     and worst["slope_liminf"] < SLOPE_LIMINF_MAX),
-    }
     if unconverged:
-        suite["slope_liminf"] = None
-        suite["reason"] = (f"the Julia liminf did not converge for "
-                           f"{unconverged} of {n} colligations")
+        worst["slope_liminf"] = None
+    suite = _verdict("desingularization", worst, (not unconverged, (
+        f"the Julia liminf did not converge for {unconverged} of {n} colligations")))
     if notes:
         suite["notes"] = notes
     return suite
@@ -657,18 +607,13 @@ def _suite_measures(rng, n, tol):
     h = representations.h_from_measure(measures, grid)
     worst_equiv = float(np.abs(h[:, :8] - representations.h_from_nevanlinna(nds, grid[:8])).max())
     check = slope_mod.pick_check(lambda z: h, grid)
-    suite = {
+    return _verdict("measures", {
         "round_trip_max": None if lost_atoms else worst_round,
         "evaluation_equivalence_max": worst_equiv,
         "min_im_h": check["min_im_h"],
         "min_im_neg_zh": check["min_im_neg_zh"],
-        "pass": bool(not lost_atoms and worst_round < ROUND_TRIP_MAX
-                     and worst_equiv < EQUIVALENCE_MAX and check["pass"]),
-    }
-    if lost_atoms:
-        suite["reason"] = (f"the round trip changed the number of atoms of "
-                           f"{lost_atoms} of {n} measures")
-    return suite
+    }, (not lost_atoms,
+        f"the round trip changed the number of atoms of {lost_atoms} of {n} measures"))
 
 
 def _suite_reps(rng, n, tol):
@@ -697,28 +642,39 @@ def _suite_reps(rng, n, tol):
                     infinity.limit - float(np.linalg.norm(alpha) ** 2)))
             else:
                 no_limit += 1
-    suite = {
+    return _verdict("reps", {
         "min_im_h2": float(min_im),
         "infinity_limit_err_max": None if no_limit else worst_limit,
-        "pass": bool(not no_limit and min_im >= -slope_mod.PICK_SLACK
-                     and worst_limit < INFINITY_LIMIT_MAX),
-    }
-    if no_limit:
-        suite["reason"] = (f"y Im h(iy, iy) found no finite limit, or h(iy, iy) no "
-                           f"converged value, for {no_limit} of {n} representations")
-    return suite
+    }, (not no_limit, f"y Im h(iy, iy) found no finite limit, or h(iy, iy) no "
+                      f"converged value, for {no_limit} of {n} representations"))
 
 
-# verify's suites in report order: the name of the suite (``_suite_<name>``),
-# the share of --random it draws (a suite of share 2 draws half as many, at
-# least one) and its figures, which a suite that raises reports as null.
-_SUITES = (
-    ("colligations", 1, ("schur_bound_excess_max", "model_residual_max")),
-    ("desingularization", 2, ("model_residual", "inner", "radial_inner", "slope_liminf")),
-    ("measures", 1,
-     ("round_trip_max", "evaluation_equivalence_max", "min_im_h", "min_im_neg_zh")),
-    ("reps", 2, ("min_im_h2", "infinity_limit_err_max")),
-)
+# verify's suites in report order, by name (``_suite_<name>``): the share of
+# --random a suite draws (share 2 draws half as many, at least one) and each
+# figure with the comparison and the bound in ``gates`` that decide it (see
+# ``gates.within`` and ``gates.bound``).  A suite that raises reports null figures.
+_SUITES = {
+    "colligations": (1, (("schur_bound_excess_max", "le", "SCHUR_EXCESS_MAX"),
+                         ("model_residual_max", "lt", "RESIDUAL_MAX"))),
+    "desingularization": (2, (("model_residual", "lt", "RESIDUAL_MAX"),
+                              ("inner", "lt", "RESIDUAL_MAX"),
+                              ("radial_inner", "lt", "RADIAL_INNER_MAX"),
+                              ("slope_liminf", "lt", "SLOPE_LIMINF_MAX"))),
+    "measures": (1, (("round_trip_max", "lt", "ROUND_TRIP_MAX"),
+                     ("evaluation_equivalence_max", "lt", "EQUIVALENCE_MAX"),
+                     ("min_im_h", "ge", "-PICK_SLACK"),
+                     ("min_im_neg_zh", "ge", "-PICK_SLACK"))),
+    "reps": (2, (("min_im_h2", "ge", "-PICK_SLACK"),
+                 ("infinity_limit_err_max", "lt", "INFINITY_LIMIT_MAX"))),
+}
+
+
+def _verdict(name, figures, *checks):
+    """The figures of suite ``name`` decided by ``checks``, then by each
+    figure's bound in ``_SUITES``."""
+    return gates.verdict(figures, [*checks, *(
+        gates.within(figure, figures[figure], comparison, gates.bound(bound))
+        for figure, comparison, bound in _SUITES[name][1])])
 
 
 def cmd_verify(args) -> int:
@@ -744,7 +700,7 @@ def _suites(args, tol, report) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.random
     suites = {}
-    for name, share, figures in _SUITES:
+    for name, (share, rows) in _SUITES.items():
         # Every suite draws all its instances before it evaluates one, so a
         # suite that raises leaves the stream where it would have, and the
         # later suites draw what they draw after a pass.  Looked up on each
@@ -752,8 +708,8 @@ def _suites(args, tol, report) -> int:
         try:
             suites[name] = globals()[f"_suite_{name}"](rng, max(1, n // share), tol)
         except BischurError as exc:
-            suites[name] = {**dict.fromkeys(figures), "pass": False,
-                            "reason": f"{_failure(exc)[1]} error: {exc}"}
+            suites[name] = gates.verdict(dict.fromkeys(row[0] for row in rows),
+                                         [(False, f"{_failure(exc)[1]} error: {exc}")])
     report["random"] = n
     report["suites"] = suites
     return EXIT_OK if all(s["pass"] for s in suites.values()) else EXIT_VERIFY

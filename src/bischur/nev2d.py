@@ -45,7 +45,6 @@ __all__ = [
     "eval_h2",
     "carapoint_at_infinity",
     "InfinityCarapoint",
-    "to_halfplane",
     "to_bidisc",
     "pick_value_from_schur",
     "schur_value_from_pick",
@@ -158,14 +157,6 @@ def carapoint_at_infinity(h, count=None):
                                 [INFINITY_YS] * (1 if count is None else count))
     results = [_infinity(value) for value in samplers]
     return results[0] if count is None else results
-
-
-def to_halfplane(lam):
-    """Coordinatewise Cayley map z_j = i (1 + lam_j)/(1 - lam_j), at a point
-    or a stack of points."""
-    l1, l2, single = as_points(lam)
-    z = pick_value_from_schur(l1), pick_value_from_schur(l2)
-    return tuple(complex(v[0]) for v in z) if single else z
 
 
 def to_bidisc(z):

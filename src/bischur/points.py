@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 TORUS_SLACK = 1e-12
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 
 def as_point(lam) -> tuple[complex, complex]:
@@ -70,7 +71,10 @@ def as_values(z):
 
 def as_scalar(z, refusal: str, kind=complex):
     """``z`` as a finite Python complex (a float for ``kind=float``), or
-    InvalidInputError(refusal) when it is not a finite number of that kind."""
+    InvalidInputError(refusal) when it is not a finite number (text and
+    booleans are not) of that kind."""
+    if isinstance(z, _NOT_NUMBERS):
+        raise InvalidInputError(refusal)
     try:
         z = kind(z)
     except (TypeError, ValueError, OverflowError):

@@ -47,6 +47,10 @@ __all__ = [
 
 def _normalize_atoms(pairs, *, low=None, high=None, what="atom"):
     """Sort, merge coincident locations, drop zero weights, check signs."""
+    try:
+        pairs = [(loc, weight) for loc, weight in pairs]
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{what} atoms must be (location, weight) pairs") from None
     merged: dict[float, float] = {}
     for loc, weight in pairs:
         refusal = f"{what} data must be finite real numbers"

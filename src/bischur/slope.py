@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boundary
+from . import boundary, gates
 from ._limits import refine_to_limit, stacked_samplers
 from .errors import DomainError, InvalidInputError
 from .linalg import as_matrix, as_vector
@@ -41,8 +41,6 @@ __all__ = [
 CLUSTER_TOL = 1e-8
 # Extrapolation tolerance of a difference quotient, relative to 1 + |estimate|.
 DERIVATIVE_TOL = 1e-8
-# How far below zero pick_check lets either minimal imaginary part fall.
-PICK_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def pick_check(h, grid) -> dict:
     return an array of that shape (or a constant), or one such row per
     function of a family, whose minima are then taken over every row.
     Slope-type functions keep both minima nonnegative; the check passes
-    when both stay above ``-PICK_SLACK``.
+    when neither is below ``-gates.PICK_SLACK``, or names the first that is.
     """
     z = np.asarray(grid, dtype=complex).reshape(-1)
     if (z.imag <= 0).any():
@@ -181,5 +179,6 @@ def pick_check(h, grid) -> dict:
     values, z = np.broadcast_arrays(h(z), z)
     min_h = float(np.min(values.imag, initial=np.inf))
     min_zh = float(np.min((-z * values).imag, initial=np.inf))
-    return {"min_im_h": min_h, "min_im_neg_zh": min_zh,
-            "pass": min_h >= -PICK_SLACK and min_zh >= -PICK_SLACK}
+    report = {"min_im_h": min_h, "min_im_neg_zh": min_zh}
+    return gates.verdict(report, [gates.within(name, figure, "ge", -gates.PICK_SLACK)
+                                  for name, figure in report.items()])

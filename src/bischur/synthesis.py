@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from . import boundary, slope as slope_mod
+from . import boundary, gates, slope as slope_mod
 from .colligation import Colligation, eval_phi
 from .errors import InternalInconsistencyError, InvalidInputError, PoleError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
@@ -107,10 +107,6 @@ def synth_eval(syn: SynthesizedSchur, lam):
 # as one stack.
 _GATE_POINTS = tuple(np.array(
     [(0.3, -0.2j), (0.5j, 0.45), (-0.6 + 0.1j, 0.2 - 0.5j), (0.1, 0.7j)]).T)
-# Bounds of verify_slope (the largest relative derivative error) and of
-# verify_carapoint (the liminf, relative to 1 + mass, and the boundary value).
-SLOPE_TOL = 1e-5
-CARAPOINT_TOL = 1e-6
 
 
 def fit_colligation(syn: SynthesizedSchur,
@@ -161,44 +157,38 @@ def verify_slope(syn: SynthesizedSchur, deltas) -> dict:
     ``slope.derivative_checks`` with h evaluated from the measure, as
     ``{"max_rel_err", "pass"}``.
 
-    The check passes when every difference quotient converged and the
-    largest relative error is below ``SLOPE_TOL``; otherwise ``reason`` says
-    why.
+    The check passes when every difference quotient converged and every
+    relative error, NaN included, is below analyze's
+    ``gates.DERIVATIVE_REL_ERR_MAX``; otherwise ``reason`` names the first cause.
     """
     checks = slope_mod.derivative_checks(partial(synth_eval, syn), syn.tau, syn.omega,
                                          deltas, partial(h_from_measure, syn.nu))
     worst = float(max([0.0, *(check["rel_err"] for check in checks)]))
-    unconverged = [k for k, check in enumerate(checks) if not check["converged"]]
-    report = {"max_rel_err": worst, "pass": False}
-    if unconverged:
-        report["reason"] = f"the difference quotients along deltas {unconverged} did not converge"
-    elif not worst < SLOPE_TOL:
-        report["reason"] = f"max_rel_err {worst:.3e} is not below {SLOPE_TOL:g}"
-    else:
-        report["pass"] = True
-    return report
+    return gates.verdict({"max_rel_err": worst}, [
+        *(gates.converged(f"the difference quotient along delta {k}", check["converged"])
+          for k, check in enumerate(checks)),
+        *(gates.within(f"rel_err along delta {k}", check["rel_err"], "lt",
+                       gates.DERIVATIVE_REL_ERR_MAX) for k, check in enumerate(checks)),
+    ])
 
 
 def verify_carapoint(syn: SynthesizedSchur) -> dict:
     """Check the radial Julia liminf equals the total mass of nu and that the
     nontangential boundary value equals omega, as ``{"liminf",
     "expected_mass", "boundary_value", "omega", "pass"}``.  Both come from
-    one sampling of phi along the radius; the check passes when both
-    extrapolations converged and both agree within ``CARAPOINT_TOL``, and
-    otherwise ``reason`` says why."""
+    one sampling of phi along the radius.  The check passes when both
+    extrapolations converged and both agree, the liminf to analyze's bound
+    ``gates.LIMINF_MATCH_MAX`` (1 + mass); ``reason`` names a first failure."""
     path = boundary.ApproachPath.radial(syn.tau)
     value, liminf = boundary._value_and_liminf(partial(synth_eval, syn), path)
     mass = syn.nu.total_mass
-    failures = [f"the radial {name} did not converge"
-                for name, report in (("Julia liminf", liminf), ("boundary value", value))
-                if not report.converged]
-    if not abs(liminf.estimate.real - mass) < CARAPOINT_TOL * (1.0 + mass):
-        failures.append("the Julia liminf differs from the mass of nu")
-    if not abs(value.estimate - syn.omega) < CARAPOINT_TOL:
-        failures.append("the boundary value differs from omega")
     report = {"liminf": float(liminf.estimate.real), "expected_mass": mass,
-              "boundary_value": complex(value.estimate), "omega": syn.omega,
-              "pass": not failures}
-    if failures:
-        report["reason"] = "; ".join(failures)
-    return report
+              "boundary_value": complex(value.estimate), "omega": syn.omega}
+    return gates.verdict(report, [
+        gates.converged("the radial Julia liminf", liminf.converged),
+        gates.converged("the radial boundary value", value.converged),
+        gates.within("|liminf - expected_mass|", abs(report["liminf"] - mass), "lt",
+                     gates.LIMINF_MATCH_MAX * (1.0 + mass)),
+        gates.within("|boundary_value - omega|", abs(report["boundary_value"] - syn.omega),
+                     "lt", gates.BOUNDARY_VALUE_MAX),
+    ])

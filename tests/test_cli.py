@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bischur import boundary, cli, eval_phi, nev2d, slope
+from bischur import boundary, cli, eval_phi, gates, nev2d, slope, synthesis
 from bischur.cli import main, parse_complex, parse_point
 from bischur.generate import random_colligation, random_interior_point
 from bischur.serialization import colligation_from_json, colligation_to_json
@@ -416,7 +416,7 @@ class TestFailureReports:
         monkeypatch.chdir(tmp_path)
         Path("empty.json").write_text('{"atoms": []}')
         if patch == "residual":
-            monkeypatch.setattr(cli, "RESIDUAL_MAX", 1e-30)
+            monkeypatch.setattr(gates, "RESIDUAL_MAX", 1e-30)
         elif patch == "unconverged":
             unconverged(monkeypatch, slope)
         code, report = run(capsys, command, *argv, "--no-timestamp")
@@ -545,9 +545,7 @@ class TestConvergenceGate:
         assert code == report["exit_code"] == 4
         assert report["julia_liminf"]["converged"] is True
         assert report["verification"]["pass"] is False
-        assert report["verification"]["reason"] == (
-            "derivative_checks[0], derivative_checks[1], derivative_checks[2], "
-            "derivative_checks[3] did not converge")
+        assert report["verification"]["reason"] == "derivative_checks[0] did not converge"
 
     def test_unconverged_julia_liminf_exits_4(self, capsys, favourite_file, monkeypatch):
         unconverged(monkeypatch, boundary)
@@ -558,11 +556,13 @@ class TestConvergenceGate:
         assert report["verification"]["reason"] == "julia_liminf did not converge"
 
     def test_residual_above_the_bound_exits_4(self, capsys, favourite_file, monkeypatch):
-        monkeypatch.setattr(cli, "RESIDUAL_MAX", 1e-30)
+        monkeypatch.setattr(gates, "RESIDUAL_MAX", 1e-30)
         code, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--no-timestamp")
+        verification = report["verification"]
         assert code == report["exit_code"] == 4
-        assert report["verification"]["pass"] is False
-        assert report["verification"]["reason"] == "a residual maximum is not below 1e-30"
+        assert verification["pass"] is False
+        assert verification["reason"] == (
+            f"model_residual_max {verification['model_residual_max']:.3e} is not below 1e-30")
 
     def test_synth_passes_when_every_limit_converges(self, capsys, measure_file):
         code, report = run(capsys, "synth", measure_file, "--tau=-1,1j", "--omega=-1",
@@ -578,7 +578,7 @@ class TestConvergenceGate:
         checks = report["verification"]
         assert checks["slope"]["pass"] is False
         assert checks["slope"]["reason"] == (
-            "the difference quotients along deltas [0, 1, 2, 3, 4, 5] did not converge")
+            "the difference quotient along delta 0 did not converge")
         assert checks["carapoint"]["pass"] is True and "reason" not in checks["carapoint"]
 
     def test_unconverged_carapoint_check_exits_5(self, capsys, measure_file, monkeypatch):
@@ -588,9 +588,7 @@ class TestConvergenceGate:
         checks = report["verification"]
         assert checks["slope"]["pass"] is True
         assert checks["carapoint"]["pass"] is False
-        assert checks["carapoint"]["reason"] == (
-            "the radial Julia liminf did not converge; "
-            "the radial boundary value did not converge")
+        assert checks["carapoint"]["reason"] == "the radial Julia liminf did not converge"
 
 
 def scaled(module, name, factor):
@@ -632,11 +630,16 @@ class TestMutations:
         (scaled(slope, "slope_eval", 1.0 + 1e-3), {"analyze": 4}),
         (scaled(slope, "directional_derivative_analytic", 2.0),
          {"analyze": 4, "synth --verify": 5}),
+        # synth --verify holds the slope formula to analyze's bound
+        (scaled(slope, "directional_derivative_analytic", 1.0 + 2e-6),
+         {"analyze": 4, "synth --verify": 5}),
+        # and the Julia liminf too; fit_colligation's own check stops nevrep
+        (scaled(synthesis, "_herglotz_sum", 1.0 + 1e-6), {"synth --verify": 5, "nevrep": 4}),
         (perturbed_infinity("limit"), {"nevrep": 4}),
         (perturbed_infinity("value"), {"nevrep": 4}),
         (flipped_beta, {"analyze": 4, "nevrep": 4}),
-    ], ids=["slope_eval", "directional_derivative_analytic", "infinity_limit",
-            "infinity_value", "desingularize_beta"])
+    ], ids=["slope_eval", "directional_derivative_analytic", "directional_derivative_2e-6",
+            "herglotz_sum_1e-6", "infinity_limit", "infinity_value", "desingularize_beta"])
     def test_every_reached_command_fails(self, capsys, three_atom_file, tmp_path,
                                          monkeypatch, mutate, codes):
         c, out = tmp_path / "c.json", tmp_path / "rep.json"
@@ -677,50 +680,57 @@ class TestAccuracyGates:
         code, report = run(capsys, "analyze", c, "--tau=-1,1j", "--no-timestamp")
         verification, julia = report["verification"], report["julia_liminf"]
         assert code == 0 and verification["pass"] is True
-        assert verification["derivative_rel_err_bound"] == cli.DERIVATIVE_REL_ERR_MAX
+        assert verification["derivative_rel_err_bound"] == gates.DERIVATIVE_REL_ERR_MAX
         assert verification["derivative_rel_err_max"] == max(
             check["rel_err"] for check in report["derivative_checks"])
-        assert verification["liminf_match_bound"] == cli.LIMINF_MATCH_MAX * (
+        assert verification["liminf_match_bound"] == gates.LIMINF_MATCH_MAX * (
             1.0 + report["carapoint"]["witness_norm_sq"])
         assert verification["liminf_match_max"] == max(
             julia["matches_witness_norm_sq"], julia["matches_minus_h1"])
         assert verification["derivative_rel_err_max"] < verification["derivative_rel_err_bound"]
         assert verification["liminf_match_max"] < verification["liminf_match_bound"]
 
-    @pytest.mark.parametrize("bound, reason", [
-        ("DERIVATIVE_REL_ERR_MAX", "the rel_err of derivative_checks[0], derivative_checks[1], "
-                                   "derivative_checks[2], derivative_checks[3] is not below 1e-30"),
-        ("LIMINF_MATCH_MAX", "julia_liminf.matches_witness_norm_sq, "
-                             "julia_liminf.matches_minus_h1 is not below "),
-    ])
+    @pytest.mark.parametrize("bound, name, figure, limit", [
+        ("DERIVATIVE_REL_ERR_MAX", "derivative_checks[0].rel_err",
+         lambda report: report["derivative_checks"][0]["rel_err"], "derivative_rel_err_bound"),
+        ("LIMINF_MATCH_MAX", "julia_liminf.matches_witness_norm_sq",
+         lambda report: report["julia_liminf"]["matches_witness_norm_sq"], "liminf_match_bound"),
+    ], ids=["DERIVATIVE_REL_ERR_MAX-derivative_checks[0].rel_err",
+            "LIMINF_MATCH_MAX-julia_liminf.matches_witness_norm_sq"])
     def test_analyze_fails_a_figure_above_its_bound(self, capsys, favourite_file, monkeypatch,
-                                                   bound, reason):
-        monkeypatch.setattr(cli, bound, 1e-30)
+                                                   bound, name, figure, limit):
+        # the reason names the first figure that misses its bound
+        monkeypatch.setattr(gates, bound, 1e-30)
         code, report = run(capsys, "analyze", favourite_file, "--tau", "1,1", "--no-timestamp")
+        verification = report["verification"]
         assert code == report["exit_code"] == 4
-        assert report["verification"]["pass"] is False
-        assert report["verification"]["reason"].startswith(reason)
+        assert verification["pass"] is False
+        assert verification["reason"] == (
+            f"{name} {figure(report):.3e} is not below {verification[limit]:.3g}")
 
     def test_nevrep_value_matches_b(self, capsys, three_atom_file):
         code, report = run(capsys, "nevrep", three_atom_file, "--omega=-1", "--no-timestamp")
         info, b = report["carapoint_at_infinity"], report["rep"]["b"]
         assert code == 0 and "reason" not in info
         assert info["value_matches_b"] == abs(complex(*info["value"]) - b)
-        assert info["value_matches_b"] <= cli.VALUE_MATCH_MAX * (1.0 + abs(b))
+        assert info["value_matches_b"] <= gates.VALUE_MATCH_MAX * (1.0 + abs(b))
 
-    @pytest.mark.parametrize("bound, reason", [
-        ("INFINITY_LIMIT_MAX", "the limit of y Im h(iy, iy) misses ||alpha||^2 by "),
-        ("VALUE_MATCH_MAX", "h(iy, iy) tends to a value that misses b by "),
-    ])
+    @pytest.mark.parametrize("bound, gap, scale", [
+        ("INFINITY_LIMIT_MAX", "limit_matches_alpha", lambda report: 1.0 + report[
+            "carapoint_at_infinity"]["alpha_norm_sq"]),
+        ("VALUE_MATCH_MAX", "value_matches_b", lambda report: 1.0 + abs(report["rep"]["b"])),
+    ], ids=["INFINITY_LIMIT_MAX-the limit of y Im h(iy, iy) against ||alpha||^2",
+            "VALUE_MATCH_MAX-h(iy, iy) against b"])
     def test_nevrep_fails_a_gap_above_its_bound(self, capsys, three_atom_file, tmp_path,
-                                               monkeypatch, bound, reason):
+                                               monkeypatch, bound, gap, scale):
         out = tmp_path / "rep.json"
         # a bound no gap meets: this input's value gap is exactly 0
-        monkeypatch.setattr(cli, bound, -1.0)
+        monkeypatch.setattr(gates, bound, -1.0)
         code, report = run(capsys, "nevrep", three_atom_file, "--omega=-1", "--out", out,
                            "--no-timestamp")
+        info = report["carapoint_at_infinity"]
         assert code == report["exit_code"] == 4
-        assert report["carapoint_at_infinity"]["reason"].startswith(reason)
+        assert info["reason"] == f"{gap} {info[gap]:.3e} is above {-scale(report):.3g}"
         assert not out.exists()
 
 

@@ -134,13 +134,28 @@ def test_a_coordinate_that_is_not_a_number_is_refused(favourite_colligation, eva
     (lambda c, bad: Tolerances(rank_rel=bad), "tolerance rank_rel must be finite and positive"),
 ], ids=["Colligation.a", "TwoVarNevRep.b", "SynthesizedSchur.omega", "measure atom",
         "NevanlinnaData.c", "herglotz_component", "Tolerances"])
-@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), 10 ** 400],
-                         ids=["text", "None", "nan", "inf", "huge"])
+@pytest.mark.parametrize("bad", ["x", "0.5", None, float("nan"), float("inf"), 10 ** 400,
+                                 True, np.True_],
+                         ids=["text", "numeric text", "None", "nan", "inf", "huge", "True",
+                              "np.True_"])
 def test_a_scalar_that_is_not_a_finite_number_is_refused(favourite_colligation, build,
                                                          message, bad):
     # an input error, not the bare ValueError or TypeError of float() or complex()
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         build(favourite_colligation, bad)
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: DiscreteMeasure01((1.0,)), "measure"),
+    (lambda: DiscreteMeasure01(None), "measure"),
+    (lambda: DiscreteMeasure01(((0.5, 1.0, 2.0),)), "measure"),
+    (lambda: NevanlinnaData(c=0.0, d=0.0, atoms=((1.0,),)), "Nevanlinna"),
+], ids=["a number", "None", "a triple", "a Nevanlinna single"])
+def test_an_atom_that_is_not_a_pair_is_refused(build, what):
+    # an input error, not the bare TypeError or ValueError of unpacking
+    message = rf"^{what} atoms must be \(location, weight\) pairs$"
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 def test_an_extrapolation_of_no_steps_is_refused():
@@ -200,6 +215,29 @@ def test_verify_reports_a_failed_suite_as_null_and_exits_5(
     assert code == report["exit_code"] == 5
     assert failed["pass"] is False and failed[figure] is None
     assert reason in failed["reason"]
+    assert all(s["pass"] for name, s in report["suites"].items() if name != suite)
+
+
+@pytest.mark.parametrize("suite, bound, figure, words", [
+    ("colligations", "SCHUR_EXCESS_MAX", "schur_bound_excess_max", "is above"),
+    ("desingularization", "RADIAL_INNER_MAX", "radial_inner", "is not below"),
+    ("measures", "EQUIVALENCE_MAX", "evaluation_equivalence_max", "is not below"),
+    ("reps", "INFINITY_LIMIT_MAX", "infinity_limit_err_max", "is not below"),
+])
+def test_verify_names_the_figure_that_misses_its_bound(monkeypatch, capsys, suite, bound,
+                                                       figure, words):
+    # a bound no figure meets fails its suite alone, and the reason names
+    # the first figure that missed it
+    import json
+    from bischur import gates
+    from bischur.cli import main
+    monkeypatch.setattr(gates, bound, -np.inf)
+    code = main(["verify", "--random", "2", "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    failed = report["suites"][suite]
+    assert code == report["exit_code"] == 5
+    assert failed["pass"] is False
+    assert failed["reason"] == f"{figure} {failed[figure]:.3e} {words} -inf"
     assert all(s["pass"] for name, s in report["suites"].items() if name != suite)
 
 

@@ -22,13 +22,18 @@ from bischur import (
     rep_from_schur,
     schur_value_from_pick,
     to_bidisc,
-    to_halfplane,
 )
 from bischur.desingularize import GeneralizedRealization
 from bischur.generate import random_interior_point, random_nev_rep, random_unitary
 from bischur.nev2d import VERIFICATION_GRID
 
 from conftest import CHI, favourite_formula
+
+
+def halfplane(lam):
+    """The coordinatewise Cayley map of a point of the bidisc."""
+    return pick_value_from_schur(lam[0]), pick_value_from_schur(lam[1])
+
 
 HALF_REP = TwoVarNevRep(b=0.0, alpha=[1.0], B=[[0.0]], Y=[[0.5]])
 
@@ -100,14 +105,14 @@ class TestCarapointAtInfinity:
 
 class TestCayleyMaps:
     def test_center_to_center(self):
-        assert to_halfplane((0.0, 0.0)) == pytest.approx((1j, 1j))
+        assert halfplane((0.0, 0.0)) == pytest.approx((1j, 1j))
         assert to_bidisc((1j, 1j)) == pytest.approx((0.0, 0.0))
 
     def test_involution_on_random_points(self):
         rng = np.random.default_rng(63)
         for _ in range(100):
             lam = random_interior_point(rng, 0.95)
-            back = to_bidisc(to_halfplane(lam))
+            back = to_bidisc(halfplane(lam))
             assert abs(back[0] - lam[0]) < 1e-14 and abs(back[1] - lam[1]) < 1e-14
             w = rng.uniform(0, 0.95) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert abs(schur_value_from_pick(pick_value_from_schur(w)) - w) < 1e-14
@@ -121,7 +126,7 @@ class TestCayleyMaps:
             assert abs(h(z) - (z[0] + z[1]) / 2.0) < 1e-10
 
     def test_half_rep_transforms_to_negated_favourite(self):
-        phi = lambda lam: schur_value_from_pick(half_rep_h(to_halfplane(lam)))
+        phi = lambda lam: schur_value_from_pick(half_rep_h(halfplane(lam)))
         rng = np.random.default_rng(65)
         for _ in range(200):
             lam = random_interior_point(rng, 0.9)
@@ -212,7 +217,7 @@ class TestRepFromSchur:
         rng = np.random.default_rng(67)
         for _ in range(5):
             rep = random_nev_rep(rng, 2)
-            phi = lambda lam: schur_value_from_pick(eval_h2(rep, to_halfplane(lam)))
+            phi = lambda lam: schur_value_from_pick(eval_h2(rep, halfplane(lam)))
             liminf = radial_liminf(phi, ApproachPath.radial(CHI))
             assert liminf.converged and np.isfinite(liminf.estimate.real)
             value = nontangential_value(phi, ApproachPath.radial(CHI)).estimate
@@ -241,7 +246,7 @@ class TestRepFromSchur:
             lam = random_interior_point(rng, 0.9)
             I = eval_I(g, lam)
             lhs = 1j * np.linalg.solve(eye - I, eye + I)
-            z = to_halfplane(lam)
+            z = halfplane(lam)
             rhs = z[0] * g.Y + z[1] * (eye - g.Y)
             assert np.linalg.norm(lhs - rhs, 2) < 1e-9
 
@@ -272,7 +277,7 @@ class TestRepFromSchur:
             rep0 = TwoVarNevRep(b=0.0, alpha=[np.sqrt(scale)], B=[[0.0]], Y=[[0.5]])
             syn = SynthesizedSchur(DiscreteMeasure01(((0.5, scale),)), tau=CHI,
                                    omega=-1.0)
-            phi_direct = lambda lam: schur_value_from_pick(eval_h2(rep0, to_halfplane(lam)))
+            phi_direct = lambda lam: schur_value_from_pick(eval_h2(rep0, halfplane(lam)))
             rng = np.random.default_rng(68)
             for _ in range(20):
                 lam = random_interior_point(rng, 0.9)

@@ -24,7 +24,7 @@ from bischur import (
     verify_carapoint,
     verify_slope,
 )
-from bischur import synthesis
+from bischur import gates, synthesis
 from bischur.generate import random_interior_point, random_interior_points
 
 from conftest import CHI, favourite_formula
@@ -200,11 +200,21 @@ class TestVerifySlope:
 
 
     def test_error_above_tol_fails_with_a_reason(self, favourite_measure, monkeypatch):
-        monkeypatch.setattr(synthesis, "SLOPE_TOL", 0.0)
+        monkeypatch.setattr(gates, "DERIVATIVE_REL_ERR_MAX", 0.0)
         report = verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0), [(1.0, 2.0)])
         assert not report["pass"]
-        assert report["reason"].startswith("max_rel_err ") and report["reason"].endswith(
-            "is not below 0")
+        assert report["reason"] == (
+            f"rel_err along delta 0 {report['max_rel_err']:.3e} is not below 0")
+
+    def test_a_nan_rel_err_fails_in_any_direction(self, favourite_measure, monkeypatch):
+        # max() passes over a NaN that is not first; each direction is gated
+        real = synthesis.h_from_measure
+        monkeypatch.setattr(synthesis, "h_from_measure", lambda nu, z: np.where(
+            np.arange(len(z)) == 1, np.nan, real(nu, z)))
+        report = verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0),
+                              [(1.0, 2.0), (2.0, 1.0)])
+        assert report["max_rel_err"] < 1e-7 and not report["pass"]
+        assert report["reason"] == "rel_err along delta 1 nan is not below 1e-07"
 
     def test_no_direction_passes_vacuously(self, favourite_measure):
         report = verify_slope(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0), [])
@@ -234,11 +244,17 @@ class TestVerifyCarapoint:
         assert report["boundary_value"] == pytest.approx(-1.0, abs=1e-6)
 
     def test_mismatch_fails_with_a_reason(self, favourite_measure, monkeypatch):
-        monkeypatch.setattr(synthesis, "CARAPOINT_TOL", 0.0)
+        # only the first failure is named: the liminf's, not the boundary value's
+        monkeypatch.setattr(gates, "LIMINF_MATCH_MAX", 0.0)
+        monkeypatch.setattr(gates, "BOUNDARY_VALUE_MAX", 0.0)
         report = verify_carapoint(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0))
         assert not report["pass"]
-        assert report["reason"] == ("the Julia liminf differs from the mass of nu; "
-                                 "the boundary value differs from omega")
+        gap = abs(report["liminf"] - report["expected_mass"])
+        assert report["reason"] == f"|liminf - expected_mass| {gap:.3e} is not below 0"
+        monkeypatch.setattr(gates, "LIMINF_MATCH_MAX", 1.0)
+        report = verify_carapoint(SynthesizedSchur(favourite_measure, tau=CHI, omega=1.0))
+        gap = abs(complex(report["boundary_value"]) - report["omega"])
+        assert report["reason"] == f"|boundary_value - omega| {gap:.3e} is not below 0"
 
     def test_liminf_and_value_match_the_library_limits(self, favourite_measure):
         syn = SynthesizedSchur(favourite_measure, tau=(1j, -1.0), omega=np.exp(0.7j))

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from bischur import Tolerances, boundary, cli, generate, nev2d, representations, slope as slope_mod
-from bischur.cli import (
+from bischur.cli import _pair_stacks
+from bischur.gates import (
     EQUIVALENCE_MAX,
     INFINITY_LIMIT_MAX,
+    PICK_SLACK,
     RADIAL_INNER_MAX,
     RESIDUAL_MAX,
     ROUND_TRIP_MAX,
     SCHUR_EXCESS_MAX,
     SLOPE_LIMINF_MAX,
-    _pair_stacks,
 )
 from bischur.colligation import eval_phi, model_residual
 from bischur.desingularize import desingularize, eval_I
@@ -125,8 +126,8 @@ def suite_measures(rng, n, tol):
         "min_im_h": float(min_im),
         "min_im_neg_zh": float(min_im_zh),
         "pass": bool(not lost_atoms and worst_round < ROUND_TRIP_MAX
-                     and worst_equiv < EQUIVALENCE_MAX and min_im >= -slope_mod.PICK_SLACK
-                     and min_im_zh >= -slope_mod.PICK_SLACK),
+                     and worst_equiv < EQUIVALENCE_MAX and min_im >= -PICK_SLACK
+                     and min_im_zh >= -PICK_SLACK),
     }
     if lost_atoms:
         suite["reason"] = (f"the round trip changed the number of atoms of "
@@ -152,7 +153,7 @@ def suite_reps(rng, n, tol):
     suite = {
         "min_im_h2": float(min_im),
         "infinity_limit_err_max": None if no_limit else worst_limit,
-        "pass": bool(not no_limit and min_im >= -slope_mod.PICK_SLACK
+        "pass": bool(not no_limit and min_im >= -PICK_SLACK
                      and worst_limit < INFINITY_LIMIT_MAX),
     }
     if no_limit:
