@@ -10,7 +10,6 @@ self-adjoint resolvent.
 __version__ = "0.1.0"
 
 from .boundary import (
-    ApproachPath,
     is_carapoint,
     model_liminf,
     nontangential_value,

@@ -18,6 +18,9 @@ from .errors import BischurError, DivergenceError, InvalidInputError
 
 __all__ = ["LimitReport", "refine_to_limit", "stacked_samplers"]
 
+# The geometric steps t_k = 2^-k, k = 1..40, of every approach to the torus:
+# the radius tau - t tau and the lines tau - t delta.
+STEPS = 2.0 ** -np.arange(1, 41)
 # Samples growing monotonically past this size are taken as divergent.
 _DIVERGENCE_THRESHOLD = 1e6
 # The one stacked call of the samplers covers this many args of each

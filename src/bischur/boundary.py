@@ -1,86 +1,38 @@
-"""Carapoint detection and nontangential limits.
+"""Carapoint detection and limits along the radius.
 
 A boundary point tau is a carapoint of a Schur function phi when the Julia
 quotient (1 - |phi|^2)/(1 - ||lam||_inf^2) stays bounded as lam -> tau; for a
 realized function this is equivalent to gamma lying in ran(1 - D tau), which
-is decided here by a minimal-norm solve.  Limits along nontangential paths
-are estimated by geometric step sequences with first-order elimination.
+is decided here by a minimal-norm solve.  Limits of a black-box phi are
+taken along the radius tau - t tau over the geometric steps ``STEPS``, with
+first-order elimination; lines through tau belong to ``slope``.
 
-Path-based estimates can certify carapoint behavior along the chosen paths
-but cannot prove a point is *not* a carapoint; divergence along a path is
-therefore reported as absence of evidence, not as proof.
+A radial estimate can certify carapoint behavior along the radius but cannot
+prove a point is *not* a carapoint; divergence is therefore reported as
+absence of evidence, not as proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ._limits import LimitReport, refine_to_limit, stacked_samplers
+from ._limits import STEPS, LimitReport, refine_to_limit, stacked_samplers
 from .colligation import Colligation, _stack, model_vector
 from .errors import InvalidInputError, NoSolutionError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, min_norm_solve
 from .points import as_point, require_torus
 
 __all__ = [
-    "ApproachPath",
     "radial_liminf",
     "model_liminf",
     "nontangential_value",
     "is_carapoint",
 ]
 
-# The geometric steps t_k = 2^-k, k = 1..40, of every approach path.
-STEPS = 2.0 ** -np.arange(1, 41)
 # Extrapolation tolerances, relative to 1 + |estimate|: of the Julia
-# quotient's liminf (path samples or model vectors) and of phi's value.
+# quotient's liminf (radial samples or model vectors) and of phi's value.
 LIMINF_TOL = 1e-9
 VALUE_TOL = 1e-10
-
-
-def _inward(tau, delta):
-    """(tau, delta) as points, with tau on the torus and delta pointing
-    into the bidisc there: Re(conj(tau_j) delta_j) > 0 in each coordinate."""
-    tau = require_torus(tau)
-    delta = as_point(delta)
-    if any((np.conj(t) * d).real <= 0 for t, d in zip(tau, delta)):
-        raise InvalidInputError(
-            "direction must satisfy Re(conj(tau_j) delta_j) > 0 in every coordinate"
-        )
-    return tau, delta
-
-
-@dataclass(frozen=True)
-class ApproachPath:
-    """A nontangential approach ``tau - t_k delta`` to a point of the torus.
-
-    Each coordinate needs Re(conj(tau_j) delta_j) > 0 so the ray points into
-    the bidisc.  The steps t_k are those of ``STEPS`` whose point lies in the
-    open bidisc.
-    """
-
-    tau: tuple[complex, complex]
-    delta: tuple[complex, complex]
-    steps: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        tau, delta = _inward(self.tau, self.delta)
-        l1, l2 = tau[0] - STEPS * delta[0], tau[1] - STEPS * delta[1]
-        t = STEPS[np.maximum(np.abs(l1), np.abs(l2)) < 1.0]
-        if not t.size:
-            raise InvalidInputError("no step keeps the path inside the bidisc")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "steps", tuple(t.tolist()))
-
-    @classmethod
-    def radial(cls, tau) -> "ApproachPath":
-        return cls(tau, tau)
-
-    def point(self, t):
-        """tau - t delta; for an array of steps, the stack of those points."""
-        return (self.tau[0] - t * self.delta[0], self.tau[1] - t * self.delta[1])
 
 
 def _quotient(value, lam):
@@ -95,48 +47,52 @@ def _quotient(value, lam):
     return (1.0 - np.abs(value) ** 2) / (1.0 - sup ** 2)
 
 
-def _radial_samples(phi, path: ApproachPath):
-    """A sampler of the rows (phi, Julia quotient) at the path's steps, for
-    ``refine_to_limit``.  ``phi`` is called as ``radial_liminf`` says."""
+def _radial_samples(phi, tau):
+    """A sampler of the rows (phi, Julia quotient) at tau - t tau, tau put on
+    the torus and t times tau as given, over ``STEPS``, as ``radial_liminf`` says."""
+    delta = as_point(tau)
+    tau = require_torus(tau)
+
     def sample(seq, t):
-        lam = path.point(t)
+        lam = (tau[0] - t * delta[0], tau[1] - t * delta[1])
         value = np.broadcast_to(phi(lam), t.shape)
         return np.stack([value, _quotient(value, lam)], axis=-1)
 
-    return stacked_samplers(sample, [path.steps])[0]
+    return stacked_samplers(sample, [STEPS])[0]
 
 
-def _limit(rows, path: ApproachPath, column: int, tol: float) -> LimitReport:
-    return refine_to_limit(lambda k: rows(k)[column], path.steps, tol=tol)
+def _limit(rows, column: int, tol: float) -> LimitReport:
+    return refine_to_limit(lambda k: rows(k)[column], STEPS, tol=tol)
 
 
-def radial_liminf(phi, path: ApproachPath) -> LimitReport:
-    """Extrapolated limit of the Julia quotient along a nontangential path,
-    to ``LIMINF_TOL``.
+def radial_liminf(phi, tau) -> LimitReport:
+    """Extrapolated limit of the Julia quotient along the radius to the torus
+    point tau, to ``LIMINF_TOL``.
 
-    ``phi`` is called on stacks of the path's points, so it must accept a
+    ``phi`` is called on stacks of the radius's points, so it must accept a
     stack (or return a constant): once on the first steps, then on a stack
     of one for each step the extrapolation reads past them; if the first
     call raises a BischurError, its points are sampled on stacks of one as
-    far as the extrapolation needs.  On a carapoint path this converges to
-    the Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
-    meaning the path provides no carapoint evidence.
+    far as the extrapolation needs.  At a carapoint this converges to the
+    Caratheodory liminf; monotone blow-up past 1e6 raises DivergenceError,
+    meaning the radius provides no carapoint evidence.
     """
-    return _limit(_radial_samples(phi, path), path, 1, LIMINF_TOL)
+    return _limit(_radial_samples(phi, tau), 1, LIMINF_TOL)
 
 
-def nontangential_value(phi, path: ApproachPath) -> LimitReport:
-    """Extrapolated limit of phi itself along a nontangential path, to
-    ``VALUE_TOL``; ``phi`` is sampled as in ``radial_liminf``."""
-    return _limit(_radial_samples(phi, path), path, 0, VALUE_TOL)
+def nontangential_value(phi, tau) -> LimitReport:
+    """Extrapolated limit of phi itself along the radius to tau, to
+    ``VALUE_TOL``, the nontangential value at a carapoint; ``phi`` is
+    sampled as in ``radial_liminf``."""
+    return _limit(_radial_samples(phi, tau), 0, VALUE_TOL)
 
 
-def _value_and_liminf(phi, path: ApproachPath) -> tuple[LimitReport, LimitReport]:
+def _value_and_liminf(phi, tau) -> tuple[LimitReport, LimitReport]:
     """``nontangential_value`` and ``radial_liminf`` from one sampling of
     ``phi``.  The liminf is extrapolated first."""
-    rows = _radial_samples(phi, path)
-    liminf = _limit(rows, path, 1, LIMINF_TOL)
-    return _limit(rows, path, 0, VALUE_TOL), liminf
+    rows = _radial_samples(phi, tau)
+    liminf = _limit(rows, 1, LIMINF_TOL)
+    return _limit(rows, 0, VALUE_TOL), liminf
 
 
 def model_liminf(c, tau, tol: Tolerances = DEFAULT_TOLERANCES):

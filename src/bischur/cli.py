@@ -160,10 +160,23 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _finite(obj):
+    """obj with every figure that is not finite, real or complex, as None."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_finite, obj))
+    return None if isinstance(obj, (float, complex, np.inexact)) and not np.isfinite(obj) else obj
+
+
 def _json_text(obj) -> str:
-    """obj as one line of JSON with sorted keys.  Without an indent, json
-    encodes in C; with one it falls back to pure Python."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_json_default)
+    """obj as one line of JSON with sorted keys, a figure that is not finite
+    as null, for which only an object json refuses is walked.  Without an
+    indent, json encodes in C; with one it falls back to pure Python."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, default=_json_default)
+    except ValueError:
+        return json.dumps(_finite(obj), sort_keys=True, allow_nan=False, default=_json_default)
 
 
 def _emit(report, out_path=None):
@@ -225,17 +238,20 @@ def _derivative_checks(c, tau, phi_tau, pair, rng, n_directions, tol):
 
 
 def _gate(report):
-    """Fill the derivative and Julia liminf figures and bounds into the
+    """Fill the derivative and Julia liminf figures and the bounds into the
     report's verification and decide it: every extrapolated limit converged,
     the residual maxima passed (see ``_generalized_verification``), every
-    derivative check's rel_err is below DERIVATIVE_REL_ERR_MAX and both
-    Julia liminf matches below their bound, read in that order."""
+    derivative check's rel_err is below DERIVATIVE_REL_ERR_MAX, both encoding
+    gaps below ENCODING_MATCH_MAX and both Julia liminf matches below their
+    bound, read in that order.  The maxima are np.max's: max skips a NaN
+    that does not come first."""
     verification, checks = report["verification"], report["derivative_checks"]
     julia = report["julia_liminf"]
     matches = ("matches_witness_norm_sq", "matches_minus_h1")
-    verification["derivative_rel_err_max"] = max(check["rel_err"] for check in checks)
+    verification["derivative_rel_err_max"] = float(np.max([check["rel_err"] for check in checks]))
     verification["derivative_rel_err_bound"] = gates.DERIVATIVE_REL_ERR_MAX
-    verification["liminf_match_max"] = max(julia[key] for key in matches)
+    verification["encoding_bound"] = gates.ENCODING_MATCH_MAX
+    verification["liminf_match_max"] = float(np.max([julia[key] for key in matches]))
     verification["liminf_match_bound"] = bound = gates.LIMINF_MATCH_MAX * (
         1.0 + report["carapoint"]["witness_norm_sq"])
     return gates.verdict(verification, [
@@ -245,6 +261,8 @@ def _gate(report):
         (verification["pass"], verification.get("reason")),
         *(gates.within(f"derivative_checks[{k}].rel_err", check["rel_err"], "lt",
                        gates.DERIVATIVE_REL_ERR_MAX) for k, check in enumerate(checks)),
+        *(gates.within(name, verification[name], "lt", gates.ENCODING_MATCH_MAX)
+          for name in ("measure_encoding_max", "nevanlinna_encoding_max")),
         *(gates.within(f"julia_liminf.{key}", julia[key], "lt", bound) for key in matches),
     ])
 
@@ -326,6 +344,12 @@ def _analysis(args, tol, report) -> int:
     verification = _generalized_verification(c, g, rng, tol)
     zs = np.array((1.0, *SLOPE_SAMPLE_POINTS))
     h1, *h_samples = slope_mod.slope_eval(pair, zs).tolist()
+    # the slope function's three encodings, each gap relative to 1 + |h|
+    h, from_measure = np.array(h_samples), representations.h_from_measure(nu, zs[1:])
+    from_data = representations.h_from_nevanlinna(nd, zs[1:])
+    for name, gap in (("measure_encoding_max", h - from_measure),
+                      ("nevanlinna_encoding_max", from_measure - from_data)):
+        verification[name] = float(np.max(np.abs(gap) / (1.0 + np.abs(h))))
 
     witness_norm_sq = float(np.linalg.norm(g.u_tau) ** 2)
     report["carapoint"] = {
@@ -437,7 +461,9 @@ def _representation(args, tol, report) -> int:
 
     g = desingularize(c, chi, tol)
     rep = nev2d.rep_from_schur(g, tol)
-    infinity = nev2d.carapoint_at_infinity(partial(nev2d.eval_h2, rep, tol=tol))
+    # h of the input, not of rep, whose own h meets its b and alpha by algebra
+    infinity = nev2d.carapoint_at_infinity(
+        lambda z: nev2d.pick_value_from_schur(eval_phi(c, nev2d.to_bidisc(z), tol)))
 
     alpha_norm_sq = float(np.linalg.norm(rep.alpha) ** 2)
     limit_gap = abs(infinity.limit - alpha_norm_sq) if infinity.limit is not None else None

@@ -10,6 +10,7 @@ import operator
 # Relative bounds are taken times 1 + the size of the expected value.
 RESIDUAL_MAX = 1e-9           # analyze's model residuals; verify's model and inner
 DERIVATIVE_REL_ERR_MAX = 1e-7  # D phi(tau) = phi(tau) w2 h(w2 / w1), relative
+ENCODING_MATCH_MAX = 1e-7     # analyze: h from Y, from its measure, from its Nevanlinna data
 LIMINF_MATCH_MAX = 1e-8       # Julia liminf = ||u_tau||^2 = -h(1) = mass, relative
 BOUNDARY_VALUE_MAX = 1e-6     # synth --verify: |phi(tau) - omega|
 VALUE_MATCH_MAX = 1e-6        # nevrep: |h(iy, iy) - b| at infinity, relative

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boundary, gates
-from ._limits import refine_to_limit, stacked_samplers
+from . import gates
+from ._limits import STEPS, refine_to_limit, stacked_samplers
 from .errors import DomainError, InvalidInputError
 from .linalg import as_matrix, as_vector
 from .points import as_point, as_values, require_torus
@@ -99,15 +99,31 @@ def slope_measure(pair: SlopePair) -> DiscreteMeasure01:
     return DiscreteMeasure01(tuple((s, w) for s, w in atoms if w > 1e-14))
 
 
+def _line(tau, delta):
+    """(delta, steps): delta as a point, pointing into the bidisc at the torus
+    point tau (Re(conj(tau_j) delta_j) > 0 in each coordinate), and the steps
+    of ``STEPS``, at least one, at which tau - t delta is in the bidisc."""
+    tau = require_torus(tau)
+    delta = as_point(delta)
+    if any((np.conj(t) * d).real <= 0 for t, d in zip(tau, delta)):
+        raise InvalidInputError(
+            "direction must satisfy Re(conj(tau_j) delta_j) > 0 in every coordinate"
+        )
+    l1, l2 = tau[0] - STEPS * delta[0], tau[1] - STEPS * delta[1]
+    steps = STEPS[np.maximum(np.abs(l1), np.abs(l2)) < 1.0]
+    if not steps.size:
+        raise InvalidInputError("no step keeps the line inside the bidisc")
+    return delta, steps
+
+
 def directional_derivative_analytic(phi_tau, tau, deltas, h) -> np.ndarray:
     """Directional derivatives from the slope formula, one per direction of
     the sequence ``deltas``, as a complex array.  ``h`` is the slope function
     at tau, such as ``partial(slope_eval, pair)``; it is called once, on the
     array of the directions' arguments conj(tau_2) delta_2 / (conj(tau_1)
-    delta_1).  Each delta must point into the bidisc at tau, as for an
-    ``ApproachPath``."""
+    delta_1).  Each delta must be a line of ``directional_derivative_numeric``."""
     tau = require_torus(tau)
-    d = np.array([boundary._inward(tau, delta)[1] for delta in deltas]).reshape(-1, 2)
+    d = np.array([_line(tau, delta)[0] for delta in deltas]).reshape(-1, 2)
     w1 = np.conj(tau[0]) * d[:, 0]
     w2 = np.conj(tau[1]) * d[:, 1]
     return complex(phi_tau) * w2 * h(w2 / w1)
@@ -115,11 +131,12 @@ def directional_derivative_analytic(phi_tau, tau, deltas, h) -> np.ndarray:
 
 def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     """Difference-quotient estimates of D_{-delta} phi(tau) from the boundary
-    value ``phi_tau``: one ``(estimate, LimitReport)`` pair per direction of
-    the sequence ``deltas``, extrapolated to ``DERIVATIVE_TOL``.
+    value ``phi_tau``: one ``LimitReport`` per direction of the sequence
+    ``deltas``, extrapolated to ``DERIVATIVE_TOL`` along the line tau - t delta
+    over the steps t = 2^-k, k = 1..40, that keep it in the bidisc (some must).
 
     ``phi`` is called on stacks of points, so it must accept a stack (or
-    return a constant): once on the first steps of every path together,
+    return a constant): once on the first steps of every line together,
     then on a stack of one for each step an extrapolation reads past them;
     if the first call raises a BischurError, its points are sampled on
     stacks of one as far as the extrapolations need.  Quotients are
@@ -127,20 +144,14 @@ def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     truncation term.
     """
     tau = as_point(tau)
-    paths = [boundary.ApproachPath(tau, delta) for delta in deltas]
-    d = np.array([path.delta for path in paths]).reshape(-1, 2)
+    lines = [_line(tau, delta) for delta in deltas]
+    d = np.array([delta for delta, _ in lines]).reshape(-1, 2)
     values = stacked_samplers(lambda j, t: phi((tau[0] - t * d[j, 0], tau[1] - t * d[j, 1])),
-                              [path.steps for path in paths])
+                              [steps for _, steps in lines])
     phi_tau = complex(phi_tau)
-    results = []
-    for path, value in zip(paths, values):
-        report = refine_to_limit(
-            lambda k: (complex(value(k)) - phi_tau) / path.steps[k],
-            path.steps,
-            tol=DERIVATIVE_TOL,
-        )
-        results.append((report.estimate, report))
-    return results
+    return [refine_to_limit(lambda k: (complex(value(k)) - phi_tau) / steps[k], steps,
+                            tol=DERIVATIVE_TOL)
+            for (_, steps), value in zip(lines, values)]
 
 
 def derivative_checks(phi, tau, phi_tau, deltas, h) -> list[dict]:
@@ -152,12 +163,12 @@ def derivative_checks(phi, tau, phi_tau, deltas, h) -> list[dict]:
     to 1 + |analytic|) and whether the quotients ``converged``."""
     deltas = list(deltas)
     checks = []
-    for delta, (numeric, report), analytic in zip(
+    for delta, report, analytic in zip(
             deltas, directional_derivative_numeric(phi, tau, deltas, phi_tau),
             directional_derivative_analytic(phi_tau, tau, deltas, h).tolist()):
-        abs_err = abs(numeric - analytic)
+        abs_err = abs(report.estimate - analytic)
         checks.append({"delta": (complex(delta[0]), complex(delta[1])),
-                       "numeric": numeric, "analytic": analytic, "abs_err": abs_err,
+                       "numeric": report.estimate, "analytic": analytic, "abs_err": abs_err,
                        "rel_err": abs_err / (1.0 + abs(analytic)),
                        "converged": report.converged})
     return checks

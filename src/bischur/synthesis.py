@@ -158,12 +158,14 @@ def verify_slope(syn: SynthesizedSchur, deltas) -> dict:
     ``{"max_rel_err", "pass"}``.
 
     The check passes when every difference quotient converged and every
-    relative error, NaN included, is below analyze's
-    ``gates.DERIVATIVE_REL_ERR_MAX``; otherwise ``reason`` names the first cause.
+    relative error is below analyze's ``gates.DERIVATIVE_REL_ERR_MAX``;
+    otherwise ``reason`` names the first cause.  A NaN error fails, and
+    makes ``max_rel_err`` NaN.
     """
     checks = slope_mod.derivative_checks(partial(synth_eval, syn), syn.tau, syn.omega,
                                          deltas, partial(h_from_measure, syn.nu))
-    worst = float(max([0.0, *(check["rel_err"] for check in checks)]))
+    # np.max, not max: max skips a NaN that does not come first
+    worst = float(np.max([0.0, *(check["rel_err"] for check in checks)]))
     return gates.verdict({"max_rel_err": worst}, [
         *(gates.converged(f"the difference quotient along delta {k}", check["converged"])
           for k, check in enumerate(checks)),
@@ -179,8 +181,7 @@ def verify_carapoint(syn: SynthesizedSchur) -> dict:
     one sampling of phi along the radius.  The check passes when both
     extrapolations converged and both agree, the liminf to analyze's bound
     ``gates.LIMINF_MATCH_MAX`` (1 + mass); ``reason`` names a first failure."""
-    path = boundary.ApproachPath.radial(syn.tau)
-    value, liminf = boundary._value_and_liminf(partial(synth_eval, syn), path)
+    value, liminf = boundary._value_and_liminf(partial(synth_eval, syn), syn.tau)
     mass = syn.nu.total_mass
     report = {"liminf": float(liminf.estimate.real), "expected_mass": mass,
               "boundary_value": complex(value.estimate), "omega": syn.omega}

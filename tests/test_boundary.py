@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from bischur import (
-    ApproachPath,
     DivergenceError,
     InvalidInputError,
     eval_phi,
+    directional_derivative_numeric,
     is_carapoint,
     model_liminf,
     nontangential_value,
     radial_liminf,
 )
+from bischur import boundary
 from bischur.boundary import STEPS, _quotient
+from bischur.slope import _line
 from bischur.points import require_torus, to_circle
 from bischur.generate import (
     random_colligation,
@@ -54,28 +56,53 @@ class TestJuliaQuotient:
             assert squared <= 2.0 * plain + 1e-12
 
 
+def radial_points(tau, monkeypatch):
+    """The points at which radial_liminf samples phi along the radius to tau,
+    every step read."""
+    monkeypatch.setattr(boundary, "LIMINF_TOL", -1.0)
+    points = []
+
+    def phi(lam):
+        points.extend(zip(*lam))
+        return np.ones(len(lam[0]))
+
+    radial_liminf(phi, tau)
+    return points
+
+
 class TestApproachPath:
-    def test_radial_points_stay_inside(self):
-        path = ApproachPath.radial(CHI)
-        for t in path.steps:
-            assert max(abs(w) for w in path.point(t)) < 1.0
+    """The two approaches to a torus point: the radius of the black-box
+    limits and the lines of the directional derivatives."""
+
+    def test_radial_points_stay_inside(self, monkeypatch):
+        points = radial_points(CHI, monkeypatch)
+        assert points == [(1.0 - t, 1.0 - t) for t in STEPS]
+        assert all(max(abs(w) for w in point) < 1.0 for point in points)
 
     def test_outward_direction_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ApproachPath(CHI, (-1.0, 1.0))
+        with pytest.raises(InvalidInputError, match="direction must satisfy"):
+            directional_derivative_numeric(favourite_formula, CHI, [(-1.0, 1.0)], 1.0)
 
     def test_steps_leaving_bidisc_are_dropped(self):
-        path = ApproachPath(CHI, (1.0, 2.0))
-        assert max(path.steps) <= 0.5
-        assert all(max(abs(w) for w in path.point(t)) < 1.0 for t in path.steps)
+        delta, steps = _line(CHI, (1.0, 2.0))
+        assert max(steps) <= 0.5
+        assert all(max(abs(1.0 - t * d) for d in delta) < 1.0 for t in steps)
 
     def test_point_off_the_torus_rejected(self):
+        for limit in (radial_liminf, nontangential_value):
+            with pytest.raises(InvalidInputError, match="is not on the torus"):
+                limit(favourite_formula, (1j, 0.3))
         with pytest.raises(InvalidInputError, match="is not on the torus"):
-            ApproachPath((1j, 0.3), (1j, 1))
+            directional_derivative_numeric(favourite_formula, (1j, 0.3), [(1j, 1)], 1.0)
 
-    def test_point_near_the_torus_is_put_on_it(self):
-        path = ApproachPath((1.0000000000009, complex(0.0, -0.9999999999991)), (1, -1j))
-        assert path.tau == (1.0, -1j)
+    def test_point_near_the_torus_is_put_on_it(self, monkeypatch):
+        tau = (1.0000000000009, complex(0.0, -0.9999999999991))
+        points = radial_points(tau, monkeypatch)
+        # every step stays inside, and the radius ends at the torus point
+        assert len(points) == len(STEPS)
+        assert all(max(abs(w) for w in point) < 1.0 for point in points)
+        assert require_torus(tau) == (1.0, -1j)
+        assert max(abs(w - t) for w, t in zip(points[-1], (1.0, -1j))) < 1e-11
 
     @pytest.mark.parametrize("z", [1.0, -1.0, 1j, complex(-0.0, 1.0), complex(-1.0, -0.0),
                                    complex(0.6, 0.8), np.exp(2.5j)])
@@ -85,29 +112,33 @@ class TestApproachPath:
         assert [repr(t) for t in tau] == [repr(complex(z))] * 2
 
     def test_steps_are_python_floats(self):
-        path = ApproachPath(CHI, (1.0, 4.0))
-        assert path.steps == tuple(STEPS[1:])
-        assert all(type(t) is float for t in path.steps)
+        # a line drops the steps that leave the bidisc and keeps the others
+        # as they are, so its quotients divide by the floats of STEPS
+        delta, steps = _line(CHI, (1.0, 4.0))
+        assert delta == (1.0, 4.0) and steps.tolist() == STEPS[1:].tolist()
+        report, = directional_derivative_numeric(lambda lam: lam[0], CHI, [delta], 1.0)
+        assert report.samples[0] == (1.0 - steps[0] - 1.0) / float(steps[0])
+        assert all(type(t) is float for t in steps.tolist())
 
 
 class TestRadialLiminf:
     def test_favourite_at_chi(self):
-        report = radial_liminf(favourite_formula, ApproachPath.radial(CHI))
+        report = radial_liminf(favourite_formula, CHI)
         assert report.converged
         assert report.estimate.real == pytest.approx(1.0, abs=1e-8)
 
     def test_unimodular_constant(self):
-        report = radial_liminf(lambda lam: 1.0, ApproachPath.radial(CHI))
+        report = radial_liminf(lambda lam: 1.0, CHI)
         assert report.estimate.real == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_function(self):
-        report = radial_liminf(lambda lam: (lam[0] + lam[1]) / 2, ApproachPath.radial(CHI))
+        report = radial_liminf(lambda lam: (lam[0] + lam[1]) / 2, CHI)
         assert report.estimate.real == pytest.approx(1.0, abs=1e-8)
 
     def test_divergence_signals_no_carapoint_evidence(self):
         # |phi| < 1 constant has unbounded Julia quotient at the boundary
         with pytest.raises(DivergenceError):
-            radial_liminf(lambda lam: 0.0, ApproachPath.radial(CHI))
+            radial_liminf(lambda lam: 0.0, CHI)
 
 
 class TestModelLiminf:
@@ -134,7 +165,7 @@ class TestModelLiminf:
             tau = random_torus_point(rng)
             c = random_colligation_with_kernel(rng, 3, 1, tau)
             model = model_liminf(c, tau).estimate.real
-            direct = radial_liminf(partial(eval_phi, c), ApproachPath.radial(tau)).estimate.real
+            direct = radial_liminf(partial(eval_phi, c), tau).estimate.real
             assert model == pytest.approx(direct, rel=1e-6)
 
     def test_a_group_is_refused_unless_one_carapoint_per_colligation_of_one_dimension(self):
@@ -152,14 +183,17 @@ class TestModelLiminf:
 
 class TestNontangentialValue:
     def test_favourite_at_chi(self):
-        report = nontangential_value(favourite_formula, ApproachPath.radial(CHI))
+        report = nontangential_value(favourite_formula, CHI)
         assert report.estimate == pytest.approx(1.0, abs=1e-9)
 
     def test_path_independence_at_carapoint(self):
-        r1 = nontangential_value(favourite_formula, ApproachPath(CHI, (1.0, 2.0)))
-        r2 = nontangential_value(favourite_formula, ApproachPath(CHI, (1.0 + 0.4j, 1.0)))
-        assert abs(r1.estimate - r2.estimate) < 1e-6
-        assert abs(r1.estimate - 1.0) < 1e-6
+        # a difference quotient from the radial value converges along a line
+        # only if phi tends to that value along it too
+        value = nontangential_value(favourite_formula, CHI).estimate
+        assert abs(value - 1.0) < 1e-6
+        for report in directional_derivative_numeric(
+                favourite_formula, CHI, [(1.0, 2.0), (1.0 + 0.4j, 1.0)], value):
+            assert report.converged
 
 
 class TestIsCarapoint:
@@ -188,7 +222,7 @@ class TestIsCarapoint:
             if not ok:
                 continue
             found += 1
-            report = radial_liminf(partial(eval_phi, c), ApproachPath.radial(tau))
+            report = radial_liminf(partial(eval_phi, c), tau)
             assert report.estimate.real == pytest.approx(
                 np.linalg.norm(witness) ** 2, abs=1e-6)
         assert found >= 5

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bischur import boundary, cli, eval_phi, gates, nev2d, slope, synthesis
+from bischur import (DiscreteMeasure01, boundary, cli, eval_phi, gates, nev2d, representations,
+                     slope, synthesis)
 from bischur.cli import main, parse_complex, parse_point
 from bischur.generate import random_colligation, random_interior_point
 from bischur.serialization import colligation_from_json, colligation_to_json
@@ -599,6 +600,21 @@ def scaled(module, name, factor):
     return mutate
 
 
+def replaced(module, name, change):
+    """A mutation: ``module.name`` with its result passed through change."""
+    def mutate(monkeypatch):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+    return mutate
+
+
+def nan_at(values, k):
+    """An array of complex values with the one at k put NaN."""
+    values = np.array(values, dtype=complex)
+    values[k] = np.nan
+    return values
+
+
 def perturbed_infinity(field):
     """A mutation: carapoint_at_infinity with its ``field`` moved by 1e-3
     relative to 1 + its size."""
@@ -638,8 +654,24 @@ class TestMutations:
         (perturbed_infinity("limit"), {"nevrep": 4}),
         (perturbed_infinity("value"), {"nevrep": 4}),
         (flipped_beta, {"analyze": 4, "nevrep": 4}),
+        # a NaN figure fails its gate and its maximum, and prints as null
+        (replaced(slope, "directional_derivative_analytic", lambda values: nan_at(values, 1)),
+         {"analyze": 4, "synth --verify": 5}),
+        # analyze holds the slope function to its measure and Nevanlinna data
+        (replaced(slope, "slope_measure", lambda nu: DiscreteMeasure01(
+            tuple((s, w * (1.0 + 1e-3)) for s, w in nu.atoms))), {"analyze": 4}),
+        (replaced(representations, "nevanlinna_from_measure",
+                  lambda nd: dataclasses.replace(nd, c=nd.c + 1e-3)), {"analyze": 4}),
+        # nevrep holds its representation to the input's function at infinity
+        (replaced(nev2d, "rep_from_schur",
+                  lambda rep: dataclasses.replace(rep, alpha=rep.alpha * (1.0 + 1e-3))),
+         {"nevrep": 4}),
+        (replaced(nev2d, "rep_from_schur", lambda rep: dataclasses.replace(rep, b=rep.b + 1e-3)),
+         {"nevrep": 4}),
     ], ids=["slope_eval", "directional_derivative_analytic", "directional_derivative_2e-6",
-            "herglotz_sum_1e-6", "infinity_limit", "infinity_value", "desingularize_beta"])
+            "herglotz_sum_1e-6", "infinity_limit", "infinity_value", "desingularize_beta",
+            "directional_derivative_nan", "slope_measure_weights_1e-3",
+            "nevanlinna_c_1e-3", "rep_alpha_1e-3", "rep_b_1e-3"])
     def test_every_reached_command_fails(self, capsys, three_atom_file, tmp_path,
                                          monkeypatch, mutate, codes):
         c, out = tmp_path / "c.json", tmp_path / "rep.json"
@@ -689,6 +721,23 @@ class TestAccuracyGates:
             julia["matches_witness_norm_sq"], julia["matches_minus_h1"])
         assert verification["derivative_rel_err_max"] < verification["derivative_rel_err_bound"]
         assert verification["liminf_match_max"] < verification["liminf_match_bound"]
+        assert verification["encoding_bound"] == gates.ENCODING_MATCH_MAX
+        assert verification["measure_encoding_max"] < verification["encoding_bound"]
+        assert verification["nevanlinna_encoding_max"] < verification["encoding_bound"]
+
+    def test_analyze_fails_an_encoding_gap_above_its_bound(self, capsys, three_atom_file,
+                                                          tmp_path, monkeypatch):
+        # after the derivative checks, before the Julia liminf matches
+        c = tmp_path / "c.json"
+        run(capsys, "synth", three_atom_file, "--tau=-1,1j", "--omega=-1", "--out", c,
+            "--no-timestamp")
+        monkeypatch.setattr(gates, "ENCODING_MATCH_MAX", -1.0)
+        monkeypatch.setattr(gates, "LIMINF_MATCH_MAX", -1.0)
+        code, report = run(capsys, "analyze", c, "--tau=-1,1j", "--no-timestamp")
+        verification = report["verification"]
+        assert code == report["exit_code"] == 4 and verification["encoding_bound"] == -1.0
+        assert verification["reason"] == (
+            f"measure_encoding_max {verification['measure_encoding_max']:.3e} is not below -1")
 
     @pytest.mark.parametrize("bound, name, figure, limit", [
         ("DERIVATIVE_REL_ERR_MAX", "derivative_checks[0].rel_err",
@@ -724,7 +773,7 @@ class TestAccuracyGates:
     def test_nevrep_fails_a_gap_above_its_bound(self, capsys, three_atom_file, tmp_path,
                                                monkeypatch, bound, gap, scale):
         out = tmp_path / "rep.json"
-        # a bound no gap meets: this input's value gap is exactly 0
+        # a bound no gap meets, not even a gap of exactly 0
         monkeypatch.setattr(gates, bound, -1.0)
         code, report = run(capsys, "nevrep", three_atom_file, "--omega=-1", "--out", out,
                            "--no-timestamp")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bischur import (
-    ApproachPath,
     BoundarySingularityError,
     Colligation,
     DiscreteMeasure01,
@@ -117,7 +116,7 @@ class TestBoundaryValue:
     def closed_form(c, tau):
         g = desingularize(c, tau)
         closed = g.a + g.u_tau @ g.beta.conj()
-        radial = nontangential_value(partial(eval_phi, c), ApproachPath.radial(tau))
+        radial = nontangential_value(partial(eval_phi, c), tau)
         assert abs(closed - radial.estimate) < 1e-10
         return closed
 

@@ -302,3 +302,42 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, favourite_colligation,
     assert code == 2
     assert report["error"]["kind"] == "input"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("command, code", [("analyze", 4), ("synth --verify", 5)])
+def test_a_nan_figure_prints_as_null_and_fails_with_its_exit_code(monkeypatch, capsys, tmp_path,
+                                                                 command, code):
+    # a NaN analytic derivative in the second direction: Python's max would
+    # pass over it, and json refuses it unless it is null
+    import json
+    from bischur import slope
+    from bischur.cli import main
+    measure, c = tmp_path / "m.json", tmp_path / "c.json"
+    measure.write_text(json.dumps({"atoms": [{"s": 0.2, "w": 0.7}, {"s": 0.5, "w": 1.1},
+                                             {"s": 0.9, "w": 0.4}]}))
+    point = ["--tau=-1,1j", "--no-timestamp"]
+    assert main(["synth", str(measure), "--omega=-1", "--out", str(c), *point]) == 0
+    capsys.readouterr()
+    real = slope.directional_derivative_analytic
+
+    def nan_second(*args):
+        values = real(*args)
+        values[1] = np.nan
+        return values
+
+    monkeypatch.setattr(slope, "directional_derivative_analytic", nan_second)
+    argv = {"analyze": ["analyze", str(c)],
+            "synth --verify": ["synth", str(measure), "--omega=-1", "--verify"]}[command]
+    assert main([*argv, *point]) == code
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["exit_code"] == code and "NaN" not in out
+    if command == "analyze":
+        check, verification = report["derivative_checks"][1], report["verification"]
+        assert check["analytic"] is None and check["abs_err"] is None and check["rel_err"] is None
+        assert verification["derivative_rel_err_max"] is None
+        assert verification["reason"] == "derivative_checks[1].rel_err nan is not below 1e-07"
+    else:
+        check = report["verification"]["slope"]
+        assert check["max_rel_err"] is None
+        assert check["reason"] == "rel_err along delta 1 nan is not below 1e-07"

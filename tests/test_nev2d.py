@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bischur import (
-    ApproachPath,
     IllConditionedError,
     InternalInconsistencyError,
     InvalidInputError,
@@ -131,7 +130,7 @@ class TestCayleyMaps:
         for _ in range(200):
             lam = random_interior_point(rng, 0.9)
             assert abs(phi(lam) + favourite_formula(lam)) < 1e-12
-        value = nontangential_value(phi, ApproachPath.radial(CHI)).estimate
+        value = nontangential_value(phi, CHI).estimate
         assert value == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -218,9 +217,9 @@ class TestRepFromSchur:
         for _ in range(5):
             rep = random_nev_rep(rng, 2)
             phi = lambda lam: schur_value_from_pick(eval_h2(rep, halfplane(lam)))
-            liminf = radial_liminf(phi, ApproachPath.radial(CHI))
+            liminf = radial_liminf(phi, CHI)
             assert liminf.converged and np.isfinite(liminf.estimate.real)
-            value = nontangential_value(phi, ApproachPath.radial(CHI)).estimate
+            value = nontangential_value(phi, CHI).estimate
             assert abs(value - 1.0) > 1e-3
 
     def test_equivalence_chain_fails_together_for_the_favourite(self):
@@ -228,7 +227,7 @@ class TestRepFromSchur:
         # Schur transform is 1, and (0,0) is not a carapoint of h(-1/z)
         h = lambda z: (z[0] + z[1]) / 2.0
         assert not carapoint_at_infinity(h).finite
-        value = nontangential_value(favourite_formula, ApproachPath.radial(CHI)).estimate
+        value = nontangential_value(favourite_formula, CHI).estimate
         assert value == pytest.approx(1.0, abs=1e-8)
         etas = [2.0 ** -k for k in range(1, 12)]
         quotients = [h((1j / eta, 1j / eta)).imag / eta for eta in etas]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bischur import (
-    ApproachPath,
     DiscreteMeasure01,
     DomainError,
     InvalidInputError,
@@ -23,6 +22,7 @@ from bischur import (
     slope_measure,
     synth_eval,
 )
+from bischur._limits import LimitReport
 from bischur.cli import _verify_directions
 from bischur.generate import (
     random_colligation_with_kernel,
@@ -131,25 +131,24 @@ class TestOutwardDirection:
 
 class TestDirectionalDerivativeNumeric:
     def test_favourite_direction_one_one(self):
-        (value, report), = directional_derivative_numeric(favourite_formula, CHI,
-                                                          [(1.0, 1.0)], 1.0)
+        report, = directional_derivative_numeric(favourite_formula, CHI, [(1.0, 1.0)], 1.0)
         assert report.converged
-        assert value == pytest.approx(-1.0, abs=1e-6)
+        assert report.estimate == pytest.approx(-1.0, abs=1e-6)
 
     def test_favourite_direction_two_one(self):
-        (value, _), = directional_derivative_numeric(favourite_formula, CHI, [(2.0, 1.0)], 1.0)
-        assert value == pytest.approx(-4.0 / 3.0, abs=1e-6)
+        report, = directional_derivative_numeric(favourite_formula, CHI, [(2.0, 1.0)], 1.0)
+        assert report.estimate == pytest.approx(-4.0 / 3.0, abs=1e-6)
 
     def test_linear_function(self):
-        (value, _), = directional_derivative_numeric(lambda lam: lam[0], CHI, [(1.0, 1.0)], 1.0)
-        assert value == pytest.approx(-1.0, abs=1e-9)
+        report, = directional_derivative_numeric(lambda lam: lam[0], CHI, [(1.0, 1.0)], 1.0)
+        assert report.estimate == pytest.approx(-1.0, abs=1e-9)
 
     def test_sequence_of_directions_gives_each_single_result(self):
         rng = np.random.default_rng(34)
         tau = random_torus_point(rng)
         phi = partial(eval_phi, random_colligation_with_kernel(rng, 3, 1, tau))
         deltas = [random_inward_direction(rng, tau) for _ in range(5)]
-        phi_tau = nontangential_value(phi, ApproachPath.radial(tau)).estimate
+        phi_tau = nontangential_value(phi, tau).estimate
         results = directional_derivative_numeric(phi, tau, deltas, phi_tau)
         assert isinstance(results, list) and len(results) == len(deltas)
         for delta, result in zip(deltas, results):
@@ -158,11 +157,16 @@ class TestDirectionalDerivativeNumeric:
     def test_one_direction_in_a_sequence_gives_a_list(self):
         results = directional_derivative_numeric(favourite_formula, CHI, [(1.0, 1.0)], 1.0)
         assert isinstance(results, list) and len(results) == 1
-        (value, report), = results
-        assert report.converged and value == report.estimate
+        report, = results
+        assert isinstance(report, LimitReport) and report.converged
 
     def test_empty_sequence_of_directions(self):
         assert directional_derivative_numeric(favourite_formula, CHI, [], 1.0) == []
+
+    def test_a_line_that_no_step_keeps_inside_is_rejected(self):
+        # tau - t delta leaves the bidisc at every step t >= 2^-40
+        with pytest.raises(InvalidInputError, match="no step keeps the line inside"):
+            directional_derivative_numeric(favourite_formula, CHI, [(1.0, 1e13)], 1.0)
 
     def test_one_outward_direction_in_a_sequence_is_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -176,13 +180,13 @@ class TestDirectionalDerivativeNumeric:
         g = desingularize(c, tau)
         pair = SlopePair.from_realization(g)
         phi = partial(eval_phi, c)
-        phi_tau = nontangential_value(phi, ApproachPath.radial(tau)).estimate
+        phi_tau = nontangential_value(phi, tau).estimate
         deltas = [random_inward_direction(rng, tau) for _ in range(20)]
         results = directional_derivative_numeric(phi, tau, deltas, phi_tau)
         analytics = directional_derivative_analytic(phi_tau, tau, deltas,
                                                     partial(slope_eval, pair))
-        for (numeric, _), analytic in zip(results, analytics, strict=True):
-            assert abs(numeric - analytic) < 1e-5 * (1.0 + abs(analytic))
+        for numeric, analytic in zip(results, analytics, strict=True):
+            assert abs(numeric.estimate - analytic) < 1e-5 * (1.0 + abs(analytic))
 
 
 class TestDerivativeChecks:
@@ -190,9 +194,10 @@ class TestDerivativeChecks:
         deltas = [(1.0, 1.0), (2.0, 1.0)]
         checks = derivative_checks(favourite_formula, CHI, 1.0, deltas, HALF_H)
         assert [check["delta"] for check in checks] == [(1 + 0j, 1 + 0j), (2 + 0j, 1 + 0j)]
-        for check, (numeric, report), analytic in zip(
+        for check, report, analytic in zip(
                 checks, directional_derivative_numeric(favourite_formula, CHI, deltas, 1.0),
                 directional_derivative_analytic(1.0, CHI, deltas, HALF_H).tolist(), strict=True):
+            numeric = report.estimate
             assert check == {"delta": check["delta"], "numeric": numeric,
                              "analytic": analytic, "abs_err": abs(numeric - analytic),
                              "rel_err": abs(numeric - analytic) / (1.0 + abs(analytic)),

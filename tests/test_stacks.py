@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bischur import (
-    ApproachPath,
     BoundarySingularityError,
     Colligation,
     DiscreteMeasure01,
@@ -46,7 +45,7 @@ from bischur import (
 )
 from bischur import _limits, boundary, cli, generate, nev2d, slope, synthesis
 from bischur._integrate import adaptive_trapezoid
-from bischur._limits import refine_to_limit
+from bischur._limits import STEPS, refine_to_limit
 from bischur.boundary import _quotient
 from bischur.colligation import _realize, _stack
 from bischur.generate import (
@@ -190,23 +189,26 @@ def julia_quotient(phi, lam):
     return _quotient(phi(lam), lam)
 
 
-def pointwise(phi, path, tol):
-    """radial_liminf of phi along path, sampled on stacks of one."""
-    steps = np.array(path.steps)
-    return refine_to_limit(lambda k: julia_quotient(phi, path.point(steps[k:k + 1]))[0],
-                           steps, tol=tol)
+def radius(t):
+    """The points CHI - t CHI of the radius at the steps t."""
+    return CHI[0] - t * CHI[0], CHI[1] - t * CHI[1]
+
+
+def pointwise(phi, tol):
+    """radial_liminf of phi along the radius to CHI, sampled on stacks of one."""
+    return refine_to_limit(lambda k: julia_quotient(phi, radius(STEPS[k:k + 1]))[0],
+                           STEPS, tol=tol)
 
 
 def test_unreached_ill_conditioned_tail_falls_back_to_points(favourite_colligation):
     # the resolvent of the favourite at (1 - t)(1, 1) has condition about 1/t,
-    # so a ceiling of 1e3 breaks the path's tail, which the limit never reaches
+    # so a ceiling of 1e3 breaks the radius's tail, which the limit never reaches
     phi = partial(eval_phi, favourite_colligation, tol=Tolerances(solve_cond_max=1e3))
-    path = ApproachPath.radial(CHI)
     with pytest.raises(IllConditionedError):
-        phi(path.point(np.array(path.steps)))
-    lazy = pointwise(phi, path, 1e-9)
+        phi(radius(STEPS))
+    lazy = pointwise(phi, 1e-9)
     assert lazy.converged
-    assert radial_liminf(phi, path) == lazy
+    assert radial_liminf(phi, CHI) == lazy
 
 
 def test_model_liminf_falls_back_on_an_unreached_tail(favourite_colligation):
@@ -227,37 +229,31 @@ def counted(f, calls, at=0):
 
 def test_path_converging_in_its_head_makes_one_call(favourite_colligation):
     calls = []
-    path = ApproachPath.radial(CHI)
-    report = radial_liminf(counted(partial(eval_phi, favourite_colligation), calls), path)
+    report = radial_liminf(counted(partial(eval_phi, favourite_colligation), calls), CHI)
     assert calls == [24]
     assert report.converged and len(report.samples) <= 24
     assert report.estimate == pytest.approx(1.0, abs=1e-8)
 
 
-# with LIMINF_TOL at 1e-300 the extrapolation along this path reads all of
-# its steps, past the head
-PAST_THE_HEAD = ApproachPath(CHI, (1.0, 3.0))
-
-
 def test_path_read_past_its_head_samples_stacks_of_one(favourite_colligation, monkeypatch):
-    monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
-    path = PAST_THE_HEAD
+    # no gap is below a negative tolerance, so the extrapolation along the
+    # radius reads every step, past the head
+    monkeypatch.setattr(boundary, "LIMINF_TOL", -1.0)
     phi = partial(eval_phi, favourite_colligation)
     calls = []
-    report = radial_liminf(counted(phi, calls), path)
-    assert calls == [24] + [1] * (len(path.steps) - 24)
-    assert len(report.samples) == len(path.steps)
+    report = radial_liminf(counted(phi, calls), CHI)
+    assert calls == [24] + [1] * (len(STEPS) - 24)
+    assert len(report.samples) == len(STEPS)
     # head then stacks of one give the digits of stacks of one and of one
-    # whole-path call
-    assert report == pointwise(phi, path, 1e-300)
-    whole = julia_quotient(phi, path.point(np.array(path.steps)))
-    assert report == refine_to_limit(whole.__getitem__, path.steps, tol=1e-300)
+    # whole-radius call
+    assert report == pointwise(phi, -1.0)
+    whole = julia_quotient(phi, radius(STEPS))
+    assert report == refine_to_limit(whole.__getitem__, STEPS, tol=-1.0)
 
 
 @pytest.mark.parametrize("broken", ["head"])
 def test_stack_that_raises_falls_back_to_points(broken, favourite_colligation, monkeypatch):
-    monkeypatch.setattr(boundary, "LIMINF_TOL", 1e-300)
-    path = PAST_THE_HEAD
+    monkeypatch.setattr(boundary, "LIMINF_TOL", -1.0)
     phi = partial(eval_phi, favourite_colligation)
     calls = []
 
@@ -267,12 +263,12 @@ def test_stack_that_raises_falls_back_to_points(broken, favourite_colligation, m
             raise IllConditionedError(f"the {broken} stack is refused", cond=1e300)
         return phi(lam)
 
-    report = radial_liminf(breaks, path)
-    assert len(report.samples) == len(path.steps)
+    report = radial_liminf(breaks, CHI)
+    assert len(report.samples) == len(STEPS)
     # no second stacked call: every point alone
     assert calls == [(24,)] + [(1,)] * len(report.samples)
-    assert report == radial_liminf(phi, path)
-    assert report == pointwise(phi, path, 1e-300)
+    assert report == radial_liminf(phi, CHI)
+    assert report == pointwise(phi, -1.0)
 
 
 def refusing_stacks(f, at):

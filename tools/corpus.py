@@ -1,5 +1,5 @@
-"""The regression corpus: two sets of CLI reports, each with ``--no-timestamp``
-and run in process.
+"""The regression corpus: three sets of CLI reports, each with
+``--no-timestamp`` and run in process.
 
     python3 tools/corpus.py [--seeds 0-199] [--measures 30] [--against REV]
 
@@ -12,7 +12,12 @@ tau and ``nevrep --omega=-1`` of the measure.  Seeds 0-39 with 30 measures
 give the 170-report corpus.  The measures are drawn by the package under
 ``src`` of this checkout, and each side writes them under relative names in a
 fresh temporary directory and runs there, so the paths its reports name
-agree.
+agree.  The ``cli-small`` set is the benchmark's: the pools of seeds 1-3
+that ``bench/workloads.py`` draws with ``cli_small(default_rng([seed, 0]),
+".")``, 32 rounds of 5 jobs each, and on every job the four calls of its
+``run_pipeline`` (``synth --out``, ``synth --verify``, ``analyze`` and
+``nevrep``), 1 920 reports; it always runs, with this checkout's ``bench``
+for both sides.
 
 Prints one line per report: its set, its key, its exit code and the sha256 of
 its stdout; after each set, one digest over that set's lines.  ``--against
@@ -44,6 +49,7 @@ import numpy as np
 
 RANDOM = (50, 7)
 PIPELINE_SEED = 5
+CLI_SMALL_SEEDS = (1, 2, 3)
 OMEGA = "--omega=-1"
 REPO = Path(__file__).resolve().parent.parent
 
@@ -118,6 +124,36 @@ def reports(src, seeds, inputs):
     return out
 
 
+def _workloads():
+    """``bench/workloads.py`` of this checkout, imported with its ``bench``
+    neighbours."""
+    bench = str(REPO / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+
+
+def cli_small_reports(src, rounds=None):
+    """{key: (exit code, stdout)} of the package under ``src`` on the first
+    ``rounds`` rounds (all by default) of each cli-small pool: keys
+    ("cli-small", seed, job, call), the calls of ``run_pipeline``.  A call
+    whose report cannot be read has its problem for an exit code."""
+    cli, workloads = _import_cli(src), _workloads()
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+        for seed in CLI_SMALL_SEEDS:
+            pool = workloads.cli_small(np.random.default_rng([seed, 0]), ".")
+            jobs = [job for round_ in pool[:rounds] for job in round_]
+            for i, job in enumerate(jobs):
+                for name, (_, report, text, problem), *_ in workloads.run_pipeline(
+                        cli, job, workloads.Result()):
+                    code = report.get("exit_code") if problem is None else problem
+                    out["cli-small", seed, i, name] = code, text
+    return out
+
+
 def _leaves(node, path=""):
     """(field, value) for every scalar under a JSON node, in order."""
     if isinstance(node, dict):
@@ -178,8 +214,8 @@ def main(argv=None) -> int:
                         help="also run REV's package and list the reports that differ")
     args = parser.parse_args(argv)
     inputs = pipeline_inputs(args.measures)
-    ours = reports(REPO / "src", args.seeds, inputs)
-    for kind in ("verify", "pipeline"):
+    ours = {**reports(REPO / "src", args.seeds, inputs), **cli_small_reports(REPO / "src")}
+    for kind in ("verify", "pipeline", "cli-small"):
         lines = [f"{_name(key)} {code} {hashlib.sha256(text.encode()).hexdigest()}"
                  for key, (code, text) in ours.items() if key[0] == kind]
         print("\n".join(lines))
@@ -187,7 +223,8 @@ def main(argv=None) -> int:
     if not args.against:
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        theirs = reports(_export(args.against, tmp), args.seeds, inputs)
+        src = _export(args.against, tmp)
+        theirs = {**reports(src, args.seeds, inputs), **cli_small_reports(src)}
     differ = [key for key in ours if ours[key] != theirs[key]]
     for key in differ:
         print(f"differs: {_name(key)}: exit {theirs[key][0]} -> {ours[key][0]}")
