@@ -40,6 +40,13 @@ def _gauss_legendre(*sizes):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _require_finite_height(a, b, y):
+    """Refuse the floats a, b and y, the largest y of a window, when its
+    contour height max(b - a, 2y) is not finite."""
+    if not (math.isfinite(b - a) and math.isfinite(2.0 * y)):
+        raise InvalidInputError(f"the contour height over [{a}, {b}] at y = {y} is not finite")
+
+
 def _level(h, a, b, y, sizes, previous=None):
     """The integrals of the column ``y`` by the last rule of ``sizes`` nodes, from one call
     of h, and where they agree with the rule before (``previous`` when given)."""
@@ -74,9 +81,12 @@ def adaptive_trapezoid(h, a, b, y):
     ``h`` is called once per rule level, on a 1-D array of points with
     Im z >= min(y), and returns an array of that shape (or a constant).  The
     name is that of the trapezoid rule this replaced; the benchmark tracer
-    resolves it until its next revision renames it (ROADMAP.md).
+    resolves it until its next revision renames it (ROADMAP.md).  Raises
+    InvalidInputError before any call of h when the contour height
+    max(b - a, 2y) is not finite.
     """
     ys = np.array(y, dtype=float, ndmin=1)
+    _require_finite_height(float(a), float(b), float(ys.max()))
     values, settled = _level(h, a, b, ys[:, None], (16, 32))
     live, n = np.flatnonzero(~settled), 32
     while live.size and np.isfinite(values[live]).all() and n < MAX_NODES:

@@ -70,5 +70,11 @@ def test_moves_name_each_field_with_its_largest_move():
     assert corpus.moves(json.dumps(old), json.dumps(new)) == {
         "a.y[*]": 1.0, "flag": "changed", "note": "changed"}
     assert corpus.moves(json.dumps(old), json.dumps(old)) == {}
-    assert corpus.moves(json.dumps(old), json.dumps({"a": 1})) == {"stdout": "changed"}
+    assert corpus.moves(json.dumps(old), json.dumps({"a": 1})) == {
+        "a.x": "removed", "a.y[*]": "removed", "flag": "removed", "note": "removed",
+        "z": "removed", "a": "added"}
+    # the fields both sides share are still compared when others come or go
+    grown = {"a": {"x": 1.25, "y": [1.0, 2.0]}, "flag": True, "note": "n", "w": [0.5]}
+    assert corpus.moves(json.dumps(old), json.dumps(grown)) == {
+        "a.x": 0.25, "a.y[*]": "changed", "z": "removed", "w[*]": "added"}
     assert corpus.moves(json.dumps(old), "not json") == {"stdout": "changed"}

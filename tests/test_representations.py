@@ -18,11 +18,14 @@ from bischur import (
     pick_check,
     stieltjes_recover,
 )
-from bischur._integrate import adaptive_trapezoid
+from bischur._integrate import REL_TOL, adaptive_trapezoid
+from bischur._limits import refine_to_limit
 from bischur.generate import random_measure
 
 HALF_MEASURE = DiscreteMeasure01(((0.5, 1.0),))
 HALF_NEV = NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.0, math.pi),))
+# an atom just outside the window [-1, 0]: its extrapolation reads 10 ys
+DEEP_NEV = NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.1, math.pi),))
 
 
 class TestMeasureTypes:
@@ -206,8 +209,11 @@ class TestStieltjes:
         (-2.0 + 0j, 0.0, [0.1, 0.05, 0.01]),
         (-2.0, 1j, [0.1, 0.05, 0.01]),
         (-2.0, 0.0, [0.1, 0.05j, 0.01]),
+        (False, True, [0.1, 0.05, 0.01]),
+        (-1e308, 1e308, [0.1, 0.05, 0.01]),
+        (-1.0, 0.0, [1e308, 1e307, 1e306]),
     ], ids=["b-inf", "a-inf", "y-nan", "y-inf", "ys-empty", "a-complex", "b-complex",
-            "y-complex"])
+            "y-complex", "ends-bool", "height-overflows-in-b-a", "height-overflows-in-2y"])
     def test_non_finite_input_rejected_before_h(self, a, b, ys):
         h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
         with pytest.raises(InvalidInputError):
@@ -224,9 +230,9 @@ class TestStieltjes:
         # refused on the window's stack, not called again on a stack of one y
         h, calls = _recorded(lambda z: np.zeros(3))
         ys = [0.1 * 2.0 ** -k for k in range(11)]
-        with pytest.raises(InvalidInputError, match=r"numbers of shape \(1104,\) or a constant"):
+        with pytest.raises(InvalidInputError, match=r"numbers of shape \(624,\) or a constant"):
             stieltjes_recover(h, -2.0, 0.0, ys)
-        assert [z.size for z in calls] == [1104]
+        assert [z.size for z in calls] == [624]
 
     def test_an_error_of_h_on_the_first_call_falls_back_to_single_ys(self):
         def small_stacks_only(z):
@@ -237,7 +243,7 @@ class TestStieltjes:
         h, calls = _recorded(small_stacks_only)
         ys = [0.1 * 2.0 ** -k for k in range(11)]
         assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
-        assert calls[0].size == 1104 and {z.size for z in calls[1:]} == {144}
+        assert calls[0].size == 624 and {z.size for z in calls[1:]} == {144}
 
     def test_ys_the_extrapolation_never_reads_never_raise(self):
         # the extrapolation settles on the first six ys, down to 0.003125; below
@@ -263,9 +269,9 @@ class TestStieltjes:
         h, calls = _recorded(lambda z: np.full(z.shape, np.nan))
         with pytest.raises(NoLimitError, match=r"at y = 0\.1 did not settle: it is nan with 32 "):
             stieltjes_recover(h, -2.0, 0.0, ys)
-        # the first level of every y, then that of the y read alone (once 12
-        # calls on 73 152 points, doubling to the last rule)
-        assert [z.size for z in calls] == [1104, 144]
+        # the first level of the first six ys, then that of the y read alone
+        # (once 12 calls on 73 152 points, doubling to the last rule)
+        assert [z.size for z in calls] == [624, 144]
         h, calls = _recorded(lambda z: np.where(z.imag < 2e-3, np.nan, 1.0))
         with pytest.raises(NoLimitError, match=r"at y = 0\.001 did not settle: it is nan"):
             adaptive_trapezoid(h, -2.0, 0.0, np.array([0.1, 0.01, 0.001]))
@@ -273,6 +279,25 @@ class TestStieltjes:
         # NaNs below the ys the extrapolation reads never raise
         h = lambda z: np.where(z.imag < 2e-3, np.nan, h_from_nevanlinna(HALF_NEV, z))
         assert stieltjes_recover(h, -2.0, 0.0, ys) == 6.2831850630461155
+
+    def test_a_window_read_past_six_ys_takes_the_others_in_one_more_call(self):
+        # the first level of ys 7-11 in one call when the extrapolation reads
+        # the seventh, then the ninth and tenth, unsettled there, each alone
+        # to 64 nodes per side
+        h, calls = _recorded(lambda z: h_from_nevanlinna(DEEP_NEV, z))
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        assert stieltjes_recover(h, -1.0, 0.0, ys) == 3.29064406834334e-08
+        assert [z.size for z in calls] == [624, 528, 144, 192, 144, 192]
+
+    @pytest.mark.parametrize("nd, a, b", [(HALF_NEV, -2.0, 0.0), (HALF_NEV, -1.0, 0.0),
+                                          (HALF_NEV, -3.0, -1.0), (DEEP_NEV, -1.0, 0.0)],
+                             ids=["criterion-05", "left-endpoint", "right-endpoint", "deep"])
+    def test_every_mass_is_that_of_each_y_taken_alone(self, nd, a, b):
+        h = lambda z: h_from_nevanlinna(nd, z)
+        ys = [0.1 * 2.0 ** -k for k in range(11)]
+        alone = refine_to_limit(lambda k: adaptive_trapezoid(h, a, b, ys[k]), ys,
+                                tol=10 * REL_TOL)
+        assert stieltjes_recover(h, a, b, ys) == alone.estimate.real
 
 
 class TestContourQuadrature:
@@ -315,6 +340,14 @@ class TestContourQuadrature:
         h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
         adaptive_trapezoid(h, -2.0, 0.0, y)
         assert sum(z.size for z in calls) <= 200
+
+    @pytest.mark.parametrize("a, b, y", [(-1e308, 1e308, 0.1), (-1.0, 0.0, 1e308),
+                                         (-1.0, 0.0, [0.1, 1e308])])
+    def test_an_overflowing_contour_is_refused_before_h(self, a, b, y):
+        h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
+        with pytest.raises(InvalidInputError, match="contour height"):
+            adaptive_trapezoid(h, a, b, y)
+        assert calls == []
 
     def test_non_analytic_integrand_has_no_limit(self):
         rng = np.random.default_rng(7)

@@ -24,7 +24,8 @@ its stdout; after each set, one digest over that set's lines.  ``--against
 REV`` runs the same corpus on the ``src`` of a ``git archive`` export of REV
 and lists the reports whose stdout differs, each with every field that moved:
 a number with its largest absolute move over the entries that field names
-(array indices are folded into ``[*]``), anything else as ``changed``.  The
+(array indices are folded into ``[*]``), anything else as ``changed``, and a
+field on one side only as ``added`` or ``removed``.  The
 exit status is then 1 when any report differs.  The tolerances are the CLI's,
 so ``BISCHUR_TOLERANCES`` applies to both sides.  No digest is fixed
 anywhere: the last digits depend on numpy and its BLAS.
@@ -170,24 +171,37 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _fields(text):
+    """{field: [its values, in order]} of a JSON text."""
+    fields = {}
+    for field, value in _leaves(json.loads(text)):
+        fields.setdefault(field, []).append(value)
+    return fields
+
+
 def moves(old, new):
-    """{field: largest absolute move, or "changed"} between two reports'
-    stdout; the field "stdout" when either is not JSON or their fields
-    differ."""
+    """{field: largest absolute move, "changed", "added" or "removed"}
+    between two reports' stdout; the field "stdout" when either is not JSON.
+    A field on both sides is compared entry by entry, and is "changed" when
+    it names another number of entries."""
     try:
-        old, new = list(_leaves(json.loads(old))), list(_leaves(json.loads(new)))
+        old, new = _fields(old), _fields(new)
     except ValueError:
         return {"stdout": "changed"}
-    if [field for field, _ in old] != [field for field, _ in new]:
-        return {"stdout": "changed"}
     moved = {}
-    for (field, a), (_, b) in zip(old, new):
-        if a == b or (a != a and b != b):   # equal, or both NaN
+    for field, before in old.items():
+        after = new.get(field)
+        if after is None or len(after) != len(before):
+            moved[field] = "removed" if after is None else "changed"
             continue
-        if _is_number(a) and _is_number(b) and moved.get(field) != "changed":
-            moved[field] = max(moved.get(field, 0.0), abs(a - b))
-        else:
-            moved[field] = "changed"
+        for a, b in zip(before, after):
+            if a == b or (a != a and b != b):   # equal, or both NaN
+                continue
+            if _is_number(a) and _is_number(b) and moved.get(field) != "changed":
+                moved[field] = max(moved.get(field, 0.0), abs(a - b))
+            else:
+                moved[field] = "changed"
+    moved.update((field, "added") for field in new if field not in old)
     return moved
 
 
@@ -229,7 +243,7 @@ def main(argv=None) -> int:
     for key in differ:
         print(f"differs: {_name(key)}: exit {theirs[key][0]} -> {ours[key][0]}")
         for field, move in moves(theirs[key][1], ours[key][1]).items():
-            print(f"  {field} {move if move == 'changed' else f'{move:.3g}'}")
+            print(f"  {field} {move if isinstance(move, str) else f'{move:.3g}'}")
     print(f"{len(ours) - len(differ)} of {len(ours)} reports identical to {args.against}")
     return 1 if differ else 0
 
