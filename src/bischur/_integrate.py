@@ -40,11 +40,16 @@ def _gauss_legendre(*sizes):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _require_finite_height(a, b, y):
-    """Refuse the floats a, b and y, the largest y of a window, when its
-    contour height max(b - a, 2y) is not finite."""
-    if not (math.isfinite(b - a) and math.isfinite(2.0 * y)):
-        raise InvalidInputError(f"the contour height over [{a}, {b}] at y = {y} is not finite")
+def _require_finite_height(a, b, top, bottom):
+    """Refuse the floats a and b and the ys from ``top`` down to ``bottom`` of
+    a window when the contour height Y = max(b - a, 2y) at the largest y is
+    not finite, or Y / y at the smallest is not finite and positive (Y / y is
+    largest there)."""
+    if not (math.isfinite(b - a) and math.isfinite(2.0 * top)):
+        raise InvalidInputError(f"the contour height over [{a}, {b}] at y = {top} is not finite")
+    if not (bottom > 0 and math.isfinite(max(b - a, 2.0 * bottom) / bottom)):
+        raise InvalidInputError(f"the contour height over [{a}, {b}] is not a finite positive "
+                                f"multiple of y = {bottom}")
 
 
 def _level(h, a, b, y, sizes, previous=None):
@@ -83,10 +88,10 @@ def adaptive_trapezoid(h, a, b, y):
     name is that of the trapezoid rule this replaced; the benchmark tracer
     resolves it until its next revision renames it (ROADMAP.md).  Raises
     InvalidInputError before any call of h when the contour height
-    max(b - a, 2y) is not finite.
+    Y = max(b - a, 2y) is not finite, or Y / y is not finite and positive.
     """
     ys = np.array(y, dtype=float, ndmin=1)
-    _require_finite_height(float(a), float(b), float(ys.max()))
+    _require_finite_height(float(a), float(b), float(ys.max()), float(ys.min()))
     values, settled = _level(h, a, b, ys[:, None], (16, 32))
     live, n = np.flatnonzero(~settled), 32
     while live.size and np.isfinite(values[live]).all() and n < MAX_NODES:

@@ -48,45 +48,40 @@ class LimitReport:
 def refine_to_limit(sample, xs, *, tol):
     """Extrapolate ``sample(k)`` along ``xs[k] -> 0``, reading k = 0, 1, ...
 
-    Evaluation is lazy: it stops as soon as three successive extrapolants
-    agree within ``tol * (1 + |estimate|)``.  Raises DivergenceError when the
+    Evaluation is lazy: ``xs[k]`` is read, as a float, with ``sample(k)``,
+    and it stops as soon as three successive extrapolants agree within
+    ``tol * (1 + |estimate|)``.  Raises DivergenceError when the
     samples grow monotonically past ``_DIVERGENCE_THRESHOLD``.
     """
-    xs = [float(x) for x in xs]
-    if not xs:
-        raise InvalidInputError("xs must be a nonempty sequence")
-
     samples: list[complex] = []
-    extrapolants: list[complex] = []
     best_gap = float("inf")
     best_estimate = None
+    last_size = size = 0.0  # the moduli of samples k - 2 and k - 1, read from k = 2 on
     for k, x in enumerate(xs):
-        value = complex(sample(k))
+        x, value = float(x), complex(sample(k))
         samples.append(value)
+        size_before, last_size, size = last_size, size, abs(value)
         if k == 0:
-            extrapolants.append(value)
+            extrapolant = value
         else:
-            ratio = xs[k - 1] / x
-            extrapolants.append((ratio * value - samples[k - 1]) / (ratio - 1.0))
-        if (
-            k >= 2
-            and abs(samples[k]) > abs(samples[k - 1]) > abs(samples[k - 2])
-            and abs(samples[k]) > _DIVERGENCE_THRESHOLD
-        ):
-            raise DivergenceError(
-                f"samples grow without bound (|f| reached {abs(value):.3e})"
-            )
+            ratio = last_x / x
+            previous, extrapolant = extrapolant, (ratio * value - samples[k - 1]) / (ratio - 1.0)
+        if k >= 2 and size > last_size > size_before and size > _DIVERGENCE_THRESHOLD:
+            raise DivergenceError(f"samples grow without bound (|f| reached {size:.3e})")
         if k >= 1:
-            gap = abs(extrapolants[k] - extrapolants[k - 1])
+            gap = abs(extrapolant - previous)
             if gap < best_gap:
                 best_gap = gap
-                best_estimate = extrapolants[k]
+                best_estimate = extrapolant
             if k >= 2:
-                prev_gap = abs(extrapolants[k - 1] - extrapolants[k - 2])
-                scale = 1.0 + abs(extrapolants[k])
-                if gap <= tol * scale and prev_gap <= tol * scale:
-                    return LimitReport(extrapolants[k], True, tuple(samples), gap)
-    estimate = best_estimate if best_estimate is not None else extrapolants[-1]
+                scale = 1.0 + abs(extrapolant)
+                if gap <= tol * scale and last_gap <= tol * scale:
+                    return LimitReport(extrapolant, True, tuple(samples), gap)
+            last_gap = gap
+        last_x = x
+    if not samples:
+        raise InvalidInputError("xs must be a nonempty sequence")
+    estimate = best_estimate if best_estimate is not None else extrapolant
     return LimitReport(estimate, False, tuple(samples), best_gap)
 
 

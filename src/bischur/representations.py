@@ -248,9 +248,10 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
     other exception propagates.  For Nevanlinna data the limit is the window
     mass of (1 + t^2) dmu(t), with half weight for atoms on a window endpoint.
     Raises InvalidInputError before any call of ``h`` when a, b or some y is
-    not a finite real, ``ys`` is empty or the contour height max(b - a, 2y)
-    is not finite, or on the first call when h returns another shape, and
-    NoLimitError when an integral it reads or the sequence does not settle.
+    not a finite real, ``ys`` is empty, or the contour height Y = max(b - a,
+    2y) or Y / y is not finite, or on the first call when h returns another
+    shape, and NoLimitError when an integral it reads or the sequence does
+    not settle.
     """
     refusal = "the window ends and ys must be finite reals"
     a, b = as_scalar(a, refusal, float), as_scalar(b, refusal, float)
@@ -259,7 +260,7 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
         raise InvalidInputError("window must satisfy a < b")
     if not ys or any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be nonempty, positive and strictly decreasing")
-    _require_finite_height(a, b, ys[0])
+    _require_finite_height(a, b, ys[0], ys[-1])
     column, first = np.array(ys)[:, None], []  # first: a y's first-level integral, or None
 
     def take(stop):

@@ -101,9 +101,9 @@ def slope_measure(pair: SlopePair) -> DiscreteMeasure01:
 
 def _line(tau, delta):
     """(delta, steps): delta as a point, pointing into the bidisc at the torus
-    point tau (Re(conj(tau_j) delta_j) > 0 in each coordinate), and the steps
-    of ``STEPS``, at least one, at which tau - t delta is in the bidisc."""
-    tau = require_torus(tau)
+    point tau, as ``require_torus`` gives it (Re(conj(tau_j) delta_j) > 0 in
+    each coordinate), and the steps of ``STEPS``, at least one, at which
+    tau - t delta is in the bidisc."""
     delta = as_point(delta)
     if any((np.conj(t) * d).real <= 0 for t, d in zip(tau, delta)):
         raise InvalidInputError(
@@ -116,6 +116,33 @@ def _line(tau, delta):
     return delta, steps
 
 
+def _lines(tau, deltas):
+    """(d, steps): the ``_line`` of each direction of ``deltas`` at the torus
+    point tau, the directions as the rows of an (n, 2) array and a list of
+    each line's steps."""
+    lines = [_line(tau, delta) for delta in deltas]
+    return (np.array([delta for delta, _ in lines], dtype=complex).reshape(-1, 2),
+            [steps for _, steps in lines])
+
+
+def _analytic(phi_tau, tau, d, h):
+    """The slope formula at the torus point tau along the rows of ``d``."""
+    w1 = np.conj(tau[0]) * d[:, 0]
+    w2 = np.conj(tau[1]) * d[:, 1]
+    return complex(phi_tau) * w2 * h(w2 / w1)
+
+
+def _numeric(phi, tau, d, steps, phi_tau):
+    """The difference quotients of ``phi`` at the point tau along the rows of
+    ``d``, each over its line's ``steps``."""
+    values = stacked_samplers(lambda j, t: phi((tau[0] - t * d[j, 0], tau[1] - t * d[j, 1])),
+                              steps)
+    phi_tau = complex(phi_tau)
+    return [refine_to_limit(lambda k: (complex(value(k)) - phi_tau) / line[k], line,
+                            tol=DERIVATIVE_TOL)
+            for line, value in zip(steps, values)]
+
+
 def directional_derivative_analytic(phi_tau, tau, deltas, h) -> np.ndarray:
     """Directional derivatives from the slope formula, one per direction of
     the sequence ``deltas``, as a complex array.  ``h`` is the slope function
@@ -123,10 +150,7 @@ def directional_derivative_analytic(phi_tau, tau, deltas, h) -> np.ndarray:
     array of the directions' arguments conj(tau_2) delta_2 / (conj(tau_1)
     delta_1).  Each delta must be a line of ``directional_derivative_numeric``."""
     tau = require_torus(tau)
-    d = np.array([_line(tau, delta)[0] for delta in deltas]).reshape(-1, 2)
-    w1 = np.conj(tau[0]) * d[:, 0]
-    w2 = np.conj(tau[1]) * d[:, 1]
-    return complex(phi_tau) * w2 * h(w2 / w1)
+    return _analytic(phi_tau, tau, _lines(tau, deltas)[0], h)
 
 
 def directional_derivative_numeric(phi, tau, deltas, phi_tau):
@@ -134,6 +158,8 @@ def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     value ``phi_tau``: one ``LimitReport`` per direction of the sequence
     ``deltas``, extrapolated to ``DERIVATIVE_TOL`` along the line tau - t delta
     over the steps t = 2^-k, k = 1..40, that keep it in the bidisc (some must).
+    tau must be within ``TORUS_SLACK`` of the torus; the lines start at tau as
+    given, and their steps are those of tau put on the torus.
 
     ``phi`` is called on stacks of points, so it must accept a stack (or
     return a constant): once on the first steps of every line together,
@@ -143,15 +169,8 @@ def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     extrapolated with one elimination step, which removes the O(t)
     truncation term.
     """
-    tau = as_point(tau)
-    lines = [_line(tau, delta) for delta in deltas]
-    d = np.array([delta for delta, _ in lines]).reshape(-1, 2)
-    values = stacked_samplers(lambda j, t: phi((tau[0] - t * d[j, 0], tau[1] - t * d[j, 1])),
-                              [steps for _, steps in lines])
-    phi_tau = complex(phi_tau)
-    return [refine_to_limit(lambda k: (complex(value(k)) - phi_tau) / steps[k], steps,
-                            tol=DERIVATIVE_TOL)
-            for (_, steps), value in zip(lines, values)]
+    point = as_point(tau)
+    return _numeric(phi, point, *_lines(require_torus(point), deltas), phi_tau)
 
 
 def derivative_checks(phi, tau, phi_tau, deltas, h) -> list[dict]:
@@ -160,15 +179,17 @@ def derivative_checks(phi, tau, phi_tau, deltas, h) -> list[dict]:
     quotient limit of ``phi`` (see ``directional_derivative_numeric``), the
     ``analytic`` value from the slope function ``h`` (see
     ``directional_derivative_analytic``), ``abs_err``, ``rel_err`` (relative
-    to 1 + |analytic|) and whether the quotients ``converged``."""
-    deltas = list(deltas)
+    to 1 + |analytic|) and whether the quotients ``converged``.  Both sides
+    read one validation of tau and of each direction's line."""
+    point = as_point(tau)
+    torus = require_torus(point)
+    d, steps = _lines(torus, deltas)
     checks = []
-    for delta, report, analytic in zip(
-            deltas, directional_derivative_numeric(phi, tau, deltas, phi_tau),
-            directional_derivative_analytic(phi_tau, tau, deltas, h).tolist()):
+    for delta, report, analytic in zip(d.tolist(), _numeric(phi, point, d, steps, phi_tau),
+                                       _analytic(phi_tau, torus, d, h).tolist()):
         abs_err = abs(report.estimate - analytic)
-        checks.append({"delta": (complex(delta[0]), complex(delta[1])),
-                       "numeric": report.estimate, "analytic": analytic, "abs_err": abs_err,
+        checks.append({"delta": tuple(delta), "numeric": report.estimate,
+                       "analytic": analytic, "abs_err": abs_err,
                        "rel_err": abs_err / (1.0 + abs(analytic)),
                        "converged": report.converged})
     return checks

@@ -70,6 +70,12 @@ class SynthesizedSchur:
         object.__setattr__(self, "omega", to_circle(omega))
 
 
+def _herglotz_den(s, l1, l2):
+    """The denominator of f_s at the points (l1, l2): s a float, or a column
+    of atoms' s against the point stack, one row per atom."""
+    return s * (1.0 + l1) / (1.0 - l1) + (1.0 - s) * (1.0 + l2) / (1.0 - l2)
+
+
 def herglotz_component(s: float, lam):
     """f_s(lam), the convex-combination Herglotz kernel; Re f_s > 0 inside.
     A complex at a point, a complex array at a stack of points."""
@@ -80,7 +86,7 @@ def herglotz_component(s: float, lam):
     l1, l2, single = as_points(lam)
     if (l1 == 1.0).any() or (l2 == 1.0).any():
         raise PoleError("herglotz component has a pole where a coordinate equals 1")
-    den = s * (1.0 + l1) / (1.0 - l1) + (1.0 - s) * (1.0 + l2) / (1.0 - l2)
+    den = _herglotz_den(s, l1, l2)
     zero = first_point((l1, l2), den == 0)
     if zero is not None:
         raise PoleError(f"herglotz denominator vanishes at {zero}")
@@ -89,8 +95,17 @@ def herglotz_component(s: float, lam):
 
 
 def _herglotz_sum(nu: DiscreteMeasure01, lam):
-    return sum((w * herglotz_component(s, lam) for s, w in nu.atoms),
-               np.zeros(np.shape(lam[0]), dtype=complex))
+    """f = sum_i w_i f_{s_i} at the point or point stack ``lam``, unchecked:
+    every atom's f_s in one broadcast, the rows added in atom order from
+    zeros, so each value has the bits of the sum of ``herglotz_component``s."""
+    l1, l2 = np.asarray(lam[0], dtype=complex), np.asarray(lam[1], dtype=complex)
+    column = (-1,) + (1,) * l1.ndim
+    s, w = (np.array([atom[j] for atom in nu.atoms], dtype=float).reshape(column)
+            for j in (0, 1))
+    total = np.zeros(np.broadcast_shapes(l1.shape, l2.shape), dtype=complex)
+    for term in w * (1.0 / _herglotz_den(s, l1, l2)):
+        total = total + term
+    return total
 
 
 def synth_eval(syn: SynthesizedSchur, lam):
@@ -98,6 +113,10 @@ def synth_eval(syn: SynthesizedSchur, lam):
     complex), or at a stack of points (a complex array)."""
     l1, l2, single = require_interior(lam)
     mu = (syn.tau[0].conjugate() * l1, syn.tau[1].conjugate() * l2)
+    # |lam| < 1 keeps Re den > 0 for every atom; only rounding can put a
+    # relocated coordinate on the pole 1
+    if (mu[0] == 1.0).any() or (mu[1] == 1.0).any():
+        raise PoleError("herglotz component has a pole where a coordinate equals 1")
     f = _herglotz_sum(syn.nu, mu)
     value = syn.omega * (1.0 - f) / (1.0 + f)
     return complex(value[0]) if single else value
@@ -136,14 +155,19 @@ def fit_colligation(syn: SynthesizedSchur,
     L = np.linalg.solve(J + 1j * eye, J - 1j * eye)
     L[0] *= -syn.omega
     c1, c2 = np.sqrt(s), np.sqrt(1.0 - s)
-    C = np.vstack([np.diag(c1), np.diag(c2)])
-    D_I = np.block([[np.diag(c2 * c2), np.diag(-c1 * c2)],
-                    [np.diag(-c1 * c2), np.diag(c1 * c1)]])
+    first, second = np.arange(n), np.arange(n, 2 * n)
+    C = np.zeros((2 * n, n))
+    C[first, first], C[second, first] = c1, c2
+    D_I = np.zeros((2 * n, 2 * n))
+    D_I[first, first], D_I[second, second] = c2 * c2, c1 * c1
+    D_I[first, second] = D_I[second, first] = -c1 * c2
+    P1 = np.zeros((2 * n, 2 * n))
+    P1[first, first] = 1.0
     t = np.repeat(np.asarray(syn.tau), n)
     exact = Colligation(a=L[0, 0], beta=t * (C @ L[0, 1:].conj()),
                         gamma=C @ L[1:, 0],
                         D=(D_I + C @ L[1:, 1:] @ C.T) * t.conj(),
-                        P1=np.diag(np.repeat([1.0, 0.0], n)))
+                        P1=P1)
     gap = np.abs(eval_phi(exact, _GATE_POINTS, tol) - synth_eval(syn, _GATE_POINTS))
     if not (gap <= 1e-8).all():
         raise InternalInconsistencyError(

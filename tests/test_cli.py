@@ -644,18 +644,16 @@ class TestMutations:
 
     @pytest.mark.parametrize("mutate, codes", [
         (scaled(slope, "slope_eval", 1.0 + 1e-3), {"analyze": 4}),
-        (scaled(slope, "directional_derivative_analytic", 2.0),
-         {"analyze": 4, "synth --verify": 5}),
+        (scaled(slope, "_analytic", 2.0), {"analyze": 4, "synth --verify": 5}),
         # synth --verify holds the slope formula to analyze's bound
-        (scaled(slope, "directional_derivative_analytic", 1.0 + 2e-6),
-         {"analyze": 4, "synth --verify": 5}),
+        (scaled(slope, "_analytic", 1.0 + 2e-6), {"analyze": 4, "synth --verify": 5}),
         # and the Julia liminf too; fit_colligation's own check stops nevrep
         (scaled(synthesis, "_herglotz_sum", 1.0 + 1e-6), {"synth --verify": 5, "nevrep": 4}),
         (perturbed_infinity("limit"), {"nevrep": 4}),
         (perturbed_infinity("value"), {"nevrep": 4}),
         (flipped_beta, {"analyze": 4, "nevrep": 4}),
         # a NaN figure fails its gate and its maximum, and prints as null
-        (replaced(slope, "directional_derivative_analytic", lambda values: nan_at(values, 1)),
+        (replaced(slope, "_analytic", lambda values: nan_at(values, 1)),
          {"analyze": 4, "synth --verify": 5}),
         # analyze holds the slope function to its measure and Nevanlinna data
         (replaced(slope, "slope_measure", lambda nu: DiscreteMeasure01(

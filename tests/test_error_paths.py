@@ -318,14 +318,14 @@ def test_a_nan_figure_prints_as_null_and_fails_with_its_exit_code(monkeypatch, c
     point = ["--tau=-1,1j", "--no-timestamp"]
     assert main(["synth", str(measure), "--omega=-1", "--out", str(c), *point]) == 0
     capsys.readouterr()
-    real = slope.directional_derivative_analytic
+    real = slope._analytic
 
     def nan_second(*args):
         values = real(*args)
         values[1] = np.nan
         return values
 
-    monkeypatch.setattr(slope, "directional_derivative_analytic", nan_second)
+    monkeypatch.setattr(slope, "_analytic", nan_second)
     argv = {"analyze": ["analyze", str(c)],
             "synth --verify": ["synth", str(measure), "--omega=-1", "--verify"]}[command]
     assert main([*argv, *point]) == code

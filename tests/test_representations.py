@@ -212,8 +212,13 @@ class TestStieltjes:
         (False, True, [0.1, 0.05, 0.01]),
         (-1e308, 1e308, [0.1, 0.05, 0.01]),
         (-1.0, 0.0, [1e308, 1e307, 1e306]),
+        # Y / y overflows at the smallest y: once RuntimeWarnings and h on NaN points
+        (-2.0, 0.0, [1e-300, 1e-310, 1e-320]),
+        (-2.0, 0.0, [0.1, 0.05, 1e-320]),
     ], ids=["b-inf", "a-inf", "y-nan", "y-inf", "ys-empty", "a-complex", "b-complex",
-            "y-complex", "ends-bool", "height-overflows-in-b-a", "height-overflows-in-2y"])
+            "y-complex", "ends-bool", "height-overflows-in-b-a", "height-overflows-in-2y",
+            "height-over-y-overflows", "height-over-last-y-overflows"])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_input_rejected_before_h(self, a, b, ys):
         h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
         with pytest.raises(InvalidInputError):
@@ -342,7 +347,11 @@ class TestContourQuadrature:
         assert sum(z.size for z in calls) <= 200
 
     @pytest.mark.parametrize("a, b, y", [(-1e308, 1e308, 0.1), (-1.0, 0.0, 1e308),
-                                         (-1.0, 0.0, [0.1, 1e308])])
+                                         (-1.0, 0.0, [0.1, 1e308]),
+                                         (-2.0, 0.0, [1e-300, 1e-310, 1e-320]),
+                                         (-2.0, 0.0, [0.1, 0.05, 1e-320]),
+                                         (-2.0, 0.0, 0.0), (-2.0, 0.0, [0.1, -0.1])])
+    @pytest.mark.filterwarnings("error")
     def test_an_overflowing_contour_is_refused_before_h(self, a, b, y):
         h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
         with pytest.raises(InvalidInputError, match="contour height"):

@@ -127,7 +127,12 @@ def test_slope_stack_matches_points():
         assert np.array_equal(slope_eval(pair, z), [slope_eval(pair, w) for w in z])
 
 
-@pytest.mark.parametrize("atoms", [1, 2, 5, 12, 30])
+def complex_bits(values):
+    """The bytes of complex values, which tell -0.0 from 0.0."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("atoms", range(1, 31))
 def test_synth_stack_matches_points(atoms):
     rng = np.random.default_rng(730 + atoms)
     nu = DiscreteMeasure01(tuple(zip(rng.uniform(size=atoms), rng.uniform(0.1, 2.0, atoms))))
@@ -138,6 +143,16 @@ def test_synth_stack_matches_points(atoms):
     for s, _ in nu.atoms:
         assert np.array_equal(herglotz_component(s, lam),
                               [herglotz_component(s, p) for p in points])
+    # the one broadcast over every atom is the sum of the atoms' own calls,
+    # added in atom order from zeros
+    def sequential(at):
+        return sum((w * herglotz_component(s, at) for s, w in nu.atoms),
+                   np.zeros(np.shape(at[0]), dtype=complex))
+
+    assert complex_bits(synthesis._herglotz_sum(nu, lam)) == complex_bits(sequential(lam))
+    for p in [*points[:8], (0.0, 0.0), (0.5, -0.5j), (complex(-0.0, 0.3), -0.9)]:
+        assert np.shape(synthesis._herglotz_sum(nu, p)) == ()
+        assert complex_bits(synthesis._herglotz_sum(nu, p)) == complex_bits(sequential(p))
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 5, 12, 30])

@@ -7,6 +7,7 @@ import pytest
 from bischur import (
     DiscreteMeasure01,
     InvalidInputError,
+    PoleError,
     SlopePair,
     SynthesizedSchur,
     derivative_checks,
@@ -101,6 +102,18 @@ class TestSynthEval:
             assert (_herglotz_sum(nu, lam).real > 0.0).all()
 
 
+    def test_a_point_relocated_onto_the_pole_is_refused(self):
+        # conj(tau_1) tau_1 is exactly 1 here, and numpy's modulus of tau_1 may
+        # put (tau_1, 0) inside the bidisc
+        tau = complex(0.9682458365518543, 0.25)
+        syn = SynthesizedSchur(DiscreteMeasure01(((0.3, 1.0),)), tau=(tau, 1.0), omega=1.0)
+        inside = np.abs(np.array([tau]))[0] < 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError if inside else InvalidInputError):
+                synth_eval(syn, (tau, 0.0))
+
+
 class TestModelVectors:
     def test_model_identity_holds(self, favourite_measure):
         nu = DiscreteMeasure01(((0.25, 0.5), (0.75, 1.25)))
@@ -124,6 +137,30 @@ class TestFitColligation:
         for _ in range(200):
             lam = random_interior_point(rng, 0.9)
             assert abs(eval_phi(fitted, lam) - synth_eval(syn, lam)) < 1e-10
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 8, 30])
+    def test_the_colligation_is_the_block_formula(self, n_atoms):
+        # the blocks built with vstack, block and diag, as a reference
+        nu = DiscreteMeasure01(((0.0, 0.5), (1.0, 0.25), *seeded_measure(n_atoms).atoms))
+        syn = SynthesizedSchur(nu, tau=(np.exp(0.7j), -1j), omega=np.exp(1.3j))
+        s, w = np.array(nu.atoms).T
+        n = len(s)
+        J = np.zeros((n + 1, n + 1))
+        J[0, 1:] = J[1:, 0] = np.sqrt(w)
+        L = np.linalg.solve(J + 1j * np.eye(n + 1), J - 1j * np.eye(n + 1))
+        L[0] *= -syn.omega
+        c1, c2 = np.sqrt(s), np.sqrt(1.0 - s)
+        C = np.vstack([np.diag(c1), np.diag(c2)])
+        D_I = np.block([[np.diag(c2 * c2), np.diag(-c1 * c2)],
+                        [np.diag(-c1 * c2), np.diag(c1 * c1)]])
+        t = np.repeat(np.asarray(syn.tau), n)
+        fitted = fit_colligation(syn)
+        for got, expected in [(fitted.beta, t * (C @ L[0, 1:].conj())),
+                              (fitted.gamma, C @ L[1:, 0]),
+                              (fitted.D, (D_I + C @ L[1:, 1:] @ C.T) * t.conj()),
+                              (fitted.P1, np.diag(np.repeat([1.0, 0.0], n)))]:
+            assert got.tobytes() == np.asarray(expected, dtype=complex).tobytes()
+        assert repr(fitted.a) == repr(complex(L[0, 0]))
 
     @pytest.mark.parametrize("nu", [
         pytest.param(DiscreteMeasure01(((0.15, 0.6), (0.5, 0.9), (0.95, 0.3))),
