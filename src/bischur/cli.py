@@ -34,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from . import boundary, gates, nev2d, representations, slope as slope_mod, synthesis
-from .colligation import Colligation, _stack, eval_phi, model_residual
-from .desingularize import GeneralizedRealization, desingularize, eval_I, eval_phi_gen
+from .colligation import Colligation, _model_identity, _stack, eval_phi, model_residual
+from .desingularize import GeneralizedRealization, desingularize, eval_I
 from .errors import (
     BischurError,
     InvalidInputError,
@@ -44,13 +44,12 @@ from .errors import (
     SchemaError,
 )
 from .generate import (
-    _colligation,
-    _kernel_colligation,
-    _nev_rep,
-    _Unitaries,
+    _colligations,
+    _kernel_colligations,
+    _measures,
+    _nev_reps,
     random_interior_points,
     random_inward_directions,
-    random_measure,
     random_torus_points,
     random_upper_points,
 )
@@ -274,9 +273,9 @@ def _pair_stacks(rng, n):
 
 
 def _far_from(tau, lam):
-    """The points of the stack lam at least 0.2 from tau in each coordinate."""
-    kept = (abs(lam[0] - tau[0]) >= 0.2) & (abs(lam[1] - tau[1]) >= 0.2)
-    return lam[0][kept], lam[1][kept]
+    """Where the points of the stack lam lie at least 0.2 from tau in each
+    coordinate; tau may be a stack with one point per point of lam."""
+    return (abs(lam[0] - tau[0]) >= 0.2) & (abs(lam[1] - tau[1]) >= 0.2)
 
 
 def _inner_residual(g, lam, tol):
@@ -292,9 +291,12 @@ def _inner_residual(g, lam, tol):
 def _generalized_verification(c, g, rng, tol):
     """Residual maxima for the generalized model of a desingularization."""
     lams, mus = _pair_stacks(rng, 10)
-    model_max = float(model_residual(g, lams, mus, tol).max())
-    agree_max = float(np.abs(eval_phi_gen(g, lams, tol) - eval_phi(c, lams, tol)).max())
-    inner_max = _inner_residual(g, _far_from(g.tau, random_torus_points(rng, 10)), tol)
+    residual, phi_g, _ = _model_identity(g, lams, mus, tol)
+    model_max = float(residual.max())
+    agree_max = float(np.abs(phi_g - eval_phi(c, lams, tol)).max())
+    torus = random_torus_points(rng, 10)
+    far = _far_from(g.tau, torus)
+    inner_max = _inner_residual(g, (torus[0][far], torus[1][far]), tol)
     figures = {
         "model_residual_max": model_max,
         "phi_agreement_max": agree_max,
@@ -496,100 +498,100 @@ def _representation(args, tol, report) -> int:
 # ----------------------------------------------------------------- verify
 
 
-# Each suite draws every instance and its points first, in the order the
-# random stream gives them, then evaluates the instances of one dimension as
-# one stack of realizations, one row per point, and samples their limits as
-# one stack.  The dimensions come in the order of their first instance and
-# the rows in instance order, so a refusal names the first refused point of
-# the first instance it meets.  The desingularization suite builds its
-# colligations once all are drawn, each turning its block by the phase that
-# keeps 1 out of the block's spectrum (see ``generate._kernel_colligation``),
-# so no value drawn changes what is drawn next.  It desingularizes the
-# colligations of one ambient dimension in one call, every one before any
-# liminf, and checks the models of one model dimension together.  The
-# measures suite has no dimensions: it evaluates all its measures in one
-# call per encoding, one row per measure, and checks the rows with one
-# pick_check.
+# Each suite draws all its instances first, in a fixed order of batched
+# generator calls: every per-instance scalar and point array of all its
+# instances, each array in one call, then the instances of each dimension,
+# in order of its first instance, as one batch of ``generate``.  It then
+# evaluates the instances of one dimension as one stack of realizations, one
+# row per point, and samples their limits as one stack.  The rows come in
+# instance order, so a refusal names the first refused point of the first
+# instance it meets.  A batch of the desingularization suite turns each
+# block by the phase that keeps 1 out of its spectrum once the batch is
+# drawn, so no value drawn changes what is drawn next.  The suite
+# desingularizes the colligations of one ambient dimension in one call,
+# every one before any liminf, and checks the models of one model dimension
+# together.  The measures suite has no dimensions: it evaluates all its
+# measures in one call per encoding, one row per measure, and checks the
+# rows with one pick_check.
 
 
-def _by_dimension(dims, records):
-    """The records grouped by their dimensions, in order of first record."""
+def _groups(keys):
+    """The indices of each distinct key, by key, in order of its first index."""
     groups = {}
-    for dim, record in zip(dims, records):
-        groups.setdefault(dim, []).append(record)
-    return list(groups.values())
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
-def _grouped(dims, evaluate):
-    """The results of ``evaluate(group)``, one per index of the group, for
-    each group of indices of one dimension, put back in index order."""
-    results = [None] * len(dims)
-    for group in _by_dimension(dims, range(len(dims))):
-        for i, result in zip(group, evaluate(group)):
+def _grouped(keys, evaluate):
+    """The results of ``evaluate(key, group)``, one per index of the group,
+    for each group of ``_groups(keys)``, put back in index order."""
+    results = [None] * len(keys)
+    for key, group in _groups(keys).items():
+        for i, result in zip(group, evaluate(key, group)):
             results[i] = result
     return results
 
 
-def _rows(stacks):
-    """Point stacks, one per member of a group, as one stack, and for each
-    point the index of its member."""
-    rows = np.repeat(np.arange(len(stacks)), [len(lam[0]) for lam in stacks])
-    return rows, tuple(np.concatenate(coordinate) for coordinate in zip(*stacks))
+def _rows(group, owners, lam):
+    """The points of the stack lam whose owner, the instance of each point,
+    is in the ascending group, and for each the index of its owner there."""
+    at = np.full(max(group[-1], owners.max(initial=0)) + 1, -1)
+    at[group] = np.arange(len(group))
+    rows = at[owners]
+    kept = rows >= 0
+    return rows[kept], (lam[0][kept], lam[1][kept])
 
 
-def _model_residual_max(kind, members, pairs, tol):
-    """The largest model residual of the members (field tuples of ``kind``,
-    see ``_stack``) over their pairs (lam, mu) of stacks, in one call."""
-    rows, lam = _rows([pair[0] for pair in pairs])
-    mu = _rows([pair[1] for pair in pairs])[1]
+def _model_residual_max(kind, members, group, owners, pairs, tol):
+    """The largest model residual of the group's members (field tuples of
+    ``kind``, see ``_stack``) over their pairs (lam, mu) of the stacks
+    ``pairs``, in one call."""
+    rows, lam = _rows(group, owners, pairs[0])
     stack = _stack(kind, members, np.concatenate([rows, rows]))
-    return float(model_residual(stack, lam, mu, tol).max())
+    return float(model_residual(stack, lam, _rows(group, owners, pairs[1])[1], tol).max())
 
 
 def _suite_colligations(rng, n, tol):
-    unitaries = _Unitaries()
-    dims, drawn = [], []
-    for _ in range(n):
-        dims.append(int(rng.integers(2, 6)))
-        drawn.append((_colligation(rng, dims[-1], unitaries),
-                      random_interior_points(rng, 4), _pair_stacks(rng, 3)))
+    dims = rng.integers(2, 6, size=n).tolist()
+    lam, pairs = random_interior_points(rng, 4 * n), _pair_stacks(rng, 3 * n)
+    drawn = [(group, list(zip(*_colligations(rng, dim, len(group)))))
+             for dim, group in _groups(dims).items()]
     worst_schur = 0.0
     worst_model = 0.0
-    for group in _by_dimension(dims, drawn):
-        builds, lams, pairs = zip(*group)
-        cs = [build() for build in builds]
-        rows, lam = _rows(lams)
-        phi = eval_phi(_stack(Colligation, cs, rows), lam, tol)
+    for group, cs in drawn:
+        rows, lam_group = _rows(group, np.arange(4 * n) // 4, lam)
+        phi = eval_phi(_stack(Colligation, cs, rows), lam_group, tol)
         worst_schur = max(worst_schur, float(np.abs(phi).max()) - 1.0)
-        worst_model = max(worst_model, _model_residual_max(Colligation, cs, pairs, tol))
+        worst_model = max(worst_model, _model_residual_max(
+            Colligation, cs, group, np.arange(3 * n) // 3, pairs, tol))
     return _verdict("colligations", {"schur_bound_excess_max": worst_schur,
                                       "model_residual_max": worst_model})
 
 
 def _suite_desingularization(rng, n, tol):
-    unitaries = _Unitaries()
-    drawn = []
-    for _ in range(n):
-        tau = tuple(np.ravel(random_torus_points(rng, 1)))
-        n_model, kernel_dim = int(rng.integers(2, 5)), int(rng.integers(1, 3))
-        drawn.append((tau, _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries),
-                      _pair_stacks(rng, 3), random_torus_points(rng, 3)))
-    taus, builds, pairs, torus = zip(*drawn)
-    cs = [build() for build in builds]
+    taus = list(zip(*random_torus_points(rng, n)))
+    shapes = list(zip(rng.integers(2, 5, size=n).tolist(), rng.integers(1, 3, size=n).tolist()))
+    pairs, torus = _pair_stacks(rng, 3 * n), random_torus_points(rng, 3 * n)
+    cs = _grouped(shapes, lambda shape, group: _kernel_colligations(
+        rng, *shape, [taus[i] for i in group]))
     # per ambient dimension; every desingularization first, so a failing
     # suite names a desingularization's error before a liminf's
     ambient = [c.dim for c in cs]
-    gs = _grouped(ambient, lambda group: desingularize(
+    gs = _grouped(ambient, lambda _, group: desingularize(
         [cs[i] for i in group], [taus[i] for i in group], tol))
-    liminfs = _grouped(ambient, lambda group: boundary.model_liminf(
+    liminfs = _grouped(ambient, lambda _, group: boundary.model_liminf(
         [cs[i] for i in group], [taus[i] for i in group], tol))
     notes = [f"colligation {i}: {note}" for i, g in enumerate(gs) for note in g.notes]
     unconverged = sum(not liminf.converged for liminf in liminfs)
     worst = {"model_residual": 0.0, "inner": 0.0, "radial_inner": 0.0,
              "slope_liminf": 0.0}
+    owners = np.arange(3 * n) // 3
+    far = _far_from(tuple(np.array([g.tau for g in gs])[owners].T), torus)
     shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
+    radial = tuple((np.array(taus)[:, :, None] * shrink).transpose(1, 0, 2).reshape(2, -1))
     # per model dimension: h(1) and the model, inner and radial-inner residuals
-    for group in _by_dimension([g.dim for g in gs], range(n)):
+    for group in _groups([g.dim for g in gs]).values():
         members = [gs[i] for i in group]
         models = [(g.a, g.beta, g.gamma, g.Q, g.Y, g.tau) for g in members]
         h1 = slope_mod.slope_eval(_stack(slope_mod.SlopePair, [(g.Y, g.u_tau) for g in members],
@@ -597,11 +599,11 @@ def _suite_desingularization(rng, n, tol):
         worst["slope_liminf"] = max(worst["slope_liminf"], *(
             abs(liminfs[i].estimate.real + h) for i, h in zip(group, h1.real.tolist())))
         worst["model_residual"] = max(worst["model_residual"], _model_residual_max(
-            GeneralizedRealization, models, [pairs[i] for i in group], tol))
-        rows, lam = _rows([_far_from(g.tau, torus[i]) for g, i in zip(members, group)])
+            GeneralizedRealization, models, group, owners, pairs, tol))
+        rows, lam = _rows(group, owners[far], (torus[0][far], torus[1][far]))
         worst["inner"] = max(worst["inner"], _inner_residual(
             _stack(GeneralizedRealization, models, rows), lam, tol))
-        rows, lam = _rows([(shrink * taus[i][0], shrink * taus[i][1]) for i in group])
+        rows, lam = _rows(group, owners, radial)
         I_lam = eval_I(_stack(GeneralizedRealization, models, rows), lam, tol)
         r = np.tile(shrink, len(group))[:, None, None]
         worst["radial_inner"] = max(worst["radial_inner"], float(
@@ -619,7 +621,7 @@ def _suite_measures(rng, n, tol):
     worst_round = 0.0
     lost_atoms = 0
     grid = random_upper_points(rng, (25,))
-    measures = [random_measure(rng) for _ in range(n)]
+    measures = _measures(rng, n)
     nds = []
     for nu in measures:
         nds.append(representations.nevanlinna_from_measure(nu))
@@ -643,19 +645,15 @@ def _suite_measures(rng, n, tol):
 
 
 def _suite_reps(rng, n, tol):
-    unitaries = _Unitaries()
-    dims, builds, grids = [], [], []
-    for _ in range(n):
-        dims.append(int(rng.integers(1, 5)))
-        builds.append(_nev_rep(rng, dims[-1], unitaries))
-        grids.append(tuple(random_upper_points(rng, (10, 2)).T))
-    reps = [build() for build in builds]
+    dims = rng.integers(1, 5, size=n).tolist()
+    zs = random_upper_points(rng, (n, 10, 2)).reshape(-1, 2).T
+    drawn = [(group, list(zip(*_nev_reps(rng, dim, len(group)))))
+             for dim, group in _groups(dims).items()]
     min_im = np.inf
     worst_limit = 0.0
     no_limit = 0
-    for group in _by_dimension(dims, zip(reps, grids)):
-        members, zs = zip(*group)
-        rows, z = _rows(zs)
+    for group, members in drawn:
+        rows, z = _rows(group, np.arange(10 * n) // 10, zs)
         h = nev2d.eval_h2(_stack(nev2d.TwoVarNevRep, members, rows), z, tol)
         min_im = min(min_im, float(h.imag.min()))
         # the rays (iy, iy) of every representation of the dimension from one sampling
@@ -729,8 +727,9 @@ def _suites(args, tol, report) -> int:
     for name, (share, rows) in _SUITES.items():
         # Every suite draws all its instances before it evaluates one, so a
         # suite that raises leaves the stream where it would have, and the
-        # later suites draw what they draw after a pass.  Looked up on each
-        # call, so a rebound suite (a tracer) runs.
+        # later suites draw what they draw after a pass; only a refused
+        # block stops the draws where it is met.  Looked up on each call,
+        # so a rebound suite (a tracer) runs.
         try:
             suites[name] = globals()[f"_suite_{name}"](rng, max(1, n // share), tol)
         except BischurError as exc:

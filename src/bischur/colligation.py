@@ -182,6 +182,14 @@ def model_residual(r, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES):
     of realizations (see ``_realize``) with one row per point of lam and
     then one per point of mu.
     """
+    residual, _, single = _model_identity(r, lam, mu, tol)
+    return float(residual[0]) if single else residual
+
+
+def _model_identity(r, lam, mu, tol: Tolerances):
+    """(residuals, phi(lam), single) of ``model_residual``: the residuals as
+    an array, phi at the points lam from the same solve, and whether lam was
+    one point."""
     l1, l2, single = as_points(lam)
     m1, m2, single_mu = as_points(mu)
     if l1.shape != m1.shape or single != single_mu:
@@ -190,8 +198,7 @@ def model_residual(r, lam, mu, tol: Tolerances = DEFAULT_TOLERANCES):
     phi, u, Iu = _realize(r, (np.append(l1, m1), np.append(l2, m2)), tol)
     lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
     rhs = (u[k:].conj() * u[:k]).sum(-1) - (Iu[k:].conj() * Iu[:k]).sum(-1)
-    residual = abs(lhs - rhs)
-    return float(residual[0]) if single else residual
+    return abs(lhs - rhs), phi[:k], single
 
 
 def unitary_extension(domain_vecs, range_vecs,

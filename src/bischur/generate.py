@@ -6,6 +6,7 @@ import numpy as np
 
 from .colligation import Colligation
 from .errors import InvalidInputError
+from .linalg import _adjoint, _apply
 from .nev2d import TwoVarNevRep
 from .points import require_torus
 from .representations import DiscreteMeasure01
@@ -30,34 +31,122 @@ MAX_ATOMS = 4  # most atoms of a random_measure
 # the smallest singular value of 1 - c D0 pencil0 must exceed this for the
 # phase c that random_colligation_with_kernel gives its block
 BLOCK_SIGMA_MIN = 1e-3
-
-
-def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """An n x n complex Gaussian matrix, drawn as random_unitary draws it."""
-    re, im = rng.normal(size=(2, n, n))
-    return re + 1j * im
+_PHASES = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _haar(Z: np.ndarray) -> np.ndarray:
-    """The Haar unitary from the QR of a complex Gaussian matrix, or those
-    of a stack of them from one stacked QR, each with its digits alone."""
+    """The Haar unitaries from the QRs of a stack of complex Gaussian
+    matrices, in one stacked QR, each with its digits alone."""
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R, axis1=-2, axis2=-1)
     return Q * (d / np.abs(d))[..., None, :]
 
 
+# Batched draws.  Each draws a batch of instances of one dimension (or one
+# shape), every array of all of them in one generator call, in the order of
+# the arrays of one instance, and gives their fields as stacks, one row per
+# instance; the colligations with a kernel and the measures come as lists.
+# A generator call of size k reads the stream as k calls of one do, so a
+# batch of one reads it as the per-instance draws of the random_* functions
+# below, which are their batches of one.  The Haar unitaries of one Gaussian
+# array come from one stacked QR.  No batch reads the stream according to a
+# value it drew.
+
+
+def _unitaries(rng, n, count):
+    """count Haar unitaries of size n from one Gaussian array, each drawn
+    real part first."""
+    re, im = np.moveaxis(rng.normal(size=(count, 2, n, n)), 1, 0)
+    return _haar(re + 1j * im)
+
+
+def _projections(rng, n, count):
+    """count projections of C^n, each of a rank from 1 to n - 1 (1 when
+    n = 1) in a Haar basis: the ranks, then the unitaries."""
+    rank = rng.integers(1, n, size=count) if n > 1 else np.ones(count, int)
+    w = _unitaries(rng, n, count)
+    return (w * (np.arange(n) < rank[:, None])[:, None, :]) @ _adjoint(w)
+
+
+def _colligations(rng, n, count):
+    """The fields (a, beta, gamma, D, P1) of count random colligations on
+    C^n: L, then P1."""
+    L = _unitaries(rng, n + 1, count)
+    return L[:, 0, 0], L[:, 0, 1:].conj(), L[:, 1:, 0], L[:, 1:, 1:], _projections(rng, n, count)
+
+
+def _kernel_colligations(rng, n_model, kernel_dim, taus) -> list[Colligation]:
+    """One colligation of random_colligation_with_kernel per torus point of
+    ``taus``: L0, the model projection, the kernel projection (or its 0/1
+    bit when kernel_dim is 1), then W, each drawn for all of them.  The
+    block phases are chosen after every draw."""
+    taus = np.array([require_torus(tau) for tau in taus]).T[:, :, None, None]
+    if n_model < 1 or kernel_dim < 1:
+        raise InvalidInputError("model and kernel dimensions must be positive")
+    count, n = taus.shape[1], n_model + kernel_dim
+    l0 = _unitaries(rng, n_model + 1, count)
+    p1_model = _projections(rng, n_model, count)
+    p1_kernel = (_projections(rng, kernel_dim, count) if kernel_dim > 1
+                 else rng.integers(0, 2, size=(count, 1, 1)).astype(float))
+    w = _unitaries(rng, n, count)
+    eye = np.eye(n_model)
+    A = l0[:, 1:, 1:] @ (taus[0] * p1_model + taus[1] * (eye - p1_model))
+    sigma_min = np.linalg.svd(eye - _PHASES[:, None, None, None] * A, compute_uv=False)[..., -1]
+    turns = sigma_min > BLOCK_SIGMA_MIN
+    if not turns.any(axis=0).all():
+        raise InvalidInputError("no phase keeps 1 outside the block's spectrum")
+    c = _PHASES[turns.argmax(axis=0)][:, None, None]
+    V = np.conj(taus[0]) * p1_kernel + np.conj(taus[1]) * (np.eye(kernel_dim) - p1_kernel)
+    D = np.zeros((count, n, n), dtype=complex)
+    D[:, :n_model, :n_model] = c * l0[:, 1:, 1:]
+    D[:, n_model:, n_model:] = V
+    P1 = np.zeros((count, n, n), dtype=complex)
+    P1[:, :n_model, :n_model] = p1_model
+    P1[:, n_model:, n_model:] = p1_kernel
+    beta = np.zeros((count, n), dtype=complex)
+    beta[:, :n_model] = l0[:, 0, 1:].conj()
+    gamma = np.zeros((count, n), dtype=complex)
+    gamma[:, :n_model] = c[:, 0] * l0[:, 1:, 0]
+    w_h = _adjoint(w)
+    return [Colligation(*fields) for fields in zip(
+        l0[:, 0, 0], _apply(w, beta), _apply(w, gamma), w @ D @ w_h, w @ P1 @ w_h)]
+
+
+def _measures(rng, count) -> list[DiscreteMeasure01]:
+    """count random measures: the numbers of atoms, then every location,
+    then every weight."""
+    sizes = rng.integers(1, MAX_ATOMS + 1, size=count)
+    locations = rng.uniform(size=sizes.sum())
+    weights = rng.uniform(0.1, 2.0, size=sizes.sum())
+    cuts = np.cumsum(sizes)[:-1]
+    return [DiscreteMeasure01(tuple(zip(s, w)))
+            for s, w in zip(np.split(locations, cuts), np.split(weights, cuts))]
+
+
+def _nev_reps(rng, dim, count):
+    """The fields (b, alpha, B, Y) of count random representations of
+    dimension dim: M, the unitary of Y, its eigenvalues, alpha, then b."""
+    re, im = np.moveaxis(rng.normal(size=(count, 2, dim, dim)), 1, 0)
+    M = re + 1j * im
+    w = _unitaries(rng, dim, count)
+    Y = (w * rng.uniform(size=(count, 1, dim))) @ _adjoint(w)
+    re, im = np.moveaxis(rng.normal(size=(count, 2, dim)), 1, 0)
+    b = rng.normal(size=count)
+    return b, re + 1j * im, 0.5 * (M + _adjoint(M)), 0.5 * (Y + _adjoint(Y))
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Gaussian matrix."""
-    return _haar(_gaussian(rng, n))
+    return _unitaries(rng, n, 1)[0]
 
 
 def random_projection(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _projection(rng, n, _Unitaries())()
+    return _projections(rng, n, 1)[0]
 
 
 def random_colligation(rng: np.random.Generator, n: int) -> Colligation:
     """Random unitary colligation on a model space of dimension n."""
-    return Colligation(*_colligation(rng, n, _Unitaries())())
+    return Colligation(*(field[0] for field in _colligations(rng, n, 1)))
 
 
 def random_colligation_with_kernel(rng: np.random.Generator, n_model: int,
@@ -74,154 +163,20 @@ def random_colligation_with_kernel(rng: np.random.Generator, n_model: int,
     BLOCK_SIGMA_MIN, so that 1 stays safely out of the block's spectrum.
     This keeps L0 unitary, and 1.0 leaves it as drawn.
     """
-    return _kernel_colligation(rng, n_model, kernel_dim, tau, _Unitaries())()
+    return _kernel_colligations(rng, n_model, kernel_dim, [tau])[0]
 
 
 def random_measure(rng: np.random.Generator) -> DiscreteMeasure01:
-    n = int(rng.integers(1, MAX_ATOMS + 1))
-    locations = rng.uniform(size=n)
-    weights = rng.uniform(0.1, 2.0, size=n)
-    return DiscreteMeasure01(tuple(zip(locations, weights)))
+    return _measures(rng, 1)[0]
 
 
 def random_nev_rep(rng: np.random.Generator, dim: int) -> TwoVarNevRep:
-    return TwoVarNevRep(*_nev_rep(rng, dim, _Unitaries())())
+    return TwoVarNevRep(*(field[0] for field in _nev_reps(rng, dim, 1)))
 
 
-# Stacked draws: a draw of n points consumes the random stream as n draws of
-# one point do, in the same order, and gives the same points bit for bit.  A
-# stack is a pair of coordinate arrays, as in ``points``.
-#
-# The instance draws ``_colligation``, ``_kernel_colligation`` and
-# ``_nev_rep`` read the stream as the random_* function of their name does
-# and return a function that builds the instance later.  Their unitaries wait
-# in one ``_Unitaries``, so the QRs of many instances are taken in one
-# stacked call per size, with the same digits.  No draw reads the stream
-# according to the values it drew: ``_kernel_colligation`` chooses its
-# block's phase when it builds.  The ``verify`` suites draw every instance
-# and its points this way first, then evaluate all instances of one
-# dimension as one stack of realizations, one row per point (see
-# ``colligation._stack``).
-
-
-class _Unitaries:
-    """Haar unitaries whose QRs wait.  ``draw(rng, n)`` reads the Gaussian
-    matrix of ``random_unitary(rng, n)`` from the stream at once and returns
-    a handle.  Calling a handle takes the QRs of every matrix drawn and not
-    yet taken, those of one size in one stacked ``np.linalg.qr``, and
-    returns its unitary.  The QRs consume no random numbers, so deferring
-    them leaves the stream as it was."""
-
-    def __init__(self):
-        self._drawn: list[np.ndarray] = []
-        self._taken: list[np.ndarray] = []
-
-    def draw(self, rng: np.random.Generator, n: int):
-        k = len(self._drawn)
-        self._drawn.append(_gaussian(rng, n))
-        return lambda: self._take(k)
-
-    def _take(self, k: int) -> np.ndarray:
-        if k >= len(self._taken):
-            pending = self._drawn[len(self._taken):]
-            unitaries = [None] * len(pending)
-            for n in dict.fromkeys(len(Z) for Z in pending):
-                at = [i for i, Z in enumerate(pending) if len(Z) == n]
-                for i, U in zip(at, _haar(np.array([pending[i] for i in at]))):
-                    unitaries[i] = U
-            self._taken += unitaries
-        return self._taken[k]
-
-
-def _projection(rng, n, unitaries: _Unitaries):
-    """Draw what random_projection draws, in its order; return the function
-    that builds the projection."""
-    rank = int(rng.integers(1, n)) if n > 1 else 1
-    W = unitaries.draw(rng, n)
-
-    def build():
-        w = W()
-        diag = np.zeros(n)
-        diag[:rank] = 1.0
-        return (w * diag) @ w.conj().T
-    return build
-
-
-def _colligation(rng, n, unitaries: _Unitaries):
-    """Draw what random_colligation draws, in its order; return the function
-    that builds the colligation's fields (a, beta, gamma, D, P1)."""
-    L = unitaries.draw(rng, n + 1)
-    P1 = _projection(rng, n, unitaries)
-
-    def build():
-        l = L()
-        return l[0, 0], l[0, 1:].conj(), l[1:, 0], l[1:, 1:], P1()
-    return build
-
-
-def _kernel_colligation(rng, n_model, kernel_dim, tau, unitaries: _Unitaries):
-    """Draw what random_colligation_with_kernel draws, in its order (L0, the
-    model projection, the kernel projection or its bit, W); return the
-    function that builds the Colligation."""
-    tau = require_torus(tau)
-    if n_model < 1 or kernel_dim < 1:
-        raise InvalidInputError("model and kernel dimensions must be positive")
-    n = n_model + kernel_dim
-    L0 = unitaries.draw(rng, n_model + 1)
-    P1_model = _projection(rng, n_model, unitaries)
-    if kernel_dim > 1:
-        P1_kernel = _projection(rng, kernel_dim, unitaries)
-    else:
-        bit = np.array([[float(rng.integers(0, 2))]])
-
-        def P1_kernel():
-            return bit
-    W = unitaries.draw(rng, n)
-
-    def build():
-        l0, p1_model, p1_kernel, w = L0(), P1_model(), P1_kernel(), W()
-        eye = np.eye(n_model)
-        A = l0[1:, 1:] @ (tau[0] * p1_model + tau[1] * (eye - p1_model))
-        for c in (1.0, 1j, -1.0, -1j):
-            if np.linalg.svd(eye - c * A, compute_uv=False)[-1] > BLOCK_SIGMA_MIN:
-                break
-        else:
-            raise InvalidInputError("no phase keeps 1 outside the block's spectrum")
-        V = np.conj(tau[0]) * p1_kernel + np.conj(tau[1]) * (np.eye(kernel_dim) - p1_kernel)
-        D = np.zeros((n, n), dtype=complex)
-        D[:n_model, :n_model] = c * l0[1:, 1:]
-        D[n_model:, n_model:] = V
-        P1 = np.zeros((n, n), dtype=complex)
-        P1[:n_model, :n_model] = p1_model
-        P1[n_model:, n_model:] = p1_kernel
-        beta = np.concatenate([l0[0, 1:].conj(), np.zeros(kernel_dim)])
-        gamma = np.concatenate([c * l0[1:, 0], np.zeros(kernel_dim)])
-        return Colligation(
-            a=l0[0, 0],
-            beta=w @ beta,
-            gamma=w @ gamma,
-            D=w @ D @ w.conj().T,
-            P1=w @ P1 @ w.conj().T,
-        )
-    return build
-
-
-def _nev_rep(rng, dim, unitaries: _Unitaries):
-    """Draw what random_nev_rep draws, in its order; return the function
-    that builds the representation's fields (b, alpha, B, Y)."""
-    re, im = rng.normal(size=(2, dim, dim))
-    M = re + 1j * im
-    W = unitaries.draw(rng, dim)
-    y = rng.uniform(size=dim)
-    re, im = rng.normal(size=(2, dim))
-    alpha = re + 1j * im
-    b = float(rng.normal())
-
-    def build():
-        w = W()
-        Y = (w * y) @ w.conj().T
-        return b, alpha, 0.5 * (M + M.conj().T), 0.5 * (Y + Y.conj().T)
-    return build
+# Stacked point draws: a draw of n points consumes the random stream as n
+# draws of one point do, in the same order, and gives the same points bit
+# for bit.  A stack is a pair of coordinate arrays, as in ``points``.
 
 
 def random_interior_points(rng: np.random.Generator, n: int, rmax: float = 0.9):

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 TORUS_SLACK = 1e-12
+# a few ulps of 1: a modulus computed this close to 1 is decided exactly
+_NEAR_ONE = 4 * np.finfo(float).eps
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 
@@ -93,11 +95,25 @@ def first_point(lam, bad) -> tuple[complex, complex] | None:
     return complex(lam[0][k]), complex(lam[1][k])
 
 
+def _in_disc(z: complex) -> bool:
+    """|z| < 1, decided exactly: with Re z = a/b and Im z = c/d in lowest
+    terms, (ad)^2 + (cb)^2 < (bd)^2 in Python's integers."""
+    (a, b), (c, d) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    return (a * d) ** 2 + (c * b) ** 2 < (b * d) ** 2
+
+
 def require_interior(lam):
     """A point or a stack of points of the open bidisc, as ``as_points``
-    gives it."""
+    gives it.  numpy's modulus is not correctly rounded, and may differ
+    with the array's layout, so a point whose larger modulus lies within
+    _NEAR_ONE of 1 is decided exactly."""
     l1, l2, single = as_points(lam)
-    outside = first_point((l1, l2), np.maximum(abs(l1), abs(l2)) >= 1.0)
+    r = np.maximum(abs(l1), abs(l2))
+    outside = r >= 1.0
+    if r.max(initial=0.0) >= 1.0 - _NEAR_ONE:
+        for k in np.flatnonzero(abs(r - 1.0) <= _NEAR_ONE):
+            outside[k] = not (_in_disc(l1[k]) and _in_disc(l2[k]))
+    outside = first_point((l1, l2), outside)
     if outside is not None:
         raise InvalidInputError(f"point {outside} is not in the open bidisc")
     return l1, l2, single

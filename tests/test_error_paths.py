@@ -8,6 +8,7 @@ import pytest
 
 from bischur import (
     BoundarySingularityError,
+    Colligation,
     DiscreteMeasure01,
     DivergenceError,
     IllConditionedError,
@@ -31,10 +32,12 @@ from bischur import (
     schur_value_from_pick,
     slope_eval,
     stieltjes_recover,
+    synth_eval,
     to_bidisc,
 )
 from bischur import boundary, nev2d, representations
 from bischur._limits import refine_to_limit
+from bischur.points import require_interior
 from bischur.nev2d import InfinityCarapoint
 
 from conftest import CHI
@@ -88,6 +91,37 @@ def test_inner_function_singular_at_the_carapoint(favourite_colligation):
 def test_herglotz_pole_on_the_distinguished_boundary():
     with pytest.raises(PoleError):
         herglotz_component(0.5, (1.0, 0.0))
+
+
+# |z|^2 is exactly 1 + 6.6e-17 for the first and 1 - 2.8e-17 for the second,
+# while numpy's modulus reads 0.9999999999999999 or 1.0 for the first, as the
+# array's layout goes, and 1.0 for the second
+JUST_OUTSIDE = complex(0.9682458365518543, 0.25)
+JUST_INSIDE = complex(-0.6535532567274639, -0.7568805325947587)
+NEAR_TORUS_POINTS = [(JUST_OUTSIDE, 0.0), (0.5j, JUST_OUTSIDE),
+                     (np.array([0.5, JUST_OUTSIDE]), np.zeros(2)),
+                     (np.full(9, JUST_OUTSIDE), np.zeros(9))]
+
+
+@pytest.mark.parametrize("lam", NEAR_TORUS_POINTS)
+@pytest.mark.parametrize("evaluate", [
+    require_interior,
+    partial(eval_phi, Colligation(a=0.0, beta=[1.0], gamma=[1.0], D=[[0.0]], P1=[[1.0]])),
+    partial(synth_eval, SynthesizedSchur(DiscreteMeasure01(((0.3, 1.0),)),
+                                         tau=(JUST_OUTSIDE, 1.0), omega=1.0)),
+], ids=["require_interior", "eval_phi", "synth_eval"])
+def test_a_point_just_outside_the_bidisc_is_refused(evaluate, lam):
+    with pytest.raises(InvalidInputError, match="is not in the open bidisc"):
+        evaluate(lam)
+
+
+def test_a_point_just_inside_the_bidisc_is_interior():
+    l1, l2, single = require_interior((np.full(9, JUST_INSIDE), np.full(9, 0.5)))
+    assert not single and (l1 == JUST_INSIDE).all()
+    assert require_interior((0.5, JUST_INSIDE))[1][0] == JUST_INSIDE
+    # the realized function, phi(lam) = lam_1 here, keeps its value there
+    c = Colligation(a=0.0, beta=[1.0], gamma=[1.0], D=[[0.0]], P1=[[1.0]])
+    assert eval_phi(c, (JUST_INSIDE, 0.0)) == JUST_INSIDE
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,6 +1,6 @@
 """Stacked evaluation and draws: a stack of points, or of realizations, gives
-what its members give one by one, and a deferred draw gives the instances
-drawn one by one."""
+what its members give one by one, and a public instance draw, a batch of
+one, gives the instances of the draws before the batches."""
 
 import math
 from dataclasses import fields
@@ -49,10 +49,6 @@ from bischur._limits import STEPS, refine_to_limit
 from bischur.boundary import _quotient
 from bischur.colligation import _realize, _stack
 from bischur.generate import (
-    _colligation,
-    _kernel_colligation,
-    _nev_rep,
-    _Unitaries,
     random_colligation,
     random_colligation_with_kernel,
     random_interior_point,
@@ -66,6 +62,7 @@ from bischur.generate import (
     random_upper_points,
 )
 
+import parent_generate
 from conftest import CHI
 
 N_POINTS = 64
@@ -502,80 +499,109 @@ def test_pair_stacks_alternate_lam_and_mu():
     same_draws(lambda rng: cli._pair_stacks(rng, 7), one_by_one)
 
 
-# ------------------------------------------------- deferred QRs of the draws
-
-
-def same_instances(seed, deferred, one_by_one):
-    """Draw instances from one seed both ways: every array must have the
-    same bits, and the generator must end in the same state."""
-    rng_deferred, rng_eager = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = deferred(rng_deferred), one_by_one(rng_eager)
-    assert len(got) == len(want)
-    for instance, expected in zip(got, want):
-        for x, y in zip(instance, expected, strict=True):
-            x, y = np.asarray(x), np.asarray(y)
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert x.tobytes() == y.tobytes()
-    assert rng_deferred.bit_generator.state == rng_eager.bit_generator.state
-
-
-def deferred_draws(rng, draws):
-    """The instances of the draws ``draw(rng, unitaries)``, a point stack
-    drawn after each one, built only once every instance is drawn."""
-    unitaries = _Unitaries()
-    drawn = [(draw(rng, unitaries), random_interior_points(rng, 2)) for draw in draws]
-    return [(*build(), *points) for build, points in drawn]
-
-
-def eager_draws(rng, draws):
-    """The same with the instances ``draw(rng)`` drawn one by one."""
-    return [(*draw(rng), *random_interior_points(rng, 2)) for draw in draws]
+# ------------------------------------------------------------ batched draws
 
 
 def colligation_fields(c):
     return c.a, c.beta, c.gamma, c.D, c.P1
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_deferred_unitaries_are_random_unitary(seed):
-    sizes = np.random.default_rng(900 + seed).integers(1, 9, size=40)
-
-    def deferred(rng):
-        unitaries = _Unitaries()
-        handles = [(unitaries.draw(rng, n), rng.uniform()) for n in sizes]
-        return [(handle(), x) for handle, x in handles]
-
-    same_instances(seed, deferred,
-                   lambda rng: [(random_unitary(rng, n), rng.uniform()) for n in sizes])
+def instance_arrays(x):
+    """The arrays of a drawn instance: its fields, or a measure's atoms."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, DiscreteMeasure01):
+        return [np.array(atom) for atom in x.atoms]
+    return [np.asarray(getattr(x, field.name)) for field in fields(x)]
 
 
+# each public draw with its arguments after rng, drawn from a second generator
+PUBLIC_DRAWS = {
+    "random_unitary": lambda spec: (int(spec.integers(1, 8)),),
+    "random_projection": lambda spec: (int(spec.integers(1, 8)),),
+    "random_colligation": lambda spec: (int(spec.integers(1, 7)),),
+    "random_colligation_with_kernel": lambda spec: (
+        int(spec.integers(1, 5)), int(spec.integers(1, 4)), random_torus_point(spec)),
+    "random_measure": lambda spec: (),
+    "random_nev_rep": lambda spec: (int(spec.integers(1, 6)),),
+}
+
+
+def same_public_draws(name, seed, count=12):
+    """Draw count instances with the public draw ``name`` and with the draw
+    before the batches: every array must have the same bits, and the
+    generator must be in the same state after each instance.  A refused
+    instance must be refused alike."""
+    spec = np.random.default_rng(1200 + seed)
+    batched, before = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(count):
+        args = PUBLIC_DRAWS[name](spec)
+        try:
+            want = getattr(parent_generate, name)(before, *args)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError, match=str(exc)):
+                getattr(generate, name)(batched, *args)
+        else:
+            got = getattr(generate, name)(batched, *args)
+            assert type(got) is type(want)
+            for x, y in zip(instance_arrays(got), instance_arrays(want), strict=True):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+        assert batched.bit_generator.state == before.bit_generator.state
+
+
+@pytest.mark.parametrize("name", PUBLIC_DRAWS)
 @pytest.mark.parametrize("seed", range(10))
-def test_deferred_colligations_are_random_colligation(seed):
-    dims = [int(n) for n in np.random.default_rng(920 + seed).integers(1, 7, size=12)]
-    same_instances(
-        seed,
-        lambda rng: deferred_draws(rng, [partial(lambda n, r, u: _colligation(r, n, u), n)
-                                         for n in dims]),
-        lambda rng: eager_draws(rng, [partial(lambda n, r: colligation_fields(
-            random_colligation(r, n)), n) for n in dims]))
+def test_public_draws_are_the_draws_before_the_batches(name, seed):
+    same_public_draws(name, seed)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_deferred_kernel_colligations_are_random_colligation_with_kernel(seed):
-    shapes = np.random.default_rng(940 + seed).integers(1, 4, size=(8, 2)).tolist()
-    args = [(m, k, random_torus_point(np.random.default_rng(960 + 8 * seed + j)))
-            for j, (m, k) in enumerate(shapes)]
+@pytest.mark.parametrize("seed", range(3))
+def test_turned_blocks_are_those_before_the_batches(seed, monkeypatch):
+    # at 0.2 about one block in nine is turned, and a block of dimension 1
+    # may be refused
+    for module in (generate, parent_generate):
+        monkeypatch.setattr(module, "BLOCK_SIGMA_MIN", 0.2)
+    same_public_draws("random_colligation_with_kernel", seed, count=30)
 
-    def deferred(r, u, arg):
-        build = _kernel_colligation(r, *arg, u)
-        return lambda: colligation_fields(build())
 
-    same_instances(
-        seed,
-        lambda rng: deferred_draws(rng, [partial(lambda a, r, u: deferred(r, u, a), a)
-                                         for a in args]),
-        lambda rng: eager_draws(rng, [partial(lambda a, r: colligation_fields(
-            random_colligation_with_kernel(r, *a)), a) for a in args]))
+class Recording:
+    """A generator that records the method and size of each call."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        def call(*args, size=None):
+            self.calls.append((name, size))
+            return getattr(self.rng, name)(*args, size=size)
+        return call
+
+
+@pytest.mark.parametrize("batch, args, calls", [
+    (generate._colligations, (3, 4), [("normal", (4, 2, 4, 4)), ("integers", 4),
+                                      ("normal", (4, 2, 3, 3))]),
+    (generate._kernel_colligations, (2, 2, [CHI] * 5), [
+        ("normal", (5, 2, 3, 3)), ("integers", 5), ("normal", (5, 2, 2, 2)),
+        ("integers", 5), ("normal", (5, 2, 2, 2)), ("normal", (5, 2, 4, 4))]),
+    (generate._kernel_colligations, (1, 1, [CHI] * 3), [
+        ("normal", (3, 2, 2, 2)), ("normal", (3, 2, 1, 1)), ("integers", (3, 1, 1)),
+        ("normal", (3, 2, 2, 2))]),
+    (generate._nev_reps, (2, 3), [("normal", (3, 2, 2, 2)), ("normal", (3, 2, 2, 2)),
+                                  ("uniform", (3, 1, 2)), ("normal", (3, 2, 2)),
+                                  ("normal", 3)]),
+])
+def test_a_batch_draws_each_array_in_one_call(batch, args, calls):
+    rng = Recording(0)
+    batch(rng, *args)
+    assert rng.calls == calls
+
+
+def test_a_batch_of_measures_draws_each_array_in_one_call():
+    rng = Recording(0)
+    measures = generate._measures(rng, 6)
+    total = sum(len(nu.atoms) for nu in measures)
+    assert rng.calls == [("integers", 6), ("uniform", total), ("uniform", total)]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -602,21 +628,6 @@ def test_a_block_no_phase_can_turn_is_refused(monkeypatch):
     monkeypatch.setattr(generate, "BLOCK_SIGMA_MIN", 3.0)
     with pytest.raises(InvalidInputError, match="no phase keeps 1 outside the block's spectrum"):
         random_colligation_with_kernel(np.random.default_rng(0), 3, 1, (1.0, 1j))
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_deferred_nev_reps_are_random_nev_rep(seed):
-    dims = [int(n) for n in np.random.default_rng(980 + seed).integers(1, 6, size=12)]
-
-    def rep_fields(rep):
-        return rep.b, rep.alpha, rep.B, rep.Y
-
-    same_instances(
-        seed,
-        lambda rng: deferred_draws(rng, [partial(lambda n, r, u: _nev_rep(r, n, u), n)
-                                         for n in dims]),
-        lambda rng: eager_draws(rng, [partial(lambda n, r: rep_fields(random_nev_rep(r, n)), n)
-                                      for n in dims]))
 
 
 # ------------------------------------------------- stacks of realizations

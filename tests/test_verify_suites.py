@@ -1,9 +1,10 @@
 """The verify suites against a per-instance reference.
 
-Each suite draws every instance first and evaluates the instances of one
-dimension as one stack.  The reference below is the suites as they were
-written before: one instance at a time, each drawn and then evaluated.  Both
-must give the same suite figures, bit for bit, from one seed.
+Each suite draws all its instances in batches and evaluates the instances of
+one dimension as one stack.  The reference below draws the same instances in
+the same order, with the batched draws of ``generate``, and then evaluates
+them one instance at a time, each alone, as the suites were first written.
+Both must give the same suite figures, bit for bit, from one seed.
 """
 
 from functools import partial
@@ -23,22 +24,46 @@ from bischur.gates import (
     SCHUR_EXCESS_MAX,
     SLOPE_LIMINF_MAX,
 )
-from bischur.colligation import eval_phi, model_residual
+from bischur.colligation import Colligation, eval_phi, model_residual
 from bischur.desingularize import desingularize, eval_I
 from bischur.generate import (
-    random_colligation,
+    _colligations,
+    _kernel_colligations,
+    _measures,
+    _nev_reps,
     random_colligation_with_kernel,
     random_interior_points,
-    random_measure,
-    random_nev_rep,
     random_torus_points,
     random_upper_points,
 )
 
 
-def inner_residual(g, rng, n, tol):
-    """Max of ||I* I - 1|| over n torus draws, skipping those within 0.2 of tau."""
-    l1, l2 = random_torus_points(rng, n)
+def by_dimension(rng, dims, batch):
+    """The instances of a suite, drawn as the suites draw them: one batch
+    ``batch(rng, dim, group)`` of instances per dimension, in order of its
+    first instance, put back in instance order."""
+    instances = [None] * len(dims)
+    for dim in dict.fromkeys(dims):
+        group = [i for i, d in enumerate(dims) if d == dim]
+        for i, instance in zip(group, batch(rng, dim, group), strict=True):
+            instances[i] = instance
+    return instances
+
+
+def chunks(lam, k):
+    """A stack of points as its consecutive stacks of k points."""
+    return [(lam[0][j:j + k], lam[1][j:j + k]) for j in range(0, len(lam[0]), k)]
+
+
+def pair_chunks(pairs, k):
+    """Stacks of pairs (lam, mu) as consecutive pairs of stacks of k points."""
+    return list(zip(chunks(pairs[0], k), chunks(pairs[1], k)))
+
+
+def inner_residual(g, lam, tol):
+    """Max of ||I* I - 1|| over the torus points lam, skipping those within
+    0.2 of tau."""
+    l1, l2 = lam
     kept = (abs(l1 - g.tau[0]) >= 0.2) & (abs(l2 - g.tau[1]) >= 0.2)
     if not kept.any():
         return 0.0
@@ -48,13 +73,16 @@ def inner_residual(g, rng, n, tol):
 
 
 def suite_colligations(rng, n, tol):
+    dims = rng.integers(2, 6, size=n).tolist()
+    lams = chunks(random_interior_points(rng, 4 * n), 4)
+    pairs = pair_chunks(_pair_stacks(rng, 3 * n), 3)
+    cs = by_dimension(rng, dims, lambda rng, dim, group: [
+        Colligation(*fields) for fields in zip(*_colligations(rng, dim, len(group)))])
     worst_schur = 0.0
     worst_model = 0.0
-    for _ in range(n):
-        c = random_colligation(rng, int(rng.integers(2, 6)))
-        lams = random_interior_points(rng, 4)
-        worst_schur = max(worst_schur, float(np.abs(eval_phi(c, lams, tol)).max()) - 1.0)
-        worst_model = max(worst_model, float(model_residual(c, *_pair_stacks(rng, 3), tol).max()))
+    for c, lam, pair in zip(cs, lams, pairs):
+        worst_schur = max(worst_schur, float(np.abs(eval_phi(c, lam, tol)).max()) - 1.0)
+        worst_model = max(worst_model, float(model_residual(c, *pair, tol).max()))
     return {
         "schur_bound_excess_max": worst_schur,
         "model_residual_max": worst_model,
@@ -63,17 +91,20 @@ def suite_colligations(rng, n, tol):
 
 
 def suite_desingularization(rng, n, tol):
+    taus = list(zip(*random_torus_points(rng, n)))
+    shapes = list(zip(rng.integers(2, 5, size=n).tolist(), rng.integers(1, 3, size=n).tolist()))
+    pairs = pair_chunks(_pair_stacks(rng, 3 * n), 3)
+    torus = chunks(random_torus_points(rng, 3 * n), 3)
+    cs = by_dimension(rng, shapes, lambda rng, shape, group: _kernel_colligations(
+        rng, *shape, [taus[i] for i in group]))
     worst = {"model_residual": 0.0, "inner": 0.0, "radial_inner": 0.0,
              "slope_liminf": 0.0}
     unconverged = 0
-    for _ in range(n):
-        tau = tuple(np.ravel(random_torus_points(rng, 1)))
-        c = random_colligation_with_kernel(rng, int(rng.integers(2, 5)),
-                                           int(rng.integers(1, 3)), tau)
+    for c, tau, pair, torus_points in zip(cs, taus, pairs, torus):
         g = desingularize(c, tau, tol)
         worst["model_residual"] = max(worst["model_residual"],
-                                      float(model_residual(g, *_pair_stacks(rng, 3), tol).max()))
-        worst["inner"] = max(worst["inner"], inner_residual(g, rng, 3, tol))
+                                      float(model_residual(g, *pair, tol).max()))
+        worst["inner"] = max(worst["inner"], inner_residual(g, torus_points, tol))
         shrink = 1.0 - np.array([0.5, 0.125, 2.0 ** -6])
         I_lam = eval_I(g, (shrink * tau[0], shrink * tau[1]), tol)
         worst["radial_inner"] = max(worst["radial_inner"], float(
@@ -105,8 +136,7 @@ def suite_measures(rng, n, tol):
     lost_atoms = 0
     grid = random_upper_points(rng, (25,))
     equiv_grid = grid[:8]
-    for _ in range(n):
-        nu = random_measure(rng)
+    for nu in _measures(rng, n):
         nd = representations.nevanlinna_from_measure(nu)
         back = representations.measure_from_nevanlinna(nd)
         if len(back.atoms) != len(nu.atoms):
@@ -139,11 +169,13 @@ def suite_reps(rng, n, tol):
     min_im = np.inf
     worst_limit = 0.0
     no_limit = 0
-    for _ in range(n):
-        rep = random_nev_rep(rng, int(rng.integers(1, 5)))
+    dims = rng.integers(1, 5, size=n).tolist()
+    grids = random_upper_points(rng, (n, 10, 2))
+    reps = by_dimension(rng, dims, lambda rng, dim, group: [
+        nev2d.TwoVarNevRep(*fields) for fields in zip(*_nev_reps(rng, dim, len(group)))])
+    for rep, grid in zip(reps, grids):
         h = partial(nev2d.eval_h2, rep, tol=tol)
-        zs = tuple(random_upper_points(rng, (10, 2)).T)
-        min_im = min(min_im, float(h(zs).imag.min()))
+        min_im = min(min_im, float(h(tuple(grid.T)).imag.min()))
         infinity = nev2d.carapoint_at_infinity(h)
         if not (infinity.finite and infinity.converged):
             no_limit += 1
@@ -182,23 +214,24 @@ def test_suites_equal_their_per_instance_reference(seed, n):
 def test_limits_are_sampled_per_dimension(monkeypatch):
     # one model_liminf per ambient dimension, one carapoint_at_infinity per
     # rep dimension, and every instance sampled once
-    liminf_calls, infinity_calls, rep_dims = [], [], []
+    liminf_calls, infinity_calls, rep_batches = [], [], []
     model_liminf, carapoint_at_infinity = boundary.model_liminf, nev2d.carapoint_at_infinity
-    nev_rep = cli._nev_rep
+    nev_reps = cli._nev_reps
     monkeypatch.setattr(boundary, "model_liminf", lambda cs, taus, tol: liminf_calls.append(
         [c.dim for c in cs]) or model_liminf(cs, taus, tol))
     monkeypatch.setattr(nev2d, "carapoint_at_infinity", lambda h, count: infinity_calls.append(
         count) or carapoint_at_infinity(h, count))
-    monkeypatch.setattr(cli, "_nev_rep", lambda rng, dim, unitaries: rep_dims.append(
-        dim) or nev_rep(rng, dim, unitaries))
+    monkeypatch.setattr(cli, "_nev_reps", lambda rng, dim, count: rep_batches.append(
+        (dim, count)) or nev_reps(rng, dim, count))
     rng = np.random.default_rng(104)
     assert cli._suite_desingularization(rng, 25, Tolerances())["pass"]
     assert cli._suite_reps(rng, 25, Tolerances())["pass"]
     assert sum(map(len, liminf_calls)) == 25 and sum(infinity_calls) == 25
     assert all(len(set(dims)) == 1 for dims in liminf_calls)
     assert len({dims[0] for dims in liminf_calls}) == len(liminf_calls) > 1
-    assert infinity_calls == [rep_dims.count(dim) for dim in dict.fromkeys(rep_dims)]
-    assert len(infinity_calls) > 1
+    # one batch of representations per dimension, sampled as one family
+    assert infinity_calls == [count for _, count in rep_batches]
+    assert len({dim for dim, _ in rep_batches}) == len(rep_batches) > 1
 
 
 @pytest.mark.parametrize("n", [1, 7, 50])
@@ -214,32 +247,51 @@ def test_measures_are_evaluated_in_one_call_per_encoding(monkeypatch, n):
     assert sorted(calls) == ["h_from_measure", "h_from_nevanlinna", "pick_check"]
 
 
-def spied_builds(monkeypatch):
-    """The list that collects (kernel dimension, tau, colligation) of each
-    colligation the stacked desingularization suite builds, in build order."""
-    built, draw = [], cli._kernel_colligation
+def spied_batches(monkeypatch):
+    """The list that collects, for each batch of colligations the stacked
+    desingularization suite draws, in draw order, the generator's state
+    before it, its arguments and its colligations."""
+    batches, draw = [], cli._kernel_colligations
 
-    def spy(rng, n_model, kernel_dim, tau, unitaries):
-        build = draw(rng, n_model, kernel_dim, tau, unitaries)
-        return lambda: built.append((kernel_dim, tau, build())) or built[-1][-1]
-    monkeypatch.setattr(cli, "_kernel_colligation", spy)
-    return built
+    def spy(rng, n_model, kernel_dim, taus):
+        state = rng.bit_generator.state
+        batches.append((state, n_model, kernel_dim, taus, draw(rng, n_model, kernel_dim, taus)))
+        return batches[-1][-1]
+    monkeypatch.setattr(cli, "_kernel_colligations", spy)
+    return batches
 
 
-@pytest.mark.parametrize("seed, n", [(1, 1), (4, 5), (104, 25)])
-def test_a_block_that_fails_at_phase_one_is_turned_as_the_reference_does(seed, n, monkeypatch):
-    # at 0.2 some block of each seed here fails at c = 1: the suite turns it
-    # by a phase, as random_colligation_with_kernel does, and reads the
-    # stream as it does at the default threshold
-    built = spied_builds(monkeypatch)
+def colligation_bits(c):
+    return [np.asarray(field).tobytes() for field in (c.a, c.beta, c.gamma, c.D, c.P1)]
+
+
+@pytest.mark.parametrize("seed, n", [(10, 1), (4, 5), (3, 25)])
+def test_a_block_that_fails_at_phase_one_is_turned_as_a_batch_of_one_turns_it(
+        seed, n, monkeypatch):
+    # at 0.2 some block of each seed here fails at c = 1, one of them in a
+    # batch of one: the suite turns it by a phase and reads the stream as it
+    # does at the default threshold, and each of its batches of one is the
+    # colligation that random_colligation_with_kernel draws from where the
+    # batch starts
+    batches = spied_batches(monkeypatch)
     tol, states = Tolerances(), []
     for sigma_min in (generate.BLOCK_SIGMA_MIN, 0.2):
         monkeypatch.setattr(generate, "BLOCK_SIGMA_MIN", sigma_min)
         stacked_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        start = len(batches)
         assert cli._suite_desingularization(stacked_rng, n, tol) == suite_desingularization(
             reference_rng, n, tol)
         assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
         states.append(stacked_rng.bit_generator.state)
+        singles = [batch for batch in batches[start:] if len(batch[3]) == 1]
+        assert singles
+        for state, n_model, kernel_dim, (tau,), (c,) in singles:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            assert colligation_bits(c) == colligation_bits(
+                random_colligation_with_kernel(rng, n_model, kernel_dim, tau))
+    built = [(kernel_dim, tau, c) for _, _, kernel_dim, taus, cs in batches
+             for tau, c in zip(taus, cs)]
     assert states[0] == states[1] and len(built) == 2 * n
     phases = []
     for (_, _, drawn), (kernel_dim, tau, turned) in zip(built[:n], built[n:]):
@@ -261,17 +313,19 @@ def test_a_block_that_fails_at_phase_one_is_turned_as_the_reference_does(seed, n
 
 
 def test_desingularizations_are_one_call_per_dimension(monkeypatch):
-    # one desingularize per ambient dimension and one h(1) evaluation per
-    # model dimension, each colligation drawn and built once
+    # one batch per shape (model and kernel dimension), one desingularize
+    # per ambient dimension and one h(1) evaluation per model dimension,
+    # each colligation drawn and built once
     calls, evaluations = [], []
     desingularize_, slope_eval = cli.desingularize, slope_mod.slope_eval
-    built = spied_builds(monkeypatch)
+    batches = spied_batches(monkeypatch)
     monkeypatch.setattr(cli, "desingularize", lambda cs, taus, tol: calls.append(
         [c.dim for c in cs]) or desingularize_(cs, taus, tol))
     monkeypatch.setattr(slope_mod, "slope_eval", lambda pair, z: evaluations.append(
         pair.u_tau.shape) or slope_eval(pair, z))
     assert cli._suite_desingularization(np.random.default_rng(104), 25, Tolerances())["pass"]
-    assert len(built) == 25
+    assert sum(len(batch[4]) for batch in batches) == 25
+    assert len({batch[1:3] for batch in batches}) == len(batches) > 1
     assert sum(map(len, calls)) == 25 and all(len(set(dims)) == 1 for dims in calls)
     assert len({dims[0] for dims in calls}) == len(calls) > 1
     assert sum(count for count, _ in evaluations) == 25
