@@ -76,7 +76,6 @@ from .representations import (
 from .slope import (
     SlopePair,
     derivative_checks,
-    directional_derivative_analytic,
     directional_derivative_numeric,
     pick_check,
     slope_eval,
@@ -85,7 +84,6 @@ from .slope import (
 from .synthesis import (
     SynthesizedSchur,
     fit_colligation,
-    herglotz_component,
     synth_eval,
     verify_carapoint,
     verify_slope,

@@ -6,11 +6,23 @@ Y = max(b - a, 2y), away from the spikes atoms put on Im z = y.  Each side
 carries an n-point Gauss-Legendre rule, log-graded on the vertical sides,
 s = y (Y/y)^v for v in [0, 1], so an atom near or on a window endpoint is
 resolved (on one it gets half weight); n doubles from 16 until two rules
-agree within REL_TOL times sum |w_i h(z_i)|.  h is called once on the 16-
-and 32-node rules of every y of a stack, sampling the top side once when all
-share Y = b - a, then once per level for the ys not settled, so a y gets the
-same digits in any stack.  See Trefethen and Weideman, SIAM Review 56
-(2014); Davis and Rabinowitz, Methods of Numerical Integration.
+agree within REL_TOL times sum |w_i h(z_i)|, in the one doubling loop of
+``_window``.  h is called once on the 16- and 32-node rules of every y of a
+stack, sampling the top side once when all share Y = b - a, then once per
+level for the ys not settled, so a y gets the same digits in any stack.
+
+The y -> 0+ limit, the window mass of Stieltjes inversion, is Im of the same
+integral along a -> a+iY -> b+iY -> b, where Im(h dz) = Re h ds on the
+vertical sides.  Floored at y, it is the rule above plus the first-order feet
+y (Re h(a+iy) - Re h(b+iy)) of the pieces below y, from the first call of h.
+Re h is even in s on a side that no atom is near (h is real on the real axis
+there), so a foot errs by O(y^3).  ``stieltjes_recover`` floors the rule at
+s0 = ys[-1], so only ys[-1] sets its answer and h is never called below it;
+the same rule from 4 s0, in the same stack, certifies it.  An atom on an end
+counts half, and one within a few hundred s0 of an end, where the feet
+cannot resolve it, makes the two floors disagree and is refused.  See
+Trefethen and Weideman, SIAM Review 56 (2014); Davis and Rabinowitz, Methods
+of Numerical Integration.
 """
 
 from __future__ import annotations
@@ -26,10 +38,6 @@ __all__ = ["adaptive_trapezoid"]
 
 MAX_NODES = 1024  # Gauss-Legendre nodes per side of the last rule tried
 REL_TOL = 1e-6  # agreement of two successive rules, relative to sum |w_i h(z_i)|
-
-
-class _Refusal(InvalidInputError):
-    """h answered with values of another shape, or with values that are not numbers."""
 
 
 @cache
@@ -52,9 +60,10 @@ def _require_finite_height(a, b, top, bottom):
                                 f"multiple of y = {bottom}")
 
 
-def _level(h, a, b, y, sizes, previous=None):
+def _level(h, a, b, y, sizes, previous=None, feet=False):
     """The integrals of the column ``y`` by the last rule of ``sizes`` nodes, from one call
-    of h, and where they agree with the rule before (``previous`` when given)."""
+    of h, where they agree with the rule before (``previous`` when given), and with
+    ``feet`` each y's feet y (Re h(a + iy) - Re h(b + iy)) from the same call (else 0)."""
     v, w = _gauss_legendre(*sizes)
     Y = np.maximum(b - a, 2.0 * y)
     ratio = Y / y
@@ -62,13 +71,15 @@ def _level(h, a, b, y, sizes, previous=None):
     s = y * ratio ** v
     rise = 1j * log * s * w  # dz on the left side
     top = a + (b - a) * v + 1j * (Y[:1] if (Y == Y[0]).all() else Y)
-    points = np.concatenate((a + 1j * s, top, b + 1j * s), axis=None)
+    ends = np.concatenate((a + 1j * y, b + 1j * y), axis=None) if feet else np.empty(0)
+    points = np.concatenate((ends, a + 1j * s, top, b + 1j * s), axis=None)
     hz = np.asarray(h(points))
     try:
         hz = np.broadcast_to(hz.astype(complex, casting="same_kind", copy=False), points.shape)
     except (TypeError, ValueError):
-        raise _Refusal(f"h returned {hz.dtype} values of shape {hz.shape} where numbers "
-                       f"of shape {points.shape} or a constant were due") from None
+        raise InvalidInputError(f"h returned {hz.dtype} values of shape {hz.shape} where numbers "
+                                f"of shape {points.shape} or a constant were due") from None
+    ends, hz = hz[:ends.size], hz[ends.size:]
     sides = (rise * hz[:s.size].reshape(s.shape),  # a rule's row is [left, top, right], as alone
              np.broadcast_to((b - a) * w * hz[s.size:-s.size].reshape(top.shape), s.shape),
              -rise * hz[-s.size:].reshape(s.shape))
@@ -76,7 +87,25 @@ def _level(h, a, b, y, sizes, previous=None):
     for m in sizes:
         terms = np.concatenate([side[:, :m] for side in sides], axis=1)
         sides, previous, value = [side[:, m:] for side in sides], value, np.sum(terms, axis=1).imag
-    return value, np.abs(value - previous) <= REL_TOL * np.abs(terms).sum(axis=1)
+    foot = y[:, 0] * (ends[:y.size] - ends[y.size:]).real if feet else 0.0
+    return value, np.abs(value - previous) <= REL_TOL * np.abs(terms).sum(axis=1), foot
+
+
+def _window(h, a, b, ys, feet=False):
+    """The integrals of Im h over [a, b] at the 1-D array ``ys``, each by rules doubled
+    until two agree, and with ``feet`` plus each y's feet: the y -> 0+ limit floored
+    at that y.  Raises NoLimitError when an integral does not settle."""
+    values, settled, foot = _level(h, a, b, ys[:, None], (16, 32), feet=feet)
+    live, n = np.flatnonzero(~settled), 32
+    while live.size and np.isfinite(values[live]).all() and n < MAX_NODES:
+        n *= 2
+        values[live], settled, _ = _level(h, a, b, ys[live, None], (n,), values[live])
+        live = live[~settled]
+    if live.size:  # an integral that is not finite stops the doubling: none can settle
+        k = live[np.argmin(np.isfinite(values[live]))]
+        raise NoLimitError(f"the window integral over [{a}, {b}] at y = {float(ys[k])} did not "
+                           f"settle: it is {values[k]} with {n} Gauss-Legendre nodes per side")
+    return values + foot
 
 
 def adaptive_trapezoid(h, a, b, y):
@@ -92,14 +121,5 @@ def adaptive_trapezoid(h, a, b, y):
     """
     ys = np.array(y, dtype=float, ndmin=1)
     _require_finite_height(float(a), float(b), float(ys.max()), float(ys.min()))
-    values, settled = _level(h, a, b, ys[:, None], (16, 32))
-    live, n = np.flatnonzero(~settled), 32
-    while live.size and np.isfinite(values[live]).all() and n < MAX_NODES:
-        n *= 2
-        values[live], settled = _level(h, a, b, ys[live, None], (n,), values[live])
-        live = live[~settled]
-    if live.size:  # an integral that is not finite stops the doubling: none can settle
-        k = live[np.argmin(np.isfinite(values[live]))]
-        raise NoLimitError(f"the window integral over [{a}, {b}] at y = {float(ys[k])} did not "
-                           f"settle: it is {values[k]} with {n} Gauss-Legendre nodes per side")
+    values = _window(h, a, b, ys)
     return values if np.ndim(y) else float(values[0])

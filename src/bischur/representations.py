@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import REL_TOL, _level, _Refusal, _require_finite_height, adaptive_trapezoid
-from ._limits import refine_to_limit
+from ._integrate import REL_TOL, _require_finite_height, _window
 from .points import as_scalar, as_values
 from .errors import (
-    BischurError,
     InvalidInputError,
     NoLimitError,
     NotSlopeTypeError,
@@ -42,13 +40,6 @@ __all__ = [
     "measure_from_nevanlinna",
     "stieltjes_recover",
 ]
-
-# The first call of h takes the first rule level of this many ys of a window,
-# and a window read past them takes the others in one more call.  Criterion
-# 05's window reads 6 ys; of the 4 320 windows of the benchmark's stieltjes
-# pools of seeds 1-30, 1 reads 3, 921 read 4, 3 149 read 5 and 249 read 6.
-_FIRST_YS = 6
-
 
 def _normalize_atoms(pairs, *, low=None, high=None, what="atom"):
     """Sort, merge coincident locations, drop zero weights, check signs."""
@@ -234,24 +225,25 @@ def measure_from_nevanlinna(nd: NevanlinnaData) -> DiscreteMeasure01:
 def stieltjes_recover(h, a: float, b: float, ys) -> float:
     """Recover Poisson-measure mass on a window by Stieltjes inversion.
 
-    Integrates Im h(x + iy) over [a, b] for each y in the decreasing sequence
-    ``ys`` and extrapolates y -> 0, to ``10 * REL_TOL``.  Each integral is
-    taken along a contour above the window, a+iy -> a+iY -> b+iY -> b+iy, by
-    Gauss-Legendre rules that double until two agree within ``REL_TOL``.
-    ``h`` is called on a 1-D array of points with Im z >= ys[-1] and must
-    return an array of that shape (or a constant): once on the first rule
-    level of the first six ys, sampling a shared top side once, once more on
-    that of all the others when the extrapolation first reads past the sixth,
-    then alone for each y it reads that has not settled, so it sees only
-    first-level points of unread ys.  A BischurError h raises on either
-    stacked call falls back to stacks of one y for every y not yet taken, any
-    other exception propagates.  For Nevanlinna data the limit is the window
-    mass of (1 + t^2) dmu(t), with half weight for atoms on a window endpoint.
+    The y -> 0+ limit of the integral of Im h(x + iy) over [a, b] is Im of the
+    integral of h dz along a -> a+iY -> b+iY -> b, taken by one contour rule
+    floored at s0 = ys[-1]: Gauss-Legendre rules on the sides from height s0 up,
+    doubled until two agree within ``REL_TOL``, plus the first-order foot
+    s0 (Re h(a + i s0) - Re h(b + i s0)) of the vertical sides.  The same rule
+    from 4 s0 certifies it.  Only ys[-1] sets the answer: the other ys keep
+    their validation but no longer change it.  ``h`` is called on a 1-D array
+    of points with Im z >= ys[-1], never below, and must return an array of
+    that shape (or a constant): once on the first rule level of both floors,
+    sharing their top side, then once per level for a floor not settled.  For
+    Nevanlinna data the limit is the window mass of (1 + t^2) dmu(t), with half
+    weight for an atom on a window end; an atom within a few hundred s0 of an
+    end, which the floor cannot resolve, is refused with NoLimitError.
     Raises InvalidInputError before any call of ``h`` when a, b or some y is
     not a finite real, ``ys`` is empty, or the contour height Y = max(b - a,
-    2y) or Y / y is not finite, or on the first call when h returns another
-    shape, and NoLimitError when an integral it reads or the sequence does
-    not settle.
+    2y) at ys[0] or 4 ys[-1], or Y / ys[-1], is not finite, and on the first
+    call when h returns another shape; NoLimitError when a floor's integral
+    does not settle or the two floors differ by more than ``10 * REL_TOL``
+    (1 + |mass|).
     """
     refusal = "the window ends and ys must be finite reals"
     a, b = as_scalar(a, refusal, float), as_scalar(b, refusal, float)
@@ -260,29 +252,10 @@ def stieltjes_recover(h, a: float, b: float, ys) -> float:
         raise InvalidInputError("window must satisfy a < b")
     if not ys or any(y <= 0 for y in ys) or any(q >= p for p, q in zip(ys, ys[1:])):
         raise InvalidInputError("ys must be nonempty, positive and strictly decreasing")
-    _require_finite_height(a, b, ys[0], ys[-1])
-    column, first = np.array(ys)[:, None], []  # first: a y's first-level integral, or None
-
-    def take(stop):
-        """The first level of ys[len(first):stop], from one call of h."""
-        try:
-            values, settled = _level(h, a, b, column[len(first):stop], (16, 32))
-        except _Refusal:  # h answered: a stack of one y would be refused too
-            raise
-        except BischurError:  # an error of h: stacks of one y from here on
-            first.extend([None] * (len(ys) - len(first)))
-        else:
-            first.extend(v if ok else None for v, ok in zip(values, settled))
-
-    def sample(k):
-        if k == len(first):
-            take(len(ys))
-        return adaptive_trapezoid(h, a, b, ys[k]) if first[k] is None else first[k]
-
-    take(_FIRST_YS)
-    report = refine_to_limit(sample, ys, tol=10 * REL_TOL)
-    if not report.converged:
-        raise NoLimitError(
-            f"window integrals did not stabilize (best gap {report.achieved:.3e})"
-        )
-    return float(report.estimate.real)
+    s0 = ys[-1]
+    _require_finite_height(a, b, max(ys[0], 4.0 * s0), s0)
+    mass, check = _window(h, a, b, np.array([s0, 4.0 * s0]), feet=True)
+    if not abs(mass - check) <= 10 * REL_TOL * (1.0 + abs(mass)):
+        raise NoLimitError(f"the window mass over [{a}, {b}] is {mass} floored at y = {s0} "
+                           f"but {check} at {4.0 * s0}, as for an atom near an end")
+    return float(mass)

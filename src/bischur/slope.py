@@ -31,7 +31,6 @@ __all__ = [
     "SlopePair",
     "slope_eval",
     "slope_measure",
-    "directional_derivative_analytic",
     "directional_derivative_numeric",
     "derivative_checks",
     "pick_check",
@@ -143,16 +142,6 @@ def _numeric(phi, tau, d, steps, phi_tau):
             for line, value in zip(steps, values)]
 
 
-def directional_derivative_analytic(phi_tau, tau, deltas, h) -> np.ndarray:
-    """Directional derivatives from the slope formula, one per direction of
-    the sequence ``deltas``, as a complex array.  ``h`` is the slope function
-    at tau, such as ``partial(slope_eval, pair)``; it is called once, on the
-    array of the directions' arguments conj(tau_2) delta_2 / (conj(tau_1)
-    delta_1).  Each delta must be a line of ``directional_derivative_numeric``."""
-    tau = require_torus(tau)
-    return _analytic(phi_tau, tau, _lines(tau, deltas)[0], h)
-
-
 def directional_derivative_numeric(phi, tau, deltas, phi_tau):
     """Difference-quotient estimates of D_{-delta} phi(tau) from the boundary
     value ``phi_tau``: one ``LimitReport`` per direction of the sequence
@@ -177,10 +166,11 @@ def derivative_checks(phi, tau, phi_tau, deltas, h) -> list[dict]:
     """The slope formula checked along each direction of ``deltas``: one
     record per direction with its ``delta``, the ``numeric`` difference
     quotient limit of ``phi`` (see ``directional_derivative_numeric``), the
-    ``analytic`` value from the slope function ``h`` (see
-    ``directional_derivative_analytic``), ``abs_err``, ``rel_err`` (relative
-    to 1 + |analytic|) and whether the quotients ``converged``.  Both sides
-    read one validation of tau and of each direction's line."""
+    ``analytic`` value of the slope formula, phi_tau conj(tau_2) delta_2
+    h(conj(tau_2) delta_2 / (conj(tau_1) delta_1)) from one call of the slope
+    function ``h`` on every direction's argument, ``abs_err``, ``rel_err``
+    (relative to 1 + |analytic|) and whether the quotients ``converged``.
+    Both sides read one validation of tau and of each direction's line."""
     point = as_point(tau)
     torus = require_torus(point)
     d, steps = _lines(torus, deltas)

@@ -35,13 +35,11 @@ from . import boundary, gates, slope as slope_mod
 from .colligation import Colligation, eval_phi
 from .errors import InternalInconsistencyError, InvalidInputError, PoleError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .points import (TORUS_SLACK, as_points, as_scalar, first_point, require_interior,
-                     require_torus, to_circle)
+from .points import TORUS_SLACK, as_scalar, require_interior, require_torus, to_circle
 from .representations import DiscreteMeasure01, h_from_measure
 
 __all__ = [
     "SynthesizedSchur",
-    "herglotz_component",
     "synth_eval",
     "fit_colligation",
     "verify_slope",
@@ -70,40 +68,18 @@ class SynthesizedSchur:
         object.__setattr__(self, "omega", to_circle(omega))
 
 
-def _herglotz_den(s, l1, l2):
-    """The denominator of f_s at the points (l1, l2): s a float, or a column
-    of atoms' s against the point stack, one row per atom."""
-    return s * (1.0 + l1) / (1.0 - l1) + (1.0 - s) * (1.0 + l2) / (1.0 - l2)
-
-
-def herglotz_component(s: float, lam):
-    """f_s(lam), the convex-combination Herglotz kernel; Re f_s > 0 inside.
-    A complex at a point, a complex array at a stack of points."""
-    refusal = "the mixing parameter s must lie in [0, 1]"
-    s = as_scalar(s, refusal, float)
-    if not 0.0 <= s <= 1.0:
-        raise InvalidInputError(refusal)
-    l1, l2, single = as_points(lam)
-    if (l1 == 1.0).any() or (l2 == 1.0).any():
-        raise PoleError("herglotz component has a pole where a coordinate equals 1")
-    den = _herglotz_den(s, l1, l2)
-    zero = first_point((l1, l2), den == 0)
-    if zero is not None:
-        raise PoleError(f"herglotz denominator vanishes at {zero}")
-    f = 1.0 / den
-    return complex(f[0]) if single else f
-
-
 def _herglotz_sum(nu: DiscreteMeasure01, lam):
     """f = sum_i w_i f_{s_i} at the point or point stack ``lam``, unchecked:
     every atom's f_s in one broadcast, the rows added in atom order from
-    zeros, so each value has the bits of the sum of ``herglotz_component``s."""
+    zeros, so each value has the bits of the terms w_i f_{s_i} taken
+    one atom at a time."""
     l1, l2 = np.asarray(lam[0], dtype=complex), np.asarray(lam[1], dtype=complex)
     column = (-1,) + (1,) * l1.ndim
     s, w = (np.array([atom[j] for atom in nu.atoms], dtype=float).reshape(column)
             for j in (0, 1))
     total = np.zeros(np.broadcast_shapes(l1.shape, l2.shape), dtype=complex)
-    for term in w * (1.0 / _herglotz_den(s, l1, l2)):
+    den = s * (1.0 + l1) / (1.0 - l1) + (1.0 - s) * (1.0 + l2) / (1.0 - l2)
+    for term in w * (1.0 / den):
         total = total + term
     return total
 

@@ -15,7 +15,6 @@ from bischur import (
     InvalidInputError,
     NevanlinnaData,
     NoLimitError,
-    PoleError,
     SlopePair,
     SynthesizedSchur,
     Tolerances,
@@ -27,7 +26,6 @@ from bischur import (
     eval_phi,
     h_from_measure,
     h_from_nevanlinna,
-    herglotz_component,
     pick_value_from_schur,
     schur_value_from_pick,
     slope_eval,
@@ -86,11 +84,6 @@ def test_inner_function_singular_at_the_carapoint(favourite_colligation):
     g = desingularize(favourite_colligation, CHI)
     with pytest.raises(BoundarySingularityError):
         eval_I(g, CHI)
-
-
-def test_herglotz_pole_on_the_distinguished_boundary():
-    with pytest.raises(PoleError):
-        herglotz_component(0.5, (1.0, 0.0))
 
 
 # |z|^2 is exactly 1 + 6.6e-17 for the first and 1 - 2.8e-17 for the second,
@@ -163,11 +156,9 @@ def test_a_coordinate_that_is_not_a_number_is_refused(favourite_colligation, eva
      "omega must be unimodular"),
     (lambda c, bad: DiscreteMeasure01(((bad, 1.0),)), "measure data must be finite real numbers"),
     (lambda c, bad: NevanlinnaData(c=bad, d=0.0, atoms=()), "c and d must be finite real numbers"),
-    (lambda c, bad: herglotz_component(bad, (0.1, 0.2)),
-     r"the mixing parameter s must lie in \[0, 1\]"),
     (lambda c, bad: Tolerances(rank_rel=bad), "tolerance rank_rel must be finite and positive"),
 ], ids=["Colligation.a", "TwoVarNevRep.b", "SynthesizedSchur.omega", "measure atom",
-        "NevanlinnaData.c", "herglotz_component", "Tolerances"])
+        "NevanlinnaData.c", "Tolerances"])
 @pytest.mark.parametrize("bad", ["x", "0.5", None, float("nan"), float("inf"), 10 ** 400,
                                  True, np.True_],
                          ids=["text", "numeric text", "None", "nan", "inf", "huge", "True",

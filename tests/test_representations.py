@@ -18,14 +18,15 @@ from bischur import (
     pick_check,
     stieltjes_recover,
 )
-from bischur._integrate import REL_TOL, adaptive_trapezoid
-from bischur._limits import refine_to_limit
+from bischur._integrate import adaptive_trapezoid
 from bischur.generate import random_measure
 
 HALF_MEASURE = DiscreteMeasure01(((0.5, 1.0),))
 HALF_NEV = NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.0, math.pi),))
-# an atom just outside the window [-1, 0]: its extrapolation reads 10 ys
+# an atom just outside the window [-1, 0]
 DEEP_NEV = NevanlinnaData(c=-1.0, d=0.0, atoms=((-1.1, math.pi),))
+CRITERION_05_YS = [0.1 * 2.0 ** -k for k in range(11)]  # down to s0 = 9.765625e-05
+S0 = CRITERION_05_YS[-1]
 
 
 class TestMeasureTypes:
@@ -212,12 +213,15 @@ class TestStieltjes:
         (False, True, [0.1, 0.05, 0.01]),
         (-1e308, 1e308, [0.1, 0.05, 0.01]),
         (-1.0, 0.0, [1e308, 1e307, 1e306]),
+        # the certificate's floor 4 ys[-1] has Y = 8 ys[-1] = inf
+        (-1.0, 0.0, [8e307, 7e307]),
         # Y / y overflows at the smallest y: once RuntimeWarnings and h on NaN points
         (-2.0, 0.0, [1e-300, 1e-310, 1e-320]),
         (-2.0, 0.0, [0.1, 0.05, 1e-320]),
     ], ids=["b-inf", "a-inf", "y-nan", "y-inf", "ys-empty", "a-complex", "b-complex",
             "y-complex", "ends-bool", "height-overflows-in-b-a", "height-overflows-in-2y",
-            "height-over-y-overflows", "height-over-last-y-overflows"])
+            "certificate-height-overflows", "height-over-y-overflows",
+            "height-over-last-y-overflows"])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_input_rejected_before_h(self, a, b, ys):
         h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
@@ -226,83 +230,81 @@ class TestStieltjes:
         assert calls == []
 
     def test_criterion_05_window_calls_h_once(self):
+        # the 16- and 32-node rules of both floors' sides, one shared top
+        # side and the four feet
         h, calls = _recorded(lambda z: h_from_nevanlinna(HALF_NEV, z))
-        ys = [0.1 * 2.0 ** -k for k in range(11)]
-        assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
-        assert len(calls) == 1
+        assert stieltjes_recover(h, -2.0, 0.0, CRITERION_05_YS) == pytest.approx(
+            2.0 * math.pi, rel=0.01)
+        assert [z.size for z in calls] == [244]
 
     def test_an_integrand_of_another_shape_is_refused_at_the_first_call(self):
-        # refused on the window's stack, not called again on a stack of one y
         h, calls = _recorded(lambda z: np.zeros(3))
-        ys = [0.1 * 2.0 ** -k for k in range(11)]
-        with pytest.raises(InvalidInputError, match=r"numbers of shape \(624,\) or a constant"):
-            stieltjes_recover(h, -2.0, 0.0, ys)
-        assert [z.size for z in calls] == [624]
-
-    def test_an_error_of_h_on_the_first_call_falls_back_to_single_ys(self):
-        def small_stacks_only(z):
-            if z.size > 144:
-                raise PoleError("too many points")
-            return h_from_nevanlinna(HALF_NEV, z)
-
-        h, calls = _recorded(small_stacks_only)
-        ys = [0.1 * 2.0 ** -k for k in range(11)]
-        assert stieltjes_recover(h, -2.0, 0.0, ys) == pytest.approx(2.0 * math.pi, rel=0.01)
-        assert calls[0].size == 624 and {z.size for z in calls[1:]} == {144}
-
-    def test_ys_the_extrapolation_never_reads_never_raise(self):
-        # the extrapolation settles on the first six ys, down to 0.003125; below
-        # Im z = 2e-3 the noise keeps every later y's rules from agreeing
-        rng = np.random.default_rng(19)
-
-        def noisy(z):
-            noise = rng.normal(size=z.shape) + 1j * rng.normal(size=z.shape)
-            return h_from_nevanlinna(HALF_NEV, z) + np.where(z.imag < 2e-3, noise, 0.0)
-
-        h, calls = _recorded(noisy)
-        ys = [0.1 * 2.0 ** -k for k in range(11)]
-        with pytest.raises(NoLimitError):
-            adaptive_trapezoid(h, -2.0, 0.0, ys[6])
-        calls.clear()
-        # the unread ys cost only their first-level points: no rule of theirs
-        # is doubled (once 12 calls on 32 208 points)
-        assert stieltjes_recover(h, -2.0, 0.0, ys) == 6.2831850630461155
-        assert len(calls) == 1 and sum(z.size for z in calls) <= 1584
+        with pytest.raises(InvalidInputError, match=r"numbers of shape \(244,\) or a constant"):
+            stieltjes_recover(h, -2.0, 0.0, CRITERION_05_YS)
+        assert [z.size for z in calls] == [244]
 
     def test_a_non_finite_integral_is_not_doubled(self):
-        ys = [0.1 * 2.0 ** -k for k in range(11)]
         h, calls = _recorded(lambda z: np.full(z.shape, np.nan))
-        with pytest.raises(NoLimitError, match=r"at y = 0\.1 did not settle: it is nan with 32 "):
-            stieltjes_recover(h, -2.0, 0.0, ys)
-        # the first level of the first six ys, then that of the y read alone
-        # (once 12 calls on 73 152 points, doubling to the last rule)
-        assert [z.size for z in calls] == [624, 144]
+        with pytest.raises(NoLimitError,
+                           match=r"at y = 9\.765625e-05 did not settle: it is nan with 32 "):
+            stieltjes_recover(h, -2.0, 0.0, CRITERION_05_YS)
+        # the first level of both floors, not doubled
+        assert [z.size for z in calls] == [244]
         h, calls = _recorded(lambda z: np.where(z.imag < 2e-3, np.nan, 1.0))
         with pytest.raises(NoLimitError, match=r"at y = 0\.001 did not settle: it is nan"):
             adaptive_trapezoid(h, -2.0, 0.0, np.array([0.1, 0.01, 0.001]))
         assert len(calls) == 1
-        # NaNs below the ys the extrapolation reads never raise
-        h = lambda z: np.where(z.imag < 2e-3, np.nan, h_from_nevanlinna(HALF_NEV, z))
-        assert stieltjes_recover(h, -2.0, 0.0, ys) == 6.2831850630461155
+        # a foot that is not finite fails the certificate
+        h = lambda z: np.where(z.imag == S0, np.nan, h_from_nevanlinna(HALF_NEV, z))
+        with pytest.raises(NoLimitError, match="is nan floored at y = 9.765625e-05"):
+            stieltjes_recover(h, -2.0, 0.0, CRITERION_05_YS)
 
-    def test_a_window_read_past_six_ys_takes_the_others_in_one_more_call(self):
-        # the first level of ys 7-11 in one call when the extrapolation reads
-        # the seventh, then the ninth and tenth, unsettled there, each alone
-        # to 64 nodes per side
-        h, calls = _recorded(lambda z: h_from_nevanlinna(DEEP_NEV, z))
-        ys = [0.1 * 2.0 ** -k for k in range(11)]
-        assert stieltjes_recover(h, -1.0, 0.0, ys) == 3.29064406834334e-08
-        assert [z.size for z in calls] == [624, 528, 144, 192, 144, 192]
+    @pytest.mark.parametrize("nd, a, b, mass", [
+        (HALF_NEV, -2.0, 0.0, 2.0 * math.pi), (HALF_NEV, -1.0, 0.0, math.pi),
+        (HALF_NEV, -3.0, -1.0, math.pi), (DEEP_NEV, -1.0, 0.0, 0.0), (HALF_NEV, 1.0, 2.0, 0.0),
+    ], ids=["criterion-05", "left-endpoint", "right-endpoint", "deep", "empty"])
+    def test_every_mass_is_its_closed_form(self, nd, a, b, mass):
+        # (1 + t^2) m for an atom inside, half that on an end, 0 outside
+        h, calls = _recorded(lambda z: h_from_nevanlinna(nd, z))
+        assert stieltjes_recover(h, a, b, CRITERION_05_YS) == pytest.approx(
+            mass, rel=1e-9, abs=0.0 if mass else 1e-8)
+        assert min(float(z.imag.min()) for z in calls) >= S0
 
-    @pytest.mark.parametrize("nd, a, b", [(HALF_NEV, -2.0, 0.0), (HALF_NEV, -1.0, 0.0),
-                                          (HALF_NEV, -3.0, -1.0), (DEEP_NEV, -1.0, 0.0)],
-                             ids=["criterion-05", "left-endpoint", "right-endpoint", "deep"])
-    def test_every_mass_is_that_of_each_y_taken_alone(self, nd, a, b):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_windows_of_seeded_measures_match_their_closed_form(self, seed):
+        # 1-5 atoms 2-3.5 half-widths apart, each window reaching halfway to
+        # its neighbours or one half-width, 12.5 ys[0], past a lone side, so
+        # every atom is at least 10 ys[0] from an end
+        rng = np.random.default_rng(seed)
+        half, n = 12.5 * CRITERION_05_YS[0], 1 + seed % 5
+        gaps = rng.uniform(2.0, 3.5, size=n) * half
+        ts = np.sort(-(rng.uniform(0.2, 2.0) + np.cumsum(gaps) - gaps[0]))
+        ms = rng.uniform(0.1, 2.0, size=n)
+        nd = NevanlinnaData(c=rng.uniform(-2.0, 2.0), d=0.0,
+                            atoms=tuple(zip(ts.tolist(), ms.tolist())))
+        mids = 0.5 * (ts[1:] + ts[:-1])
+        ends = np.append(ts[0] - half, mids), np.append(mids, ts[-1] + half)
+        for t, m, a, b in zip(ts, ms, *ends):
+            mass = stieltjes_recover(lambda z: h_from_nevanlinna(nd, z), a, b, CRITERION_05_YS)
+            assert mass == pytest.approx((1.0 + t * t) * m, rel=1e-9), (t, a, b)
+
+    @pytest.mark.parametrize("end", ["left", "right"])
+    @pytest.mark.parametrize("d", [0.0, 1e-8, S0, 10 * S0, 300 * S0, 1000 * S0, 0.1],
+                             ids=["on", "1e-8", "s0", "10s0", "300s0", "1000s0", "0.1"])
+    def test_an_atom_near_an_end_is_resolved_or_refused(self, d, end):
+        # an atom of mass 1 at distance d inside an end of [-1, 0]: on the end
+        # it counts half, within a few hundred s0 of it the floor cannot tell
+        # how much, and farther in it counts whole
+        t = -1.0 + d if end == "left" else -d
+        nd = NevanlinnaData(c=0.3, d=0.0, atoms=((t, 1.0),))
         h = lambda z: h_from_nevanlinna(nd, z)
-        ys = [0.1 * 2.0 ** -k for k in range(11)]
-        alone = refine_to_limit(lambda k: adaptive_trapezoid(h, a, b, ys[k]), ys,
-                                tol=10 * REL_TOL)
-        assert stieltjes_recover(h, a, b, ys) == alone.estimate.real
+        if 0.0 < d < 300 * S0:
+            with pytest.raises(NoLimitError, match="an atom near an end"):
+                stieltjes_recover(h, -1.0, 0.0, CRITERION_05_YS)
+        else:
+            full = 1.0 + t * t
+            assert stieltjes_recover(h, -1.0, 0.0, CRITERION_05_YS) == pytest.approx(
+                0.5 * full if d == 0.0 else full, rel=1e-9 if d == 0.0 else 1e-7)
 
 
 class TestContourQuadrature:
@@ -330,8 +332,8 @@ class TestContourQuadrature:
         y = ys[-1]
         assert adaptive_trapezoid(h, -1.0, 0.0, y) == pytest.approx(
             _atom_window(-1.0, 0.0, y), rel=1e-9)
-        assert stieltjes_recover(h, -1.0, 0.0, ys) == pytest.approx(math.pi, rel=1e-6)
-        assert stieltjes_recover(h, -3.0, -1.0, ys) == pytest.approx(math.pi, rel=1e-6)
+        assert stieltjes_recover(h, -1.0, 0.0, ys) == pytest.approx(math.pi, rel=1e-9)
+        assert stieltjes_recover(h, -3.0, -1.0, ys) == pytest.approx(math.pi, rel=1e-9)
 
     @pytest.mark.parametrize("y", [0.1, 1e-4, 3e-5])
     def test_h_is_never_called_below_the_line(self, y):

@@ -11,7 +11,6 @@ from bischur import (
     SynthesizedSchur,
     derivative_checks,
     desingularize,
-    directional_derivative_analytic,
     directional_derivative_numeric,
     eval_phi,
     fit_colligation,
@@ -22,6 +21,7 @@ from bischur import (
     slope_measure,
     synth_eval,
 )
+from bischur import slope
 from bischur._limits import LimitReport
 from bischur.cli import _verify_directions
 from bischur.generate import (
@@ -35,6 +35,12 @@ from conftest import CHI, favourite_formula
 
 HALF_PAIR = SlopePair(Y=[[0.5]], u_tau=[1.0])
 HALF_H = partial(slope_eval, HALF_PAIR)
+
+
+def analytic(phi_tau, tau, deltas, h):
+    """The slope formula along each direction of ``deltas``, as
+    ``derivative_checks`` takes it."""
+    return slope._analytic(phi_tau, tau, np.array(deltas, dtype=complex).reshape(-1, 2), h)
 
 
 class TestSlopeEval:
@@ -93,17 +99,17 @@ class TestSlopeMeasure:
 
 class TestDirectionalDerivativeAnalytic:
     def test_favourite_direction_one_one(self):
-        value, = directional_derivative_analytic(1.0, CHI, [(1.0, 1.0)], HALF_H)
+        value, = analytic(1.0, CHI, [(1.0, 1.0)], HALF_H)
         assert value == pytest.approx(-1.0)
 
     def test_favourite_direction_one_two(self):
-        value, = directional_derivative_analytic(1.0, CHI, [(1.0, 2.0)], HALF_H)
+        value, = analytic(1.0, CHI, [(1.0, 2.0)], HALF_H)
         assert value == pytest.approx(-4.0 / 3.0)
 
     def test_zero_boundary_vector(self):
         pair = SlopePair(Y=[[0.5]], u_tau=[0.0])
         h = partial(slope_eval, pair)
-        value, = directional_derivative_analytic(1.0, CHI, [(1.0, 1.0)], h)
+        value, = analytic(1.0, CHI, [(1.0, 1.0)], h)
         assert value == 0.0
 
     def test_homogeneity_in_the_direction(self):
@@ -111,9 +117,9 @@ class TestDirectionalDerivativeAnalytic:
         tau = random_torus_point(rng)
         h = partial(slope_eval, SlopePair(Y=[[0.7]], u_tau=[1.3]))
         delta = random_inward_direction(rng, tau)
-        base, = directional_derivative_analytic(1.0, tau, [delta], h)
+        base, = analytic(1.0, tau, [delta], h)
         for c in (0.5, 2.0, 7.5):
-            scaled, = directional_derivative_analytic(1.0, tau, [(c * delta[0], c * delta[1])], h)
+            scaled, = analytic(1.0, tau, [(c * delta[0], c * delta[1])], h)
             assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
@@ -124,7 +130,7 @@ class TestOutwardDirection:
     ])
     def test_both_derivatives_reject_it(self, tau, delta):
         with pytest.raises(InvalidInputError):
-            directional_derivative_analytic(1.0, tau, [delta], HALF_H)
+            derivative_checks(favourite_formula, tau, 1.0, [delta], HALF_H)
         with pytest.raises(InvalidInputError):
             directional_derivative_numeric(favourite_formula, tau, [delta], 1.0)
 
@@ -182,11 +188,10 @@ class TestDirectionalDerivativeNumeric:
         phi = partial(eval_phi, c)
         phi_tau = nontangential_value(phi, tau).estimate
         deltas = [random_inward_direction(rng, tau) for _ in range(20)]
-        results = directional_derivative_numeric(phi, tau, deltas, phi_tau)
-        analytics = directional_derivative_analytic(phi_tau, tau, deltas,
-                                                    partial(slope_eval, pair))
-        for numeric, analytic in zip(results, analytics, strict=True):
-            assert abs(numeric.estimate - analytic) < 1e-5 * (1.0 + abs(analytic))
+        checks = derivative_checks(phi, tau, phi_tau, deltas, partial(slope_eval, pair))
+        assert len(checks) == len(deltas)
+        for check in checks:
+            assert abs(check["numeric"] - check["analytic"]) < 1e-5 * (1.0 + abs(check["analytic"]))
 
 
 class TestDerivativeChecks:
@@ -194,13 +199,13 @@ class TestDerivativeChecks:
         deltas = [(1.0, 1.0), (2.0, 1.0)]
         checks = derivative_checks(favourite_formula, CHI, 1.0, deltas, HALF_H)
         assert [check["delta"] for check in checks] == [(1 + 0j, 1 + 0j), (2 + 0j, 1 + 0j)]
-        for check, report, analytic in zip(
+        for check, report, value in zip(
                 checks, directional_derivative_numeric(favourite_formula, CHI, deltas, 1.0),
-                directional_derivative_analytic(1.0, CHI, deltas, HALF_H).tolist(), strict=True):
+                analytic(1.0, CHI, deltas, HALF_H).tolist(), strict=True):
             numeric = report.estimate
             assert check == {"delta": check["delta"], "numeric": numeric,
-                             "analytic": analytic, "abs_err": abs(numeric - analytic),
-                             "rel_err": abs(numeric - analytic) / (1.0 + abs(analytic)),
+                             "analytic": value, "abs_err": abs(numeric - value),
+                             "rel_err": abs(numeric - value) / (1.0 + abs(value)),
                              "converged": report.converged}
             assert check["converged"] and check["rel_err"] < 1e-6
 

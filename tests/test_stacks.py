@@ -31,7 +31,6 @@ from bischur import (
     eval_phi_gen,
     h_from_measure,
     h_from_nevanlinna,
-    herglotz_component,
     model_liminf,
     model_residual,
     nevanlinna_from_measure,
@@ -63,6 +62,7 @@ from bischur.generate import (
 )
 
 import parent_generate
+from parent_synthesis import herglotz_component
 from conftest import CHI
 
 N_POINTS = 64

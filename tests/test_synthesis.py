@@ -13,7 +13,6 @@ from bischur import (
     desingularize,
     fit_colligation,
     h_from_measure,
-    herglotz_component,
     model_residual,
     nontangential_value,
     radial_liminf,
@@ -35,23 +34,28 @@ def seeded_measure(n_atoms):
                                        rng.uniform(0.1, 2.0, size=n_atoms))))
 
 
+def kernel(s, lam):
+    """f_s(lam), the Herglotz kernel: the sum of one atom of weight 1."""
+    return synthesis._herglotz_sum(DiscreteMeasure01(((s, 1.0),)), lam)
+
+
 class TestHerglotzComponent:
     def test_diagonal_value_is_mixing_free(self):
         for s in (0.0, 0.3, 1.0):
             for r in (0.2, 0.9):
-                assert herglotz_component(s, (r, r)) == pytest.approx((1 - r) / (1 + r))
+                assert kernel(s, (r, r)) == pytest.approx((1 - r) / (1 + r))
 
     def test_pure_first_coordinate(self):
-        assert herglotz_component(1.0, (0.0, 0.77j)) == pytest.approx(1.0)
+        assert kernel(1.0, (0.0, 0.77j)) == pytest.approx(1.0)
 
     def test_mixed_arithmetic(self):
-        assert herglotz_component(0.5, (0.5, -0.5)) == pytest.approx(3.0 / 5.0)
+        assert kernel(0.5, (0.5, -0.5)) == pytest.approx(3.0 / 5.0)
 
     def test_positive_real_part_inside(self):
         rng = np.random.default_rng(50)
         for _ in range(200):
             s = rng.uniform()
-            assert herglotz_component(s, random_interior_point(rng, 0.95)).real > 0
+            assert kernel(s, random_interior_point(rng, 0.95)).real > 0
 
 
 class TestSynthesizedSchur:
